@@ -222,8 +222,8 @@ BENCHMARK(BM_EngineBatchParallel)
 
 void BM_EngineBatchLockstep(benchmark::State& state) {
   // Lockstep SoA execution: B runs advance through one instruction
-  // stream per worker (run_prepared_batch). B=1 is the scalar path; the
-  // spread across widths is the batching win in isolation.
+  // stream per worker (run_prepared_batch). B=1 is a single lane; the
+  // spread across widths is the win of sharing the stream in isolation.
   const int batch = static_cast<int>(state.range(0));
   const std::uint64_t seeds = static_cast<std::uint64_t>(state.range(1));
   Engine engine;
@@ -291,23 +291,18 @@ void report_sweep_throughput() {
   std::printf("  hardware threads: %d, parallel speedup: %.2fx\n", hw,
               speedup);
   // Lockstep batched row — the same sweep with B runs per instruction
-  // stream on one worker. Gated by --baseline like the serial row; the
-  // identity check is the hard guarantee, the ≥2x line is informational
-  // (a one-shot wall-clock sample must not flake the exit code).
+  // stream on one worker, gated by --baseline like the serial row. Both
+  // rows run the one lane kernel (the default engine at one lane), so the
+  // identity check is the guarantee and the rows' ratio is only recorded.
   const int batch = rsb::bench::batch_width();
   Engine batched;
   batched.set_parallel({1, 0, batch});
   RunStats batched_stats;
-  const double batched_rate = rsb::bench::time_runs(
-      "blackboard-LE n=6 sweep batched", spec.seeds.count, 1,
-      [&] { batched_stats = batched.run_batch(spec); });
+  rsb::bench::time_runs("blackboard-LE n=6 sweep batched", spec.seeds.count,
+                        1, [&] { batched_stats = batched.run_batch(spec); });
   check(batched_stats == serial_stats,
         "batched (B=" + std::to_string(batch) +
             ") RunStats byte-identical to serial");
-  std::printf("  batched lockstep target ≥ 2x serial: %s (%.2fx at B=%d)\n",
-              batched_rate >= 2.0 * serial_rate ? "met"
-                                                : "NOT met (timing sample)",
-              serial_rate > 0.0 ? batched_rate / serial_rate : 0.0, batch);
   bool parallel_matches = true;
   std::vector<int> thread_counts{2, 4, hw};
   std::sort(thread_counts.begin(), thread_counts.end());

@@ -13,6 +13,7 @@
 // PRs (CI uploads both as workflow artifacts).
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdint>
@@ -206,44 +207,73 @@ inline std::string& baseline_path() {
 /// Throughput regressions beyond this fraction fail the bench binary.
 inline constexpr double kBaselineRegressionTolerance = 0.25;
 
-/// Runs/sec of a fixed, cheap reference sweep measured in this process
-/// (memoized): a serial blackboard leader-election batch. The gate divides
-/// every measured rate by this number, so what is compared across machines
-/// is the *ratio* of bench throughput to reference throughput — a property
-/// of the code — rather than absolute runs/sec, a property of the host.
-/// footer() records it in BENCH_<name>.json meta so a baseline captured on
-/// one machine gates runs on another.
-inline double calibration_runs_per_sec() {
-  static const double rate = [] {
-    const Experiment spec =
-        Experiment::blackboard(SourceConfiguration::all_private(5))
-            .with_protocol("wait-for-singleton-LE")
-            .with_task("leader-election")
-            .with_rounds(300)
-            .with_seeds(1, 512);
-    Engine engine;
-    engine.run_batch(spec);  // warm caches; only timed passes count
+/// The --baseline gate's yardstick: passes per second of a fixed integer
+/// kernel, measured in this process (memoized). The gate divides every
+/// measured rate by the median, so what is compared across machines is
+/// the *ratio* of bench throughput to kernel throughput — a property of the
+/// code — rather than absolute runs/sec, a property of the host. The
+/// kernel calls nothing in src/: were it a sweep through the engine under
+/// test, a change that sped up or slowed down the whole engine would move
+/// the yardstick with the gated rows and cancel out. footer() records the
+/// median and quartiles in BENCH_<name>.json meta, so a baseline captured
+/// on one machine gates runs on another and the host's noise is on record.
+struct Calibration {
+  double median = 0.0;  // kernel passes/sec
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+/// One kernel pass: splitmix-style mixing chained through dependent loads
+/// and stores over a 128 KiB table — the ALU-plus-cache-probe shape of the
+/// engine's coin draws and intern-table probes, fixed forever. `table` is
+/// caller-owned so no pass pays for an allocation; it is refilled from
+/// `seed` first, so every pass does identical work. Returns a value that
+/// depends on every step so the work cannot be elided.
+inline std::uint64_t calibration_kernel(std::vector<std::uint64_t>& table,
+                                        std::uint64_t seed) {
+  constexpr std::size_t kWords = std::size_t{1} << 14;
+  constexpr int kSteps = 1 << 16;
+  table.resize(kWords);
+  std::uint64_t x = seed;
+  for (std::uint64_t& word : table) {
+    x += 0x9e3779b97f4a7c15ull;
+    word = x;
+  }
+  for (int step = 0; step < kSteps; ++step) {
+    x ^= table[x & (kWords - 1)];
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    x ^= x >> 31;
+    table[(x >> 17) & (kWords - 1)] += x;
+  }
+  return x;
+}
+
+/// The median and quartiles of kPasses timed kernel passes, after one
+/// untimed warmup pass.
+inline const Calibration& calibration() {
+  static const Calibration measured = [] {
+    constexpr int kPasses = 21;
     using clock = std::chrono::steady_clock;
-    // Best of three: the reference sweep is sub-millisecond, so a single
-    // sample is at the mercy of one scheduler hiccup; the fastest of three
-    // estimates the machine's unloaded speed, which is the quantity the
-    // normalization needs.
-    double best = 0.0;
-    for (int trial = 0; trial < 3; ++trial) {
+    std::vector<std::uint64_t> table;
+    // The seed is read through a volatile so the kernel's input is a run-
+    // time value; the sink keeps its result live.
+    volatile std::uint64_t seed = 1;
+    volatile std::uint64_t sink = calibration_kernel(table, seed);
+    std::vector<double> rates;
+    for (int pass = 0; pass < kPasses; ++pass) {
       const auto start = clock::now();
-      engine.run_batch(spec);
+      sink = sink + calibration_kernel(table, seed);
       const double wall_ns =
           std::chrono::duration<double, std::nano>(clock::now() - start)
               .count();
-      const double sample =
-          wall_ns > 0.0
-              ? static_cast<double>(spec.seeds.count) / (wall_ns * 1e-9)
-              : 0.0;
-      if (sample > best) best = sample;
+      rates.push_back(wall_ns > 0.0 ? 1e9 / wall_ns : 0.0);
     }
-    return best;
+    std::sort(rates.begin(), rates.end());
+    return Calibration{rates[kPasses / 2], rates[kPasses / 4],
+                       rates[3 * kPasses / 4]};
   }();
-  return rate;
+  return measured;
 }
 
 /// Strips a `--baseline <file>` or `--baseline=<file>` flag from argv.
@@ -285,8 +315,8 @@ struct BaselineRow {
 /// throughput table ("columns": [...], "rows": [[...], ...]). Returns
 /// false (and reports a failure) when the file is missing or malformed —
 /// a silently skipped gate would read as a pass. `calibration_out`
-/// receives the baseline's recorded calibration_runs_per_sec meta, or 0
-/// when the file predates calibration recording.
+/// receives the baseline's recorded calibration_kernel_per_sec meta, or 0
+/// when the file predates the kernel calibration.
 inline bool load_baseline(const std::string& path,
                           std::vector<BaselineRow>& rows,
                           double* calibration_out = nullptr) {
@@ -298,10 +328,10 @@ inline bool load_baseline(const std::string& path,
 
   if (calibration_out != nullptr) {
     *calibration_out = 0.0;
-    const std::size_t at = text.find("\"calibration_runs_per_sec\":");
+    const char* key = "\"calibration_kernel_per_sec\":";
+    const std::size_t at = text.find(key);
     if (at != std::string::npos) {
-      *calibration_out = std::atof(
-          text.c_str() + at + std::strlen("\"calibration_runs_per_sec\":"));
+      *calibration_out = std::atof(text.c_str() + at + std::strlen(key));
     }
   }
 
@@ -389,12 +419,12 @@ inline bool load_baseline(const std::string& path,
 
 /// Applies the --baseline gate against this run's throughput table.
 ///
-/// When both the baseline file and this run carry a calibration rate, the
-/// gate compares *calibration-normalized* throughput (rate divided by the
-/// same-process reference sweep's rate), so a baseline recorded on a fast
-/// workstation still gates a slow CI runner — only genuine code
-/// regressions move the ratio. Baselines without the calibration meta fall
-/// back to the historical absolute-rate comparison.
+/// When the baseline file carries a kernel calibration, the gate compares
+/// *calibration-normalized* throughput (rate divided by the same-process
+/// kernel rate), so a baseline recorded on a fast workstation still gates
+/// a slow CI runner — only genuine code regressions move the ratio.
+/// Baselines without the kernel meta fall back to the absolute-rate
+/// comparison.
 inline void check_against_baseline() {
   const std::string& path = baseline_path();
   if (path.empty()) return;
@@ -405,13 +435,12 @@ inline void check_against_baseline() {
     check(false, "baseline file readable: " + path);
     return;
   }
-  const double calibration =
-      baseline_calibration > 0.0 ? calibration_runs_per_sec() : 0.0;
-  const bool normalized = baseline_calibration > 0.0 && calibration > 0.0;
+  const Calibration& here = calibration();
+  const bool normalized = baseline_calibration > 0.0 && here.median > 0.0;
   if (normalized) {
-    std::printf("  calibration: %.0f runs/sec here vs %.0f in baseline"
-                " (gating normalized ratios)\n",
-                calibration, baseline_calibration);
+    std::printf("  calibration kernel: %.1f passes/sec here (quartiles "
+                "%.1f-%.1f) vs %.1f in baseline (gating normalized ratios)\n",
+                here.median, here.q1, here.q3, baseline_calibration);
   } else {
     std::printf("  no calibration meta in baseline; gating absolute rates\n");
   }
@@ -441,14 +470,14 @@ inline void check_against_baseline() {
       const double rate = cell_number(r, "runs_per_sec");
       char line[256];
       if (normalized) {
-        const double measured_ratio = rate / calibration;
+        const double measured_ratio = rate / here.median;
         const double expected_ratio =
             expected.runs_per_sec / baseline_calibration;
         const double floor =
             expected_ratio * (1.0 - kBaselineRegressionTolerance);
         std::snprintf(line, sizeof(line),
-                      "%s: %.3fx calibration vs baseline %.3fx (floor "
-                      "%.3fx; %.0f runs/sec raw)",
+                      "%s: %.4gx calibration vs baseline %.4gx (floor "
+                      "%.4gx; %.0f runs/sec raw)",
                       expected.name.c_str(), measured_ratio, expected_ratio,
                       floor, rate);
         check(measured_ratio >= floor, line);
@@ -484,7 +513,9 @@ inline void footer(const std::string& name = "") {
         .set_meta("failures", std::int64_t{failure_count()})
         .set_meta("hardware_threads", std::int64_t{hardware_threads()})
         .set_meta("batch", std::int64_t{batch_width()})
-        .set_meta("calibration_runs_per_sec", calibration_runs_per_sec());
+        .set_meta("calibration_kernel_per_sec", calibration().median)
+        .set_meta("calibration_kernel_q1", calibration().q1)
+        .set_meta("calibration_kernel_q3", calibration().q3);
     const std::string json_path = "BENCH_" + name + ".json";
     if (throughput.write_json(json_path)) {
       std::printf("  throughput JSON -> %s (%zu rows)\n", json_path.c_str(),

@@ -181,7 +181,7 @@ void WaitForSingletonLE::decide_all(
     }
   } else {
     // Port tuples are port-ordered, not sorted: sort one copy per round
-    // (the scalar path pays this per party).
+    // (decide pays this per party).
     scratch.assign(received.begin(), received.end());
     scratch.push_back(prev0);
     std::sort(scratch.begin(), scratch.end());

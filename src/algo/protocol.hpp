@@ -61,8 +61,8 @@ class AnonymousProtocol {
   /// scalar decide; protocols whose rule ranges over the round's shared
   /// time-(t−1) multiset override this to compute that multiset once per
   /// round instead of once per party. Overrides must stay verdict-
-  /// identical to the scalar decide — the batched-vs-unbatched property
-  /// laws pin it.
+  /// identical to the scalar decide — the batch property laws pin it
+  /// against a per-party-decide reference.
   virtual void decide_all(
       const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
       std::vector<KnowledgeId>& scratch,
@@ -83,8 +83,8 @@ class AnonymousProtocol {
   /// engine decide *before* executing the round — and skip a run's final
   /// round operator entirely, since once every survivor has decided the
   /// operator's output is unobservable. Overrides must agree verdict-for-
-  /// verdict with decide on the post-round knowledge (pinned by the
-  /// batched-vs-unbatched property laws). The default opts out.
+  /// verdict with decide on the post-round knowledge (pinned by the batch
+  /// property laws' per-party-decide reference). The default opts out.
   virtual RoundVerdicts decide_round_from_prev(
       const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
       std::span<const KnowledgeId> sorted_prev,

@@ -52,8 +52,8 @@ constexpr std::uint64_t kAutoGranulesPerWorker = 8;
 constexpr std::uint64_t kMaxChunksPerBatch = 4096;
 
 /// Rounds `chunk` up to a whole number of lockstep batches so a scheduling
-/// chunk claims full batches and only the sweep's final chunk can leave
-/// remainder lanes for the scalar path. Identity for batch <= 1.
+/// chunk claims full batches and only the sweep's final chunk can run a
+/// narrower remainder group. Identity for batch <= 1.
 std::uint64_t align_to_batch(std::uint64_t chunk, int batch) {
   const std::uint64_t b = static_cast<std::uint64_t>(std::max(batch, 1));
   if (b <= 1) return chunk;
@@ -159,12 +159,6 @@ void run_worker_pool(int workers, Body&& body) {
   }
 }
 
-/// Executes runs [begin, end) of `spec` through `ctx`, reporting each run
-/// to per_run(run_index, ports, outcome) in run-index order. Knowledge-
-/// backend runs go through the lockstep batched path in full groups of
-/// `batch` lanes; remainder runs — and agent-backend specs, whose state
-/// lives in per-run sim::Networks — take the scalar path. `ports` must be
-/// positioned at `begin`; on return it is positioned at `end`.
 /// The policy the run's PortProvider draws under. A topology spec routes
 /// through the graph's own wiring — its provider produces no assignments
 /// and consumes no port-seed stream, whatever the spec's nominal policy
@@ -173,85 +167,71 @@ PortPolicy provider_policy(const Experiment& spec) {
   return spec.topology != nullptr ? PortPolicy::kNone : spec.port_policy;
 }
 
+/// Executes runs [begin, end) of `spec` through `ctx`, reporting each run
+/// to per_run(run_index, ports, outcome) in run-index order. Knowledge-
+/// backend runs go through the lockstep lane kernel in groups of
+/// min(batch, runs left) lanes — batch = 1 and remainders are simply
+/// narrower groups; agent-backend specs, whose state lives in per-run
+/// sim::Networks, run one at a time. `ports` must be positioned at
+/// `begin`; on return it is positioned at `end`.
 template <typename PerRun>
 void execute_range(RunContext& ctx, const Experiment& spec,
                    PortProvider& ports, std::uint64_t begin, std::uint64_t end,
                    int batch, OrbitTable* orbit, const PerRun& per_run) {
-  std::uint64_t i = begin;
-  if (orbit != nullptr) {
-    // Deduped sweep (eligible specs are knowledge-backend by construction):
-    // every candidate is probed against the orbit memo first; only the
-    // misses execute — lockstep when batching, scalar otherwise — and each
-    // executed representative is inserted at its consumed-round level.
-    // Reporting stays in run-index order with the candidate's own wiring
-    // and crash draw, so per_run sees bytes identical to the brute sweep.
-    const std::size_t probes = static_cast<std::size_t>(std::max(batch, 1));
-    if (ctx.orbit_probes.size() < probes) ctx.orbit_probes.resize(probes);
-    if (batch > 1) {
-      BatchedRunContext& b = ctx.batched;
-      while (end - i >= static_cast<std::uint64_t>(batch)) {
-        b.requests.clear();
-        for (int l = 0; l < batch; ++l) {
-          OrbitProbe& probe = ctx.orbit_probes[static_cast<std::size_t>(l)];
-          orbit->prepare(
-              probe, spec.seeds.first + i + static_cast<std::uint64_t>(l),
-              ports.next());
-          if (!orbit->lookup(probe)) {
-            b.requests.push_back(
-                {spec.seeds.first + i + static_cast<std::uint64_t>(l),
-                 probe.ports});
-          }
-        }
-        if (!b.requests.empty()) {
-          run_prepared_batch(ctx, spec,
-                             std::span<const LaneRequest>(b.requests));
-        }
-        std::size_t miss = 0;
-        for (int l = 0; l < batch; ++l) {
-          OrbitProbe& probe = ctx.orbit_probes[static_cast<std::size_t>(l)];
-          if (probe.hit) {
-            per_run(i + static_cast<std::uint64_t>(l), probe.ports,
-                    probe.outcome);
-          } else {
-            BatchedRunContext::Lane& lane = b.lanes[miss++];
-            orbit->insert(probe, lane.outcome, lane.consumed);
-            per_run(i + static_cast<std::uint64_t>(l), probe.ports,
-                    lane.outcome);
-          }
-        }
-        i += static_cast<std::uint64_t>(batch);
-      }
-    }
-    for (; i < end; ++i) {
-      OrbitProbe& probe = ctx.orbit_probes[0];
-      orbit->prepare(probe, spec.seeds.first + i, ports.next());
-      if (orbit->lookup(probe)) {
-        per_run(i, probe.ports, probe.outcome);
-      } else {
-        const ProtocolOutcome outcome =
-            execute_run(ctx, spec, spec.seeds.first + i, probe.ports);
-        orbit->insert(probe, outcome, ctx.consumed_rounds);
-        per_run(i, probe.ports, outcome);
-      }
+  if (spec.backend() != Experiment::Backend::kProtocol) {
+    for (std::uint64_t i = begin; i < end; ++i) {
+      const PortAssignment* assignment = ports.next();
+      per_run(i, assignment,
+              run_agent_prepared(ctx, spec, spec.seeds.first + i, assignment));
     }
     return;
   }
-  if (batch > 1 && spec.backend() == Experiment::Backend::kProtocol) {
-    while (end - i >= static_cast<std::uint64_t>(batch)) {
-      run_prepared_batch(ctx, spec, spec.seeds.first + i, batch, ports);
-      for (int l = 0; l < batch; ++l) {
+  BatchedRunContext& b = ctx.batched;
+  for (std::uint64_t i = begin; i < end;) {
+    const int lanes = static_cast<int>(
+        std::min(end - i, static_cast<std::uint64_t>(batch)));
+    if (orbit == nullptr) {
+      run_prepared_batch(ctx, spec, spec.seeds.first + i, lanes, ports);
+      for (int l = 0; l < lanes; ++l) {
         const BatchedRunContext::Lane& lane =
-            ctx.batched.lanes[static_cast<std::size_t>(l)];
+            b.lanes[static_cast<std::size_t>(l)];
         per_run(i + static_cast<std::uint64_t>(l), lane.ports, lane.outcome);
       }
-      i += static_cast<std::uint64_t>(batch);
+    } else {
+      // Deduped sweep (eligible specs are knowledge-backend by
+      // construction): every candidate is probed against the orbit memo
+      // first; only the misses execute, shoulder to shoulder, and each
+      // executed representative is inserted at its consumed-round level.
+      // Reporting stays in run-index order with the candidate's own wiring
+      // and crash draw, so per_run sees bytes identical to the brute sweep.
+      if (ctx.orbit_probes.size() < static_cast<std::size_t>(lanes)) {
+        ctx.orbit_probes.resize(static_cast<std::size_t>(lanes));
+      }
+      b.requests.clear();
+      for (int l = 0; l < lanes; ++l) {
+        OrbitProbe& probe = ctx.orbit_probes[static_cast<std::size_t>(l)];
+        const std::uint64_t seed =
+            spec.seeds.first + i + static_cast<std::uint64_t>(l);
+        orbit->prepare(probe, seed, ports.next());
+        if (!orbit->lookup(probe)) b.requests.push_back({seed, probe.ports});
+      }
+      if (!b.requests.empty()) {
+        run_prepared_batch(ctx, spec, std::span<const LaneRequest>(b.requests));
+      }
+      std::size_t miss = 0;
+      for (int l = 0; l < lanes; ++l) {
+        OrbitProbe& probe = ctx.orbit_probes[static_cast<std::size_t>(l)];
+        const std::uint64_t run = i + static_cast<std::uint64_t>(l);
+        if (probe.hit) {
+          per_run(run, probe.ports, probe.outcome);
+        } else {
+          BatchedRunContext::Lane& lane = b.lanes[miss++];
+          orbit->insert(probe, lane.outcome, lane.consumed);
+          per_run(run, probe.ports, lane.outcome);
+        }
+      }
     }
-  }
-  for (; i < end; ++i) {
-    const PortAssignment* assignment = ports.next();
-    const ProtocolOutcome outcome =
-        execute_run(ctx, spec, spec.seeds.first + i, assignment);
-    per_run(i, assignment, outcome);
+    i += static_cast<std::uint64_t>(lanes);
   }
 }
 
@@ -272,9 +252,14 @@ ProtocolOutcome Engine::run(const Experiment& spec, std::uint64_t seed) {
   spec.validate();
   PortProvider ports(spec.model, provider_policy(spec), spec.fixed_ports,
                      spec.config, spec.port_seed);
-  const ProtocolOutcome outcome = execute_run(ctx_, spec, seed, ports.next());
+  const PortAssignment* assignment = ports.next();
+  if (spec.backend() != Experiment::Backend::kProtocol) {
+    return run_agent_prepared(ctx_, spec, seed, assignment);
+  }
+  const LaneRequest request{seed, assignment};
+  run_prepared_batch(ctx_, spec, std::span<const LaneRequest>(&request, 1));
   store_high_water_ = std::max(store_high_water_, ctx_.store_high_water);
-  return outcome;
+  return ctx_.batched.lanes[0].outcome;
 }
 
 ProtocolOutcome Engine::run(const Experiment& spec) {
@@ -359,7 +344,7 @@ void Engine::drive(const Experiment& spec, std::uint64_t stream_offset,
       const std::uint64_t end = std::min(begin + chunk, count);
       ports.skip_to(stream_offset + begin);
       // Chunks are batch-aligned (resolve_chunk), so only the sweep's
-      // final chunk can leave remainder lanes for the scalar path.
+      // final chunk can run a narrower remainder group.
       execute_range(ctx, spec, ports, begin, end, parallel_.batch, orbit,
                     [&](std::uint64_t i, const PortAssignment* assignment,
                         const ProtocolOutcome& outcome) {

@@ -1,14 +1,16 @@
 // The experiment engine: batched execution of declarative specs.
 //
 // An Engine drives sweeps of (spec, seed) runs. The mutable scratch state a
-// run needs — the KnowledgeStore intern table and the SourceBank bit
-// streams — lives in a RunContext (engine/run_context.hpp); the engine owns
-// one context for serial work and hands every worker of a parallel batch
-// its own, reusing allocations across all runs of a batch either way.
-// Semantics are unchanged from the one-shot path: a reset store hands out
-// ids in the same insertion order as a fresh one, so Engine results are
-// bit-identical to the legacy run_protocol(...) path for equal
-// (spec, seed) — a guarantee the engine tests assert.
+// run needs — the lanes' KnowledgeStore intern tables and coin engines —
+// lives in a RunContext (engine/run_context.hpp); the engine owns one
+// context for serial work and hands every worker of a parallel batch its
+// own, reusing allocations across all runs of a batch either way. Every
+// knowledge-backend run, a single Engine::run included, executes through
+// the lockstep lane kernel. Semantics are those of the one-shot
+// definition: a reset store hands out ids in the same insertion order as
+// a fresh one, so Engine results are bit-identical to a per-run reference
+// with a fresh store and SourceBank for equal (spec, seed) — a guarantee
+// the engine and property tests assert.
 //
 // Parallelism (ParallelConfig) never changes results: every run is a pure
 // function of (spec, seed, ports), per-run port assignments are drawn
@@ -82,14 +84,14 @@ using RunObserver =
 struct ParallelConfig {
   int threads = 1;          // worker count; 1 = serial, 0 = all hardware
   std::uint64_t chunk = 0;  // runs per scheduling chunk; 0 = auto
-  /// Lanes per lockstep batch on the knowledge backend: with batch = B > 1
-  /// a sweep executes B runs of the spec per instruction stream through
-  /// the structure-of-arrays path (engine/run_context.hpp,
-  /// BatchedRunContext) — scheduling chunks are rounded up to whole
-  /// batches, remainder runs and agent-backend specs fall back to the
-  /// scalar path. Results are byte-identical for every batch size (pinned
-  /// by the property laws); the knob only trades locality for lane-state
-  /// memory. 1 = scalar.
+  /// Lanes per lockstep batch on the knowledge backend: a sweep executes
+  /// B runs of the spec per instruction stream through the structure-of-
+  /// arrays lane kernel (engine/run_context.hpp, BatchedRunContext) —
+  /// scheduling chunks are rounded up to whole batches, and a remainder
+  /// runs as one narrower group. Agent-backend specs ignore the width.
+  /// Results are byte-identical for every batch size (pinned by the
+  /// property laws); the knob only trades locality for lane-state memory.
+  /// 1 = one lane, the smallest footprint.
   int batch = 1;
   /// Orbit-level run deduplication (engine/orbit.hpp): when true, sweeps
   /// of symmetry-eligible specs execute one run per initial-configuration
@@ -223,7 +225,7 @@ class Engine {
   /// into chunks of consecutive runs, lets workers claim them through the
   /// work-stealing deque, repositions each worker's port provider
   /// draw-for-draw with the serial sweep, executes runs through
-  /// execute_run, and reports each run into its chunk's shard. Does not
+  /// execute_range, and reports each run into its chunk's shard. Does not
   /// validate the spec. `stream_offset` is the number of port-stream runs
   /// consumed before this sweep's run 0 — 0 for a full sweep, and the
   /// resumed range's distance from the declaring spec's first seed for

@@ -31,12 +31,11 @@
 // halting behavior (the run is an equivariant function of the prefix), so
 // the candidate's own run would consume exactly the same r rounds — a
 // level-r entry can only ever match candidates whose true consumption is
-// r. The scalar and lockstep-batched paths may consume one round apart on
-// the same configuration (the batched pre-round hook skips a final round
-// whose bits are unobservable — decide_round_from_prev proves the
-// round-(t+1) verdicts are a function of the time-t state), so one
-// configuration may be memoized at two adjacent levels; every level it
-// can match at replicates the same outcome bytes.
+// r. Every representative executes through the one lane kernel
+// (run_prepared_batch), whose consumption is the same function of the
+// configuration at every batch width — its pre-round hook skips a final
+// round whose bits are unobservable, always — so each orbit is memoized
+// at exactly one level.
 //
 // Safe-group detection: the group the table may quotient by depends on
 // the protocol, not just the model. A protocol's decide() is a pure

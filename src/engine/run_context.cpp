@@ -8,97 +8,6 @@
 
 namespace rsb {
 
-ProtocolOutcome run_prepared(RunContext& ctx, const Experiment& spec,
-                             std::uint64_t seed,
-                             const PortAssignment* ports) {
-  const int n = spec.config.num_parties();
-  if (ctx.bank.has_value()) {
-    ctx.bank->reset(spec.config, seed);
-  } else {
-    ctx.bank.emplace(spec.config, seed);
-  }
-  ctx.store.reset();
-  std::vector<KnowledgeId>& knowledge = ctx.knowledge;
-  knowledge.assign(static_cast<std::size_t>(n), ctx.store.bottom());
-
-  ProtocolOutcome outcome;
-  outcome.outputs.assign(static_cast<std::size_t>(n), 0);
-  outcome.decision_round.assign(static_cast<std::size_t>(n), -1);
-
-  // The crash schedule is a pure function of (spec, seed): a fault-free
-  // plan clears the scratch and the loop below is the exact pre-fault
-  // path (pinned byte-for-byte by the fault/scheduler tests).
-  spec.faults.draw(n, seed, ctx.crash_round);
-  ctx.consumed_rounds = 0;
-  const bool faulty = !ctx.crash_round.empty();
-  const auto crashed_by = [&](int party, int round) {
-    return faulty &&
-           ctx.crash_round[static_cast<std::size_t>(party)] >= 0 &&
-           round >= ctx.crash_round[static_cast<std::size_t>(party)];
-  };
-
-  const AnonymousProtocol& protocol = *spec.protocol;
-  int undecided = n;
-  std::vector<bool>& bits = ctx.bits;
-  for (int round = 1; round <= spec.max_rounds && undecided > 0; ++round) {
-    if (faulty) {
-      // Crash-stop: a party halts at the start of its crash round; it
-      // stops blocking termination (the requirement is only that the
-      // survivors decide) but keeps any earlier decision.
-      for (int party = 0; party < n; ++party) {
-        if (ctx.crash_round[static_cast<std::size_t>(party)] == round &&
-            outcome.decision_round[static_cast<std::size_t>(party)] < 0) {
-          --undecided;
-        }
-      }
-      if (undecided == 0) break;
-    }
-    bits.clear();
-    bits.reserve(static_cast<std::size_t>(n));
-    for (int party = 0; party < n; ++party) {
-      bits.push_back(ctx.bank->party_bit(party, round));
-    }
-    ++ctx.consumed_rounds;
-    if (spec.model == Model::kBlackboard) {
-      if (faulty) {
-        knowledge = blackboard_round_crash(ctx.store, knowledge, bits,
-                                           ctx.crash_round, round);
-      } else {
-        blackboard_round_inplace(ctx.store, knowledge, bits,
-                                 ctx.round_scratch);
-      }
-    } else {
-      if (faulty) {
-        // Eq. (2) with silence-masked channels (DESIGN.md §7b): the
-        // knowledge backend now runs t-resilient message passing too.
-        knowledge = message_round_crash(ctx.store, knowledge, bits, *ports,
-                                        spec.variant, ctx.crash_round, round);
-      } else {
-        message_round_inplace(ctx.store, knowledge, bits, *ports,
-                              spec.variant, ctx.round_scratch);
-      }
-    }
-    for (int party = 0; party < n; ++party) {
-      if (outcome.decision_round[static_cast<std::size_t>(party)] >= 0 ||
-          crashed_by(party, round)) {
-        continue;
-      }
-      const auto verdict = protocol.decide(
-          ctx.store, knowledge[static_cast<std::size_t>(party)]);
-      if (verdict.has_value()) {
-        outcome.outputs[static_cast<std::size_t>(party)] = *verdict;
-        outcome.decision_round[static_cast<std::size_t>(party)] = round;
-        --undecided;
-        outcome.rounds = round;
-      }
-    }
-  }
-  outcome.terminated = undecided == 0;
-  if (faulty) outcome.crash_round = ctx.crash_round;
-  ctx.store_high_water = std::max(ctx.store_high_water, ctx.store.size());
-  return outcome;
-}
-
 void run_prepared_batch(RunContext& ctx, const Experiment& spec,
                         std::uint64_t first_seed, int lanes,
                         PortProvider& ports) {
@@ -138,9 +47,6 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
   for (int l = 0; l < lanes; ++l) {
     BatchedRunContext::Lane& lane = batch.lanes[static_cast<std::size_t>(l)];
     const std::uint64_t seed = requests[static_cast<std::size_t>(l)].seed;
-    // Fresh lanes inherit the serial context's high-water sizing so the
-    // first batch pre-sizes like a steady-state one.
-    lane.store.adopt_peaks(ctx.store);
     lane.store.reset();
     lane.knowledge.assign(static_cast<std::size_t>(n), lane.store.bottom());
     lane.coins.clear();
@@ -312,13 +218,6 @@ ProtocolOutcome run_agent_prepared(RunContext& ctx, const Experiment& spec,
   outcome.decision_round = net_outcome.decision_round;
   if (!ctx.crash_round.empty()) outcome.crash_round = ctx.crash_round;
   return outcome;
-}
-
-ProtocolOutcome execute_run(RunContext& ctx, const Experiment& spec,
-                            std::uint64_t seed, const PortAssignment* ports) {
-  return spec.backend() == Experiment::Backend::kProtocol
-             ? run_prepared(ctx, spec, seed, ports)
-             : run_agent_prepared(ctx, spec, seed, ports);
 }
 
 PortProvider::PortProvider(Model model, PortPolicy policy,

@@ -1,17 +1,19 @@
 // Per-run mutable state and the free-standing run functions.
 //
-// A RunContext is everything one protocol run mutates — the KnowledgeStore
-// intern table, the SourceBank bit streams, a bits scratch vector, and the
-// store's high-water diagnostic. It is a plain value: the Engine owns one
-// for serial batches, and the parallel scheduler gives every worker its
-// own, so any worker can execute any (spec, seed) pair independently.
+// A RunContext is everything one worker's runs mutate — the lockstep lane
+// state (per-lane KnowledgeStore intern tables and coin engines), the
+// shared round scratch, and the stores' high-water diagnostic. It is a
+// plain value: the Engine owns one for serial batches, and the parallel
+// scheduler gives every worker its own, so any worker can execute any
+// (spec, seed) pair independently.
 //
-// The determinism contract (DESIGN.md, "Concurrency model"): run_prepared
-// is a pure function of (spec, seed, ports) — the context only recycles
-// allocations, never leaks state between runs, because both the store and
-// the bank are reset to observational freshness at the top of every run.
-// KnowledgeIds are context-local: an id produced inside one context must
-// never be compared with, or looked up in, another context's store.
+// The determinism contract (DESIGN.md, "Concurrency model"): every lane of
+// run_prepared_batch is a pure function of (spec, seed, ports) — the
+// context only recycles allocations, never leaks state between runs,
+// because each lane's store and coins are reset to observational freshness
+// at the top of every batch. KnowledgeIds are lane-local: an id produced
+// in one lane's store must never be compared with, or looked up in,
+// another store.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,6 @@
 #include "engine/orbit.hpp"
 #include "knowledge/knowledge.hpp"
 #include "model/models.hpp"
-#include "randomness/source_bank.hpp"
 #include "sim/payload.hpp"
 #include "util/rng.hpp"
 
@@ -34,7 +35,8 @@ class PortProvider;
 /// One lane's worth of input to the span form of run_prepared_batch: the
 /// run seed plus its port wiring (null on the blackboard). The pointee
 /// must stay valid for the whole batch — callers point into storage they
-/// own (lane ports_storage, or an OrbitProbe's wiring copy).
+/// own (lane ports_storage, an OrbitProbe's wiring copy, or the provider
+/// Engine::run holds for its one lane).
 struct LaneRequest {
   std::uint64_t seed = 0;
   const PortAssignment* ports = nullptr;
@@ -48,8 +50,8 @@ struct LaneRequest {
 /// crash schedule. Round scratch and the decision buffers are shared
 /// across lanes: a round operator finishes with one lane before the next
 /// lane starts, and every shared buffer is overwritten at entry, so
-/// nothing leaks between lanes (byte-identity to the scalar path is
-/// pinned by the batched-vs-unbatched property laws).
+/// nothing leaks between lanes (byte-identity across widths, and to an
+/// independent per-run reference, is pinned by the batch property laws).
 struct BatchedRunContext {
   struct Lane {
     KnowledgeStore store;
@@ -87,42 +89,30 @@ struct BatchedRunContext {
 /// The per-run scratch state of one worker. Default-constructed contexts
 /// are ready to use; reuse across runs amortizes all allocations.
 struct RunContext {
-  KnowledgeStore store;
-  std::optional<SourceBank> bank;  // allocated lazily on the first run
   std::size_t store_high_water = 0;
   std::vector<bool> bits;           // per-round randomness scratch
-  std::vector<int> crash_round;     // per-run fault-draw scratch (FaultPlan)
-  std::vector<KnowledgeId> knowledge;  // per-run knowledge-vector scratch
+  std::vector<int> crash_round;     // agent-backend fault-draw scratch
   RoundScratch round_scratch;       // in-place round-operator buffers
   BatchedRunContext batched;        // lockstep-lane state (run_prepared_batch)
-  /// Rounds of source bits the last run_prepared call drew (its orbit memo
-  /// level); left untouched by the agent backend.
-  int consumed_rounds = 0;
   std::vector<OrbitProbe> orbit_probes;  // per-batch-lane dedup scratch
   sim::PayloadArena arena;          // agent-backend payload pool (lent to
                                     // each run's sim::Network)
 };
 
-/// One knowledge-level run of `spec` at `seed` over `ctx`. `ports` must be
-/// non-null iff the spec is message passing. Deterministic: equal
-/// (spec, seed, *ports) produce equal outcomes in every context,
-/// regardless of the context's history. Under a fault plan the run's crash
-/// schedule is drawn here from the plan's per-run seed stream (a pure
-/// function of (spec, seed) — no skip-ahead needed under parallelism) and
-/// reported back in the outcome's crash_round.
-ProtocolOutcome run_prepared(RunContext& ctx, const Experiment& spec,
-                             std::uint64_t seed, const PortAssignment* ports);
-
 /// `lanes` consecutive knowledge-level runs of `spec` (seeds first_seed,
 /// first_seed + 1, ...) executed in lockstep over ctx.batched: one shared
 /// round loop advances every live lane through the same instruction
-/// stream. Each lane's result (ctx.batched.lanes[l].outcome) is
-/// byte-identical to run_prepared(ctx, spec, first_seed + l, ...) — per-
-/// lane stores and coin columns reproduce the scalar id sequences and
-/// randomness draw-for-draw. `ports` must be positioned at the first
-/// lane's run index; each lane's assignment is drawn through next() in
-/// order (kRandomPerRun assignments are copied into lane storage, so
-/// lane.ports stays valid until the next batch). Knowledge backend only.
+/// stream. This is the knowledge backend's only executor — a single run
+/// is a one-lane batch. Each lane's result (ctx.batched.lanes[l].outcome)
+/// is a pure function of (spec, first_seed + l, wiring): per-lane stores
+/// and coin columns make it independent of the batch width and of every
+/// other lane. `ports` must be positioned at the first lane's run index;
+/// each lane's assignment is drawn through next() in order (kRandomPerRun
+/// assignments are copied into lane storage, so lane.ports stays valid
+/// until the next batch). Under a fault plan each lane's crash schedule is
+/// drawn from the plan's per-run seed stream (a pure function of
+/// (spec, seed) — no skip-ahead needed under parallelism) and reported
+/// back in the outcome's crash_round.
 void run_prepared_batch(RunContext& ctx, const Experiment& spec,
                         std::uint64_t first_seed, int lanes,
                         PortProvider& ports);
@@ -132,7 +122,8 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
 /// the primary — the provider form above draws its assignments, parks
 /// kRandomPerRun copies in lane storage, and delegates here. The orbit-
 /// deduped sweep calls this directly with only its lookup misses, so a
-/// batch's survivors still execute shoulder-to-shoulder.
+/// batch's survivors still execute shoulder-to-shoulder, and Engine::run
+/// calls it with a single request.
 void run_prepared_batch(RunContext& ctx, const Experiment& spec,
                         std::span<const LaneRequest> requests);
 
@@ -143,12 +134,6 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
 ProtocolOutcome run_agent_prepared(RunContext& ctx, const Experiment& spec,
                                    std::uint64_t seed,
                                    const PortAssignment* ports);
-
-/// One run of either backend: dispatches on spec.backend() to
-/// run_prepared (knowledge-level, over `ctx`) or run_agent_prepared
-/// (agent-level, ctx untouched). Deterministic in (spec, seed, ports).
-ProtocolOutcome execute_run(RunContext& ctx, const Experiment& spec,
-                            std::uint64_t seed, const PortAssignment* ports);
 
 /// Per-batch port provider: materializes the port policy once (fixed
 /// policies) or per run (kRandomPerRun, drawn from the port_seed stream).

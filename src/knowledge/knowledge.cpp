@@ -48,14 +48,6 @@ void KnowledgeStore::reset() {
   intern_shape(bottom);
 }
 
-void KnowledgeStore::adopt_peaks(const KnowledgeStore& other) noexcept {
-  peak_nodes_ = std::max({peak_nodes_, other.peak_nodes_, other.nodes_.size()});
-  peak_received_ = std::max(
-      {peak_received_, other.peak_received_, other.received_pool_.size()});
-  peak_tags_ =
-      std::max({peak_tags_, other.peak_tags_, other.tags_pool_.size()});
-}
-
 KnowledgeId KnowledgeStore::silence() {
   NodeShape shape;
   shape.kind = KnowledgeKind::kSilence;

@@ -69,13 +69,6 @@ class KnowledgeStore {
   /// steady-state runs of a sweep allocate nothing.
   void reset();
 
-  /// Adopts another store's high-water sizing without copying any values:
-  /// the next reset() pre-sizes nodes, pools and index as if this store had
-  /// already seen runs as large as `other`'s largest. Batch drivers warm
-  /// freshly added lane stores from the engine's long-lived serial store so
-  /// the first batched sweep allocates like a steady-state one.
-  void adopt_peaks(const KnowledgeStore& other) noexcept;
-
   /// The unique ⊥ value (always id 0).
   KnowledgeId bottom() const noexcept { return 0; }
 

@@ -44,11 +44,13 @@ std::string error_line(const std::string& reason) {
 /// One connected client. The session thread reads and replies to request
 /// lines; the scheduler thread streams rows through send_line. The write
 /// mutex serializes the two; `dead` flips once (EOF, write failure, or
-/// server stop) and is never unset.
+/// server stop) and is never unset. `finished` flips as the session
+/// thread's last act, after which the accept path may reap the session.
 struct Server::Session {
   int fd = -1;
   std::uint64_t id = 0;
   std::atomic<bool> dead{false};
+  std::atomic<bool> finished{false};
 
   std::mutex write_mutex;
 
@@ -197,12 +199,14 @@ void Server::stop() {
   }
   running_.store(false);
   work_cv_.notify_all();
+  // Wake the accept thread's poll, and close the listener only after that
+  // thread has exited: it reads listen_fd_ until then.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   if (scheduler_thread_.joinable()) scheduler_thread_.join();
   std::vector<std::thread> session_threads;
   {
@@ -229,11 +233,36 @@ void Server::accept_loop() {
     auto session = std::make_shared<Session>();
     session->fd = fd;
     session->id = next_session_id++;
-    std::lock_guard<std::mutex> lock(sched_mutex_);
-    sessions_.push_back(session);
-    session_threads_.emplace_back(
-        [this, session] { session_loop(session); });
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(sched_mutex_);
+      reap_sessions(finished);
+      sessions_.push_back(session);
+      session_threads_.emplace_back(
+          [this, session] { session_loop(session); });
+    }
+    for (std::thread& thread : finished) thread.join();
   }
+}
+
+void Server::reap_sessions(std::vector<std::thread>& finished) {
+  for (std::size_t i = 0; i < sessions_.size();) {
+    // A finished session reads no more requests, and an empty queue means
+    // the scheduler holds none of its jobs either (a running job stays at
+    // the queue's front until it completes) — nothing can reach it again.
+    const Session& session = *sessions_[i];
+    if (!session.finished.load() || !session.jobs.empty()) {
+      ++i;
+      continue;
+    }
+    finished.push_back(std::move(session_threads_[i]));
+    session_threads_.erase(session_threads_.begin() +
+                           static_cast<std::ptrdiff_t>(i));
+    // Dropping the last owner closes the fd (~Session).
+    sessions_.erase(sessions_.begin() + static_cast<std::ptrdiff_t>(i));
+    if (i < rr_cursor_) --rr_cursor_;
+  }
+  if (rr_cursor_ >= sessions_.size()) rr_cursor_ = 0;
 }
 
 void Server::session_loop(std::shared_ptr<Session> session) {
@@ -267,6 +296,7 @@ void Server::session_loop(std::shared_ptr<Session> session) {
   // Orphaned queued jobs are dropped by the scheduler's next pick; wake it
   // so a drain waiting on them observes the disconnect promptly.
   work_cv_.notify_all();
+  session->finished.store(true);
 }
 
 std::string Server::handle_request(const std::shared_ptr<Session>& session,

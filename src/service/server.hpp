@@ -160,6 +160,13 @@ class Server {
   void session_loop(std::shared_ptr<Session> session);
   void scheduler_loop();
 
+  /// Erases every session whose thread has finished and whose job queue
+  /// is empty, moving its thread into `finished` for the caller to join
+  /// after unlocking, and keeps rr_cursor_ on the same session. Called on
+  /// the accept path, so a daemon's fds and threads stay bounded by its
+  /// live clients however many come and go. Caller holds sched_mutex_.
+  void reap_sessions(std::vector<std::thread>& finished);
+
   /// Handles one parsed request line; returns the reply line (empty when
   /// the reply is deferred to the scheduler stream).
   std::string handle_request(const std::shared_ptr<Session>& session,
@@ -195,7 +202,8 @@ class Server {
 
   std::thread accept_thread_;
   std::thread scheduler_thread_;
-  std::vector<std::thread> session_threads_;  // guarded by sched_mutex_
+  // Index-aligned with sessions_; guarded by sched_mutex_.
+  std::vector<std::thread> session_threads_;
 
   mutable std::mutex sched_mutex_;
   std::condition_variable work_cv_;   // scheduler wake: work or stop

@@ -1,7 +1,8 @@
 // Tests for the experiment engine: declarative specs, batched seed sweeps
 // with allocation reuse, the protocol/task registries, and the
-// compatibility contract that Engine results are bit-identical to the
-// legacy one-shot run_protocol(...) path.
+// compatibility contract that Engine results are bit-identical to an
+// independent one-shot reference (tests/reference_run.hpp) and to the
+// run_protocol(...) wrapper.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,71 +10,29 @@
 #include "algo/agents.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
+#include "reference_run.hpp"
 #include "util/error.hpp"
 
 namespace rsb {
 namespace {
+
+using testing::reference_run;
 
 bool outcomes_identical(const ProtocolOutcome& a, const ProtocolOutcome& b) {
   return a.terminated == b.terminated && a.rounds == b.rounds &&
          a.outputs == b.outputs && a.decision_round == b.decision_round;
 }
 
-/// The seed repo's one-shot runner, replicated verbatim as the reference:
-/// a fresh KnowledgeStore and SourceBank per call. The engine must match
-/// this bit-for-bit even though it reuses one store across a whole batch.
-ProtocolOutcome reference_run(Model model, const SourceConfiguration& config,
-                              const std::optional<PortAssignment>& ports,
-                              const AnonymousProtocol& protocol,
-                              std::uint64_t seed, int max_rounds,
-                              MessageVariant variant) {
-  const int n = config.num_parties();
-  SourceBank bank(config, seed);
-  KnowledgeStore store;
-  std::vector<KnowledgeId> knowledge = initial_knowledge(store, n);
-  ProtocolOutcome outcome;
-  outcome.outputs.assign(static_cast<std::size_t>(n), 0);
-  outcome.decision_round.assign(static_cast<std::size_t>(n), -1);
-  int undecided = n;
-  for (int round = 1; round <= max_rounds && undecided > 0; ++round) {
-    std::vector<bool> bits;
-    for (int party = 0; party < n; ++party) {
-      bits.push_back(bank.party_bit(party, round));
-    }
-    knowledge = model == Model::kBlackboard
-                    ? blackboard_round(store, knowledge, bits)
-                    : message_round(store, knowledge, bits, *ports, variant);
-    for (int party = 0; party < n; ++party) {
-      if (outcome.decision_round[static_cast<std::size_t>(party)] >= 0) {
-        continue;
-      }
-      const auto verdict =
-          protocol.decide(store, knowledge[static_cast<std::size_t>(party)]);
-      if (verdict.has_value()) {
-        outcome.outputs[static_cast<std::size_t>(party)] = *verdict;
-        outcome.decision_round[static_cast<std::size_t>(party)] = round;
-        --undecided;
-        outcome.rounds = round;
-      }
-    }
-  }
-  outcome.terminated = undecided == 0;
-  return outcome;
-}
-
 // -------------------------------------------------- legacy round-trip
 
 TEST(EngineRoundTrip, BitIdenticalToReferenceOnBlackboard) {
   const auto config = SourceConfiguration::from_loads({2, 1, 1});
-  const BlackboardUniqueStringLE protocol;
   Engine engine;  // one engine across all seeds: exercises store reuse
   auto spec = Experiment::blackboard(config)
                   .with_protocol("blackboard-unique-string-LE")
                   .with_rounds(200);
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    const auto expected = reference_run(Model::kBlackboard, config,
-                                        std::nullopt, protocol, seed, 200,
-                                        MessageVariant::kPortTagged);
+    const auto expected = reference_run(spec, seed, nullptr);
     const auto actual = engine.run(spec, seed);
     EXPECT_TRUE(outcomes_identical(expected, actual)) << "seed " << seed;
   }
@@ -82,16 +41,13 @@ TEST(EngineRoundTrip, BitIdenticalToReferenceOnBlackboard) {
 TEST(EngineRoundTrip, BitIdenticalToReferenceOnMessagePassing) {
   const auto config = SourceConfiguration::from_loads({2, 3});
   const PortAssignment ports = PortAssignment::cyclic(5);
-  const WaitForSingletonLE protocol;
   Engine engine;
   auto spec = Experiment::message_passing(config)
                   .with_ports(ports)
                   .with_protocol("wait-for-singleton-LE")
                   .with_rounds(200);
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    const auto expected =
-        reference_run(Model::kMessagePassing, config, ports, protocol, seed,
-                      200, MessageVariant::kPortTagged);
+    const auto expected = reference_run(spec, seed, &ports);
     const auto actual = engine.run(spec, seed);
     EXPECT_TRUE(outcomes_identical(expected, actual)) << "seed " << seed;
   }
@@ -240,9 +196,9 @@ TEST(EngineBatch, ClassSplitElectsExactlyMLeaders) {
 // ------------------------------------------------------------ batching
 
 TEST(EngineBatch, BatchedGroupsRemainderAndOversizedWidthMatchSerial) {
-  // 10 seeds: batch=8 forms one lockstep group plus a 2-run scalar
-  // remainder; batch=64 exceeds the sweep, so every run takes the scalar
-  // path. Both must reproduce the serial aggregate exactly.
+  // 10 seeds: batch=8 forms one lockstep group plus a 2-lane remainder
+  // group; batch=64 exceeds the sweep, so all 10 runs form one narrower
+  // group. Both must reproduce the one-lane aggregate exactly.
   Engine serial;
   auto spec = Experiment::blackboard(SourceConfiguration::all_private(4))
                   .with_protocol("wait-for-singleton-LE")
@@ -279,7 +235,7 @@ TEST(EngineBatch, BatchWidthValidation) {
   Engine engine;
   EXPECT_THROW(engine.set_parallel({1, 0, 0}), InvalidArgument);
   EXPECT_THROW(engine.set_parallel({1, 0, -4}), InvalidArgument);
-  engine.set_parallel({2, 5, 1});  // the scalar width is always legal
+  engine.set_parallel({2, 5, 1});  // one lane is always legal
 }
 
 // ---------------------------------------------------------- validation

@@ -11,6 +11,7 @@
 #include "algo/euclid.hpp"
 #include "engine/engine.hpp"
 #include "engine/run_context.hpp"
+#include "reference_run.hpp"
 #include "util/error.hpp"
 
 namespace rsb {
@@ -308,20 +309,43 @@ TEST(ParallelEngine, ConfigValidation) {
 }
 
 TEST(ParallelEngine, FreeStandingRunPreparedMatchesEngineRun) {
-  // The state layer itself: any context can execute any (spec, seed).
-  const auto spec = blackboard_spec(4, 1);
-  Engine engine;
-  RunContext ctx;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const ProtocolOutcome via_engine = engine.run(spec, seed);
-    const ProtocolOutcome via_context =
-        run_prepared(ctx, spec, seed, nullptr);
-    EXPECT_EQ(via_engine.terminated, via_context.terminated);
-    EXPECT_EQ(via_engine.rounds, via_context.rounds);
-    EXPECT_EQ(via_engine.outputs, via_context.outputs);
-    EXPECT_EQ(via_engine.decision_round, via_context.decision_round);
+  // The state layer itself: any context can execute any (spec, seed), one
+  // lane or several, and every lane equals both Engine::run and the
+  // independent per-run reference — on both models.
+  for (const Experiment& spec :
+       {blackboard_spec(4, 8), message_passing_spec(8)}) {
+    std::vector<ProtocolOutcome> expected;
+    std::vector<PortAssignment> wiring;
+    PortProvider ports(spec.model, spec.port_policy, spec.fixed_ports,
+                       spec.config, spec.port_seed);
+    for (std::uint64_t i = 0; i < spec.seeds.count; ++i) {
+      const PortAssignment* assignment = ports.next();
+      if (assignment != nullptr) wiring.push_back(*assignment);
+      expected.push_back(
+          testing::reference_run(spec, spec.seeds.first + i, assignment));
+    }
+    Engine engine;
+    RunContext one_lane;
+    RunContext all_lanes;
+    PortProvider lane_ports(spec.model, spec.port_policy, spec.fixed_ports,
+                            spec.config, spec.port_seed);
+    run_prepared_batch(all_lanes, spec, spec.seeds.first,
+                       static_cast<int>(spec.seeds.count), lane_ports);
+    for (std::uint64_t i = 0; i < spec.seeds.count; ++i) {
+      const std::uint64_t seed = spec.seeds.first + i;
+      const LaneRequest request{seed, wiring.empty() ? nullptr : &wiring[i]};
+      run_prepared_batch(one_lane, spec,
+                         std::span<const LaneRequest>(&request, 1));
+      const auto want = testing::snapshot(expected[i]);
+      EXPECT_EQ(testing::snapshot(one_lane.batched.lanes[0].outcome), want)
+          << "seed " << seed;
+      EXPECT_EQ(testing::snapshot(all_lanes.batched.lanes[i].outcome), want)
+          << "seed " << seed;
+      EXPECT_EQ(testing::snapshot(engine.run(spec, seed)), want)
+          << "seed " << seed;
+    }
+    EXPECT_GT(one_lane.store_high_water, 0u);
   }
-  EXPECT_GT(ctx.store_high_water, 0u);
 }
 
 Experiment euclid_spec(std::uint64_t seeds) {

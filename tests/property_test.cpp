@@ -4,9 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <tuple>
 
 #include "algo/agents.hpp"
 #include "algo/protocol.hpp"
@@ -19,10 +17,15 @@
 #include "engine/engine.hpp"
 #include "protocol/complexes.hpp"
 #include "randomness/source_bank.hpp"
+#include "reference_run.hpp"
 #include "util/numeric.hpp"
 
 namespace rsb {
 namespace {
+
+using testing::ReferenceSweep;
+using testing::reference_sweep;
+using testing::snapshot_sweep;
 
 bool refines(const std::vector<int>& fine, const std::vector<int>& coarse) {
   // Every fine class lies inside one coarse class.
@@ -434,34 +437,14 @@ TEST(SchedulerProperty, OutputIndependentOfThreadCount) {
   }
 }
 
-// A per-run outcome snapshot for byte-identity comparisons, keyed by seed
-// so the comparison is independent of observer delivery order.
-using OutcomeSnapshot =
-    std::tuple<std::vector<std::int64_t>, std::vector<int>, int, bool,
-               std::vector<int>>;
-
-std::map<std::uint64_t, OutcomeSnapshot> snapshot_sweep(Engine& engine,
-                                                        const Experiment& spec) {
-  std::map<std::uint64_t, OutcomeSnapshot> out;
-  engine.run_batch(spec,
-                   [&](const RunView& view, const ProtocolOutcome& outcome) {
-                     out.emplace(view.seed,
-                                 OutcomeSnapshot{outcome.outputs,
-                                                 outcome.decision_round,
-                                                 outcome.rounds,
-                                                 outcome.terminated,
-                                                 outcome.crash_round});
-                   });
-  return out;
-}
-
-// Law 14 — lockstep batched execution is byte-identical to unbatched:
-// for every supported batch width and thread count, per-run outcomes and
-// the merged aggregate equal the serial batch=1 sweep, on both models
-// (fault-free blackboard; message passing under per-run random wirings).
-// 97 seeds is coprime to every width, so each sweep exercises the scalar
-// remainder path too.
-TEST(BatchProperty, BatchedSweepsAreByteIdenticalToUnbatched) {
+// Law 14 — lockstep batched execution is the paper's execution: for every
+// supported batch width and thread count, per-run outcomes and the merged
+// aggregate equal an independent per-run reference (tests/reference_run.hpp:
+// fresh store and SourceBank, value-returning round operators, per-party
+// decide), on both models (fault-free blackboard; message passing under
+// per-run random wirings). 97 seeds is coprime to every width, so each
+// sweep exercises a narrower remainder group too.
+TEST(BatchProperty, BatchedSweepsMatchTheReferenceRunForRun) {
   const auto blackboard =
       Experiment::blackboard(SourceConfiguration::from_loads({2, 2, 1}))
           .with_protocol("wait-for-singleton-LE")
@@ -476,28 +459,26 @@ TEST(BatchProperty, BatchedSweepsAreByteIdenticalToUnbatched) {
           .with_rounds(300)
           .with_seeds(11, 97);
   for (const Experiment& spec : {blackboard, message}) {
-    Engine serial;
-    const RunStats reference_stats = serial.run_batch(spec);
-    const auto reference_runs = snapshot_sweep(serial, spec);
-    ASSERT_EQ(reference_runs.size(), 97u);
+    const ReferenceSweep reference = reference_sweep(spec);
+    ASSERT_EQ(reference.runs.size(), 97u);
     for (const int batch : {1, 2, 7, 16}) {
       for (const int threads : {1, 4}) {
         Engine engine;
         engine.set_parallel({threads, 0, batch});
-        EXPECT_EQ(engine.run_batch(spec), reference_stats)
+        EXPECT_EQ(engine.run_batch(spec), reference.stats)
             << "batch " << batch << " threads " << threads;
-        EXPECT_EQ(snapshot_sweep(engine, spec), reference_runs)
+        EXPECT_EQ(snapshot_sweep(engine, spec), reference.runs)
             << "batch " << batch << " threads " << threads;
       }
     }
   }
 }
 
-// Law 15 — batched crash sweeps face the scalar path run for run: a
-// faulty lane executes the same crash bookkeeping, round operators, and
-// per-party decides as run_prepared, so outcomes — crash schedules
-// included — are byte-identical at every width.
-TEST(BatchProperty, BatchedCrashSweepsMatchScalarRunForRun) {
+// Law 15 — batched crash sweeps face the reference run for run: a faulty
+// lane executes the same crash bookkeeping, round operators, and
+// per-party decides as the per-run definition, so outcomes — crash
+// schedules included — are byte-identical at every width.
+TEST(BatchProperty, BatchedCrashSweepsMatchTheReferenceRunForRun) {
   const auto blackboard =
       Experiment::blackboard(SourceConfiguration::all_private(6))
           .with_protocol("wait-for-singleton-LE")
@@ -514,14 +495,13 @@ TEST(BatchProperty, BatchedCrashSweepsMatchScalarRunForRun) {
           .with_rounds(300)
           .with_seeds(3, 61);
   for (const Experiment& spec : {blackboard, message}) {
-    Engine serial;
-    const RunStats reference_stats = serial.run_batch(spec);
-    const auto reference_runs = snapshot_sweep(serial, spec);
-    for (const int batch : {2, 16}) {
+    const ReferenceSweep reference = reference_sweep(spec);
+    ASSERT_EQ(reference.runs.size(), 61u);
+    for (const int batch : {1, 2, 16}) {
       Engine engine;
       engine.set_parallel({1, 0, batch});
-      EXPECT_EQ(engine.run_batch(spec), reference_stats) << "batch " << batch;
-      EXPECT_EQ(snapshot_sweep(engine, spec), reference_runs)
+      EXPECT_EQ(engine.run_batch(spec), reference.stats) << "batch " << batch;
+      EXPECT_EQ(snapshot_sweep(engine, spec), reference.runs)
           << "batch " << batch;
     }
   }

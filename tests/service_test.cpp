@@ -7,7 +7,10 @@
 // ones.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -377,6 +380,64 @@ TEST(Service, ShutdownOpRequestsDaemonExit) {
   const Value ack = Value::parse(client.request("{\"op\":\"shutdown\"}"));
   EXPECT_EQ(ack.find("type")->as_string(), "shutdown-ack");
   EXPECT_TRUE(server.shutdown_requested());
+  server.stop();
+}
+
+/// Open file descriptors of this process.
+std::size_t open_fds() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+/// Live threads of this process.
+std::size_t thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return static_cast<std::size_t>(std::stoul(line.substr(8)));
+    }
+  }
+  return 0;
+}
+
+TEST(Service, ClientChurnKeepsFdsAndThreadsBounded) {
+  // Regression: every session (and its fd) and its thread used to live
+  // until stop(), so a long-running daemon held one fd and one thread per
+  // client it had ever seen. Finished sessions are reaped on accept.
+  constexpr int kCycles = 2000;
+  constexpr std::size_t kSlack = 8;
+  Server server({.threads = 1});
+  server.start();
+  const std::size_t fds_before = open_fds();
+  const std::size_t threads_before = thread_count();
+  const auto ping = [&server] {
+    Client client;
+    client.connect(server.port());
+    return Value::parse(client.request("{\"op\":\"ping\"}"))
+        .find("type")
+        ->as_string();
+  };
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    ASSERT_EQ(ping(), "pong") << "cycle " << cycle;
+  }
+  // The last sessions' threads may still be winding down when the final
+  // accept reaps; each further accept collects whatever has finished.
+  const auto settled = [&] {
+    return open_fds() <= fds_before + kSlack &&
+           thread_count() <= threads_before + kSlack;
+  };
+  for (int attempt = 0; attempt < 50 && !settled(); ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_EQ(ping(), "pong");
+  }
+  EXPECT_LE(open_fds(), fds_before + kSlack);
+  EXPECT_LE(thread_count(), threads_before + kSlack);
   server.stop();
 }
 
