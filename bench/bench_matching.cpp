@@ -32,8 +32,8 @@ using rsb::bench::header;
 
 /// Forwards every phase to an inner CreateMatchingAgent, mirroring its
 /// decision, and banks the inner iteration counter into a shared tally
-/// when the run's network is torn down. Collectors and observers only see
-/// outcomes after the network (and its agents) are gone, so per-run agent
+/// when the run's network is torn down. Collectors only see outcomes
+/// after the network (and its agents) are gone, so per-run agent
 /// diagnostics must leave the agent before destruction; the tally is an
 /// atomic sum because under threads > 1 agent teardown runs concurrently
 /// on the workers.

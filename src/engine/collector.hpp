@@ -9,13 +9,14 @@
 // where merge is associative and observe/merge commute the way sums do:
 // observing runs {A} into one shard and {B} into another, then merging,
 // must equal observing {A ∪ B} into a single collector in run order. Under
-// Engine::run_collect each parallel worker owns its own shard (a copy of
-// the empty prototype), observes only the runs dealt to it — no locking,
-// no outcome buffering — and the engine merges the shards in worker-index
-// order, so any merge-order-sensitive state is still reproducible. Because
-// every run is a pure function of (spec, seed, ports), a collector whose
-// merge is truly associative produces byte-identical results at every
-// thread count (pinned by tests/collector_test.cpp).
+// Engine::run_collect each scheduling chunk owns its own shard (a copy of
+// the empty prototype), which observes only that chunk's runs — no
+// locking, no outcome buffering — and the engine merges the shards in
+// chunk-index (= run-index) order, so any merge-order-sensitive state is
+// still reproducible. Because every run is a pure function of (spec, seed,
+// ports), a collector whose merge is truly associative produces
+// byte-identical results at every thread count (pinned by
+// tests/collector_test.cpp).
 //
 // RunStats (engine/experiment.hpp) is the built-in default collector;
 // CombineCollectors composes several collectors into one pass over the
@@ -36,7 +37,13 @@ namespace rsb {
 
 struct Experiment;
 
-/// Per-run context handed to collectors and batch observers.
+/// Per-run context handed to Collector::observe. The pointers are valid
+/// only during that call (`ports` may point into lane storage the next
+/// batch overwrites), so a collector that keeps runs copies what it needs.
+/// In an agent batch the run's sim::Network and its agents are destroyed
+/// before observe is called: bank per-run agent diagnostics out of the
+/// agent before teardown, atomically, since agents run concurrently on the
+/// workers under threads > 1.
 struct RunView {
   std::uint64_t seed = 0;
   std::uint64_t run_index = 0;             // 0-based within the batch
@@ -44,7 +51,7 @@ struct RunView {
   const Experiment* experiment = nullptr;  // the spec being swept
 };
 
-/// The collector concept: copyable (worker shards are copies of the empty
+/// The collector concept: copyable (chunk shards are copies of the empty
 /// prototype), folds runs in via observe, pools shards via an associative
 /// merge.
 template <typename C>

@@ -1,8 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -13,16 +11,6 @@
 namespace rsb {
 
 namespace {
-
-/// Buffered outcome of one run inside the observed path's bounded window,
-/// kept so the observer can be drained on the calling thread in run-index
-/// order. `ports` is populated only for kRandomPerRun; run-invariant
-/// policies share one assignment held by the drain instead of per-run
-/// copies of the same wiring.
-struct RunRecord {
-  std::optional<PortAssignment> ports;
-  ProtocolOutcome outcome;
-};
 
 /// The worker count a batch of `count` runs actually uses: the configured
 /// number (0 = hardware concurrency), never more than the run count.
@@ -51,15 +39,9 @@ constexpr std::uint64_t kAutoGranulesPerWorker = 8;
 /// keeps the chunk index safely within int for the shard observer.
 constexpr std::uint64_t kMaxChunksPerBatch = 4096;
 
-/// Rounds `chunk` up to a whole number of lockstep batches so a scheduling
-/// chunk claims full batches and only the sweep's final chunk can run a
-/// narrower remainder group. Identity for batch <= 1.
-std::uint64_t align_to_batch(std::uint64_t chunk, int batch) {
-  const std::uint64_t b = static_cast<std::uint64_t>(std::max(batch, 1));
-  if (b <= 1) return chunk;
-  return (chunk + b - 1) / b * b;
-}
-
+/// The effective chunk is rounded up to a whole number of lockstep batches,
+/// so a scheduling chunk claims full batches and only the sweep's final
+/// chunk can run a narrower remainder group.
 std::uint64_t resolve_chunk(const ParallelConfig& config, std::uint64_t count,
                             int workers) {
   std::uint64_t chunk = config.chunk;
@@ -70,7 +52,9 @@ std::uint64_t resolve_chunk(const ParallelConfig& config, std::uint64_t count,
   }
   chunk =
       std::max(chunk, (count + kMaxChunksPerBatch - 1) / kMaxChunksPerBatch);
-  return align_to_batch(chunk, config.batch);
+  const std::uint64_t batch =
+      static_cast<std::uint64_t>(std::max(config.batch, 1));
+  return (chunk + batch - 1) / batch * batch;
 }
 
 /// The work-stealing chunk deque. Every worker starts owning a contiguous
@@ -79,7 +63,7 @@ std::uint64_t resolve_chunk(const ParallelConfig& config, std::uint64_t count,
 /// guards the whole structure — it is taken once per *chunk* (not per
 /// run), so contention is negligible at any sane granularity. Stealing
 /// makes the worker→chunk map timing-dependent, which is why results are
-/// keyed by chunk (per-chunk shards, per-run records), never by worker.
+/// keyed by chunk (per-chunk shards), never by worker.
 class ChunkDeque {
  public:
   ChunkDeque(std::uint64_t num_chunks, int workers)
@@ -361,219 +345,11 @@ void Engine::drive(const Experiment& spec, std::uint64_t stream_offset,
   account_orbit();
 }
 
-RunStats Engine::run_batch(const Experiment& spec,
-                           const RunObserver& observer) {
-  spec.validate();
-  if (observer) return run_batch_observed(spec, observer);
-  return run_collect(spec, RunStats{});
-}
-
-/// The observed path. Serial batches fire the observer inline. Parallel
-/// batches process the sweep in bounded windows of threads × chunk runs
-/// (the chunk capped at 256 for this path, which never changes results):
-/// within a window workers claim chunks of the record buffer dynamically
-/// (work stealing off a shared cursor — records are slotted by run index,
-/// so the timing-dependent claim order is invisible), then the calling
-/// thread drains the window in run-index order — folding RunStats and
-/// firing the observer run by run, exactly as the serial sweep would —
-/// before the next window starts. Memory therefore stays
-/// O(threads · chunk) regardless of the sweep length.
-RunStats Engine::run_batch_observed(const Experiment& spec,
-                                    const RunObserver& observer) {
-  const std::uint64_t count = spec.seeds.count;
-  const SymmetricTask* task = spec.task.has_value() ? &*spec.task : nullptr;
-  const int workers = resolve_workers(parallel_, count);
-  RunStats stats;
-
-  // Like drive(): one table for the whole observed sweep — it spans every
-  // window, so late windows replicate off early representatives.
-  std::optional<OrbitTable> orbit_store;
-  OrbitTable* orbit = nullptr;
-  if (parallel_.orbit && OrbitTable::eligible(spec)) {
-    orbit_store.emplace(spec);
-    orbit = &*orbit_store;
-  }
-  const auto account_orbit = [&] {
-    if (orbit != nullptr) {
-      orbit_hits_ += orbit->hits();
-      orbit_reps_ += orbit->reps();
-    }
-  };
-
-  if (workers <= 1) {
-    PortProvider ports(spec.model, provider_policy(spec), spec.fixed_ports,
-                       spec.config, spec.port_seed);
-    execute_range(ctx_, spec, ports, 0, count, parallel_.batch, orbit,
-                  [&](std::uint64_t i, const PortAssignment* assignment,
-                      const ProtocolOutcome& outcome) {
-                    stats.record(outcome, task);
-                    observer(RunView{spec.seeds.first + i, i, assignment,
-                                     &spec},
-                             outcome);
-                  });
-    store_high_water_ = std::max(store_high_water_, ctx_.store_high_water);
-    account_orbit();
-    return stats;
-  }
-
-  constexpr std::uint64_t kObservedChunkCap = 256;
-  // The cap bounds window memory, the batch alignment keeps whole batches
-  // per chunk; a batch beyond 256 wins (the cap is a heuristic, alignment
-  // is what preserves the lockstep path's gains).
-  const std::uint64_t chunk = align_to_batch(
-      std::min(resolve_chunk(parallel_, count, workers), kObservedChunkCap),
-      parallel_.batch);
-  const std::uint64_t window = static_cast<std::uint64_t>(workers) * chunk;
-
-  if (worker_ctxs_.size() < static_cast<std::size_t>(workers)) {
-    worker_ctxs_.resize(static_cast<std::size_t>(workers));
-  }
-  const bool per_run_ports = spec.topology == nullptr &&
-                             spec.port_policy == PortPolicy::kRandomPerRun;
-  std::optional<PortAssignment> shared_ports;
-  // Topology specs carry no assignments at all — the wiring lives on the
-  // spec and reaches the Network directly in run_agent_prepared.
-  if (spec.model == Model::kMessagePassing && spec.topology == nullptr &&
-      !per_run_ports) {
-    PortProvider once(spec.model, spec.port_policy, spec.fixed_ports,
-                      spec.config, spec.port_seed);
-    shared_ports = *once.next();
-  }
-  std::vector<RunRecord> records(
-      static_cast<std::size_t>(std::min(window, count)));
-  // One provider per worker for the whole batch: each worker's run
-  // indices only grow across windows, so skip_to advances monotonically
-  // and the total skip-ahead work stays linear in the sweep length.
-  std::vector<PortProvider> providers;
-  providers.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    providers.emplace_back(spec.model, provider_policy(spec),
-                           spec.fixed_ports, spec.config, spec.port_seed);
-  }
-
-  // One persistent pool serves every window: workers sleep on a
-  // generation counter, the calling thread publishes a window, waits for
-  // the fills to land, and drains it — no per-window spawn/join churn.
-  std::mutex mutex;
-  std::condition_variable cv_work, cv_done;
-  std::uint64_t generation = 0;
-  std::uint64_t window_base = 0, window_end = 0;
-  // The window's work-stealing cursor: workers claim chunks with
-  // fetch_add until the window is exhausted, so an uneven window (one
-  // slow chunk) no longer idles the other workers. Claimed chunk starts
-  // only grow — within a window by the fetch_add, across windows because
-  // bases ascend — so each worker's provider skips strictly forward here.
-  std::atomic<std::uint64_t> window_cursor{0};
-  int remaining = 0;
-  bool stop = false;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(workers));
-
-  auto worker_body = [&](int w) {
-    std::uint64_t seen = 0;
-    RunContext& ctx = worker_ctxs_[static_cast<std::size_t>(w)];
-    PortProvider& ports = providers[static_cast<std::size_t>(w)];
-    while (true) {
-      std::uint64_t base = 0, end = 0;
-      {
-        std::unique_lock lock(mutex);
-        cv_work.wait(lock, [&] { return stop || generation > seen; });
-        if (stop) return;
-        seen = generation;
-        base = window_base;
-        end = window_end;
-      }
-      // errors[w] is worker-private until the handshake below publishes
-      // it; once this worker has failed it idles through later windows.
-      if (!errors[static_cast<std::size_t>(w)]) {
-        try {
-          while (true) {
-            const std::uint64_t begin = window_cursor.fetch_add(chunk);
-            if (begin >= end) break;
-            const std::uint64_t chunk_end = std::min(begin + chunk, end);
-            ports.skip_to(begin);
-            execute_range(
-                ctx, spec, ports, begin, chunk_end, parallel_.batch, orbit,
-                [&](std::uint64_t i, const PortAssignment* assignment,
-                    const ProtocolOutcome& outcome) {
-                  RunRecord& record =
-                      records[static_cast<std::size_t>(i - base)];
-                  if (per_run_ports && assignment != nullptr) {
-                    record.ports = *assignment;
-                  }
-                  record.outcome = outcome;
-                });
-          }
-        } catch (...) {
-          errors[static_cast<std::size_t>(w)] = std::current_exception();
-        }
-      }
-      {
-        std::lock_guard lock(mutex);
-        if (--remaining == 0) cv_done.notify_one();
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  auto join_all = [&] {
-    {
-      std::lock_guard lock(mutex);
-      stop = true;
-    }
-    cv_work.notify_all();
-    for (std::thread& worker : pool) worker.join();
-  };
-  try {
-    for (int w = 0; w < workers; ++w) pool.emplace_back(worker_body, w);
-    for (std::uint64_t base = 0; base < count; base += window) {
-      const std::uint64_t wave_end = std::min(base + window, count);
-      {
-        std::lock_guard lock(mutex);
-        window_base = base;
-        window_end = wave_end;
-        window_cursor.store(base, std::memory_order_relaxed);
-        remaining = workers;
-        ++generation;
-      }
-      cv_work.notify_all();
-      {
-        std::unique_lock lock(mutex);
-        cv_done.wait(lock, [&] { return remaining == 0; });
-      }
-      for (const std::exception_ptr& error : errors) {
-        if (error) std::rethrow_exception(error);
-      }
-      for (std::uint64_t i = base; i < wave_end; ++i) {
-        RunRecord& record = records[static_cast<std::size_t>(i - base)];
-        const PortAssignment* ports =
-            record.ports.has_value()
-                ? &*record.ports
-                : (shared_ports.has_value() ? &*shared_ports : nullptr);
-        stats.record(record.outcome, task);
-        observer(RunView{spec.seeds.first + i, i, ports, &spec},
-                 record.outcome);
-      }
-    }
-  } catch (...) {
-    join_all();
-    throw;
-  }
-  join_all();
-  for (const RunContext& ctx : worker_ctxs_) {
-    store_high_water_ = std::max(store_high_water_, ctx.store_high_water);
-  }
-  account_orbit();
-  return stats;
-}
-
-std::vector<RunStats> Engine::run_sweep(const std::vector<Experiment>& specs,
-                                        const RunObserver& observer) {
+std::vector<RunStats> Engine::run_sweep(
+    const std::vector<Experiment>& specs) {
   std::vector<RunStats> all;
   all.reserve(specs.size());
-  for (const Experiment& spec : specs) {
-    all.push_back(run_batch(spec, observer));
-  }
+  for (const Experiment& spec : specs) all.push_back(run_batch(spec));
   return all;
 }
 

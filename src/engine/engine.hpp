@@ -23,14 +23,15 @@
 // — and every chunk observes into its *own* collector shard; shards are
 // merged in chunk-index order, i.e. run-index order, so which worker
 // executed a chunk (inherently timing-dependent under stealing) never
-// reaches the results: run_collect/run_batch return byte-identical
-// aggregates for any thread count (pinned by
-// tests/parallel_engine_test.cpp, tests/collector_test.cpp and
-// tests/fault_scheduler_test.cpp).
+// reaches the results: every sweep returns byte-identical aggregates for
+// any thread count (pinned by tests/parallel_engine_test.cpp,
+// tests/collector_test.cpp and tests/fault_scheduler_test.cpp).
 //
 // Aggregation is pluggable (engine/collector.hpp): run_collect sweeps a
-// spec into any Collector — each parallel worker owns a shard, so nothing
-// is buffered per run; run_batch is the RunStats shorthand. One spec type
+// spec into any Collector — each scheduling chunk owns a shard, so nothing
+// is buffered per run; run_batch is the RunStats shorthand. A caller that
+// needs runs one by one collects them (copies, in shard order) and reads
+// them after the sweep — there is no per-run callback. One spec type
 // (Experiment) drives both backends: knowledge-level protocols via
 // with_protocol, message-level agents (sim::Network, e.g. Euclid /
 // CreateMatching) via with_agents. Multi-axis sweeps live one layer up in
@@ -52,26 +53,6 @@
 #include "util/rng.hpp"
 
 namespace rsb {
-
-/// Optional per-run callback: a legacy escape hatch for side effects that
-/// must happen on the calling thread (tracing, printing). For custom
-/// statistics prefer a Collector — collectors shard across workers with
-/// no buffering at all.
-///
-/// Ordering contract: the observer always fires on the calling thread, in
-/// run-index order, exactly once per run — also under a parallel batch,
-/// where outcomes are buffered per bounded window (at most threads ×
-/// min(chunk, 256) runs in flight) and drained in order between windows,
-/// so an observed batch holds O(threads · chunk) outcomes, never O(runs).
-/// Observers need no locking for their own state; but note that in an
-/// agent batch — serial or parallel — the observer runs after the per-run
-/// sim::Network has been destroyed, so factory-captured pointers into
-/// agents are dangling by the time it fires (bank per-run agent
-/// diagnostics out of the agent before teardown instead — and make them
-/// atomic, since under threads > 1 agent code runs concurrently on the
-/// workers).
-using RunObserver =
-    std::function<void(const RunView& view, const ProtocolOutcome& outcome)>;
 
 /// How a batch is spread over threads. The default is serial; threads = 0
 /// means "one worker per hardware thread". The sweep is cut into chunks of
@@ -182,18 +163,16 @@ class Engine {
     return collector;
   }
 
-  /// Sweeps spec.seeds, aggregating every outcome into a RunStats (the
-  /// default collector). Runs on the configured worker pool; results are
-  /// identical for every ParallelConfig. The observer, when given, fires
-  /// per run on the calling thread in run-index order (see RunObserver).
-  RunStats run_batch(const Experiment& spec,
-                     const RunObserver& observer = nullptr);
+  /// Sweeps spec.seeds into a RunStats, the default collector: shorthand
+  /// for run_collect(spec, RunStats{}).
+  RunStats run_batch(const Experiment& spec) {
+    return run_collect(spec, RunStats{});
+  }
 
   /// Runs several specs back to back (a load-shape or policy sweep),
   /// reusing this engine's allocations throughout. Each spec's batch runs
   /// on the configured worker pool.
-  std::vector<RunStats> run_sweep(const std::vector<Experiment>& specs,
-                                  const RunObserver& observer = nullptr);
+  std::vector<RunStats> run_sweep(const std::vector<Experiment>& specs);
 
   /// Peak intern-table size seen so far (diagnostic for allocation reuse),
   /// aggregated as the max over the serial context and every parallel
@@ -221,7 +200,7 @@ class Engine {
   using ShardObserver = std::function<void(
       int shard, const RunView& view, const ProtocolOutcome& outcome)>;
 
-  /// The scheduling core shared by every sweep entry point: cuts the sweep
+  /// The only sweep scheduler, behind every sweep entry point: cuts the sweep
   /// into chunks of consecutive runs, lets workers claim them through the
   /// work-stealing deque, repositions each worker's port provider
   /// draw-for-draw with the serial sweep, executes runs through
@@ -233,10 +212,6 @@ class Engine {
   /// stream_offset + chunk begin.
   void drive(const Experiment& spec, std::uint64_t stream_offset,
              const PrepareShards& prepare, const ShardObserver& observe);
-
-  /// The bounded-window buffered path behind run_batch(spec, observer).
-  RunStats run_batch_observed(const Experiment& spec,
-                              const RunObserver& observer);
 
   RunContext ctx_;  // serial-mode (and single-run) context
   std::vector<RunContext> worker_ctxs_;  // parallel-mode, reused per batch

@@ -117,6 +117,7 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
           }
         }
       };
+      auto pre = AnonymousProtocol::RoundVerdicts::kUnsupported;
       if (!lane.faulty) {
         // The round-t verdicts of some protocols are a function of the
         // time-(t−1) multiset alone, which pre-round is simply the sorted
@@ -129,8 +130,9 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
         // operator's shared multiset.
         batch.sorted_prev.assign(lane.knowledge.begin(), lane.knowledge.end());
         std::sort(batch.sorted_prev.begin(), batch.sorted_prev.end());
-        const auto pre = protocol.decide_round_from_prev(
-            lane.store, lane.knowledge, batch.sorted_prev, batch.verdicts);
+        pre = protocol.decide_round_from_prev(lane.store, lane.knowledge,
+                                              batch.sorted_prev,
+                                              batch.verdicts);
         if (pre == AnonymousProtocol::RoundVerdicts::kSome) {
           apply_verdicts();
           if (lane.undecided == 0) {
@@ -139,38 +141,21 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
             continue;
           }
         }
-        draw_bits();
-        if (spec.model == Model::kBlackboard) {
-          blackboard_round_inplace_dedup(lane.store, lane.knowledge, bits,
-                                         batch.sorted_prev,
-                                         ctx.round_scratch);
-        } else {
-          message_round_inplace(lane.store, lane.knowledge, bits, *lane.ports,
-                                spec.variant, ctx.round_scratch);
-        }
-        if (pre == AnonymousProtocol::RoundVerdicts::kUnsupported) {
-          // A fault-free lane's vector is the complete output of one round
-          // operator — the decide_all contract — so the protocol can share
-          // per-round work across parties (decide is pure, so computing a
-          // verdict for an already-decided party is harmless).
-          protocol.decide_all(lane.store, lane.knowledge, batch.decide_scratch,
-                              batch.verdicts);
-          apply_verdicts();
-        }
-        // kNone/kSome: the hook already produced this round's complete
-        // verdict set, so there is nothing to decide post-round.
+      }
+      draw_bits();
+      // A fault-free lane's crash schedule is empty, and a faulty lane's
+      // survivor multiset is sorted by the operator itself.
+      if (spec.model == Model::kBlackboard) {
+        blackboard_round_inplace(
+            lane.store, lane.knowledge, bits, ctx.round_scratch,
+            lane.crash_round, round,
+            lane.faulty ? std::span<const KnowledgeId>() : batch.sorted_prev);
       } else {
-        draw_bits();
-        if (spec.model == Model::kBlackboard) {
-          blackboard_round_crash_inplace(lane.store, lane.knowledge, bits,
-                                         lane.crash_round, round,
-                                         ctx.round_scratch);
-        } else {
-          message_round_crash_inplace(lane.store, lane.knowledge, bits,
-                                      *lane.ports, spec.variant,
-                                      lane.crash_round, round,
-                                      ctx.round_scratch);
-        }
+        message_round_inplace(lane.store, lane.knowledge, bits, *lane.ports,
+                              spec.variant, ctx.round_scratch,
+                              lane.crash_round, round);
+      }
+      if (lane.faulty) {
         for (int party = 0; party < n; ++party) {
           const std::size_t p = static_cast<std::size_t>(party);
           const int crash = lane.crash_round[p];
@@ -186,7 +171,17 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
             lane.outcome.rounds = round;
           }
         }
+      } else if (pre == AnonymousProtocol::RoundVerdicts::kUnsupported) {
+        // A fault-free lane's vector is the complete output of one round
+        // operator — the decide_all contract — so the protocol can share
+        // per-round work across parties (decide is pure, so computing a
+        // verdict for an already-decided party is harmless).
+        protocol.decide_all(lane.store, lane.knowledge, batch.decide_scratch,
+                            batch.verdicts);
+        apply_verdicts();
       }
+      // kNone/kSome on a fault-free lane: the pre-round hook already
+      // produced this round's complete verdict set.
       if (lane.undecided == 0) {
         lane.done = true;
         --live;

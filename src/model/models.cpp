@@ -94,57 +94,57 @@ std::vector<KnowledgeId> blackboard_round_crash(
   return next;
 }
 
+namespace {
+
+/// Party j has halted by round `round` of a non-empty crash schedule: it
+/// halts at the start of its crash round.
+bool halted(std::span<const int> crash_round, std::size_t j, int round) {
+  return crash_round[j] >= 0 && round >= crash_round[j];
+}
+
+}  // namespace
+
 void blackboard_round_inplace(KnowledgeStore& store,
                               std::vector<KnowledgeId>& knowledge,
                               const std::vector<bool>& bits,
-                              RoundScratch& scratch) {
+                              RoundScratch& scratch,
+                              std::span<const int> crash_round, int round,
+                              std::span<const KnowledgeId> sorted_prev) {
   const std::size_t n = knowledge.size();
-  if (bits.size() != n) {
+  const bool faulty = !crash_round.empty();
+  if (bits.size() != n || (faulty && crash_round.size() != n)) {
     throw InvalidArgument(
-        "blackboard_round_inplace: bits/knowledge size mismatch");
+        "blackboard_round_inplace: bits/crash/knowledge size mismatch");
   }
-  // One shared sort canonicalizes every party's multiset: the multiset
-  // {prev[j] : j != i} is the sorted previous vector minus one occurrence
-  // of prev[i], spliced out with two copies.
-  scratch.sorted_prev = knowledge;
-  std::sort(scratch.sorted_prev.begin(), scratch.sorted_prev.end());
-  scratch.next.clear();
-  scratch.next.reserve(n);
-  scratch.received.resize(n > 0 ? n - 1 : 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const KnowledgeId own = knowledge[i];
-    const auto it = std::lower_bound(scratch.sorted_prev.begin(),
-                                     scratch.sorted_prev.end(), own);
-    const std::size_t skip =
-        static_cast<std::size_t>(it - scratch.sorted_prev.begin());
-    std::copy(scratch.sorted_prev.begin(), it, scratch.received.begin());
-    std::copy(it + 1, scratch.sorted_prev.end(),
-              scratch.received.begin() + static_cast<std::ptrdiff_t>(skip));
-    scratch.next.push_back(
-        store.blackboard_step_sorted(own, bits[i], scratch.received));
-  }
-  knowledge.swap(scratch.next);
-}
-
-void blackboard_round_inplace_dedup(KnowledgeStore& store,
-                                    std::vector<KnowledgeId>& knowledge,
-                                    const std::vector<bool>& bits,
-                                    std::span<const KnowledgeId> sorted_prev,
-                                    RoundScratch& scratch) {
-  const std::size_t n = knowledge.size();
-  if (bits.size() != n || sorted_prev.size() != n) {
+  if (!sorted_prev.empty() && (faulty || sorted_prev.size() != n)) {
     throw InvalidArgument(
-        "blackboard_round_inplace_dedup: bits/sorted_prev/knowledge size "
-        "mismatch");
+        "blackboard_round_inplace: a caller-sorted multiset must be the "
+        "sorted knowledge of a fault-free round");
+  }
+  // Eq. (1)'s participant multiset, sorted once: each participating
+  // party's multiset is that vector minus one occurrence of its own value.
+  if (sorted_prev.empty()) {
+    scratch.sorted_prev.clear();
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!faulty || !halted(crash_round, j, round)) {
+        scratch.sorted_prev.push_back(knowledge[j]);
+      }
+    }
+    std::sort(scratch.sorted_prev.begin(), scratch.sorted_prev.end());
+    sorted_prev = scratch.sorted_prev;
   }
   scratch.next.clear();
   scratch.next.reserve(n);
-  scratch.received.resize(n > 0 ? n - 1 : 0);
+  scratch.received.resize(sorted_prev.empty() ? 0 : sorted_prev.size() - 1);
   scratch.memo_prev.clear();
   scratch.memo_bit.clear();
   scratch.memo_id.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const KnowledgeId own = knowledge[i];
+    if (faulty && halted(crash_round, i, round)) {
+      scratch.next.push_back(own);  // frozen at the last pre-crash value
+      continue;
+    }
     const unsigned char bit = bits[i] ? 1 : 0;
     std::size_t m = 0;
     for (; m < scratch.memo_prev.size(); ++m) {
@@ -171,63 +171,17 @@ void blackboard_round_inplace_dedup(KnowledgeStore& store,
   knowledge.swap(scratch.next);
 }
 
-void blackboard_round_crash_inplace(KnowledgeStore& store,
-                                    std::vector<KnowledgeId>& knowledge,
-                                    const std::vector<bool>& bits,
-                                    const std::vector<int>& crash_round,
-                                    int round, RoundScratch& scratch) {
-  if (crash_round.empty()) {
-    blackboard_round_inplace(store, knowledge, bits, scratch);
-    return;
-  }
-  const std::size_t n = knowledge.size();
-  if (bits.size() != n || crash_round.size() != n) {
-    throw InvalidArgument(
-        "blackboard_round_crash_inplace: bits/crash/knowledge size mismatch");
-  }
-  const auto alive = [&](std::size_t j) {
-    return crash_round[j] < 0 || round < crash_round[j];
-  };
-  // Eq. (1)'s survivor-restricted multiset: one shared sort of the alive
-  // previous values; each alive party's multiset is that vector minus one
-  // occurrence of its own value.
-  scratch.sorted_prev.clear();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (alive(j)) scratch.sorted_prev.push_back(knowledge[j]);
-  }
-  std::sort(scratch.sorted_prev.begin(), scratch.sorted_prev.end());
-  scratch.next.clear();
-  scratch.next.reserve(n);
-  scratch.received.resize(
-      scratch.sorted_prev.empty() ? 0 : scratch.sorted_prev.size() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive(i)) {
-      scratch.next.push_back(knowledge[i]);  // frozen at last pre-crash value
-      continue;
-    }
-    const KnowledgeId own = knowledge[i];
-    const auto it = std::lower_bound(scratch.sorted_prev.begin(),
-                                     scratch.sorted_prev.end(), own);
-    const std::size_t skip =
-        static_cast<std::size_t>(it - scratch.sorted_prev.begin());
-    std::copy(scratch.sorted_prev.begin(), it, scratch.received.begin());
-    std::copy(it + 1, scratch.sorted_prev.end(),
-              scratch.received.begin() + static_cast<std::ptrdiff_t>(skip));
-    scratch.next.push_back(
-        store.blackboard_step_sorted(own, bits[i], scratch.received));
-  }
-  knowledge.swap(scratch.next);
-}
-
 void message_round_inplace(KnowledgeStore& store,
                            std::vector<KnowledgeId>& knowledge,
                            const std::vector<bool>& bits,
                            const PortAssignment& ports, MessageVariant variant,
-                           RoundScratch& scratch) {
+                           RoundScratch& scratch,
+                           std::span<const int> crash_round, int round) {
   const std::size_t n = knowledge.size();
-  if (bits.size() != n) {
+  const bool faulty = !crash_round.empty();
+  if (bits.size() != n || (faulty && crash_round.size() != n)) {
     throw InvalidArgument(
-        "message_round_inplace: bits/knowledge size mismatch");
+        "message_round_inplace: bits/crash/knowledge size mismatch");
   }
   if (ports.num_parties() != static_cast<int>(n)) {
     throw InvalidArgument(
@@ -239,13 +193,25 @@ void message_round_inplace(KnowledgeStore& store,
   scratch.received.resize(n > 0 ? n - 1 : 0);
   scratch.tags.resize(tagged && n > 0 ? n - 1 : 0);
   for (std::size_t i = 0; i < n; ++i) {
+    if (faulty && halted(crash_round, i, round)) {
+      scratch.next.push_back(knowledge[i]);  // frozen at last pre-crash value
+      continue;
+    }
     for (int p = 1; p <= static_cast<int>(n) - 1; ++p) {
       const int sender = ports.neighbor(static_cast<int>(i), p);
+      const bool silent =
+          faulty &&
+          halted(crash_round, static_cast<std::size_t>(sender), round);
+      // silence() interns lazily on first use — the same point in the id
+      // sequence as the allocating version, keeping ids byte-identical.
       scratch.received[static_cast<std::size_t>(p - 1)] =
-          knowledge[static_cast<std::size_t>(sender)];
+          silent ? store.silence()
+                 : knowledge[static_cast<std::size_t>(sender)];
       if (tagged) {
+        // A silent channel transmits nothing, so no reciprocal tag; 0 is
+        // outside the valid port range [1, n-1].
         scratch.tags[static_cast<std::size_t>(p - 1)] =
-            ports.port_to(sender, static_cast<int>(i));
+            silent ? 0 : ports.port_to(sender, static_cast<int>(i));
       }
     }
     scratch.next.push_back(store.message_step_view(
@@ -341,60 +307,6 @@ std::vector<KnowledgeId> message_round_crash(
     }
   }
   return next;
-}
-
-void message_round_crash_inplace(KnowledgeStore& store,
-                                 std::vector<KnowledgeId>& knowledge,
-                                 const std::vector<bool>& bits,
-                                 const PortAssignment& ports,
-                                 MessageVariant variant,
-                                 const std::vector<int>& crash_round,
-                                 int round, RoundScratch& scratch) {
-  if (crash_round.empty()) {
-    message_round_inplace(store, knowledge, bits, ports, variant, scratch);
-    return;
-  }
-  const std::size_t n = knowledge.size();
-  if (bits.size() != n || crash_round.size() != n) {
-    throw InvalidArgument(
-        "message_round_crash_inplace: bits/crash/knowledge size mismatch");
-  }
-  if (ports.num_parties() != static_cast<int>(n)) {
-    throw InvalidArgument(
-        "message_round_crash_inplace: ports/knowledge size mismatch");
-  }
-  const auto alive = [&](std::size_t j) {
-    return crash_round[j] < 0 || round < crash_round[j];
-  };
-  const bool tagged = variant == MessageVariant::kPortTagged;
-  scratch.next.clear();
-  scratch.next.reserve(n);
-  scratch.received.resize(n > 0 ? n - 1 : 0);
-  scratch.tags.resize(tagged && n > 0 ? n - 1 : 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive(i)) {
-      scratch.next.push_back(knowledge[i]);  // frozen at last pre-crash value
-      continue;
-    }
-    for (int p = 1; p <= static_cast<int>(n) - 1; ++p) {
-      const int sender = ports.neighbor(static_cast<int>(i), p);
-      const bool sender_alive = alive(static_cast<std::size_t>(sender));
-      // silence() interns lazily on first use — the same point in the id
-      // sequence as the allocating version, keeping ids byte-identical.
-      scratch.received[static_cast<std::size_t>(p - 1)] =
-          sender_alive ? knowledge[static_cast<std::size_t>(sender)]
-                       : store.silence();
-      if (tagged) {
-        // A silent channel transmits nothing, so no reciprocal tag; 0 is
-        // outside the valid port range [1, n-1].
-        scratch.tags[static_cast<std::size_t>(p - 1)] =
-            sender_alive ? ports.port_to(sender, static_cast<int>(i)) : 0;
-      }
-    }
-    scratch.next.push_back(store.message_step_view(
-        knowledge[i], bits[i], scratch.received, scratch.tags));
-  }
-  knowledge.swap(scratch.next);
 }
 
 namespace {

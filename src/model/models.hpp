@@ -55,38 +55,6 @@ std::vector<KnowledgeId> blackboard_round(KnowledgeStore& store,
                                           const std::vector<KnowledgeId>& prev,
                                           const std::vector<bool>& bits);
 
-/// Reusable scratch buffers for the in-place round operators below. Batch
-/// drivers keep one per worker (RunContext) so steady-state sweeps run the
-/// knowledge recursion without a single allocation per round.
-struct RoundScratch {
-  std::vector<KnowledgeId> sorted_prev;
-  std::vector<KnowledgeId> received;
-  std::vector<int> tags;
-  std::vector<KnowledgeId> next;
-  // Per-round (prev, bit) → id memo of the deduping blackboard operator.
-  std::vector<KnowledgeId> memo_prev;
-  std::vector<unsigned char> memo_bit;
-  std::vector<KnowledgeId> memo_id;
-};
-
-/// One blackboard round in place: knowledge := Eq. (1)(knowledge, bits).
-/// Byte-identical ids (and store insertion order) to blackboard_round —
-/// the multiset each party receives is canonicalized by one shared sort of
-/// the previous vector instead of n per-party sorts, and values are probed
-/// with borrowed storage (KnowledgeStore::blackboard_step_sorted).
-void blackboard_round_inplace(KnowledgeStore& store,
-                              std::vector<KnowledgeId>& knowledge,
-                              const std::vector<bool>& bits,
-                              RoundScratch& scratch);
-
-/// One message-passing round in place; byte-identical ids to
-/// message_round under the same variant.
-void message_round_inplace(KnowledgeStore& store,
-                           std::vector<KnowledgeId>& knowledge,
-                           const std::vector<bool>& bits,
-                           const PortAssignment& ports, MessageVariant variant,
-                           RoundScratch& scratch);
-
 /// One blackboard round under crash-stop faults: party j participates in
 /// round `round` iff crash_round[j] < 0 or round < crash_round[j]
 /// (sim/fault.hpp semantics — a party halts at the start of its crash
@@ -99,33 +67,46 @@ std::vector<KnowledgeId> blackboard_round_crash(
     const std::vector<bool>& bits, const std::vector<int>& crash_round,
     int round);
 
-/// blackboard_round_inplace with a per-round (prev, bit) memo: within one
-/// round, a party's step value is a function of its own previous value and
-/// bit alone (every party splices the same shared multiset), so parties
-/// sharing a (prev, bit) pair share the result id. The first occurrence
-/// performs exactly the insertion the undeduped operator would; repeats
-/// would have been no-op probes, so skipping them keeps ids and store
-/// insertion order byte-identical. The memo scan is O(n) per party against
-/// at most n entries — a win whenever duplicates exist (early rounds,
-/// where most of a sweep's rounds are spent), which is why the lockstep
-/// batched path uses this variant. `sorted_prev` must be the caller-sorted
-/// copy of `knowledge` (the batched engine already builds it for the
-/// pre-round decision hook, so the sort is paid once per round).
-void blackboard_round_inplace_dedup(KnowledgeStore& store,
-                                    std::vector<KnowledgeId>& knowledge,
-                                    const std::vector<bool>& bits,
-                                    std::span<const KnowledgeId> sorted_prev,
-                                    RoundScratch& scratch);
+/// Reusable scratch buffers for the in-place round operators below. Batch
+/// drivers keep one per worker (RunContext) so steady-state sweeps run the
+/// knowledge recursion without a single allocation per round.
+struct RoundScratch {
+  std::vector<KnowledgeId> sorted_prev;
+  std::vector<KnowledgeId> received;
+  std::vector<int> tags;
+  std::vector<KnowledgeId> next;
+  // Per-round (prev, bit) → id memo of the blackboard operator.
+  std::vector<KnowledgeId> memo_prev;
+  std::vector<unsigned char> memo_bit;
+  std::vector<KnowledgeId> memo_id;
+};
 
-/// blackboard_round_crash with scratch buffers: byte-identical ids (and
-/// store insertion order — survivors intern in party order, the dead
-/// intern nothing) with no steady-state allocations. With an empty crash
-/// schedule this is exactly blackboard_round_inplace.
-void blackboard_round_crash_inplace(KnowledgeStore& store,
-                                    std::vector<KnowledgeId>& knowledge,
-                                    const std::vector<bool>& bits,
-                                    const std::vector<int>& crash_round,
-                                    int round, RoundScratch& scratch);
+/// One blackboard round in place: knowledge := Eq. (1)(knowledge, bits),
+/// under the crash schedule `crash_round` at round `round` (empty = fault
+/// free). Byte-identical ids and store insertion order to
+/// blackboard_round_crash, hence to blackboard_round when fault free:
+///  * every participating party's multiset is one shared sorted multiset
+///    of the participants' previous values minus one occurrence of its
+///    own, spliced out with two copies, and values are probed with
+///    borrowed storage (KnowledgeStore::blackboard_step_sorted);
+///  * a per-round (prev, bit) memo: every participant splices the same
+///    shared multiset, so its step value is a function of its own
+///    previous value and bit alone. The first occurrence of a pair makes
+///    exactly the insertion the plain loop would; repeats would have been
+///    no-op probes, so they reuse the id. The memo scan is O(n) per party
+///    against at most n entries — a win whenever duplicates exist (early
+///    rounds, where most of a sweep's rounds are spent).
+/// A fault-free caller may pass `sorted_prev`, the sorted copy of
+/// `knowledge` (the lane kernel already builds it for the pre-round
+/// decision hook, so the sort is paid once per round); when it is empty
+/// the operator sorts the participants' values itself.
+void blackboard_round_inplace(KnowledgeStore& store,
+                              std::vector<KnowledgeId>& knowledge,
+                              const std::vector<bool>& bits,
+                              RoundScratch& scratch,
+                              std::span<const int> crash_round = {},
+                              int round = 0,
+                              std::span<const KnowledgeId> sorted_prev = {});
 
 /// One message-passing round (Eq. 2) under the given port assignment.
 std::vector<KnowledgeId> message_round(
@@ -147,17 +128,18 @@ std::vector<KnowledgeId> message_round_crash(
     const std::vector<bool>& bits, const PortAssignment& ports,
     MessageVariant variant, const std::vector<int>& crash_round, int round);
 
-/// message_round_crash with scratch buffers: byte-identical ids and store
-/// insertion order (silence is interned lazily at the same first-use point
-/// as the allocating version). With an empty crash schedule this is
-/// exactly message_round_inplace.
-void message_round_crash_inplace(KnowledgeStore& store,
-                                 std::vector<KnowledgeId>& knowledge,
-                                 const std::vector<bool>& bits,
-                                 const PortAssignment& ports,
-                                 MessageVariant variant,
-                                 const std::vector<int>& crash_round,
-                                 int round, RoundScratch& scratch);
+/// One message-passing round in place, under the crash schedule
+/// `crash_round` at round `round` (empty = fault free): byte-identical ids
+/// and store insertion order to message_round_crash, hence to
+/// message_round when fault free (silence is interned lazily at the same
+/// first-use point as the allocating version).
+void message_round_inplace(KnowledgeStore& store,
+                           std::vector<KnowledgeId>& knowledge,
+                           const std::vector<bool>& bits,
+                           const PortAssignment& ports, MessageVariant variant,
+                           RoundScratch& scratch,
+                           std::span<const int> crash_round = {},
+                           int round = 0);
 
 /// The knowledge vector at the realization's time in the blackboard model,
 /// computed by running Eq. (1) for t rounds on the realization's bits.

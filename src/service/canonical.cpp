@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string_view>
 
@@ -48,10 +49,21 @@ std::string trim(std::string_view s) {
   return std::string(s.substr(begin, end - begin));
 }
 
-long long parse_int(const std::string& value, const std::string& key) {
-  long long out = 0;
+/// Every int-valued key narrows here, once: a value outside the int range
+/// is a named reject, never a wrap into some other spec (and its hash).
+int parse_int(const std::string& value, const std::string& key) {
+  int out = 0;
   const auto [ptr, ec] =
       std::from_chars(value.data(), value.data() + value.size(), out);
+  if (ec == std::errc::result_out_of_range &&
+      ptr == value.data() + value.size()) {
+    throw InvalidArgument("spec: key '" + key + "' value '" + value +
+                          "' is out of range (" +
+                          std::to_string(std::numeric_limits<int>::min()) +
+                          ".." +
+                          std::to_string(std::numeric_limits<int>::max()) +
+                          ")");
+  }
   if (ec != std::errc() || ptr != value.data() + value.size()) {
     throw InvalidArgument("spec: key '" + key + "' wants an integer, got '" +
                           value + "'");
@@ -77,9 +89,8 @@ std::vector<int> parse_int_list(const std::string& value,
   while (pos <= value.size()) {
     std::size_t comma = value.find(',', pos);
     if (comma == std::string::npos) comma = value.size();
-    out.push_back(static_cast<int>(
-        parse_int(trim(std::string_view(value).substr(pos, comma - pos)),
-                  key)));
+    out.push_back(
+        parse_int(trim(std::string_view(value).substr(pos, comma - pos)), key));
     pos = comma + 1;
     if (comma == value.size()) break;
   }
@@ -105,7 +116,7 @@ sim::SchedulerSpec parse_sched(const std::string& value) {
       throw InvalidArgument("spec: malformed sched '" + value + "'");
     }
     const std::string body = value.substr(open + 1, value.size() - open - 2);
-    return static_cast<int>(parse_int(trim(body), "sched"));
+    return parse_int(trim(body), "sched");
   };
   if (value.rfind("random-delay(", 0) == 0) {
     return sim::SchedulerSpec::random_delay(parse_delay(12));
@@ -206,11 +217,10 @@ CanonicalSpec CanonicalSpec::parse(const std::string& text) {
             "spec: pilot must be >= 1 (omit the key for the default)");
       }
     } else if (key == "batch") {
-      const long long parsed = parse_int(value, key);
-      if (parsed < 0) {
+      spec.batch = parse_int(value, key);
+      if (spec.batch < 0) {
         throw InvalidArgument("spec: batch must be >= 0, got " + value);
       }
-      spec.batch = static_cast<int>(parsed);
     } else if (key == "orbit") {
       if (value != "on" && value != "off") {
         throw InvalidArgument("spec: orbit must be 'on' or 'off', got '" +
@@ -247,9 +257,9 @@ CanonicalSpec CanonicalSpec::parse(const std::string& text) {
       }
       spec.variant = value;
     } else if (key == "fault-crashes") {
-      spec.fault_crashes = static_cast<int>(parse_int(value, key));
+      spec.fault_crashes = parse_int(value, key);
     } else if (key == "fault-window") {
-      spec.fault_window = static_cast<int>(parse_int(value, key));
+      spec.fault_window = parse_int(value, key);
     } else if (key == "fault-seed") {
       spec.fault_seed = parse_u64(value, key);
     } else if (key == "sched") {
@@ -258,7 +268,7 @@ CanonicalSpec CanonicalSpec::parse(const std::string& text) {
     } else if (key == "sched-seed") {
       spec.sched_seed = parse_u64(value, key);
     } else if (key == "rounds") {
-      spec.rounds = static_cast<int>(parse_int(value, key));
+      spec.rounds = parse_int(value, key);
     } else if (key == "seeds") {
       const std::size_t plus = value.find('+');
       if (plus == std::string::npos) {

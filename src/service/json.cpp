@@ -207,6 +207,7 @@ namespace {
 struct Parser {
   const std::string& text;
   std::size_t pos = 0;
+  int depth = 0;  // arrays/objects open around pos
 
   void skip_space() {
     while (pos < text.size() &&
@@ -309,50 +310,62 @@ struct Parser {
     }
   }
 
+  // The members after an opening '{', through the closing '}'.
+  Value parse_object_body() {
+    Value out = Value::object();
+    skip_space();
+    if (peek() == '}') {
+      ++pos;
+      return out;
+    }
+    while (true) {
+      skip_space();
+      std::string key = parse_string_body();
+      skip_space();
+      expect(':');
+      out.set(key, parse_value());
+      skip_space();
+      if (peek() == ',') {
+        ++pos;
+        continue;
+      }
+      expect('}');
+      return out;
+    }
+  }
+
+  // The items after an opening '[', through the closing ']'.
+  Value parse_array_body() {
+    Value out = Value::array();
+    skip_space();
+    if (peek() == ']') {
+      ++pos;
+      return out;
+    }
+    while (true) {
+      out.push(parse_value());
+      skip_space();
+      if (peek() == ',') {
+        ++pos;
+        continue;
+      }
+      expect(']');
+      return out;
+    }
+  }
+
   Value parse_value() {
     skip_space();
     const char c = peek();
-    if (c == '{') {
+    if (c == '{' || c == '[') {
+      if (++depth > kMaxNesting) {
+        fail("nesting deeper than " + std::to_string(kMaxNesting) +
+             " at offset " + std::to_string(pos));
+      }
       ++pos;
-      Value out = Value::object();
-      skip_space();
-      if (peek() == '}') {
-        ++pos;
-        return out;
-      }
-      while (true) {
-        skip_space();
-        std::string key = parse_string_body();
-        skip_space();
-        expect(':');
-        out.set(key, parse_value());
-        skip_space();
-        if (peek() == ',') {
-          ++pos;
-          continue;
-        }
-        expect('}');
-        return out;
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      Value out = Value::array();
-      skip_space();
-      if (peek() == ']') {
-        ++pos;
-        return out;
-      }
-      while (true) {
-        out.push(parse_value());
-        skip_space();
-        if (peek() == ',') {
-          ++pos;
-          continue;
-        }
-        expect(']');
-        return out;
-      }
+      Value out = c == '{' ? parse_object_body() : parse_array_body();
+      --depth;
+      return out;
     }
     if (c == '"') return Value::string(parse_string_body());
     if (consume_literal("true")) return Value::boolean(true);

@@ -16,7 +16,8 @@
 // escapes; \uXXXX is parsed for ASCII code points only — an escape above
 // 0x7F is an explicit parse error, never a silent mangle, and non-ASCII
 // text travels as raw UTF-8 bytes instead), integers (raw),
-// true/false/null. parse() throws InvalidArgument on malformed input.
+// true/false/null, nested at most kMaxNesting levels deep. parse() throws
+// InvalidArgument on malformed input.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,12 @@
 #include <vector>
 
 namespace rsb::service::json {
+
+/// The deepest array/object nesting parse() accepts. The parser recurses
+/// once per level, so without a cap one request line of '[' (well under
+/// rsbd's line cap) overflows the session thread's stack; the protocol's
+/// own messages nest a few levels deep.
+constexpr int kMaxNesting = 256;
 
 class Value {
  public:

@@ -226,6 +226,38 @@ TEST(CanonicalSpec, RejectsMalformedInput) {
   EXPECT_THROW(CanonicalSpec::parse("loads=2,3\nseeds=xyz"), InvalidArgument);
 }
 
+TEST(CanonicalSpec, IntegerKeysRejectValuesOutsideTheIntRange) {
+  // Every integer key narrows to int once, with a range check: a value
+  // that wrapped would parse as (and hash like) another spec — rounds=2^32+1
+  // as rounds=1 — and rsbd would serve that spec's cached rows.
+  const std::string base = "protocol=wait-for-singleton-LE\n";
+  const char* wrapping[] = {
+      "loads=2,3\nrounds=4294967297",
+      "loads=4294967298,3",
+      "loads=2,3\nport-policy=fixed\nports=4294967297",
+      "loads=2,3\nfault-crashes=4294967297",
+      "loads=2,3\nfault-window=-4294967295",
+      "loads=2,3\nbatch=4294967312",
+      "loads=2,3\nsched=random-delay(4294967299)",
+      "loads=2,3\nsched=starve{4294967296}(2)",
+      "loads=2,3\nrounds=99999999999999999999",
+  };
+  for (const char* text : wrapping) {
+    try {
+      CanonicalSpec::parse(base + text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+  // The int extremes themselves are in range.
+  EXPECT_EQ(CanonicalSpec::parse(base + "loads=2,3\nrounds=2147483647").rounds,
+            2147483647);
+  EXPECT_THROW(CanonicalSpec::parse(base + "loads=2,3\nrounds=2147483648"),
+               InvalidArgument);
+}
+
 TEST(CanonicalSpec, ToExperimentResolvesAndValidates) {
   const CanonicalSpec good = CanonicalSpec::parse(
       "loads=2,3\nprotocol=wait-for-singleton-LE\ntask=leader-election\n"

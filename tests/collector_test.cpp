@@ -13,6 +13,7 @@
 
 #include "algo/euclid.hpp"
 #include "engine/engine.hpp"
+#include "run_replay.hpp"
 #include "util/error.hpp"
 
 namespace rsb {
@@ -224,21 +225,22 @@ TEST(Collector, FoldCollectorStateAccess) {
   auto result = engine.run_collect(spec, fold);
   ASSERT_EQ(result.state().size(), 10u);
   // Serial engine: observation order is run order, so the fold's vector
-  // matches the observer-visible sequence.
-  std::vector<int> via_observer;
+  // matches the runs executed one by one.
+  std::vector<int> one_by_one;
   Engine again;
-  again.run_batch(spec, [&](const RunView&, const ProtocolOutcome& outcome) {
-    via_observer.push_back(outcome.rounds);
-  });
-  EXPECT_EQ(result.state(), via_observer);
+  for (std::uint64_t i = 0; i < spec.seeds.count; ++i) {
+    one_by_one.push_back(again.run(spec, spec.seeds.first + i).rounds);
+  }
+  EXPECT_EQ(result.state(), one_by_one);
 }
 
-// --------------------------------------------- bounded observer windows
+// ------------------------------------------- run-by-run collection
 
-TEST(Collector, ObservedParallelBatchDrainsInOrderAcrossWindows) {
-  // 29 runs at chunk 3 with 2 workers → window 6: several windows, ragged
-  // tail. The observer must still fire exactly once per run, in
-  // run-index order, with stats identical to serial.
+TEST(Collector, CollectedRunsMergeInRunIndexOrderAcrossChunks) {
+  // 29 runs at chunk 3 → 10 chunk shards with a ragged tail, claimed by
+  // stealing workers in any order. Every run must still be collected
+  // exactly once, in run-index order once the shards merge, with stats
+  // identical to serial.
   const auto spec = message_passing_spec(29);
   Engine serial;
   const RunStats reference = serial.run_batch(spec);
@@ -246,8 +248,8 @@ TEST(Collector, ObservedParallelBatchDrainsInOrderAcrossWindows) {
     Engine engine;
     engine.set_parallel({threads, 3});
     std::vector<std::uint64_t> seeds_seen;
-    const RunStats stats = engine.run_batch(
-        spec, [&](const RunView& view, const ProtocolOutcome&) {
+    const RunStats stats = testing::replay_runs(
+        engine, spec, [&](const RunView& view, const ProtocolOutcome&) {
           EXPECT_EQ(view.run_index, seeds_seen.size());
           ASSERT_NE(view.ports, nullptr);
           seeds_seen.push_back(view.seed);

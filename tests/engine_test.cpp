@@ -134,7 +134,7 @@ TEST(EngineBatch, AdversarialPortsFreezeEvenGcd) {
   EXPECT_TRUE(stats.output_counts.empty());
 }
 
-TEST(EngineBatch, ObserverSeesEveryRunInOrder) {
+TEST(EngineBatch, CollectorSeesEveryRunInOrder) {
   Engine engine;
   auto spec = Experiment::message_passing(
                   SourceConfiguration::from_loads({2, 3}))
@@ -143,8 +143,8 @@ TEST(EngineBatch, ObserverSeesEveryRunInOrder) {
                   .with_rounds(300)
                   .with_seeds(10, 12);
   std::vector<std::uint64_t> seeds_seen;
-  const RunStats stats = engine.run_batch(
-      spec, [&](const RunView& view, const ProtocolOutcome& outcome) {
+  const RunStats stats = testing::replay_runs(
+      engine, spec, [&](const RunView& view, const ProtocolOutcome& outcome) {
         EXPECT_EQ(view.run_index, seeds_seen.size());
         ASSERT_NE(view.ports, nullptr);
         EXPECT_TRUE(outcome.terminated);

@@ -22,6 +22,7 @@
 #include "engine/report.hpp"
 #include "engine/run_context.hpp"
 #include "golden_util.hpp"
+#include "run_replay.hpp"
 #include "util/error.hpp"
 
 namespace rsb {
@@ -227,17 +228,17 @@ TEST(FaultParallelism, FaultyDelayedAgentRunsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(FaultParallelism, ObserverSeesCrashScheduleInRunIndexOrder) {
+TEST(FaultParallelism, CollectorsSeeCrashSchedulesInRunIndexOrder) {
   const auto spec = faulty_blackboard_spec(5, 1, 24);
   auto collect = [&spec](int threads) {
     Engine engine;
     engine.set_parallel({threads, 3});
     std::vector<std::vector<int>> schedules;
-    engine.run_batch(spec,
-                     [&](const RunView& view, const ProtocolOutcome& outcome) {
-                       EXPECT_EQ(view.run_index, schedules.size());
-                       schedules.push_back(outcome.crash_round);
-                     });
+    testing::replay_runs(
+        engine, spec, [&](const RunView& view, const ProtocolOutcome& outcome) {
+          EXPECT_EQ(view.run_index, schedules.size());
+          schedules.push_back(outcome.crash_round);
+        });
     return schedules;
   };
   const auto reference = collect(1);
@@ -256,8 +257,8 @@ TEST(CrashSemantics, KnowledgeBackendHonorsTheDrawnSchedule) {
   std::vector<int> expected_schedule;
   std::uint64_t manual_successes = 0;
   const SymmetricTask task = *spec.task;
-  const RunStats stats = engine.run_batch(
-      spec, [&](const RunView& view, const ProtocolOutcome& outcome) {
+  const RunStats stats = testing::replay_runs(
+      engine, spec, [&](const RunView& view, const ProtocolOutcome& outcome) {
         spec.faults.draw(5, view.seed, expected_schedule);
         // The reported schedule is exactly the plan's per-seed draw.
         EXPECT_EQ(outcome.crash_round, expected_schedule);
@@ -297,8 +298,8 @@ TEST(CrashSemantics, GossipStarvesWhenAPeerCrashesBeforeSending) {
   auto spec = gossip_spec(4, 20).with_faults(FaultPlan::crash_stop(1, 1));
   spec.task.reset();
   Engine engine;
-  const RunStats stats = engine.run_batch(
-      spec, [&](const RunView&, const ProtocolOutcome& outcome) {
+  const RunStats stats = testing::replay_runs(
+      engine, spec, [&](const RunView&, const ProtocolOutcome& outcome) {
         EXPECT_FALSE(outcome.terminated);
         for (int party = 0; party < 4; ++party) {
           const int crash = outcome.crash_round[static_cast<std::size_t>(party)];
@@ -320,15 +321,15 @@ TEST(CrashSemantics, SurvivorsKeepDecisionsWhenCrashesComeLate) {
   const auto late = gossip_spec(4, 16).with_faults(FaultPlan::crash_stop(1, 30));
   Engine engine;
   std::vector<ProtocolOutcome> plain_outcomes;
-  engine.run_batch(plain,
-                   [&](const RunView&, const ProtocolOutcome& outcome) {
-                     EXPECT_TRUE(outcome.terminated);
-                     plain_outcomes.push_back(outcome);
-                   });
+  testing::replay_runs(engine, plain,
+                       [&](const RunView&, const ProtocolOutcome& outcome) {
+                         EXPECT_TRUE(outcome.terminated);
+                         plain_outcomes.push_back(outcome);
+                       });
   std::size_t run = 0;
   std::uint64_t late_crashes = 0;
-  engine.run_batch(
-      late, [&](const RunView&, const ProtocolOutcome& outcome) {
+  testing::replay_runs(
+      engine, late, [&](const RunView&, const ProtocolOutcome& outcome) {
         ASSERT_LT(run, plain_outcomes.size());
         int crash = -1;
         for (int round : outcome.crash_round) crash = std::max(crash, round);
@@ -533,24 +534,23 @@ TEST(KnowledgeMPFaults, CrashSchedulesHonoredRunForRun) {
   const auto spec = faulty_mp_spec(5, 1, 24);
   Engine engine;
   std::vector<int> expected;
-  engine.run_batch(spec,
-                   [&](const RunView& view, const ProtocolOutcome& outcome) {
-                     spec.faults.draw(5, view.seed, expected);
-                     EXPECT_EQ(outcome.crash_round, expected)
-                         << "seed " << view.seed;
-                     for (int party = 0; party < 5; ++party) {
-                       const int crash =
-                           outcome.crash_round[static_cast<std::size_t>(party)];
-                       const int decided = outcome.decision_round
-                           [static_cast<std::size_t>(party)];
-                       if (crash >= 0 && decided >= 0) {
-                         EXPECT_LT(decided, crash);
-                       }
-                       if (outcome.terminated && crash < 0) {
-                         EXPECT_GE(decided, 0);
-                       }
-                     }
-                   });
+  testing::replay_runs(
+      engine, spec, [&](const RunView& view, const ProtocolOutcome& outcome) {
+        spec.faults.draw(5, view.seed, expected);
+        EXPECT_EQ(outcome.crash_round, expected) << "seed " << view.seed;
+        for (int party = 0; party < 5; ++party) {
+          const int crash =
+              outcome.crash_round[static_cast<std::size_t>(party)];
+          const int decided =
+              outcome.decision_round[static_cast<std::size_t>(party)];
+          if (crash >= 0 && decided >= 0) {
+            EXPECT_LT(decided, crash);
+          }
+          if (outcome.terminated && crash < 0) {
+            EXPECT_GE(decided, 0);
+          }
+        }
+      });
 }
 
 // ------------------------------------------------- t-resilient tasks

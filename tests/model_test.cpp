@@ -1,10 +1,16 @@
 // Tests for the communication models: port-assignment algebra (including
 // the Lemma 4.3 adversarial construction and its automorphism), the
-// knowledge rounds of Eqs. (1)/(2), and the modeling distinction between
-// the literal and port-tagged readings of Eq. (2).
+// knowledge rounds of Eqs. (1)/(2) — the in-place operators byte for byte
+// against the value-returning ones, with and without crashes — and the
+// modeling distinction between the literal and port-tagged readings of
+// Eq. (2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "model/models.hpp"
 #include "model/port_assignment.hpp"
@@ -204,6 +210,148 @@ TEST(Models, RoundInputValidation) {
   const PortAssignment pa = PortAssignment::cyclic(4);
   EXPECT_THROW(message_round(store, k0, {true, false, true}, pa),
                InvalidArgument);
+
+  RoundScratch scratch;
+  std::vector<KnowledgeId> k = k0;
+  const std::vector<bool> bits = {true, false, true};
+  const std::vector<int> short_schedule = {-1, 2};
+  EXPECT_THROW(blackboard_round_inplace(store, k, {true}, scratch),
+               InvalidArgument);
+  EXPECT_THROW(
+      blackboard_round_inplace(store, k, bits, scratch, short_schedule, 1),
+      InvalidArgument);
+  // A caller-sorted multiset is the whole sorted vector of a fault-free
+  // round.
+  EXPECT_THROW(blackboard_round_inplace(store, k, bits, scratch, {}, 1,
+                                        std::vector<KnowledgeId>{0, 0}),
+               InvalidArgument);
+  EXPECT_THROW(blackboard_round_inplace(store, k, bits, scratch,
+                                        std::vector<int>{-1, 1, -1}, 1, k0),
+               InvalidArgument);
+  EXPECT_THROW(message_round_inplace(store, k, bits, pa,
+                                     MessageVariant::kPortTagged, scratch),
+               InvalidArgument);
+  EXPECT_THROW(message_round_inplace(store, k, bits, PortAssignment::cyclic(3),
+                                     MessageVariant::kPortTagged, scratch,
+                                     short_schedule, 1),
+               InvalidArgument);
+}
+
+// ------------------------------ in-place operators vs the value reference
+
+constexpr int kOperatorRounds = 4;
+
+std::vector<bool> random_bits(int n, Xoshiro256StarStar& rng) {
+  std::vector<bool> bits;
+  for (int party = 0; party < n; ++party) bits.push_back(rng.next_bit());
+  return bits;
+}
+
+/// Each party crashes at a round in [1, kOperatorRounds] with probability
+/// 1/2, else never (-1).
+std::vector<int> random_crashes(int n, Xoshiro256StarStar& rng) {
+  std::vector<int> crash_round;
+  for (int party = 0; party < n; ++party) {
+    crash_round.push_back(
+        rng.next_bit() ? 1 + static_cast<int>(rng.below(kOperatorRounds))
+                       : -1);
+  }
+  return crash_round;
+}
+
+/// The in-place round landed on the reference's bytes: equal ids, equal
+/// store sizes, and equal content per party. Ids are insertion-order
+/// handles, so a wrong multiset can keep them all equal; only the rendered
+/// value (prev, bit, received ids) and the reciprocal port tags, which the
+/// rendering leaves out, pin the content.
+void expect_same_round(const KnowledgeStore& ref_store,
+                       const std::vector<KnowledgeId>& ref,
+                       const KnowledgeStore& store,
+                       const std::vector<KnowledgeId>& knowledge) {
+  ASSERT_EQ(knowledge, ref);
+  EXPECT_EQ(store.size(), ref_store.size());
+  for (std::size_t p = 0; p < ref.size(); ++p) {
+    EXPECT_EQ(store.to_string(knowledge[p]), ref_store.to_string(ref[p]))
+        << "party " << p;
+    if (store.kind(knowledge[p]) != KnowledgeKind::kMessageStep) continue;
+    const std::span<const int> tags = store.tags(knowledge[p]);
+    const std::span<const int> ref_tags = ref_store.tags(ref[p]);
+    EXPECT_TRUE(std::equal(tags.begin(), tags.end(), ref_tags.begin(),
+                           ref_tags.end()))
+        << "party " << p;
+  }
+}
+
+TEST(Models, InPlaceBlackboardRoundMatchesTheReference) {
+  Xoshiro256StarStar rng(0xb1ac);
+  RoundScratch scratch;  // reused across every size, as a sweep reuses it
+  for (int n = 1; n <= 7; ++n) {
+    for (const bool crashes : {false, true}) {
+      for (const bool caller_sorted : {false, true}) {
+        // A caller-sorted multiset is a fault-free round's option.
+        if (crashes && caller_sorted) continue;
+        for (int trial = 0; trial < 6; ++trial) {
+          KnowledgeStore ref_store, store;
+          std::vector<KnowledgeId> ref = initial_knowledge(ref_store, n);
+          std::vector<KnowledgeId> knowledge = initial_knowledge(store, n);
+          const std::vector<int> crash_round =
+              crashes ? random_crashes(n, rng) : std::vector<int>{};
+          std::vector<KnowledgeId> sorted;
+          for (int round = 1; round <= kOperatorRounds; ++round) {
+            SCOPED_TRACE("n=" + std::to_string(n) + " crashes=" +
+                         std::to_string(crashes) + " caller_sorted=" +
+                         std::to_string(caller_sorted) + " trial=" +
+                         std::to_string(trial) + " round=" +
+                         std::to_string(round));
+            const std::vector<bool> bits = random_bits(n, rng);
+            ref = blackboard_round_crash(ref_store, ref, bits, crash_round,
+                                         round);
+            sorted.clear();
+            if (caller_sorted) {
+              sorted = knowledge;
+              std::sort(sorted.begin(), sorted.end());
+            }
+            blackboard_round_inplace(store, knowledge, bits, scratch,
+                                     crash_round, round, sorted);
+            expect_same_round(ref_store, ref, store, knowledge);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Models, InPlaceMessageRoundMatchesTheReference) {
+  Xoshiro256StarStar rng(0x3e55);
+  RoundScratch scratch;  // reused across every size, as a sweep reuses it
+  for (int n = 1; n <= 7; ++n) {
+    for (const MessageVariant variant :
+         {MessageVariant::kPortTagged, MessageVariant::kLiteral}) {
+      for (const bool crashes : {false, true}) {
+        for (int trial = 0; trial < 6; ++trial) {
+          const PortAssignment ports = PortAssignment::random(n, rng);
+          KnowledgeStore ref_store, store;
+          std::vector<KnowledgeId> ref = initial_knowledge(ref_store, n);
+          std::vector<KnowledgeId> knowledge = initial_knowledge(store, n);
+          const std::vector<int> crash_round =
+              crashes ? random_crashes(n, rng) : std::vector<int>{};
+          for (int round = 1; round <= kOperatorRounds; ++round) {
+            SCOPED_TRACE("n=" + std::to_string(n) + " variant=" +
+                         to_string(variant) + " crashes=" +
+                         std::to_string(crashes) + " trial=" +
+                         std::to_string(trial) + " round=" +
+                         std::to_string(round));
+            const std::vector<bool> bits = random_bits(n, rng);
+            ref = message_round_crash(ref_store, ref, bits, ports, variant,
+                                      crash_round, round);
+            message_round_inplace(store, knowledge, bits, ports, variant,
+                                  scratch, crash_round, round);
+            expect_same_round(ref_store, ref, store, knowledge);
+          }
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------ literal vs port-tagged Eq. (2)

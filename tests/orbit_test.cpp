@@ -18,6 +18,7 @@
 #include "algo/euclid.hpp"
 #include "engine/engine.hpp"
 #include "engine/orbit.hpp"
+#include "run_replay.hpp"
 #include "sim/fault.hpp"
 
 namespace rsb {
@@ -62,7 +63,7 @@ Experiment message_passing_unique_le(int n, std::uint64_t seeds) {
       .with_seeds(1, seeds);
 }
 
-/// Every byte an observer can see from one run — outcome fields, the
+/// Every byte a collector can see from one run — outcome fields, the
 /// candidate's crash schedule, and the full port wiring — flattened to a
 /// row per run. Shards concatenate in merge order, so equal row vectors
 /// mean the sweeps were observationally identical run for run.
@@ -204,16 +205,17 @@ TEST(OrbitDedup, SafeGroupDetectionWidensTheQuotient) {
   EXPECT_GT(literal_hits, 0u);
 }
 
-TEST(OrbitDedup, ObservedPathReplicatesIdentically) {
-  // run_batch with an observer drives the bounded-window buffered path;
-  // one memo table spans every window.
+TEST(OrbitDedup, RunByRunRowsAreByteIdenticalAcrossThreadsAndBatch) {
+  // Runs collected one by one and read back in run-index order: the
+  // replicated outcomes, wirings and crash columns of a deduped sweep are
+  // the brute-force sweep's bytes under every threads × batch split.
   const auto spec = clique_le(5, 200);
   auto observe = [&spec](int threads, int batch, bool orbit) {
     Engine engine;
     engine.set_parallel({threads, 0, batch, orbit});
     RowCollector rows;
-    engine.run_batch(spec, [&](const RunView& view,
-                               const ProtocolOutcome& outcome) {
+    testing::replay_runs(engine, spec, [&](const RunView& view,
+                                           const ProtocolOutcome& outcome) {
       rows.observe(view, outcome);
     });
     return rows.rows;

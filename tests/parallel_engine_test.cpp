@@ -1,8 +1,8 @@
 // Tests for the parallel experiment engine: byte-identical RunStats across
 // thread counts (the determinism contract of DESIGN.md's "Concurrency
-// model"), observer ordering under threads > 1, RunStats::merge edge
-// cases, the chunk knob, and high-water aggregation across worker
-// contexts.
+// model"), run-index order of merged collector shards under threads > 1,
+// RunStats::merge edge cases, the chunk knob, and high-water aggregation
+// across worker contexts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -123,16 +123,16 @@ TEST(ParallelEngine, SingleEngineGivesSameAnswerSerialThenParallel) {
   EXPECT_EQ(serial_again, serial);
 }
 
-// ------------------------------------------------------------ observers
+// ----------------------------------------------- run-by-run collection
 
-TEST(ParallelEngine, ObserverDrainsInRunIndexOrderUnderThreads) {
+TEST(ParallelEngine, CollectorShardsMergeInRunIndexOrderUnderThreads) {
   const auto spec = message_passing_spec(29);
   for (int threads : {2, 8}) {
     Engine engine;
     engine.set_parallel({threads, 3});
     std::vector<std::uint64_t> seeds_seen;
-    engine.run_batch(spec, [&](const RunView& view,
-                               const ProtocolOutcome& outcome) {
+    testing::replay_runs(engine, spec, [&](const RunView& view,
+                                           const ProtocolOutcome& outcome) {
       EXPECT_EQ(view.run_index, seeds_seen.size());
       ASSERT_NE(view.ports, nullptr);  // message passing: wiring available
       EXPECT_TRUE(outcome.terminated);
@@ -145,10 +145,9 @@ TEST(ParallelEngine, ObserverDrainsInRunIndexOrderUnderThreads) {
   }
 }
 
-TEST(ParallelEngine, ObserverSeesSharedWiringForRunInvariantPolicies) {
-  // Fixed/cyclic/adversarial policies use one wiring for the whole batch;
-  // the parallel drain hands observers that shared assignment instead of
-  // per-run copies.
+TEST(ParallelEngine, CollectorsSeeTheSharedWiringOfRunInvariantPolicies) {
+  // Fixed/cyclic/adversarial policies use one wiring for the whole batch:
+  // every run a parallel worker reports carries exactly that assignment.
   const PortAssignment wiring = PortAssignment::cyclic(5);
   auto spec =
       Experiment::message_passing(SourceConfiguration::from_loads({2, 3}))
@@ -159,24 +158,25 @@ TEST(ParallelEngine, ObserverSeesSharedWiringForRunInvariantPolicies) {
   Engine engine;
   engine.set_parallel({4, 0});
   std::uint64_t seen = 0;
-  engine.run_batch(spec, [&](const RunView& view, const ProtocolOutcome&) {
-    ASSERT_NE(view.ports, nullptr);
-    EXPECT_EQ(*view.ports, wiring);
-    ++seen;
-  });
+  testing::replay_runs(engine, spec,
+                       [&](const RunView& view, const ProtocolOutcome&) {
+                         ASSERT_NE(view.ports, nullptr);
+                         EXPECT_EQ(*view.ports, wiring);
+                         ++seen;
+                       });
   EXPECT_EQ(seen, 17u);
 }
 
-TEST(ParallelEngine, ObserverSeesSameOutcomesAsSerial) {
+TEST(ParallelEngine, CollectedOutcomesMatchSerialRunForRun) {
   const auto spec = blackboard_spec(4, 24);
   auto collect = [&spec](int threads) {
     Engine engine;
     engine.set_parallel({threads, 0});
     std::vector<int> rounds;
-    engine.run_batch(spec,
-                     [&](const RunView&, const ProtocolOutcome& outcome) {
-                       rounds.push_back(outcome.rounds);
-                     });
+    testing::replay_runs(engine, spec,
+                         [&](const RunView&, const ProtocolOutcome& outcome) {
+                           rounds.push_back(outcome.rounds);
+                         });
     return rounds;
   };
   const std::vector<int> reference = collect(1);

@@ -299,12 +299,12 @@ TEST(FaultProperty, DrawsArePureFunctionsOfSpecAndSeed) {
     Engine engine;
     engine.set_parallel({threads, 0});
     std::vector<int> expected;
-    engine.run_batch(spec,
-                     [&](const RunView& view, const ProtocolOutcome& outcome) {
-                       spec.faults.draw(4, view.seed, expected);
-                       EXPECT_EQ(outcome.crash_round, expected)
-                           << "seed " << view.seed << " threads " << threads;
-                     });
+    testing::replay_runs(
+        engine, spec, [&](const RunView& view, const ProtocolOutcome& outcome) {
+          spec.faults.draw(4, view.seed, expected);
+          EXPECT_EQ(outcome.crash_round, expected)
+              << "seed " << view.seed << " threads " << threads;
+        });
   }
 }
 
@@ -385,10 +385,10 @@ TEST(FaultProperty, BackendsFaceTheSameAdversaryRunForRun) {
   Engine engine;
   auto schedules_of = [&engine](const Experiment& spec) {
     std::vector<std::vector<int>> schedules;
-    engine.run_batch(spec,
-                     [&](const RunView&, const ProtocolOutcome& outcome) {
-                       schedules.push_back(outcome.crash_round);
-                     });
+    testing::replay_runs(engine, spec,
+                         [&](const RunView&, const ProtocolOutcome& outcome) {
+                           schedules.push_back(outcome.crash_round);
+                         });
     return schedules;
   };
   const auto a = schedules_of(knowledge);

@@ -20,6 +20,7 @@
 #include "knowledge/knowledge.hpp"
 #include "model/models.hpp"
 #include "randomness/source_bank.hpp"
+#include "run_replay.hpp"
 
 namespace rsb::testing {
 
@@ -121,10 +122,10 @@ inline ReferenceSweep reference_sweep(const Experiment& spec) {
 inline std::map<std::uint64_t, OutcomeSnapshot> snapshot_sweep(
     Engine& engine, const Experiment& spec) {
   std::map<std::uint64_t, OutcomeSnapshot> out;
-  engine.run_batch(spec,
-                   [&](const RunView& view, const ProtocolOutcome& outcome) {
-                     out.emplace(view.seed, snapshot(outcome));
-                   });
+  replay_runs(engine, spec,
+              [&](const RunView& view, const ProtocolOutcome& outcome) {
+                out.emplace(view.seed, snapshot(outcome));
+              });
   return out;
 }
 

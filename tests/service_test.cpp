@@ -521,6 +521,52 @@ TEST(Service, NonAsciiEscapeInRequestIsARejectLineNotADeadDaemon) {
   server.stop();
 }
 
+// ---------------------------------------------------------- json nesting
+
+TEST(Json, DeepNestingIsANamedParseErrorNotAStackOverflow) {
+  // The parser recurses once per array/object level: 100k levels of '['
+  // would overflow any thread's stack. It stops at its nesting cap with an
+  // error naming the cap and the offset.
+  try {
+    Value::parse(std::string(100000, '['));
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("nesting deeper than " +
+                        std::to_string(json::kMaxNesting) + " at offset " +
+                        std::to_string(json::kMaxNesting)),
+              std::string::npos)
+        << what;
+  }
+  std::string objects;
+  for (int level = 0; level < 100000; ++level) objects += "{\"a\":";
+  EXPECT_THROW(Value::parse(objects), InvalidArgument);
+  // Exactly the cap still parses, and round-trips byte for byte.
+  const std::string at_cap = std::string(json::kMaxNesting, '[') +
+                             std::string(json::kMaxNesting, ']');
+  EXPECT_EQ(Value::parse(at_cap).serialize(), at_cap);
+  EXPECT_THROW(Value::parse("[" + at_cap + "]"), InvalidArgument);
+}
+
+TEST(Service, DeeplyNestedRequestIsARejectLineNotADeadDaemon) {
+  Server server({.threads = 1});
+  server.start();
+  Client client;
+  client.connect(server.port());
+
+  const Value reject =
+      Value::parse(client.request(std::string(100000, '[')));
+  EXPECT_EQ(reject.find("type")->as_string(), "error");
+  EXPECT_NE(reject.find("reason")->as_string().find("nesting deeper than"),
+            std::string::npos);
+  // The daemon is alive: a new connection still gets its pong.
+  Client fresh;
+  fresh.connect(server.port());
+  const Value pong = Value::parse(fresh.request("{\"op\":\"ping\"}"));
+  EXPECT_EQ(pong.find("type")->as_string(), "pong");
+  server.stop();
+}
+
 // ------------------------------------------------------- adaptive sweeps
 
 TEST(Service, AdaptiveSweepSpendsTheBudgetAndStreamsReferenceBytes) {
