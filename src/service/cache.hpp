@@ -17,8 +17,8 @@
 // re-serialization) plus the chunk's RunStats, so job summaries can merge
 // cached chunks through the same RunStats::merge the engine shards use.
 // Eviction is strict LRU over a byte budget counting payload bytes plus a
-// fixed per-entry overhead. The cache is internally locked; the scheduler
-// thread inserts and looks up while connection threads read stats().
+// fixed per-entry overhead. The cache is internally locked: rsbd's loop
+// thread inserts and looks up while other threads read stats().
 #pragma once
 
 #include <cstdint>

@@ -234,6 +234,13 @@ CanonicalSpec CanonicalSpec::parse(const std::string& text) {
       spec.model = value;
     } else if (key == "loads") {
       spec.loads = parse_int_list(value, key);
+      long long parties = 0;
+      for (const int load : spec.loads) parties += load;
+      if (parties > kMaxParties) {
+        throw InvalidArgument("spec: loads total " + std::to_string(parties) +
+                              " exceeds the party bound " +
+                              std::to_string(kMaxParties));
+      }
     } else if (key == "protocol") {
       spec.protocol = value;
     } else if (key == "agents") {

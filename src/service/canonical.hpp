@@ -44,6 +44,11 @@
 
 namespace rsb::service {
 
+/// The largest party count (sum of `loads`) a spec may declare — the
+/// largest any in-repo run uses. parse() rejects a larger total by name,
+/// before to_experiment() could allocate per party.
+inline constexpr int kMaxParties = 4096;
+
 /// A parsed, canonicalizable experiment spec. Fields mirror Experiment but
 /// hold registry spec strings instead of objects; to_experiment() resolves
 /// them. Default-constructed fields equal the Experiment defaults.
@@ -77,11 +82,11 @@ struct CanonicalSpec {
   int fault_window = 8;
   std::uint64_t fault_seed = 0xfa017ULL;
   /// Lockstep batch width the submitter would like the executor to use
-  /// (ParallelConfig::batch); 0 = leave it to the daemon's default. Purely
-  /// an execution-strategy knob: batched results are byte-identical to
-  /// unbatched, so `batch` is normalized out of canonical_text() and the
-  /// spec hash — two requests differing only in batch are the same
-  /// ensemble and share cache shards.
+  /// (ParallelConfig::batch); 0 = leave it to the executor. rsbd ignores
+  /// it and sweeps at ServerConfig::batch. Purely an execution-strategy
+  /// knob: batched results are byte-identical to unbatched, so `batch` is
+  /// normalized out of canonical_text() and the spec hash — two requests
+  /// differing only in batch are the same ensemble and share cache shards.
   int batch = 0;
   /// Orbit-level run deduplication preference ("on" | "off"); "" = leave
   /// it to the daemon's default. Like `batch`, purely an
@@ -112,10 +117,11 @@ struct CanonicalSpec {
   int rounds = 300;
   SeedRange seeds;  // the query range; NOT part of canonical identity
 
-  /// Parses the key=value text form. Unknown keys, malformed values, and
-  /// duplicate keys throw InvalidArgument; registry names are resolved
-  /// lazily by to_experiment(), not here. Values containing '|' are
-  /// rejected here — parse grid requests with expand().
+  /// Parses the key=value text form. Unknown keys, malformed values,
+  /// duplicate keys and a loads total above kMaxParties throw
+  /// InvalidArgument; registry names are resolved lazily by
+  /// to_experiment(), not here. Values containing '|' are rejected here —
+  /// parse grid requests with expand().
   static CanonicalSpec parse(const std::string& text);
 
   /// The canonical identity: key-sorted `key=value` lines, one per line,

@@ -29,7 +29,7 @@ namespace rsb::service::json {
 
 /// The deepest array/object nesting parse() accepts. The parser recurses
 /// once per level, so without a cap one request line of '[' (well under
-/// rsbd's line cap) overflows the session thread's stack; the protocol's
+/// rsbd's line cap) overflows the server thread's stack; the protocol's
 /// own messages nest a few levels deep.
 constexpr int kMaxNesting = 256;
 

@@ -22,23 +22,23 @@
 //    "runs_cached":0,"runs_deduped":0,"summary":{...}}
 //   {"type":"error","ok":false,"reason":"..."}
 //
-// Four server-side policies:
+// Five server-side policies:
 //
 //  * admission control — at most `max_queue_jobs` jobs may be pending at
 //    once; a submit past the bound is rejected immediately with a reason
 //    (never silently queued), as is any submit while draining;
-//  * fair scheduling — one scheduler thread deals *chunks* (not whole
-//    jobs) onto the engine's work-stealing pool via deficit round robin
-//    across clients: each visit grants a client `quantum_runs` of credit,
-//    a chunk costs its run count, cache hits cost nothing — so a client
-//    streaming a huge sweep cannot starve a client running a small one,
-//    and cached replays are never queued behind cold work;
+//  * fair scheduling — the server deals *chunks* (not whole jobs) onto the
+//    engine's work-stealing pool via deficit round robin across clients:
+//    each visit grants a client `quantum_runs` of credit, a chunk costs
+//    its run count, cache hits cost nothing — so a client streaming a huge
+//    sweep cannot starve a client running a small one, and cached replays
+//    are never queued behind cold work;
 //  * result cache — every executed chunk lands in an LRU ResultCache
 //    (src/service/cache.hpp) keyed by (spec hash, chunk range); repeated
 //    or overlapping queries stream the covered chunks back without
 //    executing a single run;
 //  * cross-job dedup — when an executed chunk also appears, unclaimed, in
-//    another queued job with the same spec hash, the scheduler hands the
+//    another queued job with the same spec hash, the server hands the
 //    completed shard to that job at completion time, so concurrent
 //    queries over one ensemble execute each chunk once — even when the
 //    LRU cache is too small to retain the bytes until the second job's
@@ -52,6 +52,19 @@
 //    seed-range-aligned and byte-identical to a uniform sweep's prefix —
 //    adaptive and uniform requests over one ensemble share cache entries.
 //
+// Threading: one loop thread runs the whole server. Each iteration polls
+// the listener and every session socket, accepts pending clients (reading
+// whatever they already sent), answers every complete request line,
+// flushes outboxes the sockets can take, and serves one chunk. Sockets are
+// non-blocking and every reply and row goes through the session's outbox,
+// so no client can block the loop; a session whose outbox holds more than
+// 1 MiB is neither served nor read until its client reads. A request
+// waits for the chunk in progress (256 runs: a few ms for the paper's
+// leader-election specs, longer for long-round ones). When accept() runs
+// out of descriptors the loop stops polling the listener until a session
+// ends and frees one. Only stats(), begin_drain() and stop() are called
+// from other threads.
+//
 // Determinism: a row's bytes are a pure function of (spec, chunk) — the
 // engine is deterministic for any thread count, cached bytes are the
 // executed bytes, and scheduling order never reaches row content — so
@@ -60,12 +73,12 @@
 // and the CI service-smoke job).
 //
 // Shutdown: begin_drain() rejects new submits while queued jobs finish;
-// stop() drains, then joins every thread (rsbd calls it on SIGTERM; the
-// `shutdown` op sets shutdown_requested() for the daemon loop to observe).
+// stop() drains, flushes every live outbox, then joins the loop thread
+// (rsbd calls it on SIGTERM; the `shutdown` op sets shutdown_requested()
+// for rsbd's main loop to observe).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -112,12 +125,9 @@ struct ServerStats {
   /// Runs inside executed chunks whose outcome was replicated from the
   /// orbit memo instead of re-run (counted toward runs_executed too: the
   /// chunk's run count is what the client asked for; this is how many of
-  /// those the engine never had to execute).
+  /// those the engine never had to execute). Accumulated from engine
+  /// orbit_hits() deltas, so stats() never touches the engine.
   std::uint64_t runs_deduped = 0;
-  /// Orbit memo probe hits across every executed chunk (engine
-  /// orbit_hits() deltas, accumulated here so stats() never touches the
-  /// engine while the scheduler thread is sweeping).
-  std::uint64_t orbit_hits = 0;
   bool draining = false;
   ResultCache::Stats cache;
 };
@@ -130,8 +140,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds 127.0.0.1:config.port, starts the accept and scheduler
-  /// threads. Throws Error when the socket cannot be bound.
+  /// Binds 127.0.0.1:config.port and starts the loop thread. Throws Error
+  /// when the socket cannot be bound.
   void start();
 
   /// The bound port (after start(); the ephemeral one when config.port=0).
@@ -146,8 +156,9 @@ class Server {
     return shutdown_requested_.load();
   }
 
-  /// Drains the queue, closes the listener and every session, joins all
-  /// threads. Idempotent; safe to call without start().
+  /// Drains the queue, flushes every live outbox, joins the loop thread,
+  /// then closes the listener and every session. Idempotent; safe to call
+  /// without start().
   void stop();
 
   ServerStats stats() const;
@@ -156,38 +167,38 @@ class Server {
   struct Session;
   struct Job;
 
-  void accept_loop();
-  void session_loop(std::shared_ptr<Session> session);
-  void scheduler_loop();
+  void loop();
 
-  /// Erases every session whose thread has finished and whose job queue
-  /// is empty, moving its thread into `finished` for the caller to join
-  /// after unlocking, and keeps rr_cursor_ on the same session. Called on
-  /// the accept path, so a daemon's fds and threads stay bounded by its
-  /// live clients however many come and go. Caller holds sched_mutex_.
-  void reap_sessions(std::vector<std::thread>& finished);
+  /// Accepts every pending client and reads what each already sent.
+  void accept_clients();
 
-  /// Handles one parsed request line; returns the reply line (empty when
-  /// the reply is deferred to the scheduler stream).
-  std::string handle_request(const std::shared_ptr<Session>& session,
-                             const std::string& line);
-  std::string handle_submit(const std::shared_ptr<Session>& session,
-                            const std::string& spec_text);
+  /// Reads what `session` sent and answers every complete request line; an
+  /// EOF or a read error marks the session dead.
+  void read_requests(Session& session);
 
-  /// Picks the next chunk to serve under DRR; null job when idle.
+  /// Handles one request line and returns the reply line.
+  std::string handle_request(Session& session, const std::string& line);
+  std::string handle_submit(Session& session, const std::string& spec_text);
+
+  /// Erases dead sessions (dropping their jobs, closing their fds), then
+  /// picks the session whose next chunk DRR serves; null when none is due.
   struct Pick {
-    std::shared_ptr<Job> job;
-    bool any_pending = false;
+    Session* session = nullptr;
+    bool any_pending = false;  // some live session has a servable chunk
   };
-  Pick pick_next();  // caller holds sched_mutex_
+  Pick pick_next();
+
+  /// Serves the next chunk of `session`'s front job: cache, handover or
+  /// engine, then its row, and the done line when the job completes.
+  void serve_chunk(Session& session);
 
   /// Appends `range` for point `point` to the job's plan as cache-aligned
   /// chunks (rows.hpp chunk_plan) and advances the planning accounting.
   static void append_point_plan(Job& job, std::size_t point, SeedRange range);
 
   /// Runs adaptive allocation rounds until the plan grows or the job's
-  /// rounds/budget are exhausted. Called with sched_mutex_ held, after the
-  /// last planned chunk's stats merged.
+  /// rounds/budget are exhausted. Called after the last planned chunk's
+  /// stats merged.
   static void extend_adaptive_plan(Job& job);
 
   ServerConfig config_;
@@ -200,21 +211,17 @@ class Server {
   Engine engine_;
   ResultCache cache_;
 
-  std::thread accept_thread_;
-  std::thread scheduler_thread_;
-  // Index-aligned with sessions_; guarded by sched_mutex_.
-  std::vector<std::thread> session_threads_;
-
-  mutable std::mutex sched_mutex_;
-  std::condition_variable work_cv_;   // scheduler wake: work or stop
-  std::condition_variable drain_cv_;  // stop() wake: queue empty
-  std::vector<std::shared_ptr<Session>> sessions_;
+  // Loop-thread state.
+  std::vector<std::unique_ptr<Session>> sessions_;
   std::size_t rr_cursor_ = 0;  // DRR rotation over sessions_
   std::size_t pending_jobs_ = 0;
   std::uint64_t next_job_id_ = 1;
+  bool accepting_ = true;  // false after EMFILE/ENFILE until a session ends
 
   mutable std::mutex stats_mutex_;
   ServerStats stats_;
+
+  std::thread loop_thread_;  // last: it uses every member above
 };
 
 }  // namespace rsb::service

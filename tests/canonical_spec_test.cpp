@@ -3,12 +3,18 @@
 // hash identity, grid expansion — and a golden file pinning the canonical
 // form and 64-bit hash of a spec for every registry-listed protocol and
 // task, so a hash-affecting change to the format (which would orphan every
-// cached result shard) cannot land silently.
+// cached result shard) cannot land silently. A fixed-seed mutation corpus
+// grown from that fixture holds the spec and JSON parsers to one contract
+// on outside input: a value or a named error, never another exception.
 #include "service/canonical.hpp"
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <map>
+#include <optional>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,6 +22,8 @@
 #include "golden_util.hpp"
 #include "graph/graph_task.hpp"
 #include "graph/topology.hpp"
+#include "service/client.hpp"
+#include "service/json.hpp"
 #include "util/error.hpp"
 
 namespace rsb::service {
@@ -258,6 +266,37 @@ TEST(CanonicalSpec, IntegerKeysRejectValuesOutsideTheIntRange) {
                InvalidArgument);
 }
 
+TEST(CanonicalSpec, LoadsTotalAboveThePartyBoundIsANamedReject) {
+  // Regression: parse accepted any loads list and to_experiment allocated
+  // per party, so one short submit (loads=2000000000) threw std::bad_alloc
+  // inside rsbd. The party total is bounded at parse, before allocating.
+  const std::string base = "protocol=wait-for-singleton-LE\n";
+  EXPECT_EQ(CanonicalSpec::parse(base + "loads=2048,2048").loads,
+            (std::vector<int>{2048, 2048}));
+  std::string ones = "loads=1";
+  for (int party = 1; party < kMaxParties; ++party) ones += ",1";
+  EXPECT_EQ(CanonicalSpec::parse(base + ones).loads.size(),
+            static_cast<std::size_t>(kMaxParties));
+  const std::string over[] = {
+      "loads=2000000000",
+      "loads=100000000",
+      "loads=2147483647,2147483647",  // an int sum would wrap
+      "loads=" + std::to_string(kMaxParties) + ",1",
+      ones + ",1",
+  };
+  for (const std::string& text : over) {
+    try {
+      CanonicalSpec::parse(base + text);
+      ADD_FAILURE() << "accepted: " << text.substr(0, 40);
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "exceeds the party bound " + std::to_string(kMaxParties)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CanonicalSpec, ToExperimentResolvesAndValidates) {
   const CanonicalSpec good = CanonicalSpec::parse(
       "loads=2,3\nprotocol=wait-for-singleton-LE\ntask=leader-election\n"
@@ -409,6 +448,112 @@ TEST(CanonicalSpecGolden, EveryRegistrySpecHasAPinnedFormAndHash) {
   }
 
   rsb::testing::expect_matches_golden(report, "canonical_specs.txt");
+}
+
+// ---------------------------------------------------- mutation corpus
+
+/// The spec text of every golden case: the lines between its `== title`
+/// header and its `hash` line.
+std::vector<std::string> golden_inputs() {
+  const std::optional<std::string> fixture = rsb::testing::read_file(
+      rsb::testing::golden_path("canonical_specs.txt"));
+  std::vector<std::string> inputs;
+  if (!fixture.has_value()) return inputs;
+  std::istringstream lines(*fixture);
+  std::string line;
+  std::optional<std::string> current;
+  while (std::getline(lines, line)) {
+    if (line.rfind("== ", 0) == 0) {
+      current = std::string();
+    } else if (line.rfind("hash ", 0) == 0 && current.has_value()) {
+      inputs.push_back(*current);
+      current.reset();
+    } else if (current.has_value()) {
+      *current += line + "\n";
+    }
+  }
+  return inputs;
+}
+
+/// One mutation of `text`, drawn from `rng`: a byte replaced by one of the
+/// format's structural bytes, a deleted byte, a duplicated span, a
+/// truncation, or an inserted digit run (long enough to push a load past
+/// the party bound or an int key out of range).
+std::string mutate(std::string text, std::mt19937_64& rng) {
+  static constexpr char kStructural[] = "|=,();#+-\n";
+  const auto below = [&rng](std::size_t n) {
+    return n == 0 ? std::size_t{0} : static_cast<std::size_t>(rng() % n);
+  };
+  switch (rng() % 5) {
+    case 0:
+      if (!text.empty()) {
+        text[below(text.size())] = kStructural[below(sizeof(kStructural) - 1)];
+      }
+      break;
+    case 1:
+      if (!text.empty()) text.erase(below(text.size()), 1);
+      break;
+    case 2: {
+      const std::size_t from = below(text.size());
+      text.insert(from, text.substr(from, 1 + below(16)));
+      break;
+    }
+    case 3:
+      text.resize(below(text.size()));
+      break;
+    default: {
+      std::string digits(4 + below(9), '0');
+      for (char& digit : digits) digit = static_cast<char>('0' + below(10));
+      text.insert(below(text.size() + 1), digits);
+    }
+  }
+  return text;
+}
+
+TEST(ParserMutationCorpus, EveryMutantIsAValueOrANamedError) {
+  const std::vector<std::string> inputs = golden_inputs();
+  ASSERT_EQ(inputs.size(), 23u);
+  constexpr int kMutantsPerInput = 300;
+  constexpr std::size_t kMaxPoints = 64;
+  std::mt19937_64 rng(0x5eedc0de);
+  int party_bound_rejects = 0;
+  const auto expect_value_or_error = [&](const char* stage,
+                                         const std::string& input,
+                                         const auto& body) {
+    try {
+      body();
+    } catch (const Error& e) {
+      if (std::string(e.what()).find("party bound") != std::string::npos) {
+        ++party_bound_rejects;
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << stage << " threw a non-rsb exception: " << e.what()
+                    << "\ninput: " << input;
+    } catch (...) {
+      ADD_FAILURE() << stage << " threw a non-exception\ninput: " << input;
+    }
+  };
+  for (const std::string& input : inputs) {
+    for (int m = 0; m < kMutantsPerInput; ++m) {
+      std::string mutant = mutate(input, rng);
+      for (int extra = static_cast<int>(rng() % 3); extra > 0; --extra) {
+        mutant = mutate(std::move(mutant), rng);
+      }
+      expect_value_or_error("spec", mutant, [&] {
+        for (const SpecPoint& point : expand_request(mutant, kMaxPoints)) {
+          (void)point.spec.canonical_text();
+          (void)point.spec.hash();
+          (void)point.spec.to_experiment();
+        }
+      });
+      const std::string request = mutate(submit_request(mutant), rng);
+      expect_value_or_error("json", request,
+                            [&] { (void)json::Value::parse(request); });
+    }
+  }
+  // The digit runs must reach the party bound, or the corpus would not
+  // cover the oversized-loads path.
+  EXPECT_GT(party_bound_rejects, 0);
 }
 
 }  // namespace

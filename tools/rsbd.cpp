@@ -6,7 +6,7 @@
 // admitted queue before exiting, so accepted jobs always finish streaming.
 //
 //   rsbd [--port N] [--threads N] [--cache-mb N] [--max-queue N]
-//        [--quantum RUNS]
+//        [--quantum RUNS] [--no-orbit]
 //
 // The announce line ("rsbd: listening on 127.0.0.1:41234") is how scripts
 // discover an ephemeral port: start rsbd, read the first stdout line.
