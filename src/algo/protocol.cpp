@@ -42,6 +42,19 @@ std::map<KnowledgeId, int> count_by_value(
   return counts;
 }
 
+/// Index of the first value at or after `from` that occurs exactly once in
+/// the sorted span, or sorted.size() if there is none.
+std::size_t next_singleton(std::span<const KnowledgeId> sorted,
+                           std::size_t from) {
+  while (from < sorted.size()) {
+    std::size_t next = from + 1;
+    while (next < sorted.size() && sorted[next] == sorted[from]) ++next;
+    if (next - from == 1) return from;
+    from = next;
+  }
+  return sorted.size();
+}
+
 }  // namespace
 
 AnonymousProtocol::RoundVerdicts AnonymousProtocol::decide_round_from_prev(
@@ -85,6 +98,78 @@ std::optional<std::int64_t> BlackboardUniqueStringLE::decide(
   const std::vector<bool> own =
       store.randomness(store.previous(knowledge));
   return own == *leader_string ? 1 : 0;
+}
+
+namespace {
+
+/// True iff every party of the round behind `sorted_prev` (a complete
+/// fault-free blackboard party vector, sorted) started from ⊥. Any one
+/// party's time-1 ancestor K(1) = (K(0), x(1), {K_j(0) : j ≠ i}) lists
+/// every party's time-0 value, so one chain walk checks them all.
+bool rooted_at_bottom(const KnowledgeStore& store,
+                      std::span<const KnowledgeId> sorted_prev) {
+  const KnowledgeId bottom = store.bottom();
+  KnowledgeId value = sorted_prev.front();
+  if (store.time(value) == 0) return sorted_prev.back() == bottom;
+  while (store.time(value) > 1) value = store.previous(value);
+  const std::span<const KnowledgeId> roots = store.received(value);
+  return store.previous(value) == bottom &&
+         (roots.empty() || roots.back() == bottom);
+}
+
+/// Lexicographic order of the randomness strings of two distinct values
+/// of one round, without materializing either: walk both previous chains
+/// back in lockstep until they meet (hash-consing makes the values equal
+/// from there down, and so the string prefixes); the last bit difference
+/// seen is the first position at which the strings differ.
+bool string_less(const KnowledgeStore& store, KnowledgeId a, KnowledgeId b) {
+  bool less = false;
+  while (a != b) {
+    const bool bit_a = store.bit(a);
+    if (bit_a != store.bit(b)) less = !bit_a;
+    a = store.previous(a);
+    b = store.previous(b);
+  }
+  return less;
+}
+
+}  // namespace
+
+AnonymousProtocol::RoundVerdicts
+BlackboardUniqueStringLE::decide_round_from_prev(
+    const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
+    std::span<const KnowledgeId> sorted_prev,
+    std::vector<std::optional<std::int64_t>>& verdicts) const {
+  // The round-t rule ranges over the strings x(1..t−1) of the time-(t−1)
+  // multiset, which pre-round is sorted_prev. On a fault-free blackboard
+  // whose parties all start from ⊥, value and string determine each other:
+  // equal strings give equal values by induction on Eq. (1), since the
+  // shared multiset minus one copy of an equal value is the same multiset.
+  // So the unique strings are exactly the singleton values. Message steps
+  // (the wiring can split one string over several values) and input roots
+  // keep the post-round decide.
+  if (sorted_prev.empty()) return RoundVerdicts::kUnsupported;
+  const KnowledgeKind kind = store.kind(sorted_prev.front());
+  if (kind != KnowledgeKind::kBottom &&
+      kind != KnowledgeKind::kBlackboardStep) {
+    return RoundVerdicts::kUnsupported;
+  }
+  std::size_t i = next_singleton(sorted_prev, 0);
+  // No singleton means no unique string whatever the roots (a value embeds
+  // its string), so only a verdict needs the rooting check.
+  if (i == sorted_prev.size()) return RoundVerdicts::kNone;
+  if (!rooted_at_bottom(store, sorted_prev)) {
+    return RoundVerdicts::kUnsupported;
+  }
+  KnowledgeId leader = sorted_prev[i];
+  while ((i = next_singleton(sorted_prev, i + 1)) < sorted_prev.size()) {
+    if (string_less(store, sorted_prev[i], leader)) leader = sorted_prev[i];
+  }
+  verdicts.resize(knowledge.size());
+  for (std::size_t p = 0; p < knowledge.size(); ++p) {
+    verdicts[p] = knowledge[p] == leader ? 1 : 0;
+  }
+  return RoundVerdicts::kSome;
 }
 
 std::optional<std::int64_t> WaitForSingletonLE::decide(
@@ -211,18 +296,9 @@ AnonymousProtocol::RoundVerdicts WaitForSingletonLE::decide_round_from_prev(
   // splice own-prev out of the shared sorted vector once) — which is
   // sorted_prev. No reconstruction from a step value is needed, so this
   // also covers round 1, where the scalar decide sees the all-⊥ multiset.
-  bool found = false;
-  KnowledgeId singleton{};
-  for (std::size_t i = 0; i < sorted_prev.size() && !found;) {
-    std::size_t j = i + 1;
-    while (j < sorted_prev.size() && sorted_prev[j] == sorted_prev[i]) ++j;
-    if (j - i == 1) {
-      singleton = sorted_prev[i];
-      found = true;
-    }
-    i = j;
-  }
-  if (!found) return RoundVerdicts::kNone;
+  const std::size_t first = next_singleton(sorted_prev, 0);
+  if (first == sorted_prev.size()) return RoundVerdicts::kNone;
+  const KnowledgeId singleton = sorted_prev[first];
   verdicts.resize(knowledge.size());
   for (std::size_t i = 0; i < knowledge.size(); ++i) {
     verdicts[i] = knowledge[i] == singleton ? 1 : 0;

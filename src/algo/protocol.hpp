@@ -134,6 +134,18 @@ class BlackboardUniqueStringLE final : public AnonymousProtocol {
   /// pure content, no interned-id order — so relabeled runs produce
   /// relabeled outcomes and orbit dedup may quotient by the full group.
   bool knowledge_order_invariant() const override { return true; }
+  /// Pre-round form: on a fault-free blackboard whose parties start from
+  /// ⊥, each time-(t−1) value holds exactly one string and vice versa, so
+  /// the unique strings are the singleton ids of sorted_prev; the leader
+  /// is the singleton whose string sorts first, compared by walking the
+  /// two previous chains (no allocation). Round 1 (every value ⊥) is
+  /// decided on either model: a string is unique only when n = 1. Message
+  /// steps and input roots return kUnsupported and keep the post-round
+  /// decide.
+  RoundVerdicts decide_round_from_prev(
+      const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
+      std::span<const KnowledgeId> sorted_prev,
+      std::vector<std::optional<std::int64_t>>& verdicts) const override;
 };
 
 /// Model-agnostic leader election: a party decides once the knowledge

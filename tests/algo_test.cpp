@@ -4,6 +4,7 @@
 // CreateMatching (Algorithm 1 / Lemma 4.8), and the Theorem C.1 reduction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "algo/agents.hpp"
@@ -65,6 +66,128 @@ TEST(BlackboardLE, AllDecideInTheSameRound) {
   ASSERT_TRUE(outcome.terminated);
   EXPECT_EQ(outcome.decision_round[0], outcome.decision_round[1]);
   EXPECT_EQ(outcome.decision_round[1], outcome.decision_round[2]);
+}
+
+using Verdicts = std::vector<std::optional<std::int64_t>>;
+using RoundVerdicts = AnonymousProtocol::RoundVerdicts;
+
+/// Asks the pre-round hook about `knowledge`, a complete party vector of
+/// one round, the way the lane kernel does.
+RoundVerdicts pre_round(const KnowledgeStore& store,
+                        const std::vector<KnowledgeId>& knowledge,
+                        Verdicts& verdicts) {
+  std::vector<KnowledgeId> sorted_prev = knowledge;
+  std::sort(sorted_prev.begin(), sorted_prev.end());
+  verdicts.clear();
+  return BlackboardUniqueStringLE().decide_round_from_prev(
+      store, knowledge, sorted_prev, verdicts);
+}
+
+Verdicts decide_each(const KnowledgeStore& store,
+                     const std::vector<KnowledgeId>& knowledge) {
+  Verdicts verdicts;
+  for (KnowledgeId k : knowledge) {
+    verdicts.push_back(BlackboardUniqueStringLE().decide(store, k));
+  }
+  return verdicts;
+}
+
+struct HookRun {
+  std::vector<RoundVerdicts> pre;  // the hook's answer before each round
+  Verdicts last;                   // decide after the last round
+};
+
+/// Drives a blackboard run from ⊥ through `bits` (one row per round).
+/// Before every round the hook must be supported and agree party for
+/// party with decide on the values the round produces — kNone exactly
+/// when decide leaves everyone undecided.
+HookRun expect_hook_matches_decide(
+    const std::vector<std::vector<bool>>& bits) {
+  const int n = static_cast<int>(bits.front().size());
+  KnowledgeStore store;
+  std::vector<KnowledgeId> knowledge = initial_knowledge(store, n);
+  HookRun run;
+  for (std::size_t r = 0; r < bits.size(); ++r) {
+    Verdicts hook;
+    run.pre.push_back(pre_round(store, knowledge, hook));
+    knowledge = blackboard_round(store, knowledge, bits[r]);
+    run.last = decide_each(store, knowledge);
+    EXPECT_NE(run.pre.back(), RoundVerdicts::kUnsupported)
+        << "round " << r + 1;
+    EXPECT_EQ(run.pre.back() == RoundVerdicts::kNone ? Verdicts(n) : hook,
+              run.last)
+        << "round " << r + 1;
+  }
+  return run;
+}
+
+TEST(BlackboardLE, PreRoundHookMatchesDecideInRoundOne) {
+  // Every value is ⊥, so every string is empty: unique only when n = 1.
+  const HookRun solo = expect_hook_matches_decide({{true}});
+  EXPECT_EQ(solo.pre, std::vector<RoundVerdicts>{RoundVerdicts::kSome});
+  EXPECT_EQ(solo.last, (Verdicts{1}));
+  const HookRun trio = expect_hook_matches_decide({{false, true, true}});
+  EXPECT_EQ(trio.pre, std::vector<RoundVerdicts>{RoundVerdicts::kNone});
+  // The hook cannot tell the models apart at ⊥, and need not: a
+  // message-passing round 1 gives decide the same all-⊥ multiset.
+  for (const int n : {1, 3}) {
+    KnowledgeStore store;
+    std::vector<KnowledgeId> knowledge = initial_knowledge(store, n);
+    Verdicts hook;
+    const RoundVerdicts pre = pre_round(store, knowledge, hook);
+    knowledge = message_round(store, knowledge, std::vector<bool>(n, true),
+                              PortAssignment::cyclic(n));
+    const Verdicts post = decide_each(store, knowledge);
+    EXPECT_EQ(pre, n == 1 ? RoundVerdicts::kSome : RoundVerdicts::kNone);
+    EXPECT_EQ(n == 1 ? hook : Verdicts(n), post) << "n " << n;
+  }
+}
+
+TEST(BlackboardLE, PreRoundHookCrownsTheSmallestUniqueString) {
+  // Strings after three rounds, parties 0..7:
+  //   110 011 100 000 000 111 010 101
+  // Rounds 1 and 2 leave every string paired (kNone); then six strings are
+  // unique. Ids follow party order, so the smallest singleton id is party
+  // 0's "110", while the smallest string is party 6's "010". Party 1's
+  // "011" against party 0's "110" differs last in the opposite direction
+  // from first, so the chain walk must keep the earliest difference.
+  const std::vector<std::vector<bool>> bits = {
+      {1, 0, 1, 0, 0, 1, 0, 1},
+      {1, 1, 0, 0, 0, 1, 1, 0},
+      {0, 1, 0, 0, 0, 1, 0, 1},
+      {0, 0, 0, 0, 0, 0, 0, 0},
+  };
+  const HookRun run = expect_hook_matches_decide(bits);
+  EXPECT_EQ(run.pre,
+            (std::vector<RoundVerdicts>{
+                RoundVerdicts::kNone, RoundVerdicts::kNone,
+                RoundVerdicts::kNone, RoundVerdicts::kSome}));
+  EXPECT_EQ(run.last, (Verdicts{0, 0, 0, 0, 0, 0, 1, 0}));
+}
+
+TEST(BlackboardLE, PreRoundHookDefersWhereValuesAndStringsDiverge) {
+  {
+    // Message steps: the wiring can split one string over several values.
+    KnowledgeStore store;
+    std::vector<KnowledgeId> knowledge = initial_knowledge(store, 3);
+    knowledge = message_round(store, knowledge, {true, false, false},
+                              PortAssignment::cyclic(3));
+    Verdicts hook;
+    EXPECT_EQ(pre_round(store, knowledge, hook), RoundVerdicts::kUnsupported);
+  }
+  {
+    // Distinct inputs make two singleton values of one string "0", which
+    // is not unique: decide waits, so the hook must not crown anyone.
+    KnowledgeStore store;
+    std::vector<KnowledgeId> knowledge =
+        initial_knowledge_with_inputs(store, {5, 7});
+    Verdicts hook;
+    EXPECT_EQ(pre_round(store, knowledge, hook), RoundVerdicts::kUnsupported);
+    knowledge = blackboard_round(store, knowledge, {false, false});
+    EXPECT_EQ(pre_round(store, knowledge, hook), RoundVerdicts::kUnsupported);
+    knowledge = blackboard_round(store, knowledge, {true, true});
+    EXPECT_EQ(decide_each(store, knowledge), Verdicts(2));
+  }
 }
 
 // --------------------------------------------- wait-for-singleton (both)

@@ -442,8 +442,12 @@ TEST(SchedulerProperty, OutputIndependentOfThreadCount) {
 // aggregate equal an independent per-run reference (tests/reference_run.hpp:
 // fresh store and SourceBank, value-returning round operators, per-party
 // decide), on both models (fault-free blackboard; message passing under
-// per-run random wirings). 97 seeds is coprime to every width, so each
-// sweep exercises a narrower remainder group too.
+// per-run random wirings) and for both pre-round hooks. The unique-string
+// specs are all-private: there several strings can be unique at once, and
+// the smallest string and the smallest singleton id can name different
+// parties (with loads {2,2,1} only the load-1 party can ever be unique, so
+// a wrong leader rule would pass). 97 seeds is coprime to every width, so
+// each sweep exercises a narrower remainder group too.
 TEST(BatchProperty, BatchedSweepsMatchTheReferenceRunForRun) {
   const auto blackboard =
       Experiment::blackboard(SourceConfiguration::from_loads({2, 2, 1}))
@@ -458,7 +462,21 @@ TEST(BatchProperty, BatchedSweepsMatchTheReferenceRunForRun) {
           .with_task("leader-election")
           .with_rounds(300)
           .with_seeds(11, 97);
-  for (const Experiment& spec : {blackboard, message}) {
+  const auto unique_blackboard =
+      Experiment::blackboard(SourceConfiguration::all_private(6))
+          .with_protocol("blackboard-unique-string-LE")
+          .with_task("leader-election")
+          .with_rounds(300)
+          .with_seeds(1, 97);
+  const auto unique_message =
+      Experiment::message_passing(SourceConfiguration::all_private(5),
+                                  PortPolicy::kRandomPerRun)
+          .with_protocol("blackboard-unique-string-LE")
+          .with_task("leader-election")
+          .with_rounds(300)
+          .with_seeds(11, 97);
+  for (const Experiment& spec :
+       {blackboard, message, unique_blackboard, unique_message}) {
     const ReferenceSweep reference = reference_sweep(spec);
     ASSERT_EQ(reference.runs.size(), 97u);
     for (const int batch : {1, 2, 7, 16}) {
