@@ -1,14 +1,16 @@
 // E14 — engineering microbenchmarks for the core library: knowledge
 // interning throughput, model round operators, consistency partitions,
 // the exact-probability engine's 2^{kt} scaling, the simplicial-map
-// existence search, and the experiment engine's serial, parallel, and
-// lockstep-batched sweep throughput. No paper artifact — this is the performance record of the
+// existence search, the experiment engine's serial, parallel, and
+// lockstep-batched sweep throughput, and round-operator sweeps at large n.
+// No paper artifact — this is the performance record of the
 // substrate that makes the exhaustive reproductions feasible; the
 // runs/sec section at 1..N threads is dumped to BENCH_core_perf.json so
 // the trajectory is diffable across PRs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -334,6 +336,65 @@ void report_sweep_throughput() {
   }
 }
 
+/// The round operators at the sizes where their per-party cost shows:
+/// blackboard all-private n = 16, 64, 256 (many distinct values per
+/// round), loads 8×8 (unsolvable by Theorem 4.1, so every run takes all
+/// 300 rounds), and message passing n = 16 with a fresh random wiring per
+/// run. Each row is sized to take at least about 0.2 s per timed pass on
+/// a 4-vCPU host, so one scheduler hiccup cannot flip its best pass, and
+/// each is gated by --baseline like the sweep rows above.
+void report_round_operator_throughput() {
+  header("Round-operator sweeps (blackboard boards, message wirings)");
+  const auto leader_election = [](Experiment spec, std::uint64_t seeds) {
+    return spec.with_protocol("wait-for-singleton-LE")
+        .with_task("leader-election")
+        .with_rounds(300)
+        .with_seeds(1, seeds);
+  };
+  struct Row {
+    std::string name;
+    Experiment spec;
+    bool solvable;
+  };
+  const std::vector<Row> rows = {
+      {"blackboard-LE n=16 sweep",
+       leader_election(
+           Experiment::blackboard(SourceConfiguration::all_private(16)),
+           81920),
+       true},
+      {"blackboard-LE n=64 sweep",
+       leader_election(
+           Experiment::blackboard(SourceConfiguration::all_private(64)),
+           10240),
+       true},
+      {"blackboard-LE n=256 sweep",
+       leader_election(
+           Experiment::blackboard(SourceConfiguration::all_private(256)),
+           2048),
+       true},
+      {"blackboard-LE loads 8x8 300 rounds",
+       leader_election(Experiment::blackboard(SourceConfiguration::from_loads(
+                           {8, 8, 8, 8, 8, 8, 8, 8})),
+                       640),
+       false},
+      {"message-passing-LE n=16 random wiring sweep",
+       leader_election(
+           Experiment::message_passing(SourceConfiguration::all_private(16),
+                                       PortPolicy::kRandomPerRun),
+           49152),
+       true},
+  };
+  for (const Row& row : rows) {
+    Engine engine;
+    RunStats stats;
+    rsb::bench::time_runs(row.name, row.spec.seeds.count, 1,
+                          [&] { stats = engine.run_batch(row.spec); });
+    check(stats.terminated == (row.solvable ? stats.runs : 0),
+          row.name + (row.solvable ? ": every run elects a leader"
+                                   : ": no run elects a leader"));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -347,6 +408,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   report_sweep_throughput();
+  report_round_operator_throughput();
   rsb::bench::footer("core_perf");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

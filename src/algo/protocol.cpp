@@ -13,18 +13,21 @@ namespace rsb {
 namespace {
 
 /// The multiset of every party's knowledge at time t−1, reconstructed from
-/// one party's knowledge at time t: the received values plus the party's
-/// own previous value. Empty when t = 0 (nothing received yet). Silence
-/// entries (crash-masked channels, KnowledgeKind::kSilence) are dropped:
-/// a dead channel is not a party's knowledge, so decision rules range over
-/// the still-participating parties only — the message-passing counterpart
-/// of Eq. (1)'s survivor-restricted multiset.
+/// one party's knowledge at time t, sorted: a blackboard step's board, or
+/// a message step's received values plus the party's own previous value.
+/// Empty when t = 0 (nothing received yet). Silence entries (crash-masked
+/// channels, KnowledgeKind::kSilence) are dropped: a dead channel is not a
+/// party's knowledge, so decision rules range over the still-participating
+/// parties only — the message-passing counterpart of Eq. (1)'s
+/// survivor-restricted multiset.
 std::vector<KnowledgeId> knowledge_multiset_previous_round(
     const KnowledgeStore& store, KnowledgeId knowledge) {
   const KnowledgeKind k = store.kind(knowledge);
-  if (k != KnowledgeKind::kBlackboardStep && k != KnowledgeKind::kMessageStep) {
-    return {};
+  if (k == KnowledgeKind::kBlackboardStep) {
+    const std::span<const KnowledgeId> board = store.board(knowledge);
+    return {board.begin(), board.end()};
   }
+  if (k != KnowledgeKind::kMessageStep) return {};
   std::vector<KnowledgeId> multiset;
   multiset.reserve(store.received(knowledge).size() + 1);
   for (KnowledgeId id : store.received(knowledge)) {
@@ -65,16 +68,6 @@ AnonymousProtocol::RoundVerdicts AnonymousProtocol::decide_round_from_prev(
   return RoundVerdicts::kUnsupported;
 }
 
-void AnonymousProtocol::decide_all(
-    const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
-    std::vector<KnowledgeId>& /*scratch*/,
-    std::vector<std::optional<std::int64_t>>& verdicts) const {
-  verdicts.resize(knowledge.size());
-  for (std::size_t i = 0; i < knowledge.size(); ++i) {
-    verdicts[i] = decide(store, knowledge[i]);
-  }
-}
-
 std::optional<std::int64_t> BlackboardUniqueStringLE::decide(
     const KnowledgeStore& store, KnowledgeId knowledge) const {
   const std::vector<KnowledgeId> multiset =
@@ -104,17 +97,15 @@ namespace {
 
 /// True iff every party of the round behind `sorted_prev` (a complete
 /// fault-free blackboard party vector, sorted) started from ⊥. Any one
-/// party's time-1 ancestor K(1) = (K(0), x(1), {K_j(0) : j ≠ i}) lists
-/// every party's time-0 value, so one chain walk checks them all.
+/// party's time-1 ancestor K(1) has the board {K_j(0) : all j}, every
+/// party's time-0 value, so one chain walk checks them all.
 bool rooted_at_bottom(const KnowledgeStore& store,
                       std::span<const KnowledgeId> sorted_prev) {
   const KnowledgeId bottom = store.bottom();
   KnowledgeId value = sorted_prev.front();
   if (store.time(value) == 0) return sorted_prev.back() == bottom;
   while (store.time(value) > 1) value = store.previous(value);
-  const std::span<const KnowledgeId> roots = store.received(value);
-  return store.previous(value) == bottom &&
-         (roots.empty() || roots.back() == bottom);
+  return store.board(value).back() == bottom;  // ⊥ is the smallest id
 }
 
 /// Lexicographic order of the randomness strings of two distinct values
@@ -174,128 +165,42 @@ BlackboardUniqueStringLE::decide_round_from_prev(
 
 std::optional<std::int64_t> WaitForSingletonLE::decide(
     const KnowledgeStore& store, KnowledgeId knowledge) const {
-  // Allocation-free hot path (this decide runs once per undecided party
-  // per round of every engine sweep). The time-(t−1) multiset is the
-  // received tuple plus the party's own previous value; for blackboard
-  // steps the received vector is already the sorted canonical multiset, so
-  // the smallest singleton falls out of one merged run-length scan. The
-  // canonical order on knowledge values is their interned id; ids are
-  // deterministic content handles, so this is a name-independent rule.
+  // Allocation-free hot path on the blackboard (this decide runs once per
+  // undecided party per round of every replayed sweep). The time-(t−1)
+  // multiset is a blackboard step's board, already sorted, so the smallest
+  // singleton falls out of one run-length scan. The canonical order on
+  // knowledge values is their interned id; ids are deterministic content
+  // handles, so this is a name-independent rule.
   const KnowledgeKind k = store.kind(knowledge);
   if (k != KnowledgeKind::kBlackboardStep && k != KnowledgeKind::kMessageStep) {
     return std::nullopt;
   }
   const KnowledgeId prev = store.previous(knowledge);
-  if (k == KnowledgeKind::kMessageStep) {
-    // Port tuples are port-ordered, not sorted (and may contain
-    // crash-masked silence entries): take the general sorted path.
-    const std::vector<KnowledgeId> multiset =
-        knowledge_multiset_previous_round(store, knowledge);
-    const std::map<KnowledgeId, int> counts = count_by_value(multiset);
-    for (const auto& [id, count] : counts) {
-      if (count == 1) return prev == id ? 1 : 0;
-    }
-    return std::nullopt;
-  }
-  const std::span<const KnowledgeId> received = store.received(knowledge);
-  // Merged run-length scan over sorted(received) ∪ {prev}: the first
-  // (smallest) value with multiplicity 1 decides.
-  std::size_t i = 0;
-  bool prev_pending = true;
-  while (i < received.size() || prev_pending) {
-    KnowledgeId value;
-    int count;
-    if (prev_pending && (i == received.size() || prev <= received[i])) {
-      value = prev;
-      count = 1;
-      prev_pending = false;
-    } else {
-      value = received[i];
-      count = 0;
-    }
-    while (i < received.size() && received[i] == value) {
-      ++count;
-      ++i;
-    }
-    if (count == 1) return prev == value ? 1 : 0;
-  }
-  return std::nullopt;
-}
-
-void WaitForSingletonLE::decide_all(
-    const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
-    std::vector<KnowledgeId>& scratch,
-    std::vector<std::optional<std::int64_t>>& verdicts) const {
-  verdicts.assign(knowledge.size(), std::nullopt);
-  if (knowledge.empty()) return;
-  const KnowledgeKind k = store.kind(knowledge.front());
-  if (k != KnowledgeKind::kBlackboardStep && k != KnowledgeKind::kMessageStep) {
-    return;
-  }
-  // Fault-free whole-round contract: no silence entries, and every party
-  // reconstructs the same time-(t−1) multiset {previous(K_j) : all j}.
-  // Find its smallest singleton once, against party 0's view.
-  const KnowledgeId prev0 = store.previous(knowledge.front());
-  const std::span<const KnowledgeId> received = store.received(knowledge.front());
-  bool found = false;
-  KnowledgeId singleton{};
+  const auto decide_on =
+      [prev](std::span<const KnowledgeId> multiset)
+      -> std::optional<std::int64_t> {
+    const std::size_t first = next_singleton(multiset, 0);
+    if (first == multiset.size()) return std::nullopt;
+    return prev == multiset[first] ? 1 : 0;
+  };
   if (k == KnowledgeKind::kBlackboardStep) {
-    // received is already the sorted canonical multiset: the same merged
-    // run-length scan as the scalar decide, run once per round.
-    std::size_t i = 0;
-    bool prev_pending = true;
-    while ((i < received.size() || prev_pending) && !found) {
-      KnowledgeId value;
-      int count;
-      if (prev_pending && (i == received.size() || prev0 <= received[i])) {
-        value = prev0;
-        count = 1;
-        prev_pending = false;
-      } else {
-        value = received[i];
-        count = 0;
-      }
-      while (i < received.size() && received[i] == value) {
-        ++count;
-        ++i;
-      }
-      if (count == 1) {
-        singleton = value;
-        found = true;
-      }
-    }
-  } else {
-    // Port tuples are port-ordered, not sorted: sort one copy per round
-    // (decide pays this per party).
-    scratch.assign(received.begin(), received.end());
-    scratch.push_back(prev0);
-    std::sort(scratch.begin(), scratch.end());
-    for (std::size_t i = 0; i < scratch.size() && !found;) {
-      std::size_t j = i + 1;
-      while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
-      if (j - i == 1) {
-        singleton = scratch[i];
-        found = true;
-      }
-      i = j;
-    }
+    return decide_on(store.board(knowledge));
   }
-  if (!found) return;
-  for (std::size_t i = 0; i < knowledge.size(); ++i) {
-    verdicts[i] = store.previous(knowledge[i]) == singleton ? 1 : 0;
-  }
+  // Port tuples are port-ordered, not sorted (and may contain crash-masked
+  // silence entries): they take the general sorted path.
+  return decide_on(knowledge_multiset_previous_round(store, knowledge));
 }
 
 AnonymousProtocol::RoundVerdicts WaitForSingletonLE::decide_round_from_prev(
     const KnowledgeStore& /*store*/, std::span<const KnowledgeId> knowledge,
     std::span<const KnowledgeId> sorted_prev,
     std::vector<std::optional<std::int64_t>>& verdicts) const {
-  // The round-t verdict of the scalar decide ranges over the multiset
-  // received(K_i(t)) ∪ {previous(K_i(t))}, and in a fault-free round that
-  // is exactly {K_j(t−1) : all j} for every party (the round operators
-  // splice own-prev out of the shared sorted vector once) — which is
-  // sorted_prev. No reconstruction from a step value is needed, so this
-  // also covers round 1, where the scalar decide sees the all-⊥ multiset.
+  // The round-t verdict of the scalar decide ranges over the time-(t−1)
+  // multiset its step value carries (a blackboard step's board, a message
+  // step's tuple plus its previous value), and in a fault-free round that
+  // is exactly {K_j(t−1) : all j} for every party — which is sorted_prev.
+  // No reconstruction from a step value is needed, so this also covers
+  // round 1, where the scalar decide sees the all-⊥ multiset.
   const std::size_t first = next_singleton(sorted_prev, 0);
   if (first == sorted_prev.size()) return RoundVerdicts::kNone;
   const KnowledgeId singleton = sorted_prev[first];

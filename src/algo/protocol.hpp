@@ -52,22 +52,6 @@ class AnonymousProtocol {
   /// path, which is always sound.
   virtual bool knowledge_order_invariant() const { return false; }
 
-  /// Whole-round decision hook for the lockstep batched engine path:
-  /// fills verdicts[i] = decide(store, knowledge[i]) for every party at
-  /// once. `knowledge` must be the complete party vector produced by one
-  /// *fault-free* round operator (every entry stepped through the same
-  /// round — the engine falls back to per-party decide on faulty lanes);
-  /// `scratch` is caller-owned reusable storage. The default loops the
-  /// scalar decide; protocols whose rule ranges over the round's shared
-  /// time-(t−1) multiset override this to compute that multiset once per
-  /// round instead of once per party. Overrides must stay verdict-
-  /// identical to the scalar decide — the batch property laws pin it
-  /// against a per-party-decide reference.
-  virtual void decide_all(
-      const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
-      std::vector<KnowledgeId>& scratch,
-      std::vector<std::optional<std::int64_t>>& verdicts) const;
-
   /// Result of decide_round_from_prev below.
   enum class RoundVerdicts {
     kUnsupported,  // cannot decide from the time-(t−1) multiset alone
@@ -168,14 +152,6 @@ class WaitForSingletonLE final : public AnonymousProtocol {
   std::string name() const override { return "wait-for-singleton-LE"; }
   std::optional<std::int64_t> decide(const KnowledgeStore& store,
                                      KnowledgeId knowledge) const override;
-  /// Fused whole-round form: in a fault-free full-information round every
-  /// party's time-(t−1) multiset received(K_i) ∪ {previous(K_i)} is the
-  /// same multiset {previous(K_j) : all j}, so the smallest singleton is
-  /// found once and each party's verdict is one id comparison.
-  void decide_all(
-      const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
-      std::vector<KnowledgeId>& scratch,
-      std::vector<std::optional<std::int64_t>>& verdicts) const override;
   /// Pre-round form: the round-t rule ranges over exactly the time-(t−1)
   /// multiset, which is sorted_prev itself — one run-length scan decides
   /// the whole round before it executes (both models; the paper's

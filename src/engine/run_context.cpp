@@ -20,9 +20,10 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
     BatchedRunContext::Lane& lane = batch.lanes[static_cast<std::size_t>(l)];
     const PortAssignment* assignment = ports.next();
     if (assignment != nullptr &&
-        spec.port_policy == PortPolicy::kRandomPerRun) {
-      // next() hands back a pointer into the provider's storage, which the
-      // next lane's draw overwrites: keep a per-lane copy.
+        spec.port_policy == PortPolicy::kRandomPerRun && l + 1 < lanes) {
+      // next() hands back the provider's storage, which the next lane's
+      // draw redraws in place: every lane but the last keeps a copy (into
+      // storage it reuses from batch to batch).
       lane.ports_storage = *assignment;
       assignment = &*lane.ports_storage;
     }
@@ -155,12 +156,13 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
                               spec.variant, ctx.round_scratch,
                               lane.crash_round, round);
       }
-      if (lane.faulty) {
+      if (lane.faulty ||
+          pre == AnonymousProtocol::RoundVerdicts::kUnsupported) {
         for (int party = 0; party < n; ++party) {
           const std::size_t p = static_cast<std::size_t>(party);
-          const int crash = lane.crash_round[p];
           if (lane.outcome.decision_round[p] >= 0 ||
-              (crash >= 0 && round >= crash)) {
+              (lane.faulty && lane.crash_round[p] >= 0 &&
+               round >= lane.crash_round[p])) {
             continue;
           }
           const auto verdict = protocol.decide(lane.store, lane.knowledge[p]);
@@ -171,14 +173,6 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
             lane.outcome.rounds = round;
           }
         }
-      } else if (pre == AnonymousProtocol::RoundVerdicts::kUnsupported) {
-        // A fault-free lane's vector is the complete output of one round
-        // operator — the decide_all contract — so the protocol can share
-        // per-round work across parties (decide is pure, so computing a
-        // verdict for an already-decided party is harmless).
-        protocol.decide_all(lane.store, lane.knowledge, batch.decide_scratch,
-                            batch.verdicts);
-        apply_verdicts();
       }
       // kNone/kSome on a fault-free lane: the pre-round hook already
       // produced this round's complete verdict set.
@@ -258,7 +252,11 @@ const PortAssignment* PortProvider::next() {
   if (policy_ == PortPolicy::kNone) return nullptr;
   if (policy_ == PortPolicy::kRandomPerRun) {
     maybe_checkpoint();
-    current_ = PortAssignment::random(num_parties_, rng_);
+    if (current_.has_value()) {
+      current_->redraw_random(num_parties_, rng_, link_scratch_);
+    } else {
+      current_ = PortAssignment::random(num_parties_, rng_);
+    }
   }
   ++produced_;
   return &*current_;

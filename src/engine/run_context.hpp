@@ -36,7 +36,7 @@ class PortProvider;
 /// run seed plus its port wiring (null on the blackboard). The pointee
 /// must stay valid for the whole batch — callers point into storage they
 /// own (lane ports_storage, an OrbitProbe's wiring copy, or the provider
-/// Engine::run holds for its one lane).
+/// whose latest draw is the batch's last lane).
 struct LaneRequest {
   std::uint64_t seed = 0;
   const PortAssignment* ports = nullptr;
@@ -77,8 +77,8 @@ struct BatchedRunContext {
   /// orbit-deduped batch path fills it with only the lookup misses.
   std::vector<LaneRequest> requests;
   std::vector<unsigned char> source_bits;  // per-round per-source scratch
-  std::vector<std::optional<std::int64_t>> verdicts;  // decide_all output
-  std::vector<KnowledgeId> decide_scratch;            // decide_all scratch
+  /// Output of the pre-round decision hook (decide_round_from_prev).
+  std::vector<std::optional<std::int64_t>> verdicts;
   // Sorted copy of a lane's pre-round knowledge vector: input to the
   // protocol's pre-round decision hook (decide_round_from_prev) and, on
   // the blackboard, the round operator's shared multiset — one sort per
@@ -108,11 +108,12 @@ struct RunContext {
 /// and coin columns make it independent of the batch width and of every
 /// other lane. `ports` must be positioned at the first lane's run index;
 /// each lane's assignment is drawn through next() in order (kRandomPerRun
-/// assignments are copied into lane storage, so lane.ports stays valid
-/// until the next batch). Under a fault plan each lane's crash schedule is
-/// drawn from the plan's per-run seed stream (a pure function of
-/// (spec, seed) — no skip-ahead needed under parallelism) and reported
-/// back in the outcome's crash_round.
+/// assignments of every lane but the last are copied into lane storage;
+/// the last lane's is the provider's latest draw, so lane.ports stays
+/// valid until the provider draws again). Under a fault plan each lane's
+/// crash schedule is drawn from the plan's per-run seed stream (a pure
+/// function of (spec, seed) — no skip-ahead needed under parallelism) and
+/// reported back in the outcome's crash_round.
 void run_prepared_batch(RunContext& ctx, const Experiment& spec,
                         std::uint64_t first_seed, int lanes,
                         PortProvider& ports);
@@ -152,7 +153,10 @@ class PortProvider {
                const std::optional<PortAssignment>& fixed,
                const SourceConfiguration& config, std::uint64_t port_seed);
 
-  /// The assignment for the next run; null for blackboard runs.
+  /// The assignment for the next run; null for blackboard runs. Points
+  /// into the provider: a kRandomPerRun draw is redrawn in place
+  /// (PortAssignment::redraw_random), so the pointee changes at the next
+  /// call.
   const PortAssignment* next();
 
   /// Repositions so that the following next() yields the assignment of
@@ -173,6 +177,7 @@ class PortProvider {
   int num_parties_ = 0;
   std::uint64_t produced_ = 0;  // runs whose assignment has been drawn
   std::optional<PortAssignment> current_;
+  std::vector<int> link_scratch_;  // redraw_random's row-check scratch
   std::vector<Xoshiro256StarStar> checkpoints_;  // state at k*stride
 };
 

@@ -7,42 +7,67 @@
 namespace rsb {
 
 namespace {
-constexpr KnowledgeId kEmptySlot = static_cast<KnowledgeId>(-1);
 constexpr std::size_t kInitialSlots = 64;  // power of two
 
-/// Smallest power-of-two table that holds `nodes` entries at load <= 1/2.
-std::size_t table_size_for(std::size_t nodes) {
+/// Smallest power-of-two table that holds `entries` at load <= 1/2.
+std::size_t table_size_for(std::size_t entries) {
   std::size_t wanted = kInitialSlots;
-  while (wanted < (nodes + 1) * 2) wanted *= 2;
+  while (wanted < (entries + 1) * 2) wanted *= 2;
   return wanted;
 }
 }  // namespace
 
-KnowledgeStore::KnowledgeStore() { reset(); }
+void throw_store_limit(std::size_t value, const char* what) {
+  throw Error("KnowledgeStore: " + std::string(what) + " " +
+              std::to_string(value) + " exceeds the 32-bit store limit " +
+              std::to_string(kMaxStoreIndex));
+}
 
-void KnowledgeStore::reset() {
-  // clear() keeps the vectors' storage and the slot table is vacated in
-  // place, so repeated runs through one store stop allocating once the
-  // largest run has been seen; the reserve()s from the high-water mark
-  // additionally spare a store that has only seen small runs the growth
-  // reallocations when a deep recursion arrives. Reserve id 0 for ⊥.
-  peak_nodes_ = std::max(peak_nodes_, nodes_.size());
-  peak_received_ = std::max(peak_received_, received_pool_.size());
-  peak_tags_ = std::max(peak_tags_, tags_pool_.size());
-  nodes_.clear();
+void KnowledgeStore::InternIndex::reset(std::size_t peak) {
   hashes_.clear();
-  received_pool_.clear();
-  tags_pool_.clear();
-  nodes_.reserve(peak_nodes_);
-  hashes_.reserve(peak_nodes_);
-  received_pool_.reserve(peak_received_);
-  tags_pool_.reserve(peak_tags_);
-  const std::size_t wanted = table_size_for(peak_nodes_);
+  hashes_.reserve(peak);
+  const std::size_t wanted = table_size_for(peak);
   if (slots_.size() < wanted) {
     slots_.assign(wanted, kEmptySlot);
   } else {
     std::fill(slots_.begin(), slots_.end(), kEmptySlot);
   }
+}
+
+void KnowledgeStore::InternIndex::grow() {
+  std::vector<std::uint32_t> bigger(table_size_for(hashes_.size()),
+                                    kEmptySlot);
+  const std::size_t mask = bigger.size() - 1;
+  for (std::uint32_t id = 0; id < hashes_.size(); ++id) {
+    std::size_t i = static_cast<std::size_t>(hashes_[id]) & mask;
+    while (bigger[i] != kEmptySlot) i = (i + 1) & mask;
+    bigger[i] = id;
+  }
+  slots_ = std::move(bigger);
+}
+
+KnowledgeStore::KnowledgeStore() { reset(); }
+
+void KnowledgeStore::reset() {
+  // clear() keeps the vectors' storage and the slot tables are vacated in
+  // place, so repeated runs through one store stop allocating once the
+  // largest run has been seen; the reserve()s from the high-water mark
+  // additionally spare a store that has only seen small runs the growth
+  // reallocations when a deep recursion arrives. Reserve id 0 for ⊥.
+  peak_nodes_ = std::max(peak_nodes_, nodes_.size());
+  peak_boards_ = std::max(peak_boards_, boards_.size());
+  peak_received_ = std::max(peak_received_, received_pool_.size());
+  peak_tags_ = std::max(peak_tags_, tags_pool_.size());
+  nodes_.clear();
+  boards_.clear();
+  received_pool_.clear();
+  tags_pool_.clear();
+  nodes_.reserve(peak_nodes_);
+  boards_.reserve(peak_boards_);
+  received_pool_.reserve(peak_received_);
+  tags_pool_.reserve(peak_tags_);
+  node_index_.reset(peak_nodes_);
+  board_index_.reset(peak_boards_);
   NodeShape bottom;
   bottom.kind = KnowledgeKind::kBottom;
   intern_shape(bottom);
@@ -69,11 +94,43 @@ KnowledgeId KnowledgeStore::blackboard_step(KnowledgeId prev, bool bit,
 
 KnowledgeId KnowledgeStore::blackboard_step_sorted(
     KnowledgeId prev, bool bit, std::span<const KnowledgeId> others_sorted) {
+  // The board is the received multiset plus the party's own value.
+  std::vector<KnowledgeId> board(others_sorted.begin(), others_sorted.end());
+  board.insert(std::upper_bound(board.begin(), board.end(), prev), prev);
+  return blackboard_step_on(prev, bit, intern_board(board));
+}
+
+BoardId KnowledgeStore::intern_board(
+    std::span<const KnowledgeId> sorted_board) {
+  const std::uint64_t h = hash_range(sorted_board.begin(), sorted_board.end(),
+                                     mix64(sorted_board.size()));
+  const std::size_t slot = board_index_.find(h, [&](std::uint32_t b) {
+    const std::span<const KnowledgeId> values = board_values(b);
+    return std::equal(values.begin(), values.end(), sorted_board.begin(),
+                      sorted_board.end());
+  });
+  if (board_index_.at(slot) != kEmptySlot) return board_index_.at(slot);
+  Board board;
+  board.offset = narrow_store_index(received_pool_.size(), "pool offset");
+  board.size = narrow_store_index(sorted_board.size(), "board size");
+  const BoardId id = board_index_.insert(slot, h, "board id");
+  received_pool_.insert(received_pool_.end(), sorted_board.begin(),
+                        sorted_board.end());
+  boards_.push_back(board);
+  return id;
+}
+
+KnowledgeId KnowledgeStore::blackboard_step_on(KnowledgeId prev, bool bit,
+                                               BoardId board) {
+  if (board >= boards_.size()) {
+    throw InvalidArgument("KnowledgeStore::blackboard_step_on: unknown board " +
+                          std::to_string(board));
+  }
   NodeShape shape;
   shape.kind = KnowledgeKind::kBlackboardStep;
   shape.prev = prev;
   shape.bit = bit;
-  shape.received = others_sorted;
+  shape.board = board;
   shape.time = time(prev) + 1;
   return intern_shape(shape);
 }
@@ -138,11 +195,20 @@ bool KnowledgeStore::bit(KnowledgeId id) const {
 
 std::span<const KnowledgeId> KnowledgeStore::received(KnowledgeId id) const {
   const Node& n = node(id);
-  if (n.kind != KnowledgeKind::kBlackboardStep &&
-      n.kind != KnowledgeKind::kMessageStep) {
-    throw InvalidArgument("KnowledgeStore::received: not a step value");
+  if (n.kind != KnowledgeKind::kMessageStep) {
+    throw InvalidArgument(
+        "KnowledgeStore::received: not a message step (a blackboard step "
+        "keeps its board)");
   }
   return node_received(n);
+}
+
+std::span<const KnowledgeId> KnowledgeStore::board(KnowledgeId id) const {
+  const Node& n = node(id);
+  if (n.kind != KnowledgeKind::kBlackboardStep) {
+    throw InvalidArgument("KnowledgeStore::board: not a blackboard step");
+  }
+  return board_values(n.board);
 }
 
 std::int64_t KnowledgeStore::input_value(KnowledgeId id) const {
@@ -178,16 +244,26 @@ std::string KnowledgeStore::to_string(KnowledgeId id) const {
       return "in(" + std::to_string(n.input) + ")";
     case KnowledgeKind::kBlackboardStep:
     case KnowledgeKind::kMessageStep: {
+      const bool blackboard = n.kind == KnowledgeKind::kBlackboardStep;
       std::string out = "#" + std::to_string(id) + "=(prev=#" +
                         std::to_string(n.prev) +
                         ",bit=" + (n.bit ? "1" : "0") + ",";
-      out += n.kind == KnowledgeKind::kBlackboardStep ? "{" : "(";
-      const std::span<const KnowledgeId> received = node_received(n);
-      for (std::size_t i = 0; i < received.size(); ++i) {
-        if (i != 0) out += ",";
-        out += "#" + std::to_string(received[i]);
+      out += blackboard ? "{" : "(";
+      // A blackboard step shows what it received: its board less one copy
+      // of its own previous value.
+      bool own_skipped = !blackboard;
+      bool first = true;
+      for (KnowledgeId value :
+           blackboard ? board_values(n.board) : node_received(n)) {
+        if (!own_skipped && value == n.prev) {
+          own_skipped = true;
+          continue;
+        }
+        if (!first) out += ",";
+        first = false;
+        out += "#" + std::to_string(value);
       }
-      out += n.kind == KnowledgeKind::kBlackboardStep ? "}" : ")";
+      out += blackboard ? "}" : ")";
       return out + ")";
     }
   }
@@ -196,52 +272,28 @@ std::string KnowledgeStore::to_string(KnowledgeId id) const {
 
 KnowledgeId KnowledgeStore::intern_shape(const NodeShape& shape) {
   const std::uint64_t h = shape_hash(shape);
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(h) & mask;
-  while (true) {
-    const KnowledgeId occupant = slots_[i];
-    if (occupant == kEmptySlot) break;
-    if (hashes_[occupant] == h && shape_equal(nodes_[occupant], shape)) {
-      return occupant;
-    }
-    i = (i + 1) & mask;
-  }
+  const std::size_t slot = node_index_.find(
+      h, [&](std::uint32_t id) { return shape_equal(nodes_[id], shape); });
+  if (node_index_.at(slot) != kEmptySlot) return node_index_.at(slot);
   // First insertion: materialize the borrowed spans into the flat pools.
   Node node;
   node.kind = shape.kind;
   node.bit = shape.bit;
   node.prev = shape.prev;
   node.input = shape.input;
-  node.received_offset = static_cast<std::uint32_t>(received_pool_.size());
-  node.received_size = static_cast<std::uint32_t>(shape.received.size());
-  node.tags_offset = static_cast<std::uint32_t>(tags_pool_.size());
-  node.tags_size = static_cast<std::uint32_t>(shape.tags.size());
+  node.received_offset =
+      narrow_store_index(received_pool_.size(), "pool offset");
+  node.received_size = narrow_store_index(shape.received.size(), "tuple size");
+  node.tags_offset = narrow_store_index(tags_pool_.size(), "tag pool offset");
+  node.tags_size = narrow_store_index(shape.tags.size(), "tag count");
   node.time = shape.time;
+  node.board = shape.board;
+  const KnowledgeId id = node_index_.insert(slot, h, "knowledge id");
   received_pool_.insert(received_pool_.end(), shape.received.begin(),
                         shape.received.end());
   tags_pool_.insert(tags_pool_.end(), shape.tags.begin(), shape.tags.end());
-  const KnowledgeId id = static_cast<KnowledgeId>(nodes_.size());
   nodes_.push_back(node);
-  hashes_.push_back(h);
-  slots_[i] = id;
-  // Keep the load factor at most 1/2 so probe chains stay short. (The
-  // constant-time check is equivalent to table_size_for(nodes_.size()) >
-  // slots_.size() because slots_.size() is always a power of two >=
-  // kInitialSlots — don't pay the sizing loop on the hot path.)
-  if ((nodes_.size() + 1) * 2 > slots_.size()) grow_slots();
   return id;
-}
-
-void KnowledgeStore::grow_slots() {
-  std::vector<KnowledgeId> bigger(table_size_for(nodes_.size()), kEmptySlot);
-  const std::size_t mask = bigger.size() - 1;
-  for (KnowledgeId id = 0; id < static_cast<KnowledgeId>(nodes_.size());
-       ++id) {
-    std::size_t i = static_cast<std::size_t>(hashes_[id]) & mask;
-    while (bigger[i] != kEmptySlot) i = (i + 1) & mask;
-    bigger[i] = id;
-  }
-  slots_ = std::move(bigger);
 }
 
 std::uint64_t KnowledgeStore::shape_hash(const NodeShape& n) const {
@@ -249,14 +301,15 @@ std::uint64_t KnowledgeStore::shape_hash(const NodeShape& n) const {
   seed = hash_combine(seed, static_cast<std::uint64_t>(n.bit));
   seed = hash_combine(seed, n.prev);
   seed = hash_combine(seed, static_cast<std::uint64_t>(n.input));
+  seed = hash_combine(seed, n.board);
   seed = hash_range(n.received.begin(), n.received.end(), seed);
   return hash_range(n.tags.begin(), n.tags.end(), seed);
 }
 
 bool KnowledgeStore::shape_equal(const Node& a, const NodeShape& b) const {
   if (a.kind != b.kind || a.bit != b.bit || a.prev != b.prev ||
-      a.input != b.input || a.received_size != b.received.size() ||
-      a.tags_size != b.tags.size()) {
+      a.input != b.input || a.board != b.board ||
+      a.received_size != b.received.size() || a.tags_size != b.tags.size()) {
     return false;
   }
   const std::span<const KnowledgeId> received = node_received(a);

@@ -16,14 +16,23 @@
 // equality is id comparison, and memory is proportional to the number of
 // distinct sub-values, not to the written-out size.
 //
-// Data layout (the zero-copy core): a node's received tuple and tag list
-// live in two flat pools shared by all nodes — a node stores offsets, not
-// vectors — so interning a new value appends to the pools instead of
-// allocating, and reset() recycles everything in place. Step values can be
-// interned from *borrowed* storage (spans): the store probes with the
-// caller's buffer and copies into the pools only on first insertion, so a
-// steady-state batch sweep runs the whole knowledge recursion without
-// touching the allocator.
+// Data layout (the zero-copy core): a message step's received tuple and
+// tag list live in two flat pools shared by all nodes — a node stores
+// offsets, not vectors — so interning a new value appends to the pools
+// instead of allocating, and reset() recycles everything in place. Step
+// values can be interned from *borrowed* storage (spans): the store probes
+// with the caller's buffer and copies into the pools only on first
+// insertion, so a steady-state batch sweep runs the whole knowledge
+// recursion without touching the allocator.
+//
+// Blackboard steps do not store their multiset. Every participant of an
+// Eq. (1) round receives the same board M = {K_j(t−1) : all participants}
+// minus one copy of its own value, and for a fixed prev the map
+// M ↦ M ∖ {prev} is one-to-one. So boards are interned once each, in a
+// second table that shares the node table's probe code, and a blackboard
+// step is keyed on (prev, bit, board): the same equality as keying it on
+// the received multiset, hence the same ids in the same insertion order.
+// Boards consume no KnowledgeId and are not counted by size().
 #pragma once
 
 #include <cstdint>
@@ -38,6 +47,26 @@ namespace rsb {
 /// Identifier of an interned knowledge value; equality of ids is equality of
 /// knowledge.
 using KnowledgeId = std::uint32_t;
+
+/// Identifier of an interned Eq. (1) board (KnowledgeStore::intern_board).
+/// Board ids are their own sequence: they never collide with, or consume,
+/// KnowledgeIds.
+using BoardId = std::uint32_t;
+
+/// The largest id, pool offset or tuple size a KnowledgeStore holds: its
+/// fields are 32 bits wide, and 2^32 − 1 marks a vacant intern slot.
+inline constexpr std::size_t kMaxStoreIndex = 0xFFFFFFFEu;
+
+/// Throws the Error narrow_store_index raises for `value`.
+[[noreturn]] void throw_store_limit(std::size_t value, const char* what);
+
+/// Narrows a KnowledgeStore id, pool offset or size (`what` names which)
+/// to its 32-bit field; past kMaxStoreIndex it throws an Error naming the
+/// field and the limit instead of wrapping.
+inline std::uint32_t narrow_store_index(std::size_t value, const char* what) {
+  if (value > kMaxStoreIndex) throw_store_limit(value, what);
+  return static_cast<std::uint32_t>(value);
+}
 
 enum class KnowledgeKind : std::uint8_t {
   kBottom,          // ⊥: no input, time 0
@@ -87,13 +116,24 @@ class KnowledgeStore {
   KnowledgeId blackboard_step(KnowledgeId prev, bool bit,
                               std::vector<KnowledgeId> others);
 
-  /// Eq. (1) zero-copy path for batch drivers: `others_sorted` must
-  /// already be sorted ascending. The value is probed with the borrowed
-  /// storage and only copied into the pools on first insertion. Ids (and
-  /// insertion order) are identical to
-  /// blackboard_step(prev, bit, {others_sorted...}).
+  /// blackboard_step for an `others_sorted` already sorted ascending; the
+  /// same id.
   KnowledgeId blackboard_step_sorted(KnowledgeId prev, bool bit,
                                      std::span<const KnowledgeId> others_sorted);
+
+  /// Interns a round's board: the multiset M of every participant's
+  /// previous value, sorted ascending. Probes with the borrowed span and
+  /// copies it into the pool only on first insertion.
+  BoardId intern_board(std::span<const KnowledgeId> sorted_board);
+
+  /// Eq. (1) on an interned board, for round operators that intern M once
+  /// per round: the step of a participant whose previous value is `prev`,
+  /// with the same id as blackboard_step(prev, bit, M ∖ {prev}). A probe
+  /// costs O(1) whatever the size of M. `prev` must occur in M — like
+  /// blackboard_step_sorted's order, that is the caller's to keep (it
+  /// holds by construction for a participant of the round); an unknown
+  /// board id throws InvalidArgument.
+  KnowledgeId blackboard_step_on(KnowledgeId prev, bool bit, BoardId board);
 
   /// Eq. (2), literal form. `by_port[p]` is the knowledge received on port
   /// p+1; the tuple order is significant (ports are local names for
@@ -132,10 +172,17 @@ class KnowledgeStore {
   /// The X(t) component; only for step kinds.
   bool bit(KnowledgeId id) const;
 
-  /// The received knowledge (sorted multiset for blackboard, port-ordered
-  /// tuple for message passing); only for step kinds. The span borrows
+  /// The port-ordered tuple a message step received; only for message
+  /// steps (a blackboard step keeps its board instead). The span borrows
   /// pool storage: valid until the next mutating call on this store.
   std::span<const KnowledgeId> received(KnowledgeId id) const;
+
+  /// The board of a blackboard step: the sorted multiset of every
+  /// participant's time-(t−1) value, its own previous value included —
+  /// Eq. (1)'s received multiset plus one copy of previous(id). Only for
+  /// blackboard steps. The span borrows pool storage: valid until the next
+  /// mutating call on this store.
+  std::span<const KnowledgeId> board(KnowledgeId id) const;
 
   /// The input value; only for kInput.
   std::int64_t input_value(KnowledgeId id) const;
@@ -156,8 +203,60 @@ class KnowledgeStore {
   std::string to_string(KnowledgeId id) const;
 
  private:
-  /// A node's identity-defining fields; received/tags live in the shared
-  /// flat pools, referenced by offset — no per-node allocations.
+  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
+
+  /// The flat open-addressed index both intern tables use: linear probing
+  /// over a power-of-two slot table at load <= 1/2, kEmptySlot = vacant,
+  /// indexing entries numbered 0, 1, 2, ... in insertion order, whose
+  /// hashes it caches. Unlike a node-based unordered_map of bucket
+  /// vectors, reset() vacates it with one fill — no per-bucket
+  /// deallocation — so a batch driver that resets the store between runs
+  /// stops touching the allocator once the largest run has been seen.
+  class InternIndex {
+   public:
+    /// Forgets every entry, keeping the storage; sized for `peak` entries.
+    void reset(std::size_t peak);
+
+    /// The slot of the entry `equal` accepts among those hashing to `h`,
+    /// or else the vacant slot where such an entry belongs.
+    template <typename Equal>
+    std::size_t find(std::uint64_t h, const Equal& equal) const {
+      const std::size_t mask = slots_.size() - 1;
+      std::size_t i = static_cast<std::size_t>(h) & mask;
+      while (slots_[i] != kEmptySlot &&
+             !(hashes_[slots_[i]] == h && equal(slots_[i]))) {
+        i = (i + 1) & mask;
+      }
+      return i;
+    }
+
+    /// The entry at `slot`; kEmptySlot when vacant.
+    std::uint32_t at(std::size_t slot) const { return slots_[slot]; }
+
+    /// Numbers the next entry, hashing to `h`, into the vacant `slot` that
+    /// find() returned, and returns its number (`what` names the id in the
+    /// error raised past kMaxStoreIndex).
+    std::uint32_t insert(std::size_t slot, std::uint64_t h,
+                         const char* what) {
+      const std::uint32_t id = narrow_store_index(hashes_.size(), what);
+      hashes_.push_back(h);
+      slots_[slot] = id;
+      // Keep the load factor at most 1/2 so probe chains stay short.
+      // slots_.size() is always a power of two >= the initial size, so
+      // this is the sizing rule of reset() without its loop.
+      if ((hashes_.size() + 1) * 2 > slots_.size()) grow();
+      return id;
+    }
+
+   private:
+    void grow();
+    std::vector<std::uint32_t> slots_;
+    std::vector<std::uint64_t> hashes_;  // per entry, index = entry number
+  };
+
+  /// A node's identity-defining fields; a message step's received tuple
+  /// and tags live in the shared flat pools, referenced by offset, and a
+  /// blackboard step names its board — no per-node allocations.
   struct Node {
     KnowledgeKind kind;
     bool bit = false;
@@ -168,6 +267,7 @@ class KnowledgeStore {
     std::uint32_t tags_offset = 0;
     std::uint32_t tags_size = 0;
     int time = 0;
+    BoardId board = 0;  // blackboard steps only
   };
 
   /// Borrowed view of a candidate node, used to probe the intern index
@@ -179,7 +279,14 @@ class KnowledgeStore {
     std::int64_t input = 0;
     std::span<const KnowledgeId> received;
     std::span<const int> tags;
+    BoardId board = 0;
     int time = 0;  // not identity-defining; stored on insertion
+  };
+
+  /// A board's multiset, in the received pool.
+  struct Board {
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
   };
 
   /// Probes with the borrowed shape; appends the spans to the pools on
@@ -194,20 +301,18 @@ class KnowledgeStore {
   std::span<const int> node_tags(const Node& n) const noexcept {
     return {tags_pool_.data() + n.tags_offset, n.tags_size};
   }
-  void grow_slots();
+  std::span<const KnowledgeId> board_values(BoardId b) const noexcept {
+    return {received_pool_.data() + boards_[b].offset, boards_[b].size};
+  }
 
-  // The intern index is a flat open-addressed table of ids (linear probing,
-  // power-of-two size, kEmptySlot = vacant) over nodes_, with the hash of
-  // each node cached in hashes_. Unlike a node-based unordered_map of
-  // bucket vectors, reset() can vacate it with one fill — no per-bucket
-  // deallocation — so a batch driver that resets the store between runs
-  // stops touching the allocator once the largest run has been seen.
   std::vector<Node> nodes_;
-  std::vector<std::uint64_t> hashes_;        // shape_hash per node, index = id
-  std::vector<KnowledgeId> received_pool_;   // all nodes' received tuples
-  std::vector<int> tags_pool_;               // all nodes' tag lists
-  std::vector<KnowledgeId> slots_;           // open-addressed index into nodes_
-  std::size_t peak_nodes_ = 0;               // high-water across resets
+  InternIndex node_index_;                  // over nodes_
+  std::vector<Board> boards_;
+  InternIndex board_index_;                 // over boards_
+  std::vector<KnowledgeId> received_pool_;  // message tuples and boards
+  std::vector<int> tags_pool_;              // message steps' tag lists
+  std::size_t peak_nodes_ = 0;              // high-water across resets
+  std::size_t peak_boards_ = 0;
   std::size_t peak_received_ = 0;
   std::size_t peak_tags_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "model/models.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/partitions.hpp"
@@ -133,40 +134,32 @@ void blackboard_round_inplace(KnowledgeStore& store,
     std::sort(scratch.sorted_prev.begin(), scratch.sorted_prev.end());
     sorted_prev = scratch.sorted_prev;
   }
+  // Every participant's Eq. (1) value is (own value, bit, that multiset):
+  // intern the multiset as the round's board once.
+  const BoardId board = store.intern_board(sorted_prev);
+  // Per-round (prev, bit) memo, indexed by the first position of prev in
+  // the sorted multiset: every participant splices the same board, so its
+  // step value is a function of its own previous value and bit alone. The
+  // first occurrence of a pair makes exactly the insertion the plain loop
+  // would; repeats would have been no-op probes, so they reuse the id.
+  constexpr KnowledgeId kNotStepped = std::numeric_limits<KnowledgeId>::max();
+  scratch.memo_id.assign(2 * sorted_prev.size(), kNotStepped);
   scratch.next.clear();
   scratch.next.reserve(n);
-  scratch.received.resize(sorted_prev.empty() ? 0 : sorted_prev.size() - 1);
-  scratch.memo_prev.clear();
-  scratch.memo_bit.clear();
-  scratch.memo_id.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const KnowledgeId own = knowledge[i];
     if (faulty && halted(crash_round, i, round)) {
       scratch.next.push_back(own);  // frozen at the last pre-crash value
       continue;
     }
-    const unsigned char bit = bits[i] ? 1 : 0;
-    std::size_t m = 0;
-    for (; m < scratch.memo_prev.size(); ++m) {
-      if (scratch.memo_prev[m] == own && scratch.memo_bit[m] == bit) break;
+    const std::size_t first = static_cast<std::size_t>(
+        std::lower_bound(sorted_prev.begin(), sorted_prev.end(), own) -
+        sorted_prev.begin());
+    KnowledgeId& memo = scratch.memo_id[2 * first + (bits[i] ? 1 : 0)];
+    if (memo == kNotStepped) {
+      memo = store.blackboard_step_on(own, bits[i], board);
     }
-    if (m < scratch.memo_prev.size()) {
-      scratch.next.push_back(scratch.memo_id[m]);
-      continue;
-    }
-    const auto it =
-        std::lower_bound(sorted_prev.begin(), sorted_prev.end(), own);
-    const std::size_t skip =
-        static_cast<std::size_t>(it - sorted_prev.begin());
-    std::copy(sorted_prev.begin(), it, scratch.received.begin());
-    std::copy(it + 1, sorted_prev.end(),
-              scratch.received.begin() + static_cast<std::ptrdiff_t>(skip));
-    const KnowledgeId id =
-        store.blackboard_step_sorted(own, bits[i], scratch.received);
-    scratch.memo_prev.push_back(own);
-    scratch.memo_bit.push_back(bit);
-    scratch.memo_id.push_back(id);
-    scratch.next.push_back(id);
+    scratch.next.push_back(memo);
   }
   knowledge.swap(scratch.next);
 }
@@ -188,34 +181,39 @@ void message_round_inplace(KnowledgeStore& store,
         "message_round_inplace: ports/knowledge size mismatch");
   }
   const bool tagged = variant == MessageVariant::kPortTagged;
+  const std::size_t ports_per_party = n > 0 ? n - 1 : 0;
   scratch.next.clear();
   scratch.next.reserve(n);
-  scratch.received.resize(n > 0 ? n - 1 : 0);
-  scratch.tags.resize(tagged && n > 0 ? n - 1 : 0);
+  scratch.received.resize(ports_per_party);
+  scratch.tags.resize(tagged && faulty ? ports_per_party : 0);
   for (std::size_t i = 0; i < n; ++i) {
     if (faulty && halted(crash_round, i, round)) {
       scratch.next.push_back(knowledge[i]);  // frozen at last pre-crash value
       continue;
     }
-    for (int p = 1; p <= static_cast<int>(n) - 1; ++p) {
-      const int sender = ports.neighbor(static_cast<int>(i), p);
-      const bool silent =
-          faulty &&
-          halted(crash_round, static_cast<std::size_t>(sender), round);
+    // Port p's sender and the reciprocal tag it attaches are entry p−1 of
+    // party i's two wiring rows.
+    const std::span<const int> senders = ports.neighbors(static_cast<int>(i));
+    const std::span<const int> reciprocal =
+        ports.reciprocal(static_cast<int>(i));
+    for (std::size_t p = 0; p < ports_per_party; ++p) {
+      const std::size_t sender = static_cast<std::size_t>(senders[p]);
+      const bool silent = faulty && halted(crash_round, sender, round);
       // silence() interns lazily on first use — the same point in the id
       // sequence as the allocating version, keeping ids byte-identical.
-      scratch.received[static_cast<std::size_t>(p - 1)] =
-          silent ? store.silence()
-                 : knowledge[static_cast<std::size_t>(sender)];
-      if (tagged) {
+      scratch.received[p] = silent ? store.silence() : knowledge[sender];
+      if (tagged && faulty) {
         // A silent channel transmits nothing, so no reciprocal tag; 0 is
         // outside the valid port range [1, n-1].
-        scratch.tags[static_cast<std::size_t>(p - 1)] =
-            silent ? 0 : ports.port_to(sender, static_cast<int>(i));
+        scratch.tags[p] = silent ? 0 : reciprocal[p];
       }
     }
-    scratch.next.push_back(store.message_step_view(
-        knowledge[i], bits[i], scratch.received, scratch.tags));
+    // A fault-free tagged step's tags are the reciprocal row itself.
+    const std::span<const int> tags =
+        !tagged ? std::span<const int>()
+                : faulty ? std::span<const int>(scratch.tags) : reciprocal;
+    scratch.next.push_back(
+        store.message_step_view(knowledge[i], bits[i], scratch.received, tags));
   }
   knowledge.swap(scratch.next);
 }

@@ -75,9 +75,8 @@ struct RoundScratch {
   std::vector<KnowledgeId> received;
   std::vector<int> tags;
   std::vector<KnowledgeId> next;
-  // Per-round (prev, bit) → id memo of the blackboard operator.
-  std::vector<KnowledgeId> memo_prev;
-  std::vector<unsigned char> memo_bit;
+  /// The blackboard operator's per-round (prev, bit) → id memo, two slots
+  /// per position of the sorted multiset.
   std::vector<KnowledgeId> memo_id;
 };
 
@@ -87,15 +86,16 @@ struct RoundScratch {
 /// blackboard_round_crash, hence to blackboard_round when fault free:
 ///  * every participating party's multiset is one shared sorted multiset
 ///    of the participants' previous values minus one occurrence of its
-///    own, spliced out with two copies, and values are probed with
-///    borrowed storage (KnowledgeStore::blackboard_step_sorted);
+///    own, so that multiset is interned once as the round's board
+///    (KnowledgeStore::intern_board) and each step is probed on
+///    (prev, bit, board) in O(1) (KnowledgeStore::blackboard_step_on);
 ///  * a per-round (prev, bit) memo: every participant splices the same
 ///    shared multiset, so its step value is a function of its own
-///    previous value and bit alone. The first occurrence of a pair makes
-///    exactly the insertion the plain loop would; repeats would have been
-///    no-op probes, so they reuse the id. The memo scan is O(n) per party
-///    against at most n entries — a win whenever duplicates exist (early
-///    rounds, where most of a sweep's rounds are spent).
+///    previous value and bit alone. The memo is indexed by the first
+///    position of prev in the sorted multiset (one binary search); the
+///    first occurrence of a pair makes exactly the insertion the plain
+///    loop would, and repeats, which would have been no-op probes, reuse
+///    the id.
 /// A fault-free caller may pass `sorted_prev`, the sorted copy of
 /// `knowledge` (the lane kernel already builds it for the pre-round
 /// decision hook, so the sort is paid once per round); when it is empty
@@ -132,7 +132,10 @@ std::vector<KnowledgeId> message_round_crash(
 /// `crash_round` at round `round` (empty = fault free): byte-identical ids
 /// and store insertion order to message_round_crash, hence to
 /// message_round when fault free (silence is interned lazily at the same
-/// first-use point as the allocating version).
+/// first-use point as the allocating version). Each party's tuple and tags
+/// are read off its two wiring rows (PortAssignment::neighbors and
+/// ::reciprocal), O(n) per party where the value-returning operators scan
+/// a row per port (port_to).
 void message_round_inplace(KnowledgeStore& store,
                            std::vector<KnowledgeId>& knowledge,
                            const std::vector<bool>& bits,

@@ -7,36 +7,80 @@
 
 namespace rsb {
 
+namespace {
+
+/// Throws the row check's ValidationError for a port of `party` leading
+/// to `target`: out of range, the party itself, or a second port to it.
+/// Kept out of line so the check's loop stays tight.
+[[noreturn]] void reject_port(int party, int target, int num_parties) {
+  const std::string who = "PortAssignment: party " + std::to_string(party);
+  if (target < 0 || target >= num_parties) {
+    throw ValidationError(who + " port leads to invalid party " +
+                          std::to_string(target));
+  }
+  if (target == party) {
+    throw ValidationError(who + " has a port leading to itself");
+  }
+  throw ValidationError(who + " has two ports leading to party " +
+                        std::to_string(target));
+}
+
+}  // namespace
+
 PortAssignment::PortAssignment(std::vector<std::vector<int>> neighbor_of)
-    : neighbor_of_(std::move(neighbor_of)) {
-  const int n = num_parties();
+    : num_parties_(static_cast<int>(neighbor_of.size())) {
+  const int n = num_parties_;
   if (n < 1) {
     throw ValidationError("PortAssignment: at least one party required");
   }
+  neighbor_.reserve(static_cast<std::size_t>(n) * row_size());
   for (int i = 0; i < n; ++i) {
-    const auto& row = neighbor_of_[static_cast<std::size_t>(i)];
+    const auto& row = neighbor_of[static_cast<std::size_t>(i)];
     if (static_cast<int>(row.size()) != n - 1) {
       throw ValidationError("PortAssignment: party " + std::to_string(i) +
                             " has " + std::to_string(row.size()) +
                             " ports, expected " + std::to_string(n - 1));
     }
-    std::vector<bool> seen(static_cast<std::size_t>(n), false);
-    for (int target : row) {
-      if (target < 0 || target >= n) {
-        throw ValidationError("PortAssignment: party " + std::to_string(i) +
-                              " port leads to invalid party " +
-                              std::to_string(target));
-      }
-      if (target == i) {
-        throw ValidationError("PortAssignment: party " + std::to_string(i) +
-                              " has a port leading to itself");
-      }
-      if (seen[static_cast<std::size_t>(target)]) {
-        throw ValidationError("PortAssignment: party " + std::to_string(i) +
-                              " has two ports leading to party " +
-                              std::to_string(target));
-      }
-      seen[static_cast<std::size_t>(target)] = true;
+    neighbor_.insert(neighbor_.end(), row.begin(), row.end());
+  }
+  std::vector<int> inverse;
+  check_rows_and_link(inverse);
+}
+
+void PortAssignment::check_rows_and_link(std::vector<int>& inverse) {
+  const int n = num_parties_;
+  const std::size_t m = row_size();
+  // Row i of each table starts at i·m; column(i, t) is t's rank among the
+  // n−1 parties other than i (branch-free: on random rows a branch here
+  // mispredicts half the time).
+  const auto column = [](int party, int other) {
+    return static_cast<std::size_t>(other - (other > party ? 1 : 0));
+  };
+  const int* const rows = neighbor_.data();
+  // Pass 1: the row checks, recording each row's inverse:
+  // inverse[i·m + column(i, t)] = the port at which i sees t. A slot
+  // already written means row i has two ports leading to t.
+  inverse.assign(neighbor_.size(), 0);
+  int* const inv = inverse.data();
+  for (int i = 0; i < n; ++i) {
+    const std::size_t base = static_cast<std::size_t>(i) * m;
+    for (std::size_t p = 0; p < m; ++p) {
+      const int target = rows[base + p];
+      if (target < 0 || target >= n || target == i) reject_port(i, target, n);
+      int& slot = inv[base + column(i, target)];
+      if (slot != 0) reject_port(i, target, n);
+      slot = static_cast<int>(p) + 1;
+    }
+  }
+  // Pass 2: port p of i leads to t, which sees i at the port t's inverse
+  // row records.
+  reciprocal_.resize(neighbor_.size());
+  int* const rec = reciprocal_.data();
+  for (int i = 0; i < n; ++i) {
+    const std::size_t base = static_cast<std::size_t>(i) * m;
+    for (std::size_t p = 0; p < m; ++p) {
+      const int t = rows[base + p];
+      rec[base + p] = inv[static_cast<std::size_t>(t) * m + column(t, i)];
     }
   }
 }
@@ -52,12 +96,15 @@ int PortAssignment::neighbor(int party, int port) const {
                           std::to_string(port) + " outside [1," +
                           std::to_string(n - 1) + "]");
   }
-  return neighbor_of_[static_cast<std::size_t>(party)]
-                     [static_cast<std::size_t>(port - 1)];
+  return neighbors(party)[static_cast<std::size_t>(port - 1)];
 }
 
 int PortAssignment::port_to(int party, int target) const {
-  const auto& row = neighbor_of_[static_cast<std::size_t>(party)];
+  if (party < 0 || party >= num_parties()) {
+    throw InvalidArgument("PortAssignment::port_to: bad party " +
+                          std::to_string(party));
+  }
+  const std::span<const int> row = neighbors(party);
   for (std::size_t p = 0; p < row.size(); ++p) {
     if (row[p] == target) return static_cast<int>(p) + 1;
   }
@@ -78,19 +125,33 @@ PortAssignment PortAssignment::cyclic(int num_parties) {
 
 PortAssignment PortAssignment::random(int num_parties,
                                       Xoshiro256StarStar& rng) {
-  std::vector<std::vector<int>> rows(static_cast<std::size_t>(num_parties));
+  PortAssignment drawn;
+  std::vector<int> scratch;
+  drawn.redraw_random(num_parties, rng, scratch);
+  return drawn;
+}
+
+void PortAssignment::redraw_random(int num_parties, Xoshiro256StarStar& rng,
+                                   std::vector<int>& scratch) {
+  if (num_parties < 1) {
+    throw ValidationError("PortAssignment: at least one party required");
+  }
+  num_parties_ = num_parties;
+  const std::size_t m = row_size();
+  neighbor_.resize(static_cast<std::size_t>(num_parties) * m);
   for (int i = 0; i < num_parties; ++i) {
-    auto& row = rows[static_cast<std::size_t>(i)];
+    int* const row = neighbor_.data() + static_cast<std::size_t>(i) * m;
+    std::size_t k = 0;
     for (int other = 0; other < num_parties; ++other) {
-      if (other != i) row.push_back(other);
+      if (other != i) row[k++] = other;
     }
     // Fisher–Yates with the library RNG.
-    for (std::size_t a = row.size(); a > 1; --a) {
+    for (std::size_t a = m; a > 1; --a) {
       const std::size_t b = rng.below(a);
       std::swap(row[a - 1], row[b]);
     }
   }
-  return PortAssignment(std::move(rows));
+  check_rows_and_link(scratch);
 }
 
 void PortAssignment::discard_random(int num_parties,
@@ -229,12 +290,13 @@ bool PortAssignment::is_automorphism(const std::vector<int>& f) const {
 
 std::string PortAssignment::to_string() const {
   std::string out = "Ports[";
-  for (std::size_t i = 0; i < neighbor_of_.size(); ++i) {
+  for (int i = 0; i < num_parties(); ++i) {
     if (i != 0) out += " ";
     out += std::to_string(i) + ":(";
-    for (std::size_t p = 0; p < neighbor_of_[i].size(); ++p) {
+    const std::span<const int> row = neighbors(i);
+    for (std::size_t p = 0; p < row.size(); ++p) {
       if (p != 0) out += ",";
-      out += std::to_string(neighbor_of_[i][p]);
+      out += std::to_string(row[p]);
     }
     out += ")";
   }

@@ -8,10 +8,17 @@
 // generators, exhaustive enumeration for tiny n, automorphism checks, and
 // the paper's Lemma 4.3 adversarial construction that keeps every
 // consistency class a multiple of g = gcd(n_1,...,n_k).
+//
+// Layout: two flat n·(n−1) arrays, row i at offset i·(n−1) — the neighbor
+// rows and the reciprocal-port rows derived from them when the rows are
+// checked — so a round operator reads both a party's senders and their
+// reciprocal tags in O(n), and a random-per-run wiring is redrawn into the
+// same storage every run.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,17 +34,31 @@ class PortAssignment {
   /// ValidationError otherwise.
   explicit PortAssignment(std::vector<std::vector<int>> neighbor_of);
 
-  int num_parties() const noexcept {
-    return static_cast<int>(neighbor_of_.size());
-  }
+  int num_parties() const noexcept { return num_parties_; }
 
   /// π_i(p): the party connected to party i by the edge with port number p
   /// at i (1-based p, matching the paper).
   int neighbor(int party, int port) const;
 
   /// The port at which `party` sees `neighbor` (1-based); throws if they are
-  /// the same party.
+  /// the same party. A scan of the party's row: the reference that the
+  /// reciprocal rows are tested against.
   int port_to(int party, int neighbor) const;
+
+  /// Party i's neighbor row in port order: neighbors(i)[p−1] =
+  /// neighbor(i, p). Unchecked; the span borrows this assignment.
+  std::span<const int> neighbors(int party) const noexcept {
+    return {neighbor_.data() + row_offset(party), row_size()};
+  }
+
+  /// Party i's reciprocal-port row: reciprocal(i)[p−1] =
+  /// port_to(neighbor(i, p), i), the port at which i's port-p neighbor
+  /// sees i. It is both the tag Eq. (2)'s port-tagged reading attaches to
+  /// what i receives on port p, and the port on which a message i sends
+  /// on port p arrives. Unchecked; the span borrows this assignment.
+  std::span<const int> reciprocal(int party) const noexcept {
+    return {reciprocal_.data() + row_offset(party), row_size()};
+  }
 
   /// The canonical "cyclic" assignment: port p of party i leads to
   /// (i + p) mod n.
@@ -45,6 +66,14 @@ class PortAssignment {
 
   /// Uniformly random rows.
   static PortAssignment random(int num_parties, Xoshiro256StarStar& rng);
+
+  /// Redraws this assignment in place as random(num_parties, rng) would —
+  /// the same Fisher–Yates draws, the same row checks — reusing its
+  /// storage and `scratch` (the row checks' inverse table), so a sweep
+  /// that draws one wiring per run allocates nothing once its first wiring
+  /// is drawn.
+  void redraw_random(int num_parties, Xoshiro256StarStar& rng,
+                     std::vector<int>& scratch);
 
   /// Advances `rng` by exactly the draws random(num_parties, rng) would
   /// consume, without materializing the assignment. Lets a parallel worker
@@ -85,7 +114,23 @@ class PortAssignment {
   std::string to_string() const;
 
  private:
-  std::vector<std::vector<int>> neighbor_of_;
+  PortAssignment() = default;
+
+  std::size_t row_size() const noexcept {
+    return num_parties_ > 0 ? static_cast<std::size_t>(num_parties_ - 1) : 0;
+  }
+  std::size_t row_offset(int party) const noexcept {
+    return static_cast<std::size_t>(party) * row_size();
+  }
+
+  /// Checks every neighbor row (a permutation of [0..n−1] ∖ {i}; throws
+  /// ValidationError otherwise) and derives the reciprocal rows, with
+  /// `inverse` as the rows' inverse table.
+  void check_rows_and_link(std::vector<int>& inverse);
+
+  int num_parties_ = 0;
+  std::vector<int> neighbor_;    // n·(n−1): row i at i·(n−1), port order
+  std::vector<int> reciprocal_;  // n·(n−1): the same layout
 };
 
 }  // namespace rsb

@@ -372,6 +372,22 @@ std::uint64_t CanonicalSpec::hash() const {
                     /*seed=*/0x72736264ULL /* "rsbd" */);
 }
 
+void CanonicalSpec::check_run_work() const {
+  std::int64_t parties = 0;
+  for (const int load : loads) parties += load;
+  const bool messages = model == "message-passing";
+  // parse() bounds parties by kMaxParties and rounds by the int range, so
+  // the product stays far inside 64 bits.
+  const std::int64_t work =
+      std::int64_t{rounds} * parties * (messages ? parties - 1 : 1);
+  if (work > kMaxRunWork) {
+    throw InvalidArgument(
+        std::string("spec: per-run work rounds x parties") +
+        (messages ? " x (parties - 1)" : "") + " = " + std::to_string(work) +
+        " exceeds the work bound " + std::to_string(kMaxRunWork));
+  }
+}
+
 std::string CanonicalSpec::hash_hex() const {
   char buffer[17];
   std::snprintf(buffer, sizeof(buffer), "%016llx",

@@ -49,6 +49,14 @@ namespace rsb::service {
 /// before to_experiment() could allocate per party.
 inline constexpr int kMaxParties = 4096;
 
+/// The largest per-run work rsbd admits: rounds × parties on the
+/// blackboard and rounds × parties × (parties − 1) for message passing —
+/// the values one run's round operators read if it takes every round, so
+/// a bound on the time and the knowledge-store memory one run can take.
+/// Submit rejects a larger spec by name (CanonicalSpec::check_run_work);
+/// parse() does not, so every spec keeps its canonical text and hash.
+inline constexpr std::int64_t kMaxRunWork = std::int64_t{1} << 24;
+
 /// A parsed, canonicalizable experiment spec. Fields mirror Experiment but
 /// hold registry spec strings instead of objects; to_experiment() resolves
 /// them. Default-constructed fields equal the Experiment defaults.
@@ -139,6 +147,10 @@ struct CanonicalSpec {
   /// registries. Throws UnknownName / InvalidArgument on unresolvable or
   /// invalid specs.
   Experiment to_experiment() const;
+
+  /// Throws InvalidArgument, naming the work bound, when the spec's
+  /// per-run work exceeds kMaxRunWork.
+  void check_run_work() const;
 };
 
 /// One point of an expanded grid request: the spec plus a display label

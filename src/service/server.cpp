@@ -399,6 +399,7 @@ std::string Server::handle_submit(Session& session,
           "spec: adaptive-budget/pilot cannot be grid axes — one budget is "
           "shared by every point of the request");
     }
+    point.spec.check_run_work();
     Job::Point expanded;
     expanded.label = std::move(point.label);
     expanded.hash = point.spec.hash();

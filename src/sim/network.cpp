@@ -186,9 +186,11 @@ void Network::deliver_message_passing() {
     const int receiver = topology_ != nullptr
                              ? topology_->neighbor(send.sender, send.port)
                              : ports_->neighbor(send.sender, send.port);
-    const int receiving_port = topology_ != nullptr
-                                   ? topology_->port_of(receiver, send.sender)
-                                   : ports_->port_to(receiver, send.sender);
+    const int receiving_port =
+        topology_ != nullptr
+            ? topology_->port_of(receiver, send.sender)
+            : ports_->reciprocal(send.sender)[static_cast<std::size_t>(
+                  send.port - 1)];
     const int due = scheduler_.delivery_round(round_, send.sender, receiver);
     if (due <= round_) {
       due_sends_.push_back(

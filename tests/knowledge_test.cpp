@@ -1,10 +1,17 @@
 // Tests for the hash-consed knowledge store: interning semantics, the
-// recursion structure of Eqs. (1) and (2), and randomness recovery (the
-// substance of the map h of Section 3.3).
+// recursion structure of Eqs. (1) and (2), interned blackboard boards, the
+// 32-bit limit, and randomness recovery (the substance of the map h of
+// Section 3.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "knowledge/knowledge.hpp"
+#include "model/models.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace rsb {
 namespace {
@@ -242,6 +249,139 @@ TEST(Knowledge, BorrowedSpanPathsMatchTheVectorPaths) {
   // Probing with borrowed storage dedups against pool-stored nodes.
   EXPECT_EQ(a.blackboard_step_sorted(a.bottom(), true, others), via_vector);
   EXPECT_EQ(a.size(), b.size());
+}
+
+// ------------------------------------------------------------------ boards
+
+/// A few rounds of values to build boards from: ⊥, an input, and the
+/// steps of a two-party blackboard over them.
+std::vector<KnowledgeId> sample_values(KnowledgeStore& store) {
+  std::vector<KnowledgeId> values = {store.bottom(), store.input(7)};
+  values.push_back(store.blackboard_step(values[0], true, {values[1]}));
+  values.push_back(store.blackboard_step(values[1], false, {values[0]}));
+  values.push_back(store.blackboard_step(values[2], false, {values[3]}));
+  return values;
+}
+
+TEST(Knowledge, BoardIsTheReceivedMultisetWithTheOwnValue) {
+  KnowledgeStore store;
+  const std::vector<KnowledgeId> values = sample_values(store);
+  Xoshiro256StarStar rng(0xb0a2d);
+  for (int trial = 0; trial < 200; ++trial) {
+    const KnowledgeId prev = values[rng.below(values.size())];
+    std::vector<KnowledgeId> others;
+    const std::size_t count = rng.below(6);
+    for (std::size_t j = 0; j < count; ++j) {
+      others.push_back(values[rng.below(values.size())]);
+    }
+    const KnowledgeId step = store.blackboard_step(prev, trial % 2 == 0, others);
+    std::vector<KnowledgeId> expected = others;
+    expected.push_back(prev);
+    std::sort(expected.begin(), expected.end());
+    const std::span<const KnowledgeId> board = store.board(step);
+    EXPECT_TRUE(std::equal(board.begin(), board.end(), expected.begin(),
+                           expected.end()))
+        << "trial " << trial;
+    EXPECT_EQ(store.previous(step), prev);
+  }
+  // Boards belong to blackboard steps; message steps keep received().
+  const KnowledgeId message = store.message_step(values[0], true, {values[1]});
+  EXPECT_THROW(store.board(message), InvalidArgument);
+  EXPECT_THROW(store.board(store.bottom()), InvalidArgument);
+  EXPECT_THROW(store.received(values[2]), InvalidArgument);
+  EXPECT_EQ(store.received(message).size(), 1u);
+}
+
+TEST(Knowledge, EveryBlackboardPathGivesTheSameIds) {
+  // blackboard_step, blackboard_step_sorted, the board path the in-place
+  // operator takes, and the operator itself intern one value under one id,
+  // in one insertion order, in four stores fed the same rounds.
+  KnowledgeStore by_vector, by_sorted, by_board, by_operator;
+  std::vector<KnowledgeId> k_vector = initial_knowledge(by_vector, 6);
+  std::vector<KnowledgeId> k_sorted = k_vector;
+  std::vector<KnowledgeId> k_board = k_vector;
+  std::vector<KnowledgeId> k_operator = k_vector;
+  RoundScratch scratch;
+  Xoshiro256StarStar rng(0x5a3e);
+  for (int round = 1; round <= 6; ++round) {
+    std::vector<bool> bits;
+    for (int party = 0; party < 6; ++party) bits.push_back(rng.next_bit());
+    std::vector<KnowledgeId> sorted = k_board;
+    std::sort(sorted.begin(), sorted.end());
+    const BoardId board = by_board.intern_board(sorted);
+    std::vector<KnowledgeId> n_vector, n_sorted, n_board;
+    for (std::size_t i = 0; i < 6; ++i) {
+      std::vector<KnowledgeId> others;
+      for (std::size_t j = 0; j < 6; ++j) {
+        if (j != i) others.push_back(k_vector[j]);
+      }
+      n_vector.push_back(by_vector.blackboard_step(k_vector[i], bits[i], others));
+      std::sort(others.begin(), others.end());
+      n_sorted.push_back(
+          by_sorted.blackboard_step_sorted(k_sorted[i], bits[i], others));
+      n_board.push_back(by_board.blackboard_step_on(k_board[i], bits[i], board));
+    }
+    blackboard_round_inplace(by_operator, k_operator, bits, scratch);
+    k_vector = n_vector;
+    k_sorted = n_sorted;
+    k_board = n_board;
+    EXPECT_EQ(k_sorted, k_vector) << "round " << round;
+    EXPECT_EQ(k_board, k_vector) << "round " << round;
+    EXPECT_EQ(k_operator, k_vector) << "round " << round;
+    for (std::size_t i = 0; i < 6; ++i) {
+      EXPECT_EQ(by_operator.to_string(k_operator[i]),
+                by_vector.to_string(k_vector[i]));
+    }
+  }
+  EXPECT_EQ(by_sorted.size(), by_vector.size());
+  EXPECT_EQ(by_board.size(), by_vector.size());
+  EXPECT_EQ(by_operator.size(), by_vector.size());
+}
+
+TEST(Knowledge, BoardsConsumeNoIdsAndAreNotCounted) {
+  KnowledgeStore store;
+  const std::vector<KnowledgeId> values = sample_values(store);
+  const std::size_t size = store.size();
+  std::vector<KnowledgeId> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  const BoardId board = store.intern_board(sorted);
+  EXPECT_EQ(store.intern_board(sorted), board);  // interned once
+  sorted.pop_back();
+  EXPECT_NE(store.intern_board(sorted), board);
+  EXPECT_EQ(store.size(), size);
+  // The next value takes the next id, as if no board had been interned.
+  const KnowledgeId next = store.input(99);
+  EXPECT_EQ(next, static_cast<KnowledgeId>(size));
+  // A step names a board that exists.
+  EXPECT_THROW(store.blackboard_step_on(values[0], true, board + 100),
+               InvalidArgument);
+  // The step is rendered with what it received: the board less one copy
+  // of its own value.
+  const KnowledgeId step = store.blackboard_step_on(values[0], true, board);
+  std::string rendered = "#" + std::to_string(step) + "=(prev=#0,bit=1,{";
+  for (std::size_t j = 1; j < values.size(); ++j) {
+    rendered += (j == 1 ? "#" : ",#") + std::to_string(values[j]);
+  }
+  EXPECT_EQ(store.to_string(step), rendered + "})");
+}
+
+TEST(Knowledge, StoreIndicesPastThirtyTwoBitsAreANamedError) {
+  // Ids, pool offsets and sizes are 32-bit fields; one narrowing helper
+  // guards every one of them, so a store that outgrew them raises an
+  // error naming the field instead of wrapping into another value's id.
+  EXPECT_EQ(narrow_store_index(0, "knowledge id"), 0u);
+  EXPECT_EQ(narrow_store_index(kMaxStoreIndex, "knowledge id"),
+            static_cast<std::uint32_t>(kMaxStoreIndex));
+  try {
+    narrow_store_index(kMaxStoreIndex + 1, "pool offset");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("pool offset 4294967295"), std::string::npos) << what;
+    EXPECT_NE(what.find("32-bit store limit 4294967294"), std::string::npos)
+        << what;
+  }
+  EXPECT_THROW(narrow_store_index(std::size_t{1} << 32, "board id"), Error);
 }
 
 }  // namespace

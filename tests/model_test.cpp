@@ -1,9 +1,9 @@
 // Tests for the communication models: port-assignment algebra (including
-// the Lemma 4.3 adversarial construction and its automorphism), the
-// knowledge rounds of Eqs. (1)/(2) — the in-place operators byte for byte
-// against the value-returning ones, with and without crashes — and the
-// modeling distinction between the literal and port-tagged readings of
-// Eq. (2).
+// the Lemma 4.3 adversarial construction and its automorphism, the
+// reciprocal-port rows and the in-place random redraw), the knowledge
+// rounds of Eqs. (1)/(2) — the in-place operators byte for byte against
+// the value-returning ones, with and without crashes — and the modeling
+// distinction between the literal and port-tagged readings of Eq. (2).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +34,99 @@ TEST(PortAssignment, ValidatesRows) {
   EXPECT_THROW(PortAssignment({{1}, {0}, {0}}), ValidationError);
   // Out of range.
   EXPECT_THROW(PortAssignment({{5}, {0}}), ValidationError);
+  EXPECT_THROW(PortAssignment({{1, 2}, {0, 2}, {0, -1}}), ValidationError);
+  // No parties at all.
+  EXPECT_THROW(PortAssignment(std::vector<std::vector<int>>{}),
+               ValidationError);
+  Xoshiro256StarStar rng(1);
+  EXPECT_THROW(PortAssignment::random(0, rng), ValidationError);
+  // One party has no ports, and nothing to check.
+  EXPECT_EQ(PortAssignment(std::vector<std::vector<int>>(1)).num_parties(), 1);
+}
+
+TEST(PortAssignment, RowChecksNameTheBadPort) {
+  // The row checks fill the reciprocal rows as they go; a bad row is still
+  // reported the way the constructor always reported it.
+  const auto message = [](std::vector<std::vector<int>> rows) {
+    try {
+      PortAssignment pa(std::move(rows));
+    } catch (const ValidationError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message({{1, 2}, {2, 2}, {0, 1}}),
+            "PortAssignment: party 1 has two ports leading to party 2");
+  EXPECT_EQ(message({{1, 2}, {0, 1}, {0, 1}}),
+            "PortAssignment: party 1 has a port leading to itself");
+  EXPECT_EQ(message({{1, 2}, {0, 2}, {0, 3}}),
+            "PortAssignment: party 2 port leads to invalid party 3");
+  EXPECT_EQ(message({{1, 2}, {0}, {0, 1}}),
+            "PortAssignment: party 1 has 1 ports, expected 2");
+  EXPECT_EQ(message({{1, 2}, {0, 2}, {0, 1}}), "accepted");
+}
+
+/// reciprocal(i)[p−1] is the port at which i's port-p neighbor sees i —
+/// checked against the row-scanning port_to, and as the receiving port of
+/// a message i sends on p.
+void expect_reciprocal_rows(const PortAssignment& pa) {
+  const int n = pa.num_parties();
+  for (int i = 0; i < n; ++i) {
+    const std::span<const int> senders = pa.neighbors(i);
+    const std::span<const int> reciprocal = pa.reciprocal(i);
+    ASSERT_EQ(senders.size(), static_cast<std::size_t>(n - 1));
+    ASSERT_EQ(reciprocal.size(), static_cast<std::size_t>(n - 1));
+    for (int p = 1; p <= n - 1; ++p) {
+      const int u = pa.neighbor(i, p);
+      EXPECT_EQ(senders[static_cast<std::size_t>(p - 1)], u);
+      EXPECT_EQ(reciprocal[static_cast<std::size_t>(p - 1)], pa.port_to(u, i))
+          << pa.to_string() << " party " << i << " port " << p;
+      EXPECT_EQ(pa.neighbor(u, reciprocal[static_cast<std::size_t>(p - 1)]),
+                i);
+    }
+  }
+}
+
+TEST(PortAssignment, ReciprocalRowsMatchPortTo) {
+  for (int n = 1; n <= 4; ++n) {
+    PortAssignment::for_each(n, expect_reciprocal_rows);
+  }
+  Xoshiro256StarStar rng(0x7ec1);
+  for (const int n : {5, 16}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    expect_reciprocal_rows(PortAssignment::cyclic(n));
+    for (int g = 1; g <= n; ++g) {
+      if (n % g == 0) expect_reciprocal_rows(PortAssignment::adversarial(n, g));
+    }
+    for (int trial = 0; trial < 8; ++trial) {
+      expect_reciprocal_rows(PortAssignment::random(n, rng));
+    }
+  }
+}
+
+TEST(PortAssignment, InPlaceRedrawEqualsRandom) {
+  // One wiring redrawn over and over, across sizes, lands on random()'s
+  // wiring from the same rng state and leaves the rng exactly where
+  // random() and discard_random do — which is what keeps a sweep's run-i
+  // wiring independent of which worker draws it.
+  Xoshiro256StarStar drawn_rng(0x4ed4a3), fresh_rng(0x4ed4a3),
+      skipped_rng(0x4ed4a3);
+  PortAssignment wiring = PortAssignment::cyclic(3);
+  std::vector<int> scratch;
+  for (const int n : {1, 2, 3, 5, 16, 4, 16, 9, 2, 5}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    wiring.redraw_random(n, drawn_rng, scratch);
+    const PortAssignment fresh = PortAssignment::random(n, fresh_rng);
+    PortAssignment::discard_random(n, skipped_rng);
+    EXPECT_EQ(wiring, fresh);
+    EXPECT_EQ(wiring.to_string(), fresh.to_string());
+    expect_reciprocal_rows(wiring);
+    const std::uint64_t drawn_next = drawn_rng.next();
+    const std::uint64_t fresh_next = fresh_rng.next();
+    EXPECT_EQ(drawn_next, fresh_next);
+    EXPECT_EQ(skipped_rng.next(), fresh_next);
+  }
+  EXPECT_THROW(wiring.redraw_random(0, drawn_rng, scratch), ValidationError);
 }
 
 TEST(PortAssignment, CyclicIsValidAndInvertible) {
@@ -352,6 +445,104 @@ TEST(Models, InPlaceMessageRoundMatchesTheReference) {
       }
     }
   }
+}
+
+/// Bits for one round of `config`: one coin per source, shared by its
+/// parties.
+std::vector<bool> source_bits(const SourceConfiguration& config,
+                              Xoshiro256StarStar& rng) {
+  std::vector<bool> per_source;
+  for (int s = 0; s < config.num_sources(); ++s) {
+    per_source.push_back(rng.next_bit());
+  }
+  std::vector<bool> bits;
+  for (int party = 0; party < config.num_parties(); ++party) {
+    bits.push_back(per_source[static_cast<std::size_t>(config.source_of(party))]);
+  }
+  return bits;
+}
+
+TEST(Models, InPlaceBlackboardRoundMatchesTheReferenceAtLargeN) {
+  // The sizes where the board and the position-indexed memo matter: many
+  // distinct values (all-private n=64) and many repeats (loads 8×8).
+  Xoshiro256StarStar rng(0xb16b0a2d);
+  RoundScratch scratch;
+  for (const SourceConfiguration& config :
+       {SourceConfiguration::all_private(64),
+        SourceConfiguration::from_loads({8, 8, 8, 8, 8, 8, 8, 8})}) {
+    const int n = config.num_parties();
+    for (const bool crashes : {false, true}) {
+      for (const bool caller_sorted : {false, true}) {
+        if (crashes && caller_sorted) continue;
+        KnowledgeStore ref_store, store;
+        std::vector<KnowledgeId> ref = initial_knowledge(ref_store, n);
+        std::vector<KnowledgeId> knowledge = initial_knowledge(store, n);
+        const std::vector<int> crash_round =
+            crashes ? random_crashes(n, rng) : std::vector<int>{};
+        std::vector<KnowledgeId> sorted;
+        for (int round = 1; round <= 2 * kOperatorRounds; ++round) {
+          SCOPED_TRACE("sources=" + std::to_string(config.num_sources()) +
+                       " crashes=" + std::to_string(crashes) +
+                       " caller_sorted=" + std::to_string(caller_sorted) +
+                       " round=" + std::to_string(round));
+          const std::vector<bool> bits = source_bits(config, rng);
+          ref = blackboard_round_crash(ref_store, ref, bits, crash_round,
+                                       round);
+          sorted.clear();
+          if (caller_sorted) {
+            sorted = knowledge;
+            std::sort(sorted.begin(), sorted.end());
+          }
+          blackboard_round_inplace(store, knowledge, bits, scratch,
+                                   crash_round, round, sorted);
+          expect_same_round(ref_store, ref, store, knowledge);
+        }
+      }
+    }
+  }
+}
+
+TEST(Models, InPlaceMessageRoundMatchesTheReferenceOnRandomWiringsWithCrashes) {
+  // Random wirings at n=16 under crash schedules: survivors' tuples carry
+  // silence entries with reciprocal tag 0, which the in-place operator
+  // writes in place of the wiring's reciprocal row.
+  Xoshiro256StarStar rng(0x511e);
+  RoundScratch scratch;
+  const int n = 16;
+  int silent_entries = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const PortAssignment ports = PortAssignment::random(n, rng);
+    KnowledgeStore ref_store, store;
+    std::vector<KnowledgeId> ref = initial_knowledge(ref_store, n);
+    std::vector<KnowledgeId> knowledge = initial_knowledge(store, n);
+    const std::vector<int> crash_round = random_crashes(n, rng);
+    for (int round = 1; round <= kOperatorRounds; ++round) {
+      SCOPED_TRACE("trial=" + std::to_string(trial) +
+                   " round=" + std::to_string(round));
+      const std::vector<bool> bits = random_bits(n, rng);
+      ref = message_round_crash(ref_store, ref, bits, ports,
+                                MessageVariant::kPortTagged, crash_round,
+                                round);
+      message_round_inplace(store, knowledge, bits, ports,
+                            MessageVariant::kPortTagged, scratch, crash_round,
+                            round);
+      expect_same_round(ref_store, ref, store, knowledge);
+      for (std::size_t i = 0; i < knowledge.size(); ++i) {
+        if (store.kind(knowledge[i]) != KnowledgeKind::kMessageStep) continue;
+        const std::span<const KnowledgeId> received = store.received(knowledge[i]);
+        const std::span<const int> tags = store.tags(knowledge[i]);
+        const std::span<const int> reciprocal =
+            ports.reciprocal(static_cast<int>(i));
+        for (std::size_t p = 0; p < received.size(); ++p) {
+          const bool silent =
+              store.kind(received[p]) == KnowledgeKind::kSilence;
+          silent_entries += silent ? 1 : 0;
+          EXPECT_EQ(tags[p], silent ? 0 : reciprocal[p]);
+        }
+      }
+    }
+  }
+  EXPECT_GT(silent_entries, 0) << "no crash silenced a channel";
 }
 
 // ------------------------------------------ literal vs port-tagged Eq. (2)

@@ -4,10 +4,10 @@
 // KnowledgeStore and SourceBank per call, the value-returning round
 // operators (their _crash variants under a fault plan), and a per-party
 // decide after every executed round. It shares none of the engine's lane
-// kernel — no pre-round decision hook, no decide_all, no raw per-source
-// coin engines, no in-place operators — so a law comparing engine sweeps
-// against it pins every batch width and thread count to the paper's
-// definition, not merely to one another.
+// kernel — no pre-round decision hook, no raw per-source coin engines, no
+// in-place operators, no reciprocal-port rows — so a law comparing engine
+// sweeps against it pins every batch width and thread count to the
+// paper's definition, not merely to one another.
 #pragma once
 
 #include <cstdint>

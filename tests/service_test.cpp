@@ -4,15 +4,18 @@
 // service layer) — the result cache serves repeated and subsumed queries
 // without executing runs, admission control bounds the queue with a
 // reasoned rejection, drain finishes queued jobs while rejecting new
-// ones, and no client — one that stops reading, or one too many for the
-// fd limit — can stall the daemon for the others.
+// ones, a spec over the per-run work bound is a named reject, and no
+// client — one that stops reading, one too many for the fd limit, or one
+// asking for an endless run — can stall the daemon for the others.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -644,6 +647,134 @@ TEST(Service, AcceptRecoversFromTheFdLimitWithoutSpinning) {
   EXPECT_LT(process_cpu_seconds() - cpu_before, 0.25)
       << "an idle daemon burned CPU";
   ::close(fresh);
+  server.stop();
+}
+
+/// Runs rsbd (an in-process Server with one worker) in a forked child and
+/// kills it on destruction, so a test whose daemon wedges fails on its own
+/// timeouts instead of hanging the suite in Server::stop().
+class ForkedDaemon {
+ public:
+  ForkedDaemon() {
+    int ready[2];
+    if (::pipe(ready) != 0) return;
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      ::close(ready[0]);
+      try {
+        Server server({.threads = 1});
+        server.start();
+        const int port = server.port();
+        if (::write(ready[1], &port, sizeof(port)) == sizeof(port)) {
+          for (;;) ::pause();
+        }
+      } catch (...) {
+      }
+      ::_exit(1);
+    }
+    ::close(ready[1]);
+    pollfd pfd{ready[0], POLLIN, 0};
+    if (pid_ > 0 && ::poll(&pfd, 1, 10000) == 1 &&
+        ::read(ready[0], &port_, sizeof(port_)) != sizeof(port_)) {
+      port_ = 0;
+    }
+    ::close(ready[0]);
+  }
+  ~ForkedDaemon() {
+    if (pid_ <= 0) return;
+    ::kill(pid_, SIGKILL);
+    ::waitpid(pid_, nullptr, 0);
+  }
+  ForkedDaemon(const ForkedDaemon&) = delete;
+  ForkedDaemon& operator=(const ForkedDaemon&) = delete;
+
+  /// The daemon's port; 0 if it never came up.
+  int port() const { return port_; }
+
+ private:
+  pid_t pid_ = -1;
+  int port_ = 0;
+};
+
+/// The first reply line to `line` on a fresh connection to `port`, or ""
+/// when none arrives within `timeout`.
+std::string reply_within(int port, const std::string& line,
+                         std::chrono::milliseconds timeout) {
+  const int fd = open_socket();
+  std::string reply;
+  if (connect_to(fd, port) && send_all(fd, line)) {
+    reply = read_reply(fd, timeout);
+  }
+  ::close(fd);
+  return reply;
+}
+
+TEST(Service, OverLargeRunWorkIsANamedRejectNotAWedgedDaemon) {
+  // Regression: rsbd admitted loads=2,3 (unsolvable: every run takes all
+  // its rounds) at rounds=2000000000 — 10^10 party-steps per run — and the
+  // loop thread vanished into its first chunk: pings went unanswered while
+  // the knowledge stores grew by gigabytes. Submit now rejects a spec
+  // whose per-run work exceeds the work bound, naming it, and the daemon
+  // keeps serving.
+  const ForkedDaemon daemon;
+  ASSERT_NE(daemon.port(), 0) << "the daemon did not come up";
+  const std::string reply = reply_within(
+      daemon.port(),
+      submit_request("loads=2,3\nprotocol=wait-for-singleton-LE\n"
+                     "rounds=2000000000\nseeds=1+256"),
+      std::chrono::milliseconds(5000));
+  EXPECT_NE(reply.find("\"type\":\"error\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find("work bound"), std::string::npos) << reply;
+  EXPECT_TRUE(is_pong(reply_within(daemon.port(), "{\"op\":\"ping\"}",
+                                   std::chrono::milliseconds(5000))))
+      << "no pong within 5 s of the submit";
+}
+
+TEST(Service, WorkBoundAdmitsExactlyTheBound) {
+  // Per-run work is rounds × parties on the blackboard and rounds ×
+  // parties × (parties − 1) for message passing; a spec exactly at the
+  // bound is admitted (these terminate in a few rounds), one round more
+  // is not. Grid points are checked one by one.
+  Server server({.threads = 1});
+  server.start();
+  // One client per submit: an accepted job's rows follow its reply.
+  const auto request = [&server](const std::string& spec) {
+    Client client;
+    client.connect(server.port());
+    return Value::parse(client.request(submit_request(spec)));
+  };
+  const auto submit = [&request](const std::string& model,
+                                 std::int64_t rounds) {
+    return request("model=" + model +
+                   "\nloads=1,1,1,1\nprotocol=wait-for-singleton-LE\n"
+                   "rounds=" + std::to_string(rounds) + "\nseeds=0+4");
+  };
+  const std::int64_t blackboard_rounds = kMaxRunWork / 4;
+  const std::int64_t message_rounds = kMaxRunWork / (4 * 3);
+  EXPECT_EQ(submit("blackboard", blackboard_rounds).find("type")->as_string(),
+            "accepted");
+  EXPECT_EQ(submit("message-passing", message_rounds)
+                .find("type")
+                ->as_string(),
+            "accepted");
+  const Value over = submit("message-passing", message_rounds + 1);
+  ASSERT_EQ(over.find("type")->as_string(), "error");
+  EXPECT_NE(over.find("reason")->as_string().find(
+                "rounds x parties x (parties - 1) = " +
+                std::to_string((message_rounds + 1) * 12) +
+                " exceeds the work bound " + std::to_string(kMaxRunWork)),
+            std::string::npos)
+      << over.serialize();
+  const Value grid =
+      request("loads=1,1,1,1\nprotocol=wait-for-singleton-LE\nrounds=10|" +
+              std::to_string(blackboard_rounds + 1) + "\nseeds=0+4");
+  EXPECT_EQ(grid.find("type")->as_string(), "error");
+  EXPECT_NE(grid.find("reason")->as_string().find("rounds x parties = " +
+                                                  std::to_string(kMaxRunWork +
+                                                                 4)),
+            std::string::npos)
+      << grid.serialize();
+  EXPECT_EQ(server.stats().jobs_rejected, 0u);  // spec errors != admission
   server.stop();
 }
 
