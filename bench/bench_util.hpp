@@ -30,6 +30,7 @@
 #include "engine/engine.hpp"
 #include "engine/grid.hpp"
 #include "engine/report.hpp"
+#include "service/json.hpp"
 
 namespace rsb::bench {
 
@@ -311,12 +312,14 @@ struct BaselineRow {
   int threads = 0;
 };
 
-/// Parses the exact JSON shape ResultTable::write_json emits for the
-/// throughput table ("columns": [...], "rows": [[...], ...]). Returns
-/// false (and reports a failure) when the file is missing or malformed —
-/// a silently skipped gate would read as a pass. `calibration_out`
-/// receives the baseline's recorded calibration_kernel_per_sec meta, or 0
-/// when the file predates the kernel calibration.
+/// Reads the throughput table ResultTable::write_json emits ("columns":
+/// [...], "rows": [[...], ...]) through the service layer's JSON parser.
+/// Returns false (and the gate reports a failure) when the file is missing
+/// or malformed — a silently skipped gate would read as a pass. Rows too
+/// short to hold the name, rate and thread columns are skipped.
+/// `calibration_out` receives the baseline's recorded
+/// calibration_kernel_per_sec meta, or 0 when the file predates the kernel
+/// calibration.
 inline bool load_baseline(const std::string& path,
                           std::vector<BaselineRow>& rows,
                           double* calibration_out = nullptr) {
@@ -324,95 +327,42 @@ inline bool load_baseline(const std::string& path,
   if (!in) return false;
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  if (calibration_out != nullptr) {
-    *calibration_out = 0.0;
-    const char* key = "\"calibration_kernel_per_sec\":";
-    const std::size_t at = text.find(key);
-    if (at != std::string::npos) {
-      *calibration_out = std::atof(text.c_str() + at + std::strlen(key));
+  try {
+    using service::json::Value;
+    const Value table = Value::parse(buffer.str());
+    if (calibration_out != nullptr) {
+      const Value* meta = table.find("meta");
+      const Value* kernel =
+          meta != nullptr ? meta->find("calibration_kernel_per_sec") : nullptr;
+      *calibration_out = kernel != nullptr ? std::stod(kernel->raw_number())
+                                           : 0.0;
     }
-  }
-
-  // Column order: find the "columns" array and locate the fields.
-  const auto parse_string_list = [](const std::string& list) {
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while ((pos = list.find('"', pos)) != std::string::npos) {
-      const std::size_t end = list.find('"', pos + 1);
-      if (end == std::string::npos) break;
-      out.push_back(list.substr(pos + 1, end - pos - 1));
-      pos = end + 1;
+    const Value* columns = table.find("columns");
+    const Value* cells = table.find("rows");
+    if (columns == nullptr || cells == nullptr) return false;
+    std::vector<std::string> names;
+    for (const Value& column : columns->items()) {
+      names.push_back(column.as_string());
     }
-    return out;
-  };
-  const std::size_t columns_at = text.find("\"columns\"");
-  if (columns_at == std::string::npos) return false;
-  const std::size_t columns_open = text.find('[', columns_at);
-  const std::size_t columns_close = text.find(']', columns_open);
-  if (columns_open == std::string::npos || columns_close == std::string::npos) {
+    const auto index_of = [&names](const char* column) {
+      return static_cast<std::size_t>(
+          std::find(names.begin(), names.end(), column) - names.begin());
+    };
+    const std::size_t name_col = index_of("name");
+    const std::size_t rate_col = index_of("runs_per_sec");
+    const std::size_t threads_col = index_of("threads");
+    const std::size_t last = std::max({name_col, rate_col, threads_col});
+    if (last >= names.size()) return false;
+    for (const Value& row : cells->items()) {
+      const std::vector<Value>& cell = row.items();
+      if (cell.size() <= last) continue;
+      rows.push_back(BaselineRow{
+          cell[name_col].as_string(),
+          std::stod(cell[rate_col].raw_number()),
+          static_cast<int>(cell[threads_col].as_int())});
+    }
+  } catch (const std::exception&) {
     return false;
-  }
-  const std::vector<std::string> columns = parse_string_list(
-      text.substr(columns_open, columns_close - columns_open));
-  int name_col = -1, rate_col = -1, threads_col = -1;
-  for (std::size_t c = 0; c < columns.size(); ++c) {
-    if (columns[c] == "name") name_col = static_cast<int>(c);
-    if (columns[c] == "runs_per_sec") rate_col = static_cast<int>(c);
-    if (columns[c] == "threads") threads_col = static_cast<int>(c);
-  }
-  if (name_col < 0 || rate_col < 0 || threads_col < 0) return false;
-
-  // Rows: arrays of cells; strings are quoted, numbers bare.
-  std::size_t rows_at = text.find("\"rows\"", columns_close);
-  if (rows_at == std::string::npos) return false;
-  std::size_t pos = text.find('[', rows_at);
-  if (pos == std::string::npos) return false;
-  ++pos;  // inside the rows array
-  while (true) {
-    const std::size_t row_open = text.find('[', pos);
-    if (row_open == std::string::npos) break;
-    const std::size_t row_close = text.find(']', row_open);
-    if (row_close == std::string::npos) return false;
-    std::vector<std::string> cells;
-    std::size_t cell = row_open + 1;
-    while (cell < row_close) {
-      while (cell < row_close &&
-             (text[cell] == ' ' || text[cell] == ',' || text[cell] == '\n')) {
-        ++cell;
-      }
-      if (cell >= row_close) break;
-      if (text[cell] == '"') {
-        const std::size_t end = text.find('"', cell + 1);
-        if (end == std::string::npos || end > row_close) return false;
-        cells.push_back(text.substr(cell + 1, end - cell - 1));
-        cell = end + 1;
-      } else {
-        std::size_t end = cell;
-        while (end < row_close && text[end] != ',') ++end;
-        cells.push_back(text.substr(cell, end - cell));
-        cell = end;
-      }
-    }
-    if (static_cast<std::size_t>(name_col) < cells.size() &&
-        static_cast<std::size_t>(rate_col) < cells.size() &&
-        static_cast<std::size_t>(threads_col) < cells.size()) {
-      BaselineRow row;
-      row.name = cells[static_cast<std::size_t>(name_col)];
-      row.runs_per_sec = std::atof(cells[static_cast<std::size_t>(rate_col)].c_str());
-      row.threads = std::atoi(cells[static_cast<std::size_t>(threads_col)].c_str());
-      rows.push_back(row);
-    }
-    pos = row_close + 1;
-    // Stop at the end of the rows array (the next non-space char that is
-    // not a comma closes it).
-    std::size_t peek = pos;
-    while (peek < text.size() && (text[peek] == ' ' || text[peek] == ',' ||
-                                  text[peek] == '\n')) {
-      ++peek;
-    }
-    if (peek >= text.size() || text[peek] == ']') break;
   }
   return true;
 }

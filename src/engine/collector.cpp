@@ -55,19 +55,6 @@ void SuccessEstimate::observe(const RunView& view,
   if (admitted) ++successes;
 }
 
-void RunCostEstimate::observe(const RunView& view,
-                              const ProtocolOutcome& outcome) {
-  ++runs;
-  if (outcome.terminated) {
-    work += static_cast<std::uint64_t>(outcome.rounds);
-  } else {
-    // A run that exhausted its budget cost the whole budget.
-    work += view.experiment != nullptr
-                ? static_cast<std::uint64_t>(view.experiment->max_rounds)
-                : static_cast<std::uint64_t>(outcome.rounds);
-  }
-}
-
 double SuccessEstimate::point_estimate() const {
   if (n == 0) return 0.5;
   return static_cast<double>(successes) / static_cast<double>(n);

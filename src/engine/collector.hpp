@@ -105,39 +105,6 @@ struct SuccessEstimate {
                          const SuccessEstimate&) = default;
 };
 
-/// Deterministic per-run cost estimator: accumulates run-count-normalized
-/// work, where one run's work is the rounds it actually consumed (its
-/// budget max_rounds when it never terminated). Deliberately NOT
-/// wall-clock — rounds are a pure function of (spec, seed, ports), so the
-/// mean cost, and any schedule computed from it, reproduces bit-for-bit
-/// across machines, thread counts, and reruns. run_grid_adaptive's
-/// cost-aware mode (engine/grid.hpp) divides Wilson half-widths by this
-/// mean, steering budget toward points that buy the most variance
-/// reduction per unit of work.
-struct RunCostEstimate {
-  std::uint64_t runs = 0;
-  std::uint64_t work = 0;  // summed per-run rounds
-
-  void observe(const RunView& view, const ProtocolOutcome& outcome);
-
-  void merge(const RunCostEstimate& other) {
-    runs += other.runs;
-    work += other.work;
-  }
-
-  /// Mean work per run, floored at 1.0 so cost division never inflates a
-  /// weight; 1.0 (the neutral cost) when nothing was observed.
-  double mean_cost() const {
-    if (runs == 0) return 1.0;
-    const double mean =
-        static_cast<double>(work) / static_cast<double>(runs);
-    return mean < 1.0 ? 1.0 : mean;
-  }
-
-  friend bool operator==(const RunCostEstimate&,
-                         const RunCostEstimate&) = default;
-};
-
 /// Runs several collectors over one batch in a single pass. Each part
 /// observes every run; merge is part-wise (and therefore associative iff
 /// every part's merge is). Access the parts by index after the batch:

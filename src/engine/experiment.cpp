@@ -79,11 +79,8 @@ Experiment& Experiment::with_task(SymmetricTask t) {
 }
 
 Experiment& Experiment::with_task(const std::string& name) {
-  const std::size_t open = name.find('(');
-  const std::string base = open == std::string::npos ? name
-                                                     : name.substr(0, open);
-  if (!TaskRegistry::global().contains(base) &&
-      graph::GraphTaskRegistry::global().contains(base)) {
+  if (!TaskRegistry::global().contains(name) &&
+      graph::GraphTaskRegistry::global().contains(name)) {
     if (topology == nullptr) {
       throw InvalidArgument(
           "graph-task-requires-topology: task '" + name +

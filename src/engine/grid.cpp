@@ -242,15 +242,6 @@ std::vector<std::uint64_t> allocate_adaptive_runs(
     const std::vector<SuccessEstimate>& estimates,
     const std::vector<std::uint64_t>& capacity, std::uint64_t round_budget,
     double z, double target_half_width) {
-  return allocate_adaptive_runs(estimates, capacity, {}, round_budget, z,
-                                target_half_width);
-}
-
-std::vector<std::uint64_t> allocate_adaptive_runs(
-    const std::vector<SuccessEstimate>& estimates,
-    const std::vector<std::uint64_t>& capacity,
-    const std::vector<double>& cost, std::uint64_t round_budget, double z,
-    double target_half_width) {
   if (estimates.size() != capacity.size()) {
     throw InvalidArgument(
         "allocate_adaptive_runs: estimates and capacity must be the same "
@@ -258,37 +249,19 @@ std::vector<std::uint64_t> allocate_adaptive_runs(
         std::to_string(estimates.size()) + " vs " +
         std::to_string(capacity.size()) + ")");
   }
-  if (!cost.empty()) {
-    if (cost.size() != estimates.size()) {
-      throw InvalidArgument(
-          "allocate_adaptive_runs: cost must be empty or match estimates in "
-          "length (" +
-          std::to_string(cost.size()) + " vs " +
-          std::to_string(estimates.size()) + ")");
-    }
-    for (std::size_t i = 0; i < cost.size(); ++i) {
-      if (!(cost[i] > 0.0)) {
-        throw InvalidArgument(
-            "allocate_adaptive_runs: cost[" + std::to_string(i) +
-            "] must be > 0");
-      }
-    }
-  }
   const std::size_t n = estimates.size();
   std::vector<std::uint64_t> alloc(n, 0);
   if (round_budget == 0 || n == 0) return alloc;
 
-  // Eligibility and weights: a point's weight is its Wilson half-width,
-  // divided by its mean run cost when costs are given; capped-out points
-  // and (under a target) converged points weigh zero. Convergence tests
-  // the raw half-width — cost scaling steers spending, not stopping.
+  // Eligibility and weights: a point's weight is its Wilson half-width;
+  // capped-out points and (under a target) converged points weigh zero.
   std::vector<double> weight(n, 0.0);
   double total_weight = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (capacity[i] == 0) continue;
     const double h = estimates[i].half_width(z);
     if (target_half_width > 0.0 && h <= target_half_width) continue;
-    weight[i] = cost.empty() ? h : h / cost[i];
+    weight[i] = h;
     total_weight += weight[i];
   }
   if (total_weight <= 0.0) return alloc;  // nothing eligible

@@ -171,13 +171,6 @@ struct AdaptiveConfig {
   /// when every point is converged the sweep stops early, leaving the
   /// rest of the budget unspent. 0 = no target, spend the whole budget.
   double target_half_width = 0.0;
-  /// Weight each point's half-width by the reciprocal of its measured
-  /// mean run cost (RunCostEstimate: rounds consumed per run, a
-  /// deterministic pure function of the runs swept — never wall-clock).
-  /// Expensive points then need proportionally wider intervals to claim
-  /// the same budget, maximizing variance reduction per unit of work.
-  /// The schedule stays a pure function of (grid, budget, pilot results).
-  bool cost_aware = false;
 };
 
 /// One installment of the adaptive schedule: `range` seeds swept at grid
@@ -192,13 +185,11 @@ struct AdaptiveAssignment {
 };
 
 /// Per-point outcome of an adaptive sweep: the merged collector result,
-/// the success estimate driving allocation, the measured run cost, and
-/// the runs spent here.
+/// the success estimate driving allocation, and the runs spent here.
 template <Collector C>
 struct AdaptiveGridPoint {
   C result;
   SuccessEstimate estimate;
-  RunCostEstimate cost;  // drives allocation under AdaptiveConfig::cost_aware
   std::uint64_t runs = 0;
 };
 
@@ -225,22 +216,6 @@ std::vector<std::uint64_t> allocate_adaptive_runs(
     const std::vector<SuccessEstimate>& estimates,
     const std::vector<std::uint64_t>& capacity, std::uint64_t round_budget,
     double z, double target_half_width);
-
-/// Cost-aware variant: each point's weight is its Wilson half-width
-/// divided by `cost[i]` (its measured mean run cost, > 0), so expensive
-/// points must show proportionally more remaining uncertainty to claim
-/// budget. An empty `cost` vector means unit costs — byte-identical to
-/// the overload above; a non-empty vector must match `estimates` in
-/// length with every entry > 0 (throws InvalidArgument otherwise).
-/// Convergence (`target_half_width`) still tests the raw half-width, not
-/// the weight: cost scaling steers spending, never the stopping rule.
-/// Same largest-remainder integerization; still a pure function of the
-/// arguments.
-std::vector<std::uint64_t> allocate_adaptive_runs(
-    const std::vector<SuccessEstimate>& estimates,
-    const std::vector<std::uint64_t>& capacity,
-    const std::vector<double>& cost, std::uint64_t round_budget, double z,
-    double target_half_width);
 
 /// Adaptive counterpart of run_grid: sweeps the grid under a shared
 /// `total_budget` run pool (which must cover points × config.pilot),
@@ -289,22 +264,20 @@ AdaptiveGridResult<C> run_grid_adaptive(Engine& engine, const Grid& grid,
   out.points.reserve(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
     out.points.push_back(
-        AdaptiveGridPoint<C>{proto, SuccessEstimate{}, RunCostEstimate{}, 0});
+        AdaptiveGridPoint<C>{proto, SuccessEstimate{}, 0});
   }
 
   // One installment: the next `count` contiguous seeds of point `p`,
-  // observed into the caller's collector, the estimate, and the cost
-  // meter in a single pass.
+  // observed into the caller's collector and the estimate in a single
+  // pass.
   const auto sweep = [&](std::size_t p, std::uint64_t count) {
     const Experiment& spec = points[p].spec;
     const SeedRange range =
         SeedRange::of(spec.seeds.first + out.points[p].runs, count);
     auto shard = engine.run_collect_range(
-        spec, range,
-        CombineCollectors<C, SuccessEstimate, RunCostEstimate>(proto, {}, {}));
+        spec, range, CombineCollectors<C, SuccessEstimate>(proto, {}));
     out.points[p].result.merge(std::move(shard.template part<0>()));
     out.points[p].estimate.merge(shard.template part<1>());
-    out.points[p].cost.merge(shard.template part<2>());
     out.points[p].runs += count;
     out.runs_spent += count;
     out.schedule.push_back(AdaptiveAssignment{p, range});
@@ -322,18 +295,15 @@ AdaptiveGridResult<C> run_grid_adaptive(Engine& engine, const Grid& grid,
     if (round_budget == 0) continue;
     std::vector<SuccessEstimate> estimates;
     std::vector<std::uint64_t> capacity;
-    std::vector<double> cost;
     estimates.reserve(points.size());
     capacity.reserve(points.size());
-    if (config.cost_aware) cost.reserve(points.size());
     for (std::size_t p = 0; p < points.size(); ++p) {
       estimates.push_back(out.points[p].estimate);
       capacity.push_back(points[p].spec.seeds.count - out.points[p].runs);
-      if (config.cost_aware) cost.push_back(out.points[p].cost.mean_cost());
     }
-    const std::vector<std::uint64_t> alloc = allocate_adaptive_runs(
-        estimates, capacity, cost, round_budget, config.z,
-        config.target_half_width);
+    const std::vector<std::uint64_t> alloc =
+        allocate_adaptive_runs(estimates, capacity, round_budget, config.z,
+                               config.target_half_width);
     std::uint64_t allocated = 0;
     for (const std::uint64_t a : alloc) allocated += a;
     if (allocated == 0) break;  // every point converged or at capacity

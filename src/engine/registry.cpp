@@ -1,240 +1,85 @@
 #include "engine/registry.hpp"
 
-#include <algorithm>
-#include <charconv>
-
-#include "util/error.hpp"
+#include <vector>
 
 namespace rsb {
 
-namespace {
-
-struct ParsedSpec {
-  std::string name;
-  std::vector<int> args;
-};
-
-/// Parses "name" / "name(1)" / "name(2,5)"; integer arguments only.
-ParsedSpec parse_spec(const std::string& spec) {
-  ParsedSpec parsed;
-  const std::size_t open = spec.find('(');
-  if (open == std::string::npos) {
-    parsed.name = spec;
-    return parsed;
-  }
-  if (spec.back() != ')') {
-    throw InvalidArgument("registry: malformed spec '" + spec +
-                          "' (missing closing parenthesis)");
-  }
-  parsed.name = spec.substr(0, open);
-  std::size_t pos = open + 1;
-  const std::size_t end = spec.size() - 1;
-  while (pos < end) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos || comma > end) comma = end;
-    int value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(spec.data() + pos, spec.data() + comma, value);
-    if (ec != std::errc() || ptr != spec.data() + comma) {
-      throw InvalidArgument("registry: malformed integer argument in '" +
-                            spec + "'");
-    }
-    parsed.args.push_back(value);
-    if (comma < end && comma + 1 >= end) {
-      throw InvalidArgument("registry: trailing comma in '" + spec + "'");
-    }
-    pos = comma + 1;
-  }
-  return parsed;
-}
-
-std::string known_names(const std::vector<std::string>& names) {
-  std::string out;
-  for (const auto& name : names) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  return out;
-}
-
-template <typename Entry>
-std::vector<std::string> describe_entries(
-    const std::map<std::string, Entry>& entries) {
-  std::vector<std::string> out;
-  out.reserve(entries.size());
-  for (const auto& [name, entry] : entries) {
-    std::string line = name;
-    if (entry.arity > 0) {
-      line += "(";
-      for (int i = 0; i < entry.arity; ++i) line += i == 0 ? "_" : ",_";
-      line += ")";
-    }
-    if (!entry.help.empty()) line += " — " + entry.help;
-    out.push_back(std::move(line));
-  }
-  return out;
-}
-
-template <typename Entry>
-const Entry& resolve(const std::map<std::string, Entry>& entries,
-                     const ParsedSpec& parsed, const char* what,
-                     const std::vector<std::string>& names) {
-  const auto it = entries.find(parsed.name);
-  if (it == entries.end()) {
-    throw UnknownName(std::string(what) + " registry: unknown name '" +
-                      parsed.name + "' (known: " + known_names(names) + ")");
-  }
-  if (static_cast<int>(parsed.args.size()) != it->second.arity) {
-    throw InvalidArgument(std::string(what) + " '" + parsed.name +
-                          "' expects " + std::to_string(it->second.arity) +
-                          " argument(s), got " +
-                          std::to_string(parsed.args.size()));
-  }
-  return it->second;
-}
-
-}  // namespace
-
-// ------------------------------------------------------------- protocols
-
-ProtocolRegistry& ProtocolRegistry::global() {
-  static ProtocolRegistry* registry = [] {
-    auto* r = new ProtocolRegistry();
-    r->add("blackboard-unique-string-LE", 0,
+template <>
+const ProtocolRegistry& ProtocolRegistry::global() {
+  using Args = const std::vector<int>&;
+  using Product = std::shared_ptr<const AnonymousProtocol>;
+  static const auto* registry = new ProtocolRegistry(
+      "protocol",
+      {
+          {"blackboard-unique-string-LE", 0,
            "leader election via the first unique randomness string "
            "(complete on the blackboard, Theorem 4.1)",
-           [](const std::vector<int>&) {
+           [](Args) -> Product {
              return std::make_shared<const BlackboardUniqueStringLE>();
-           });
-    r->add("wait-for-singleton-LE", 0,
+           }},
+          {"wait-for-singleton-LE", 0,
            "model-agnostic leader election: decide once a knowledge class "
            "is a singleton (isolated vertex of the projected complex)",
-           [](const std::vector<int>&) {
+           [](Args) -> Product {
              return std::make_shared<const WaitForSingletonLE>();
-           });
-    r->add("wait-for-class-split-LE", 1,
+           }},
+          {"wait-for-class-split-LE", 1,
            "m-leader election: decide once the consistency classes admit a "
            "sub-collection of total size m; argument is m",
-           [](const std::vector<int>& args) {
+           [](Args args) -> Product {
              return std::make_shared<const WaitForClassSplitMLE>(args[0]);
-           });
-    return r;
-  }();
+           }},
+      });
   return *registry;
 }
 
-void ProtocolRegistry::add(const std::string& name, int arity,
-                           std::string help, Factory factory) {
-  if (name.empty() || name.find('(') != std::string::npos) {
-    throw InvalidArgument("ProtocolRegistry::add: bad name '" + name + "'");
-  }
-  entries_[name] = Entry{arity, std::move(help), std::move(factory)};
-}
-
-bool ProtocolRegistry::contains(const std::string& name) const {
-  return entries_.count(name) != 0;
-}
-
-std::shared_ptr<const AnonymousProtocol> ProtocolRegistry::make(
-    const std::string& spec) const {
-  const ParsedSpec parsed = parse_spec(spec);
-  const Entry& entry = resolve(entries_, parsed, "protocol", names());
-  return entry.factory(parsed.args);
-}
-
-std::vector<std::string> ProtocolRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> ProtocolRegistry::describe() const {
-  return describe_entries(entries_);
-}
-
-// ----------------------------------------------------------------- tasks
-
-TaskRegistry& TaskRegistry::global() {
-  static TaskRegistry* registry = [] {
-    auto* r = new TaskRegistry();
-    r->add("leader-election", 0, "exactly one party outputs 1 (O_LE)",
-           [](int n, const std::vector<int>&) {
-             return SymmetricTask::leader_election(n);
-           });
-    r->add("m-leader-election", 1,
-           "exactly m parties output 1; argument is m",
-           [](int n, const std::vector<int>& args) {
+template <>
+const TaskRegistry& TaskRegistry::global() {
+  using Args = const std::vector<int>&;
+  static const auto* registry = new TaskRegistry(
+      "task",
+      {
+          {"leader-election", 0, "exactly one party outputs 1 (O_LE)",
+           [](Args, int n) { return SymmetricTask::leader_election(n); }},
+          {"m-leader-election", 1, "exactly m parties output 1; argument is m",
+           [](Args args, int n) {
              return SymmetricTask::m_leader_election(n, args[0]);
-           });
-    r->add("weak-symmetry-breaking", 0,
+           }},
+          {"weak-symmetry-breaking", 0,
            "not all parties output the same value (binary alphabet)",
-           [](int n, const std::vector<int>&) {
+           [](Args, int n) {
              return SymmetricTask::weak_symmetry_breaking(n);
-           });
-    r->add("matching", 0,
+           }},
+          {"matching", 0,
            "matched/unmatched/bystander census: matched count even",
-           [](int n, const std::vector<int>&) {
-             return SymmetricTask::matching(n);
-           });
-    r->add("t-resilient-leader-election", 1,
+           [](Args, int n) { return SymmetricTask::matching(n); }},
+          {"t-resilient-leader-election", 1,
            "exactly one surviving leader, at most t parties missing; "
            "argument is t",
-           [](int n, const std::vector<int>& args) {
+           [](Args args, int n) {
              return SymmetricTask::resilient_leader_election(n, args[0]);
-           });
-    r->add("t-resilient-two-leader", 1,
+           }},
+          {"t-resilient-two-leader", 1,
            "exactly two surviving leaders, at most t parties missing; "
            "argument is t",
-           [](int n, const std::vector<int>& args) {
+           [](Args args, int n) {
              return SymmetricTask::resilient_two_leader(n, args[0]);
-           });
-    r->add("t-resilient-m-leader-election", 2,
+           }},
+          {"t-resilient-m-leader-election", 2,
            "exactly m surviving leaders, at most t parties missing; "
            "arguments are m, t",
-           [](int n, const std::vector<int>& args) {
+           [](Args args, int n) {
              return SymmetricTask::resilient_m_leader_election(n, args[0],
                                                                args[1]);
-           });
-    r->add("t-resilient-matching", 1,
+           }},
+          {"t-resilient-matching", 1,
            "matching census over survivors, at most t parties missing; "
            "argument is t",
-           [](int n, const std::vector<int>& args) {
+           [](Args args, int n) {
              return SymmetricTask::resilient_matching(n, args[0]);
-           });
-    return r;
-  }();
+           }},
+      });
   return *registry;
-}
-
-void TaskRegistry::add(const std::string& name, int arity, std::string help,
-                       Factory factory) {
-  if (name.empty() || name.find('(') != std::string::npos) {
-    throw InvalidArgument("TaskRegistry::add: bad name '" + name + "'");
-  }
-  entries_[name] = Entry{arity, std::move(help), std::move(factory)};
-}
-
-bool TaskRegistry::contains(const std::string& name) const {
-  return entries_.count(name) != 0;
-}
-
-SymmetricTask TaskRegistry::make(const std::string& spec,
-                                 int num_parties) const {
-  const ParsedSpec parsed = parse_spec(spec);
-  const Entry& entry = resolve(entries_, parsed, "task", names());
-  return entry.factory(num_parties, parsed.args);
-}
-
-std::vector<std::string> TaskRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> TaskRegistry::describe() const {
-  return describe_entries(entries_);
 }
 
 std::shared_ptr<const AnonymousProtocol> make_protocol(

@@ -1,107 +1,32 @@
-// Name-keyed registries for protocols and symmetric tasks.
+// The protocol and task vocabularies (util/registry.hpp has the grammar):
 //
-// Sweep drivers, benches, and config files want to name a protocol or a
-// task by string ("wait-for-singleton-LE", "m-leader-election(2)") instead
-// of hard-wiring constructors — the option-registry idiom of modern SAT
-// engines. An entry is a factory plus an integer arity; spec strings carry
-// the arguments in parentheses:
-//
-//   name            zero-argument entry
-//   name(3)         one argument
-//   name(2,5)       two arguments
-//
-// Unknown names throw UnknownName (with the known names listed); arity or
-// parse problems throw InvalidArgument. The global() registries come
-// pre-loaded with every built-in protocol and task; callers may add their
-// own entries at startup.
+//   ProtocolRegistry   blackboard-unique-string-LE, wait-for-singleton-LE,
+//                      wait-for-class-split-LE(m)
+//   TaskRegistry       leader-election, m-leader-election(m),
+//                      weak-symmetry-breaking, matching,
+//                      t-resilient-leader-election(t),
+//                      t-resilient-two-leader(t),
+//                      t-resilient-m-leader-election(m,t),
+//                      t-resilient-matching(t)
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "algo/protocol.hpp"
 #include "tasks/tasks.hpp"
+#include "util/registry.hpp"
 
 namespace rsb {
 
-class ProtocolRegistry {
- public:
-  /// Builds a protocol from the parsed integer arguments.
-  using Factory = std::function<std::shared_ptr<const AnonymousProtocol>(
-      const std::vector<int>& args)>;
+using ProtocolRegistry = Registry<std::shared_ptr<const AnonymousProtocol>()>;
+/// Tasks are built for the spec's party count.
+using TaskRegistry = Registry<SymmetricTask(int num_parties)>;
 
-  struct Entry {
-    int arity = 0;
-    std::string help;
-    Factory factory;
-  };
-
-  /// The process-wide registry, pre-loaded with the built-in protocols:
-  ///   blackboard-unique-string-LE
-  ///   wait-for-singleton-LE
-  ///   wait-for-class-split-LE(m)
-  static ProtocolRegistry& global();
-
-  void add(const std::string& name, int arity, std::string help,
-           Factory factory);
-  bool contains(const std::string& name) const;
-
-  /// Instantiates from a spec string, e.g. "wait-for-class-split-LE(2)".
-  std::shared_ptr<const AnonymousProtocol> make(const std::string& spec) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-
-  /// One "name(arity) — help" line per entry, sorted by name; what CLIs
-  /// and examples print when listing the available protocols.
-  std::vector<std::string> describe() const;
-
- private:
-  std::map<std::string, Entry> entries_;
-};
-
-class TaskRegistry {
- public:
-  /// Builds a task for `num_parties` from the parsed integer arguments.
-  using Factory = std::function<SymmetricTask(int num_parties,
-                                              const std::vector<int>& args)>;
-
-  struct Entry {
-    int arity = 0;
-    std::string help;
-    Factory factory;
-  };
-
-  /// The process-wide registry, pre-loaded with the built-in tasks:
-  ///   leader-election
-  ///   m-leader-election(m)
-  ///   weak-symmetry-breaking
-  ///   matching
-  ///   t-resilient-leader-election(t)
-  ///   t-resilient-two-leader(t)
-  ///   t-resilient-m-leader-election(m,t)
-  ///   t-resilient-matching(t)
-  static TaskRegistry& global();
-
-  void add(const std::string& name, int arity, std::string help,
-           Factory factory);
-  bool contains(const std::string& name) const;
-
-  /// Instantiates from a spec string, e.g. "m-leader-election(2)".
-  SymmetricTask make(const std::string& spec, int num_parties) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-
-  /// One "name(arity) — help" line per entry, sorted by name.
-  std::vector<std::string> describe() const;
-
- private:
-  std::map<std::string, Entry> entries_;
-};
+template <>
+const ProtocolRegistry& ProtocolRegistry::global();
+template <>
+const TaskRegistry& TaskRegistry::global();
 
 /// Shorthands over the global registries.
 std::shared_ptr<const AnonymousProtocol> make_protocol(const std::string& spec);

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "algo/agents.hpp"
-#include "util/error.hpp"
 
 namespace rsb::graph {
 
@@ -223,97 +222,49 @@ void RulingSet2Agent::receive_phase(int round,
 
 // ---------------------------------------------------------------- registry
 
-AgentRegistry& AgentRegistry::global() {
-  static AgentRegistry* registry = [] {
-    auto* r = new AgentRegistry();
-    r->add("luby-mis", 0,
-           "Luby-style maximal independent set (2-round propose/join "
-           "phases; pair with task mis)",
-           [](const std::vector<int>&) -> sim::Network::AgentFactory {
-             return [](int) { return std::make_unique<LubyMISAgent>(); };
-           });
-    r->add("trial-coloring", 0,
-           "randomized (Δ+1)-coloring by trial colors (pair with task "
-           "coloring)",
-           [](const std::vector<int>&) -> sim::Network::AgentFactory {
-             return [](int) { return std::make_unique<TrialColoringAgent>(); };
-           });
-    r->add("ruling-set-2", 0,
-           "(2,2)-ruling set via 2-hop priority forwarding (pair with "
-           "task 2-ruling-set)",
-           [](const std::vector<int>&) -> sim::Network::AgentFactory {
-             return [](int) { return std::make_unique<RulingSet2Agent>(); };
-           });
-    r->add("gossip-le", 0,
-           "one-shot gossip leader election (the clique baseline; "
-           "delay-tolerant, crash-intolerant)",
-           [](const std::vector<int>&) -> sim::Network::AgentFactory {
-             return [](int) {
-               return std::make_unique<sim::GossipLeaderElectionAgent>();
-             };
-           });
-    return r;
-  }();
-  return *registry;
-}
-
-void AgentRegistry::add(const std::string& name, int arity, std::string help,
-                        Factory factory) {
-  if (name.empty() || name.find('(') != std::string::npos) {
-    throw InvalidArgument("AgentRegistry::add: bad name '" + name + "'");
-  }
-  entries_[name] = Entry{arity, std::move(help), std::move(factory)};
-}
-
-bool AgentRegistry::contains(const std::string& name) const {
-  return entries_.count(name) != 0;
-}
-
-sim::Network::AgentFactory AgentRegistry::make(const std::string& spec) const {
-  const std::size_t open = spec.find('(');
-  const std::string base = open == std::string::npos ? spec
-                                                     : spec.substr(0, open);
-  const auto it = entries_.find(base);
-  if (it == entries_.end()) {
-    std::string known;
-    for (const auto& name : names()) {
-      if (!known.empty()) known += ", ";
-      known += name;
-    }
-    throw UnknownName("agent registry: unknown name '" + base +
-                      "' (known: " + known + ")");
-  }
-  if (open != std::string::npos || it->second.arity != 0) {
-    throw InvalidArgument("agent '" + base + "' takes no arguments");
-  }
-  return it->second.factory({});
-}
-
-std::vector<std::string> AgentRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> AgentRegistry::describe() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) {
-    std::string line = name;
-    if (entry.arity > 0) {
-      line += "(";
-      for (int i = 0; i < entry.arity; ++i) line += i == 0 ? "_" : ",_";
-      line += ")";
-    }
-    if (!entry.help.empty()) line += " — " + entry.help;
-    out.push_back(std::move(line));
-  }
-  return out;
-}
-
 sim::Network::AgentFactory make_agents(const std::string& spec) {
   return AgentRegistry::global().make(spec);
 }
 
 }  // namespace rsb::graph
+
+template <>
+const rsb::graph::AgentRegistry& rsb::graph::AgentRegistry::global() {
+  using Args = const std::vector<int>&;
+  using Factory = sim::Network::AgentFactory;
+  static const auto* registry = new Registry(
+      "agent",
+      {
+          {"luby-mis", 0,
+           "Luby-style maximal independent set (2-round propose/join "
+           "phases; pair with task mis)",
+           [](Args) -> Factory {
+             return [](int) { return std::make_unique<graph::LubyMISAgent>(); };
+           }},
+          {"trial-coloring", 0,
+           "randomized (Δ+1)-coloring by trial colors (pair with task "
+           "coloring)",
+           [](Args) -> Factory {
+             return [](int) {
+               return std::make_unique<graph::TrialColoringAgent>();
+             };
+           }},
+          {"ruling-set-2", 0,
+           "(2,2)-ruling set via 2-hop priority forwarding (pair with "
+           "task 2-ruling-set)",
+           [](Args) -> Factory {
+             return [](int) {
+               return std::make_unique<graph::RulingSet2Agent>();
+             };
+           }},
+          {"gossip-le", 0,
+           "one-shot gossip leader election (the clique baseline; "
+           "delay-tolerant, crash-intolerant)",
+           [](Args) -> Factory {
+             return [](int) {
+               return std::make_unique<sim::GossipLeaderElectionAgent>();
+             };
+           }},
+      });
+  return *registry;
+}

@@ -25,18 +25,17 @@
 // budget instead of breaking validity, which the correlated-randomness
 // experiments rely on.
 //
-// AgentRegistry mirrors the protocol/task registries for the agent
-// backend: canonical specs name agents ("agents=luby-mis") and resolve
-// here to a Network::AgentFactory.
+// AgentRegistry is the agent backend's vocabulary (util/registry.hpp):
+// canonical specs name agents ("agents=luby-mis") and resolve here to a
+// Network::AgentFactory.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "sim/network.hpp"
+#include "util/registry.hpp"
 
 namespace rsb::graph {
 
@@ -88,38 +87,15 @@ class RulingSet2Agent final : public sim::Agent {
   bool adjacent_to_ruler_ = false;
 };
 
-/// Name-keyed agent factories for the agent backend. Entries:
-///   luby-mis, trial-coloring, ruling-set-2 (this file) and gossip-le
-///   (the clique-era GossipLeaderElectionAgent, so the agent backend's
-///   canonical specs can also name the existing baseline).
-class AgentRegistry {
- public:
-  using Factory =
-      std::function<sim::Network::AgentFactory(const std::vector<int>& args)>;
-
-  struct Entry {
-    int arity = 0;
-    std::string help;
-    Factory factory;
-  };
-
-  static AgentRegistry& global();
-
-  void add(const std::string& name, int arity, std::string help,
-           Factory factory);
-  /// `name` is the bare agent name (no parenthesized arguments).
-  bool contains(const std::string& name) const;
-
-  sim::Network::AgentFactory make(const std::string& spec) const;
-
-  std::vector<std::string> names() const;
-  std::vector<std::string> describe() const;
-
- private:
-  std::map<std::string, Entry> entries_;
-};
+/// Agent factories by spec: luby-mis, trial-coloring, ruling-set-2 (this
+/// file) and gossip-le (the clique-era GossipLeaderElectionAgent, so the
+/// agent backend's canonical specs can also name the existing baseline).
+using AgentRegistry = Registry<sim::Network::AgentFactory()>;
 
 /// Shorthand over the global registry.
 sim::Network::AgentFactory make_agents(const std::string& spec);
 
 }  // namespace rsb::graph
+
+template <>
+const rsb::graph::AgentRegistry& rsb::graph::AgentRegistry::global();

@@ -136,91 +136,7 @@ SymmetricTask ruling_set_2_task(std::shared_ptr<const Topology> topology) {
       });
 }
 
-GraphTaskRegistry& GraphTaskRegistry::global() {
-  static GraphTaskRegistry* registry = [] {
-    auto* r = new GraphTaskRegistry();
-    r->add("mis", 0,
-           "maximal independent set over the instance adjacency "
-           "(independence + maximality over survivors)",
-           [](std::shared_ptr<const Topology> topo, const std::vector<int>&) {
-             return mis_task(std::move(topo));
-           });
-    r->add("coloring", 0,
-           "proper (Δ+1)-coloring: alive–alive edge endpoints differ",
-           [](std::shared_ptr<const Topology> topo, const std::vector<int>&) {
-             return coloring_task(std::move(topo));
-           });
-    r->add("2-ruling-set", 0,
-           "(2,2)-ruling set: independent 1s dominating every alive 0 "
-           "within distance 2",
-           [](std::shared_ptr<const Topology> topo, const std::vector<int>&) {
-             return ruling_set_2_task(std::move(topo));
-           });
-    return r;
-  }();
-  return *registry;
-}
-
-void GraphTaskRegistry::add(const std::string& name, int arity,
-                            std::string help, Factory factory) {
-  if (name.empty() || name.find('(') != std::string::npos) {
-    throw InvalidArgument("GraphTaskRegistry::add: bad name '" + name + "'");
-  }
-  entries_[name] = Entry{arity, std::move(help), std::move(factory)};
-}
-
-bool GraphTaskRegistry::contains(const std::string& name) const {
-  return entries_.count(name) != 0;
-}
-
-SymmetricTask GraphTaskRegistry::make(
-    const std::string& spec, std::shared_ptr<const Topology> topology) const {
-  // Reuse the registry spec grammar: bare name or name(args).
-  const std::size_t open = spec.find('(');
-  const std::string base = open == std::string::npos ? spec
-                                                     : spec.substr(0, open);
-  const auto it = entries_.find(base);
-  if (it == entries_.end()) {
-    std::string known;
-    for (const auto& name : names()) {
-      if (!known.empty()) known += ", ";
-      known += name;
-    }
-    throw UnknownName("graph-task registry: unknown name '" + base +
-                      "' (known: " + known + ")");
-  }
-  if (it->second.arity != 0) {
-    throw InvalidArgument("graph-task '" + base +
-                          "': argument parsing not supported yet");
-  }
-  if (open != std::string::npos) {
-    throw InvalidArgument("graph-task '" + base + "' takes no arguments");
-  }
-  return it->second.factory(std::move(topology), {});
-}
-
-std::vector<std::string> GraphTaskRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> GraphTaskRegistry::describe() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) {
-    std::string line = name;
-    if (entry.arity > 0) {
-      line += "(";
-      for (int i = 0; i < entry.arity; ++i) line += i == 0 ? "_" : ",_";
-      line += ")";
-    }
-    if (!entry.help.empty()) line += " — " + entry.help;
-    out.push_back(std::move(line));
-  }
-  return out;
-}
+// ---------------------------------------------------------------- registry
 
 SymmetricTask make_graph_task(const std::string& spec,
                               std::shared_ptr<const Topology> topology) {
@@ -228,3 +144,29 @@ SymmetricTask make_graph_task(const std::string& spec,
 }
 
 }  // namespace rsb::graph
+
+template <>
+const rsb::graph::GraphTaskRegistry& rsb::graph::GraphTaskRegistry::global() {
+  using Args = const std::vector<int>&;
+  using Instance = std::shared_ptr<const graph::Topology>;
+  static const auto* registry = new Registry(
+      "graph-task",
+      {
+          {"mis", 0,
+           "maximal independent set over the instance adjacency "
+           "(independence + maximality over survivors)",
+           [](Args, Instance topo) { return graph::mis_task(std::move(topo)); }},
+          {"coloring", 0,
+           "proper (Δ+1)-coloring: alive–alive edge endpoints differ",
+           [](Args, Instance topo) {
+             return graph::coloring_task(std::move(topo));
+           }},
+          {"2-ruling-set", 0,
+           "(2,2)-ruling set: independent 1s dominating every alive 0 "
+           "within distance 2",
+           [](Args, Instance topo) {
+             return graph::ruling_set_2_task(std::move(topo));
+           }},
+      });
+  return *registry;
+}

@@ -16,20 +16,18 @@
 // only route through surviving parties — the honest judgement of what the
 // survivors achieved on the induced surviving subgraph.
 //
-// GraphTaskRegistry mirrors TaskRegistry but factories take the topology:
-// a graph task cannot exist without an instance. Experiment::with_task
-// falls back to this registry for names TaskRegistry does not know, and
-// refuses with a named reason when no topology is set.
+// GraphTaskRegistry is TaskRegistry's counterpart whose factories take the
+// topology: a graph task cannot exist without an instance.
+// Experiment::with_task falls back to this registry for names TaskRegistry
+// does not know, and refuses with a named reason when no topology is set.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "graph/topology.hpp"
 #include "tasks/tasks.hpp"
+#include "util/registry.hpp"
 
 namespace rsb::graph {
 
@@ -47,37 +45,15 @@ SymmetricTask coloring_task(std::shared_ptr<const Topology> topology);
 /// intermediate parties.
 SymmetricTask ruling_set_2_task(std::shared_ptr<const Topology> topology);
 
-/// Name-keyed graph-task factories. Entries: mis, coloring, 2-ruling-set.
-class GraphTaskRegistry {
- public:
-  using Factory = std::function<SymmetricTask(
-      std::shared_ptr<const Topology> topology, const std::vector<int>& args)>;
-
-  struct Entry {
-    int arity = 0;
-    std::string help;
-    Factory factory;
-  };
-
-  static GraphTaskRegistry& global();
-
-  void add(const std::string& name, int arity, std::string help,
-           Factory factory);
-  /// `name` is the bare task name (no parenthesized arguments).
-  bool contains(const std::string& name) const;
-
-  SymmetricTask make(const std::string& spec,
-                     std::shared_ptr<const Topology> topology) const;
-
-  std::vector<std::string> names() const;
-  std::vector<std::string> describe() const;
-
- private:
-  std::map<std::string, Entry> entries_;
-};
+/// Graph tasks by spec, bound to an instance: mis, coloring, 2-ruling-set.
+using GraphTaskRegistry =
+    Registry<SymmetricTask(std::shared_ptr<const Topology> topology)>;
 
 /// Shorthand over the global registry.
 SymmetricTask make_graph_task(const std::string& spec,
                               std::shared_ptr<const Topology> topology);
 
 }  // namespace rsb::graph
+
+template <>
+const rsb::graph::GraphTaskRegistry& rsb::graph::GraphTaskRegistry::global();

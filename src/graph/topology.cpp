@@ -1,7 +1,6 @@
 #include "graph/topology.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <numeric>
 #include <utility>
 
@@ -9,64 +8,6 @@
 #include "util/rng.hpp"
 
 namespace rsb::graph {
-
-namespace {
-
-/// Parses "name" / "name(3)" — same grammar as the protocol/task
-/// registries (integer arguments, no nesting).
-struct ParsedSpec {
-  std::string name;
-  std::vector<int> args;
-};
-
-ParsedSpec parse_spec(const std::string& spec) {
-  ParsedSpec parsed;
-  const std::size_t open = spec.find('(');
-  if (open == std::string::npos) {
-    parsed.name = spec;
-    return parsed;
-  }
-  if (spec.back() != ')') {
-    throw InvalidArgument("topology: malformed spec '" + spec +
-                          "' (missing closing parenthesis)");
-  }
-  parsed.name = spec.substr(0, open);
-  std::size_t pos = open + 1;
-  const std::size_t end = spec.size() - 1;
-  while (pos < end) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos || comma > end) comma = end;
-    int value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(spec.data() + pos, spec.data() + comma, value);
-    if (ec != std::errc() || ptr != spec.data() + comma) {
-      throw InvalidArgument("topology: malformed integer argument in '" +
-                            spec + "'");
-    }
-    parsed.args.push_back(value);
-    if (comma < end && comma + 1 >= end) {
-      throw InvalidArgument("topology: trailing comma in '" + spec + "'");
-    }
-    pos = comma + 1;
-  }
-  return parsed;
-}
-
-std::string canonical_spec(const std::string& name,
-                           const std::vector<int>& args) {
-  std::string out = name;
-  if (!args.empty()) {
-    out += '(';
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      if (i != 0) out += ',';
-      out += std::to_string(args[i]);
-    }
-    out += ')';
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string to_string(TopologyKind kind) {
   switch (kind) {
@@ -235,7 +176,7 @@ Topology Topology::d_regular(int n, int degree, std::uint64_t seed) {
     throw InvalidArgument("Topology::d_regular: n*d must be even, got n=" +
                           std::to_string(n) + " d=" + std::to_string(degree));
   }
-  const std::string name = canonical_spec("d-regular", {degree});
+  const std::string name = registry_spec("d-regular", {degree});
   // Configuration model: n·d stubs (stub s belongs to vertex s/d), paired
   // by a Fisher–Yates shuffle and read off two at a time. A pairing with
   // a self-loop or repeated edge is discarded wholesale and resampled —
@@ -286,7 +227,7 @@ Topology Topology::erdos_renyi(int n, int expected_degree,
         "Topology::erdos_renyi: need 0 <= expected_degree <= n-1, got " +
         std::to_string(expected_degree));
   }
-  const std::string name = canonical_spec("erdos-renyi", {expected_degree});
+  const std::string name = registry_spec("erdos-renyi", {expected_degree});
   const double p =
       static_cast<double>(expected_degree) / static_cast<double>(n - 1);
   Xoshiro256StarStar rng(derive_seed(seed, 0xe12d));
@@ -305,7 +246,7 @@ Topology Topology::power_law(int n, int edges_per_vertex, std::uint64_t seed) {
     throw InvalidArgument("Topology::power_law: need 1 <= m < n, got m=" +
                           std::to_string(m) + " n=" + std::to_string(n));
   }
-  const std::string name = canonical_spec("power-law", {m});
+  const std::string name = registry_spec("power-law", {m});
   // Barabási–Albert with the endpoint-list trick: `endpoints` holds every
   // edge endpoint ever added, so a uniform draw from it is exactly a
   // degree-proportional draw. Seed graph: clique on the first m+1
@@ -341,113 +282,6 @@ Topology Topology::power_law(int n, int edges_per_vertex, std::uint64_t seed) {
 
 // ---------------------------------------------------------------- registry
 
-TopologyRegistry& TopologyRegistry::global() {
-  static TopologyRegistry* registry = [] {
-    auto* r = new TopologyRegistry();
-    r->add("clique", 0, "all-to-all wiring (the default; normalized away)",
-           [](int n, const std::vector<int>&, std::uint64_t) {
-             return Topology::clique(n);
-           });
-    r->add("ring", 0, "cycle 0–1–…–(n−1)–0",
-           [](int n, const std::vector<int>&, std::uint64_t) {
-             return Topology::ring(n);
-           });
-    r->add("path", 0, "path 0–1–…–(n−1)",
-           [](int n, const std::vector<int>&, std::uint64_t) {
-             return Topology::path(n);
-           });
-    r->add("tree", 0, "complete binary tree on heap indices",
-           [](int n, const std::vector<int>&, std::uint64_t) {
-             return Topology::tree(n);
-           });
-    r->add("d-regular", 1,
-           "random d-regular graph (configuration model, seeded); "
-           "argument is d",
-           [](int n, const std::vector<int>& args, std::uint64_t seed) {
-             return Topology::d_regular(n, args[0], seed);
-           });
-    r->add("erdos-renyi", 1,
-           "G(n, p) with p = d/(n−1) (seeded); argument is the expected "
-           "degree d",
-           [](int n, const std::vector<int>& args, std::uint64_t seed) {
-             return Topology::erdos_renyi(n, args[0], seed);
-           });
-    r->add("power-law", 1,
-           "Barabási–Albert preferential attachment (seeded); argument is "
-           "edges per new vertex m",
-           [](int n, const std::vector<int>& args, std::uint64_t seed) {
-             return Topology::power_law(n, args[0], seed);
-           });
-    return r;
-  }();
-  return *registry;
-}
-
-void TopologyRegistry::add(const std::string& name, int arity,
-                           std::string help, Factory factory) {
-  if (name.empty() || name.find('(') != std::string::npos) {
-    throw InvalidArgument("TopologyRegistry::add: bad name '" + name + "'");
-  }
-  entries_[name] = Entry{arity, std::move(help), std::move(factory)};
-}
-
-bool TopologyRegistry::contains(const std::string& name) const {
-  return entries_.count(name) != 0;
-}
-
-Topology TopologyRegistry::make(const std::string& spec, int num_parties,
-                                std::uint64_t seed) const {
-  const ParsedSpec parsed = parse_spec(spec);
-  const auto it = entries_.find(parsed.name);
-  if (it == entries_.end()) {
-    std::string known;
-    for (const auto& name : names()) {
-      if (!known.empty()) known += ", ";
-      known += name;
-    }
-    throw UnknownName("topology registry: unknown name '" + parsed.name +
-                      "' (known: " + known + ")");
-  }
-  if (static_cast<int>(parsed.args.size()) != it->second.arity) {
-    throw InvalidArgument("topology '" + parsed.name + "' expects " +
-                          std::to_string(it->second.arity) +
-                          " argument(s), got " +
-                          std::to_string(parsed.args.size()));
-  }
-  return it->second.factory(num_parties, parsed.args, seed);
-}
-
-bool TopologyRegistry::is_randomized(const std::string& spec) const {
-  // Prefix match, no parse: callers (canonical_text) ask about specs that
-  // may be malformed — the answer for those is "not randomized", and the
-  // real error surfaces where make() resolves the spec.
-  const std::string name = spec.substr(0, spec.find('('));
-  return name == "d-regular" || name == "erdos-renyi" || name == "power-law";
-}
-
-std::vector<std::string> TopologyRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> TopologyRegistry::describe() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) {
-    std::string line = name;
-    if (entry.arity > 0) {
-      line += "(";
-      for (int i = 0; i < entry.arity; ++i) line += i == 0 ? "_" : ",_";
-      line += ")";
-    }
-    if (!entry.help.empty()) line += " — " + entry.help;
-    out.push_back(std::move(line));
-  }
-  return out;
-}
-
 std::shared_ptr<const Topology> make_topology(const std::string& spec,
                                               int num_parties,
                                               std::uint64_t seed) {
@@ -455,4 +289,46 @@ std::shared_ptr<const Topology> make_topology(const std::string& spec,
       TopologyRegistry::global().make(spec, num_parties, seed));
 }
 
+bool is_randomized_topology(std::string_view spec) {
+  const std::string_view name = spec.substr(0, spec.find('('));
+  return name == "d-regular" || name == "erdos-renyi" || name == "power-law";
+}
+
 }  // namespace rsb::graph
+
+template <>
+const rsb::graph::TopologyRegistry& rsb::graph::TopologyRegistry::global() {
+  using graph::Topology;
+  using Args = const std::vector<int>&;
+  static const auto* registry = new Registry(
+      "topology",
+      {
+          {"clique", 0, "all-to-all wiring (the default; normalized away)",
+           [](Args, int n, std::uint64_t) { return Topology::clique(n); }},
+          {"ring", 0, "cycle 0–1–…–(n−1)–0",
+           [](Args, int n, std::uint64_t) { return Topology::ring(n); }},
+          {"path", 0, "path 0–1–…–(n−1)",
+           [](Args, int n, std::uint64_t) { return Topology::path(n); }},
+          {"tree", 0, "complete binary tree on heap indices",
+           [](Args, int n, std::uint64_t) { return Topology::tree(n); }},
+          {"d-regular", 1,
+           "random d-regular graph (configuration model, seeded); "
+           "argument is d",
+           [](Args args, int n, std::uint64_t seed) {
+             return Topology::d_regular(n, args[0], seed);
+           }},
+          {"erdos-renyi", 1,
+           "G(n, p) with p = d/(n−1) (seeded); argument is the expected "
+           "degree d",
+           [](Args args, int n, std::uint64_t seed) {
+             return Topology::erdos_renyi(n, args[0], seed);
+           }},
+          {"power-law", 1,
+           "Barabási–Albert preferential attachment (seeded); argument is "
+           "edges per new vertex m",
+           [](Args args, int n, std::uint64_t seed) {
+             return Topology::power_law(n, args[0], seed);
+           }},
+      });
+  return *registry;
+}

@@ -21,19 +21,19 @@
 // from a private Xoshiro stream seeded by the caller; the structured
 // families (clique, ring, path, complete binary tree) ignore the seed.
 //
-// TopologyRegistry mirrors the protocol/task registries
-// (engine/registry.hpp): spec strings name a generator with integer
-// arguments — "ring", "d-regular(3)", "power-law(2)" — and describe()
-// feeds the CLI listings.
+// TopologyRegistry is the generator vocabulary (util/registry.hpp): spec
+// strings name a generator with integer arguments — "ring",
+// "d-regular(3)", "power-law(2)" — and describe() feeds the CLI listings.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/registry.hpp"
 
 namespace rsb::graph {
 
@@ -114,45 +114,18 @@ class Topology {
   std::vector<int> adjacency_;         // sorted per vertex, 2|E| entries
 };
 
-/// Name-keyed topology generators, mirroring ProtocolRegistry. Factories
-/// receive (num_parties, args, seed); structured generators ignore the
-/// seed. Pre-loaded entries:
-///   clique, ring, path, tree, d-regular(d), erdos-renyi(d), power-law(m)
-class TopologyRegistry {
- public:
-  using Factory = std::function<Topology(
-      int num_parties, const std::vector<int>& args, std::uint64_t seed)>;
+/// Generators by spec, built for a party count and a seed (structured
+/// generators ignore it): clique, ring, path, tree, d-regular(d),
+/// erdos-renyi(d), power-law(m).
+using TopologyRegistry = Registry<Topology(int num_parties, std::uint64_t seed)>;
 
-  struct Entry {
-    int arity = 0;
-    std::string help;
-    Factory factory;
-  };
-
-  static TopologyRegistry& global();
-
-  void add(const std::string& name, int arity, std::string help,
-           Factory factory);
-  /// `name` is the bare generator name (no parenthesized arguments).
-  bool contains(const std::string& name) const;
-
-  /// Instantiates from a spec string, e.g. "d-regular(3)".
-  Topology make(const std::string& spec, int num_parties,
-                std::uint64_t seed) const;
-
-  /// True iff the spec's generator draws from the seed (d-regular,
-  /// erdos-renyi, power-law) — the service layer uses this to decide
-  /// whether topology-seed is a live knob or normalizes away.
-  bool is_randomized(const std::string& spec) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-  /// One "name(arity) — help" line per entry, sorted by name.
-  std::vector<std::string> describe() const;
-
- private:
-  std::map<std::string, Entry> entries_;
-};
+/// True iff the spec's generator draws from the seed (d-regular,
+/// erdos-renyi, power-law) — the service layer uses this to decide
+/// whether topology-seed is a live knob or normalizes away. A prefix
+/// match, no parse: canonical_text() asks about specs that may be
+/// malformed — for those the answer is "not randomized", and the real
+/// error surfaces where make() resolves the spec.
+bool is_randomized_topology(std::string_view spec);
 
 /// Shorthand over the global registry; returns a shared immutable
 /// instance (the form Experiment::with_topology stores).
@@ -161,3 +134,6 @@ std::shared_ptr<const Topology> make_topology(const std::string& spec,
                                               std::uint64_t seed);
 
 }  // namespace rsb::graph
+
+template <>
+const rsb::graph::TopologyRegistry& rsb::graph::TopologyRegistry::global();

@@ -358,7 +358,7 @@ std::string CanonicalSpec::canonical_text() const {
   if (topology_live) {
     emit("topology", topology);
     if (topology_seed != 0x70b01ULL &&
-        graph::TopologyRegistry::global().is_randomized(topology)) {
+        graph::is_randomized_topology(topology)) {
       emit("topology-seed", std::to_string(topology_seed));
     }
   }

@@ -225,49 +225,6 @@ TEST(AllocateAdaptiveRuns, ZeroBudgetAndShapeErrors) {
                InvalidArgument);
 }
 
-TEST(AllocateAdaptiveRuns, EmptyCostVectorMatchesTheUnweightedOverload) {
-  const auto estimates = estimates_of({{8, 4}, {64, 32}, {16, 2}});
-  const std::vector<std::uint64_t> capacity = {100, 100, 100};
-  EXPECT_EQ(
-      allocate_adaptive_runs(estimates, capacity, {}, 37, 1.96, 0.0),
-      allocate_adaptive_runs(estimates, capacity, 37, 1.96, 0.0));
-  // Unit costs are the explicit spelling of the same thing.
-  EXPECT_EQ(allocate_adaptive_runs(estimates, capacity, {1.0, 1.0, 1.0}, 37,
-                                   1.96, 0.0),
-            allocate_adaptive_runs(estimates, capacity, 37, 1.96, 0.0));
-}
-
-TEST(AllocateAdaptiveRuns, CostReweightingShiftsBudgetToCheapPoints) {
-  // Equal half-widths, but point 1 costs 4x per run: weights 1 and 1/4
-  // split a budget of 10 as 8/2.
-  const auto estimates = estimates_of({{8, 4}, {8, 4}});
-  const auto alloc = allocate_adaptive_runs(estimates, {100, 100},
-                                            {1.0, 4.0}, 10, 1.96, 0.0);
-  EXPECT_EQ(alloc, (std::vector<std::uint64_t>{8, 2}));
-}
-
-TEST(AllocateAdaptiveRuns, CostNeverOverridesConvergence) {
-  // Point 1 is converged; being 100x cheaper must not win it budget —
-  // the stopping rule tests the raw half-width, not the weight.
-  const auto estimates = estimates_of({{8, 4}, {4096, 2048}});
-  const auto alloc = allocate_adaptive_runs(estimates, {100, 100},
-                                            {100.0, 1.0}, 40, 1.96, 0.02);
-  EXPECT_EQ(alloc, (std::vector<std::uint64_t>{40, 0}));
-}
-
-TEST(AllocateAdaptiveRuns, CostVectorShapeAndPositivityErrors) {
-  const auto estimates = estimates_of({{8, 4}, {8, 4}});
-  EXPECT_THROW(allocate_adaptive_runs(estimates, {10, 10}, {1.0}, 5, 1.96,
-                                      0.0),
-               InvalidArgument);
-  EXPECT_THROW(allocate_adaptive_runs(estimates, {10, 10}, {1.0, 0.0}, 5,
-                                      1.96, 0.0),
-               InvalidArgument);
-  EXPECT_THROW(allocate_adaptive_runs(estimates, {10, 10}, {1.0, -2.0}, 5,
-                                      1.96, 0.0),
-               InvalidArgument);
-}
-
 // ------------------------------------------------------ run_grid_adaptive
 
 Grid fault_grid(std::uint64_t seeds) {
@@ -375,41 +332,6 @@ TEST(RunGridAdaptive, TargetHalfWidthStopsEarlyAndLeavesBudgetUnspent) {
   for (const auto& point : result.points) {
     EXPECT_EQ(point.runs, 32u);
     EXPECT_LE(point.estimate.half_width(), 0.2);
-  }
-}
-
-TEST(RunGridAdaptive, CostAwareScheduleIsDeterministicAndPrefixIdentical) {
-  // Rounds-consumed cost differs across fault counts, so cost weighting
-  // has a real signal; the schedule must still be a pure function of the
-  // declaration, and every point a uniform-sweep prefix.
-  const Grid grid = fault_grid(300);
-  const AdaptiveConfig config{.pilot = 16, .rounds = 3, .cost_aware = true};
-  Engine reference_engine;
-  const auto reference =
-      run_grid_adaptive(reference_engine, grid, 240, config);
-  EXPECT_EQ(reference.runs_spent, 240u);
-  for (const auto& point : reference.points) {
-    EXPECT_EQ(point.cost.runs, point.runs);  // the meter saw every run
-    EXPECT_GE(point.cost.mean_cost(), 1.0);
-  }
-  for (const int threads : {1, 4}) {
-    Engine engine;
-    engine.set_parallel({threads, 0, 1});
-    const auto result = run_grid_adaptive(engine, grid, 240, config);
-    EXPECT_EQ(result.schedule, reference.schedule) << "threads=" << threads;
-    for (std::size_t p = 0; p < result.points.size(); ++p) {
-      EXPECT_EQ(result.points[p].result, reference.points[p].result);
-      EXPECT_EQ(result.points[p].cost, reference.points[p].cost);
-    }
-  }
-  const std::vector<GridPoint> points = grid.expand();
-  Engine engine;
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    Experiment prefix = points[p].spec;
-    prefix.seeds =
-        SeedRange::of(prefix.seeds.first, reference.points[p].runs);
-    EXPECT_EQ(reference.points[p].result, engine.run_collect(prefix, RunStats{}))
-        << "point " << p;
   }
 }
 

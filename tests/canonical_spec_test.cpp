@@ -20,6 +20,7 @@
 
 #include "engine/registry.hpp"
 #include "golden_util.hpp"
+#include "graph/agents.hpp"
 #include "graph/graph_task.hpp"
 #include "graph/topology.hpp"
 #include "service/client.hpp"
@@ -308,6 +309,42 @@ TEST(CanonicalSpec, ToExperimentResolvesAndValidates) {
   EXPECT_THROW(unknown.to_experiment(), UnknownName);
 }
 
+TEST(CanonicalSpec, NonCanonicalRegistrySpellingsAreNamedRejects) {
+  // Regression: each registry parsed its own spec grammar, so these
+  // spellings resolved to the same protocol, task or topology as their
+  // canonical forms yet hashed apart from them — two cache shards for one
+  // ensemble. Each is a named reject that quotes the canonical spelling.
+  const std::string graph =
+      "model=message-passing\nloads=1,1,1,1,1,1,1,1\nagents=luby-mis\n"
+      "task=mis\n";
+  const struct {
+    std::string text;
+    std::string canonical;
+  } cases[] = {
+      {"loads=2,3\nprotocol=wait-for-singleton-LE()\ntask=leader-election",
+       "'wait-for-singleton-LE'"},
+      {"loads=2,3\nprotocol=wait-for-class-split-LE(02)\n"
+       "task=m-leader-election(2)",
+       "'wait-for-class-split-LE(2)'"},
+      {"loads=2,3\nprotocol=wait-for-singleton-LE\n"
+       "task=m-leader-election(002)",
+       "'m-leader-election(2)'"},
+      {graph + "topology=ring()", "'ring'"},
+      {graph + "topology=d-regular(03)", "'d-regular(3)'"},
+  };
+  for (const auto& c : cases) {
+    const CanonicalSpec spec = CanonicalSpec::parse(c.text);
+    try {
+      spec.to_experiment();
+      ADD_FAILURE() << "accepted: " << c.text << "\n(hash "
+                    << spec.hash_hex() << ")";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.canonical), std::string::npos)
+          << c.text << ": " << e.what();
+    }
+  }
+}
+
 TEST(ExpandRequest, CartesianProductInSortedKeyOrder) {
   const std::vector<SpecPoint> points = expand_request(
       "loads=2,3|3,3\nprotocol=wait-for-singleton-LE\nrounds=100|300\n"
@@ -448,6 +485,25 @@ TEST(CanonicalSpecGolden, EveryRegistrySpecHasAPinnedFormAndHash) {
   }
 
   rsb::testing::expect_matches_golden(report, "canonical_specs.txt");
+}
+
+TEST(CanonicalSpecGolden, EveryRegistryDescribeLineIsPinned) {
+  // The five vocabularies a spec can name, sectioned as `rsbctl run
+  // --list` prints them: a registry change that moves a name, an arity
+  // slot or a help line shows up here byte for byte.
+  std::string listing;
+  const auto section = [&listing](const std::string& title,
+                                  const std::vector<std::string>& lines) {
+    listing += title + ":\n";
+    for (const std::string& line : lines) listing += "  " + line + "\n";
+  };
+  section("protocols", ProtocolRegistry::global().describe());
+  section("tasks", TaskRegistry::global().describe());
+  section("agents", graph::AgentRegistry::global().describe());
+  section("graph tasks (need topology=)",
+          graph::GraphTaskRegistry::global().describe());
+  section("topologies", graph::TopologyRegistry::global().describe());
+  rsb::testing::expect_matches_golden(listing, "registry_describe.txt");
 }
 
 // ---------------------------------------------------- mutation corpus

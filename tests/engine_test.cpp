@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "algo/agents.hpp"
 #include "engine/engine.hpp"
@@ -312,6 +314,27 @@ TEST(Registry, ArityAndParseErrors) {
   EXPECT_THROW(make_protocol("wait-for-class-split-LE(2"), InvalidArgument);
   EXPECT_THROW(make_protocol("wait-for-class-split-LE(2,)"), InvalidArgument);
   EXPECT_THROW(make_task("m-leader-election", 4), InvalidArgument);
+  // Other spellings of valid specs: each a named reject that quotes the
+  // canonical spelling.
+  const std::pair<std::string, std::string> respelled[] = {
+      {"wait-for-singleton-LE()", "'wait-for-singleton-LE'"},
+      {"wait-for-class-split-LE(02)", "'wait-for-class-split-LE(2)'"},
+      {"wait-for-class-split-LE(+2)", "'wait-for-class-split-LE(2)'"},
+  };
+  for (const auto& [spec, canonical] : respelled) {
+    try {
+      make_protocol(spec);
+      ADD_FAILURE() << "accepted: " << spec;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(canonical), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(make_task("m-leader-election(002)", 4), InvalidArgument);
+  EXPECT_THROW(make_task("t-resilient-leader-election(-0)", 4),
+               InvalidArgument);
+  EXPECT_THROW(make_task("t-resilient-m-leader-election(2,+1)", 4),
+               InvalidArgument);
 }
 
 TEST(Registry, NamesAreSortedAndComplete) {

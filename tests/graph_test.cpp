@@ -97,10 +97,16 @@ TEST(TopologyRegistry, SpecsResolveAndDescribe) {
   EXPECT_EQ(reg.name(), "d-regular(3)");
   EXPECT_THROW(registry.make("torus", 8, 0), UnknownName);
   EXPECT_THROW(registry.make("d-regular", 8, 0), InvalidArgument);
-  EXPECT_TRUE(registry.is_randomized("d-regular(3)"));
-  EXPECT_TRUE(registry.is_randomized("power-law(2)"));
-  EXPECT_FALSE(registry.is_randomized("ring"));
-  EXPECT_FALSE(registry.is_randomized("not-a-generator"));
+  // Other spellings of valid specs are named rejects, never a second
+  // spelling (and spec hash) of one topology.
+  EXPECT_THROW(registry.make("ring()", 8, 0), InvalidArgument);
+  EXPECT_THROW(registry.make("d-regular(03)", 8, 0), InvalidArgument);
+  EXPECT_THROW(registry.make("d-regular(+3)", 8, 0), InvalidArgument);
+  EXPECT_THROW(registry.make("erdos-renyi(-0)", 8, 0), InvalidArgument);
+  EXPECT_TRUE(is_randomized_topology("d-regular(3)"));
+  EXPECT_TRUE(is_randomized_topology("power-law(2)"));
+  EXPECT_FALSE(is_randomized_topology("ring"));
+  EXPECT_FALSE(is_randomized_topology("not-a-generator"));
   EXPECT_FALSE(registry.describe().empty());
 }
 

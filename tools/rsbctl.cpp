@@ -227,10 +227,8 @@ int main(int argc, char** argv) {
       // protocol spec, so unknown names still fail with the server's
       // protocol-registry error listing the known names.
       const std::string backend_key =
-          rsb::graph::AgentRegistry::global().contains(
-              rest[1].substr(0, rest[1].find('(')))
-              ? "agents"
-              : "protocol";
+          rsb::graph::AgentRegistry::global().contains(rest[1]) ? "agents"
+                                                                : "protocol";
       std::string spec = backend_key + "=" + rest[1] + "\ntask=" + rest[2] +
                          "\nloads=" + rest[3];
       spec += "\nseeds=" + (rest.size() > 4 && rest[4].find('=') ==
