@@ -60,17 +60,15 @@ void report_adaptive_grid() {
   // point's half-width is the accuracy that budget actually bought.
   const Grid uniform_grid = sweep_grid(kUniformRunsPerPoint);
   Engine engine;
-  const auto uniform = run_grid(
-      engine, uniform_grid,
-      CombineCollectors<RunStats, SuccessEstimate>(RunStats{},
-                                                   SuccessEstimate{}));
+  const std::vector<RunStats> uniform = run_grid(engine, uniform_grid);
   const std::uint64_t uniform_total =
       kUniformRunsPerPoint * uniform.size();
   double uniform_width = 0.0;
   double narrowest = 1.0;
-  for (const auto& point : uniform) {
-    uniform_width = std::max(uniform_width, point.part<1>().half_width());
-    narrowest = std::min(narrowest, point.part<1>().half_width());
+  for (const RunStats& point : uniform) {
+    const double width = success_estimate(point).half_width();
+    uniform_width = std::max(uniform_width, width);
+    narrowest = std::min(narrowest, width);
   }
   check(narrowest < uniform_width,
         "the grid's success rates genuinely differ across points "
@@ -92,20 +90,19 @@ void report_adaptive_grid() {
 
   ResultTable table("adaptive_vs_uniform");
   const std::vector<GridPoint> points = adaptive_grid.expand();
+  double adaptive_width = 0.0;
   for (std::size_t p = 0; p < adaptive.points.size(); ++p) {
+    const SuccessEstimate estimate = success_estimate(adaptive.points[p]);
     table.add_row()
         .set("point", points[p].label())
         .set("uniform_runs", kUniformRunsPerPoint)
         .set("adaptive_runs", adaptive.points[p].runs)
-        .set("success_rate", adaptive.points[p].estimate.point_estimate())
-        .set("half_width", adaptive.points[p].estimate.half_width());
+        .set("success_rate", estimate.point_estimate())
+        .set("half_width", estimate.half_width());
+    adaptive_width = std::max(adaptive_width, estimate.half_width());
   }
   rsb::bench::report_table(table);
 
-  double adaptive_width = 0.0;
-  for (const auto& point : adaptive.points) {
-    adaptive_width = std::max(adaptive_width, point.estimate.half_width());
-  }
   check(adaptive_width <= uniform_width,
         "adaptive sweep reaches the uniform sweep's accuracy (max "
         "half-width " + std::to_string(adaptive_width) + " <= " +
@@ -128,12 +125,7 @@ void report_adaptive_grid() {
     check(replay.schedule == adaptive.schedule,
           "the adaptive schedule is a pure function of the declaration "
           "(threads=4 batch=16 plans the same installments)");
-    bool identical = replay.points.size() == adaptive.points.size();
-    for (std::size_t p = 0; identical && p < replay.points.size(); ++p) {
-      identical = replay.points[p].result == adaptive.points[p].result &&
-                  replay.points[p].estimate == adaptive.points[p].estimate;
-    }
-    check(identical,
+    check(replay.points == adaptive.points,
           "per-point stats and estimates are byte-identical across "
           "threads x batch");
   }

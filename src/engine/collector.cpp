@@ -33,26 +33,9 @@ Wilson wilson(std::uint64_t n, std::uint64_t successes, double z) {
 
 }  // namespace
 
-void SuccessEstimate::observe(const RunView& view,
-                              const ProtocolOutcome& outcome) {
-  ++n;
-  if (!outcome.terminated) return;
-  const SymmetricTask* task =
-      view.experiment != nullptr && view.experiment->task.has_value()
-          ? &*view.experiment->task
-          : nullptr;
-  if (task == nullptr) {
-    // No task: "success" is termination itself, matching RunStats'
-    // termination_rate as the headline figure for task-less sweeps.
-    ++successes;
-    return;
-  }
-  const bool faulty = !outcome.crash_round.empty();
-  const bool admitted =
-      faulty ? task->admits_surviving_outputs(outcome.outputs,
-                                              outcome.crash_round)
-             : task->admits_outputs(outcome.outputs);
-  if (admitted) ++successes;
+SuccessEstimate success_estimate(const RunStats& stats) {
+  return SuccessEstimate{
+      stats.runs, stats.task_checked ? stats.task_successes : stats.terminated};
 }
 
 double SuccessEstimate::point_estimate() const {

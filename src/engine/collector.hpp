@@ -36,6 +36,7 @@
 namespace rsb {
 
 struct Experiment;
+struct RunStats;
 
 /// Per-run context handed to Collector::observe. The pointers are valid
 /// only during that call (`ports` may point into lane storage the next
@@ -63,31 +64,17 @@ concept Collector =
       collector.merge(std::move(shard));
     };
 
-/// Bernoulli success-rate estimator: counts runs and successes under the
-/// same criterion RunStats uses — a run succeeds when it terminated and,
-/// if the spec carries a task, the task admits its outputs (survivors
-/// only on faulty runs). Exposes Wilson score confidence intervals, which
-/// is what run_grid_adaptive (engine/grid.hpp) allocates budget by: the
-/// Wilson interval stays honest at the edges the sweeps actually produce
-/// (p near 0 or 1, tiny n) where the normal approximation collapses to
-/// zero width. n = 0 reports the total-ignorance interval [0, 1].
-///
-/// merge is plain counter addition — associative and commutative — so
-/// estimates are byte-identical across thread counts, batch widths, and
-/// any shard split (pinned by tests/adaptive_grid_test.cpp).
+/// Bernoulli success-rate estimator: runs and successes, with Wilson
+/// score confidence intervals — what the adaptive schedule
+/// (engine/grid.hpp) allocates budget by. The Wilson interval stays honest
+/// at the edges the sweeps actually produce (p near 0 or 1, tiny n) where
+/// the normal approximation collapses to zero width. n = 0 reports the
+/// total-ignorance interval [0, 1].
 struct SuccessEstimate {
   std::uint64_t n = 0;          // runs observed
   std::uint64_t successes = 0;  // runs that met the success criterion
 
-  void observe(const RunView& view, const ProtocolOutcome& outcome);
-
-  void merge(const SuccessEstimate& other) {
-    n += other.n;
-    successes += other.successes;
-  }
-
-  /// Counter injection for estimates folded from pre-aggregated stats
-  /// (e.g. the service scheduler folding per-chunk RunStats).
+  /// Counter injection: `runs` more runs, `wins` of them successes.
   void add(std::uint64_t runs, std::uint64_t wins) {
     n += runs;
     successes += wins;
@@ -104,6 +91,12 @@ struct SuccessEstimate {
   friend bool operator==(const SuccessEstimate&,
                          const SuccessEstimate&) = default;
 };
+
+/// The success rule, read off a sweep's stats: a run succeeds when it
+/// terminated and, if the spec carries a task, the task admits its outputs
+/// (survivors only on faulty runs) — RunStats::task_successes when a task
+/// was checked, RunStats::terminated otherwise.
+SuccessEstimate success_estimate(const RunStats& stats);
 
 /// Runs several collectors over one batch in a single pass. Each part
 /// observes every run; merge is part-wise (and therefore associative iff

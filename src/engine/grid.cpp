@@ -328,11 +328,122 @@ std::vector<std::uint64_t> allocate_adaptive_runs(
   return alloc;
 }
 
-AdaptiveGridResult<RunStats> run_grid_adaptive(Engine& engine,
-                                               const Grid& grid,
-                                               std::uint64_t total_budget,
-                                               const AdaptiveConfig& config) {
-  return run_grid_adaptive(engine, grid, total_budget, RunStats{}, config);
+AdaptiveSchedule::AdaptiveSchedule(std::vector<SeedRange> seeds,
+                                   std::uint64_t budget,
+                                   const AdaptiveConfig& config)
+    : seeds_(std::move(seeds)),
+      budget_(budget),
+      config_(config),
+      estimates_(seeds_.size()),
+      planned_(seeds_.size()) {
+  if (config.pilot < 1) {
+    throw InvalidArgument("adaptive sweep: pilot must be >= 1");
+  }
+  if (config.rounds < 1) {
+    throw InvalidArgument("adaptive sweep: rounds must be >= 1");
+  }
+  if (!(config.z > 0.0)) {
+    throw InvalidArgument("adaptive sweep: z must be > 0");
+  }
+  if (config.target_half_width < 0.0) {
+    throw InvalidArgument("adaptive sweep: target_half_width must be >= 0");
+  }
+  for (const SeedRange& range : seeds_) {
+    if (range.count < config.pilot) {
+      throw InvalidArgument("adaptive sweep: pilot=" +
+                            std::to_string(config.pilot) +
+                            " exceeds the per-point seed count " +
+                            std::to_string(range.count));
+    }
+  }
+  const std::string points = std::to_string(seeds_.size()) + " points";
+  // budget < points x pilot, without forming the product.
+  if (budget / config.pilot < seeds_.size()) {
+    throw InvalidArgument("adaptive sweep: budget=" + std::to_string(budget) +
+                          " cannot cover the pilot (" + points +
+                          " x pilot=" + std::to_string(config.pilot) + ")");
+  }
+  // The capacity stops growing at the budget, so the sum cannot wrap.
+  std::uint64_t capacity = 0;
+  for (const SeedRange& range : seeds_) {
+    capacity += std::min(range.count, budget - capacity);
+  }
+  if (capacity < budget) {
+    throw InvalidArgument("adaptive sweep: budget=" + std::to_string(budget) +
+                          " exceeds the points' seed capacity (" + points +
+                          ", " + std::to_string(capacity) + " seeds)");
+  }
+}
+
+std::vector<AdaptiveAssignment> AdaptiveSchedule::next_round() {
+  std::vector<std::uint64_t> alloc;
+  if (!piloted_) {
+    piloted_ = true;
+    alloc.assign(seeds_.size(), config_.pilot);
+  }
+  while (alloc.empty() && rounds_begun_ < config_.rounds) {
+    // Even integer split of what is left across the remaining rounds; the
+    // last round absorbs every remainder, so a targetless sweep always
+    // spends the full budget.
+    std::uint64_t left = budget_;
+    for (const std::uint64_t runs : planned_) left -= runs;
+    const std::uint64_t round_budget =
+        left / static_cast<std::uint64_t>(config_.rounds - rounds_begun_++);
+    if (round_budget == 0) continue;
+    std::vector<std::uint64_t> capacity(seeds_.size());
+    for (std::size_t p = 0; p < seeds_.size(); ++p) {
+      capacity[p] = seeds_[p].count - planned_[p];
+    }
+    alloc = allocate_adaptive_runs(estimates_, capacity, round_budget,
+                                   config_.z, config_.target_half_width);
+    if (std::all_of(alloc.begin(), alloc.end(),
+                    [](std::uint64_t runs) { return runs == 0; })) {
+      // Every point converged or at capacity: the sweep is over.
+      rounds_begun_ = config_.rounds;
+      return {};
+    }
+    ++rounds_executed_;
+  }
+  std::vector<AdaptiveAssignment> round;
+  for (std::size_t p = 0; p < alloc.size(); ++p) {
+    if (alloc[p] == 0) continue;
+    round.push_back(AdaptiveAssignment{
+        p, SeedRange::of(seeds_[p].first + planned_[p], alloc[p])});
+    planned_[p] += alloc[p];
+  }
+  return round;
+}
+
+void AdaptiveSchedule::record(std::size_t point, const RunStats& stats) {
+  const SuccessEstimate shard = success_estimate(stats);
+  estimates_[point].add(shard.n, shard.successes);
+}
+
+AdaptiveGridResult run_grid_adaptive(Engine& engine, const Grid& grid,
+                                     std::uint64_t total_budget,
+                                     const AdaptiveConfig& config) {
+  const std::vector<GridPoint> points = grid.expand();
+  std::vector<SeedRange> seeds;
+  seeds.reserve(points.size());
+  for (const GridPoint& point : points) seeds.push_back(point.spec.seeds);
+  AdaptiveSchedule schedule(std::move(seeds), total_budget, config);
+
+  AdaptiveGridResult out;
+  out.budget = total_budget;
+  out.points.resize(points.size());
+  for (std::vector<AdaptiveAssignment> round = schedule.next_round();
+       !round.empty(); round = schedule.next_round()) {
+    for (const AdaptiveAssignment& slot : round) {
+      const RunStats shard = engine.run_collect_range(
+          points[slot.point].spec, slot.range, RunStats{});
+      schedule.record(slot.point, shard);
+      out.points[slot.point].merge(shard);
+      out.runs_spent += slot.range.count;
+      out.schedule.push_back(slot);
+    }
+  }
+  out.rounds_executed = schedule.rounds_executed();
+  return out;
 }
 
 }  // namespace rsb

@@ -184,18 +184,12 @@ struct AdaptiveAssignment {
                          const AdaptiveAssignment&) = default;
 };
 
-/// Per-point outcome of an adaptive sweep: the merged collector result,
-/// the success estimate driving allocation, and the runs spent here.
-template <Collector C>
-struct AdaptiveGridPoint {
-  C result;
-  SuccessEstimate estimate;
-  std::uint64_t runs = 0;
-};
-
-template <Collector C>
+/// Outcome of an adaptive sweep.
 struct AdaptiveGridResult {
-  std::vector<AdaptiveGridPoint<C>> points;  // expansion order
+  /// Per point, in expansion order: the merged stats of every run spent
+  /// there (`runs` is the point's spend; success_estimate reads its
+  /// estimate).
+  std::vector<RunStats> points;
   std::vector<AdaptiveAssignment> schedule;  // execution order
   std::uint64_t budget = 0;      // the requested total
   std::uint64_t runs_spent = 0;  // <= budget; < only on early convergence
@@ -217,107 +211,52 @@ std::vector<std::uint64_t> allocate_adaptive_runs(
     const std::vector<std::uint64_t>& capacity, std::uint64_t round_budget,
     double z, double target_half_width);
 
+/// The adaptive round loop, for any caller that executes installments
+/// itself: run_grid_adaptive steps it on an Engine, and rsbd steps it
+/// chunk by chunk between other clients' work. Each call to next_round()
+/// hands out one round — the pilot first, then each allocation round —
+/// as installments in point order; the caller executes them, passes each
+/// one's RunStats to record(), and asks for the next round once all of
+/// them are recorded. An empty round ends the sweep. Point p's
+/// installments are contiguous from seeds[p].first and never pass
+/// seeds[p].count, so a point that ends with k runs is byte-identical to a
+/// uniform sweep of its first k seeds.
+class AdaptiveSchedule {
+ public:
+  /// `seeds[p]` is point p's declared seed range. Throws InvalidArgument,
+  /// checked in this order, when the config is out of range, the pilot
+  /// exceeds some point's seed count, `budget` cannot cover points x
+  /// pilot, or `budget` exceeds the points' total seed capacity.
+  AdaptiveSchedule(std::vector<SeedRange> seeds, std::uint64_t budget,
+                   const AdaptiveConfig& config = {});
+
+  /// The next round's installments, in point order; empty once the budget
+  /// or the rounds are spent, or every point is converged or capped.
+  std::vector<AdaptiveAssignment> next_round();
+
+  /// Folds one executed installment of `point` into its success estimate.
+  void record(std::size_t point, const RunStats& stats);
+
+  /// Allocation rounds handed out after the pilot.
+  int rounds_executed() const noexcept { return rounds_executed_; }
+
+ private:
+  std::vector<SeedRange> seeds_;
+  std::uint64_t budget_ = 0;
+  AdaptiveConfig config_;
+  std::vector<SuccessEstimate> estimates_;
+  std::vector<std::uint64_t> planned_;  // runs handed out, per point
+  bool piloted_ = false;
+  int rounds_begun_ = 0;  // allocation rounds consumed, skipped ones too
+  int rounds_executed_ = 0;
+};
+
 /// Adaptive counterpart of run_grid: sweeps the grid under a shared
-/// `total_budget` run pool (which must cover points × config.pilot),
-/// allocating by CI half-width as described above. Each point's sweep
-/// grows in contiguous installments from its declared first seed and
-/// never past its declared seeds.count (the per-point capacity), so an
-/// adaptive point that ends with k runs is byte-identical to a uniform
-/// sweep of its first k seeds.
-template <Collector C>
-AdaptiveGridResult<C> run_grid_adaptive(Engine& engine, const Grid& grid,
-                                        std::uint64_t total_budget,
-                                        const C& proto,
-                                        const AdaptiveConfig& config = {}) {
-  if (config.pilot < 1) {
-    throw InvalidArgument("run_grid_adaptive: pilot must be >= 1");
-  }
-  if (config.rounds < 1) {
-    throw InvalidArgument("run_grid_adaptive: rounds must be >= 1");
-  }
-  if (!(config.z > 0.0)) {
-    throw InvalidArgument("run_grid_adaptive: z must be > 0");
-  }
-  if (config.target_half_width < 0.0) {
-    throw InvalidArgument("run_grid_adaptive: target_half_width must be >= 0");
-  }
-  const std::vector<GridPoint> points = grid.expand();
-  const std::uint64_t num_points = points.size();
-  if (total_budget < num_points * config.pilot) {
-    throw InvalidArgument(
-        "run_grid_adaptive: total budget " + std::to_string(total_budget) +
-        " cannot cover the pilot (" + std::to_string(num_points) +
-        " points x pilot " + std::to_string(config.pilot) + ")");
-  }
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    if (points[p].spec.seeds.count < config.pilot) {
-      throw InvalidArgument(
-          "run_grid_adaptive: pilot " + std::to_string(config.pilot) +
-          " exceeds the declared seed range (" +
-          std::to_string(points[p].spec.seeds.count) + " seeds) at point " +
-          std::to_string(p));
-    }
-  }
-
-  AdaptiveGridResult<C> out;
-  out.budget = total_budget;
-  out.points.reserve(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    out.points.push_back(
-        AdaptiveGridPoint<C>{proto, SuccessEstimate{}, 0});
-  }
-
-  // One installment: the next `count` contiguous seeds of point `p`,
-  // observed into the caller's collector and the estimate in a single
-  // pass.
-  const auto sweep = [&](std::size_t p, std::uint64_t count) {
-    const Experiment& spec = points[p].spec;
-    const SeedRange range =
-        SeedRange::of(spec.seeds.first + out.points[p].runs, count);
-    auto shard = engine.run_collect_range(
-        spec, range, CombineCollectors<C, SuccessEstimate>(proto, {}));
-    out.points[p].result.merge(std::move(shard.template part<0>()));
-    out.points[p].estimate.merge(shard.template part<1>());
-    out.points[p].runs += count;
-    out.runs_spent += count;
-    out.schedule.push_back(AdaptiveAssignment{p, range});
-  };
-
-  for (std::size_t p = 0; p < points.size(); ++p) sweep(p, config.pilot);
-
-  for (int r = 0; r < config.rounds; ++r) {
-    // Even integer split of what is left across the remaining rounds; the
-    // last round absorbs every remainder, so a targetless sweep always
-    // spends the full budget.
-    const std::uint64_t left = total_budget - out.runs_spent;
-    const std::uint64_t round_budget =
-        left / static_cast<std::uint64_t>(config.rounds - r);
-    if (round_budget == 0) continue;
-    std::vector<SuccessEstimate> estimates;
-    std::vector<std::uint64_t> capacity;
-    estimates.reserve(points.size());
-    capacity.reserve(points.size());
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      estimates.push_back(out.points[p].estimate);
-      capacity.push_back(points[p].spec.seeds.count - out.points[p].runs);
-    }
-    const std::vector<std::uint64_t> alloc =
-        allocate_adaptive_runs(estimates, capacity, round_budget, config.z,
-                               config.target_half_width);
-    std::uint64_t allocated = 0;
-    for (const std::uint64_t a : alloc) allocated += a;
-    if (allocated == 0) break;  // every point converged or at capacity
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      if (alloc[p] > 0) sweep(p, alloc[p]);
-    }
-    ++out.rounds_executed;
-  }
-  return out;
-}
-
-/// RunStats shorthand.
-AdaptiveGridResult<RunStats> run_grid_adaptive(
-    Engine& engine, const Grid& grid, std::uint64_t total_budget,
-    const AdaptiveConfig& config = {});
+/// `total_budget` run pool by stepping an AdaptiveSchedule (and its checks)
+/// over the points' declared seed ranges, executing every installment
+/// through Engine::run_collect_range.
+AdaptiveGridResult run_grid_adaptive(Engine& engine, const Grid& grid,
+                                     std::uint64_t total_budget,
+                                     const AdaptiveConfig& config = {});
 
 }  // namespace rsb

@@ -295,7 +295,7 @@ void add_estimate_columns(ResultTable::Row& row,
 }
 
 ResultTable grid_table(std::string name, const Grid& grid,
-                       const AdaptiveGridResult<RunStats>& result, double z) {
+                       const AdaptiveGridResult& result, double z) {
   const std::vector<GridPoint> points = grid.expand();
   if (points.size() != result.points.size()) {
     throw InvalidArgument(
@@ -311,8 +311,8 @@ ResultTable grid_table(std::string name, const Grid& grid,
       row.set(axis, value);
     }
     row.set("runs_spent", result.points[i].runs);
-    add_stats_columns(row, result.points[i].result);
-    add_estimate_columns(row, result.points[i].estimate, z);
+    add_stats_columns(row, result.points[i]);
+    add_estimate_columns(row, success_estimate(result.points[i]), z);
   }
   return table;
 }

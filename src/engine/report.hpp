@@ -109,13 +109,12 @@ void add_estimate_columns(ResultTable::Row& row,
                           const SuccessEstimate& estimate, double z = 1.96);
 
 /// Adaptive counterpart: one row per grid point with the axis coordinate
-/// columns, a runs_spent column (the adaptive scheduler's ledger for the
-/// point — equal to the stats' own runs counter by construction), the
-/// standard stats columns, and the ci_lo/ci_hi/half_width estimate
-/// columns at `z`. `result` must be run_grid_adaptive's output for the
+/// columns, a runs_spent column (the runs spent at the point), the
+/// standard stats columns, and the ci_lo/ci_hi/half_width columns of its
+/// success_estimate at `z`. `result` must be run_grid_adaptive's output for the
 /// same grid.
 ResultTable grid_table(std::string name, const Grid& grid,
-                       const AdaptiveGridResult<RunStats>& result,
+                       const AdaptiveGridResult& result,
                        double z = 1.96);
 
 }  // namespace rsb

@@ -284,6 +284,12 @@ CanonicalSpec CanonicalSpec::parse(const std::string& text) {
       }
       spec.seeds.first = parse_u64(trim(value.substr(0, plus)), key);
       spec.seeds.count = parse_u64(trim(value.substr(plus + 1)), key);
+      if (spec.seeds.count >
+          std::numeric_limits<std::uint64_t>::max() - spec.seeds.first) {
+        throw InvalidArgument("spec: seeds=" + value +
+                              " ends past the last seed (first + count "
+                              "exceeds 2^64 - 1)");
+      }
     }
   }
   if (spec.loads.empty()) {

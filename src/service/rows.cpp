@@ -1,21 +1,30 @@
 #include "service/rows.hpp"
 
+#include <algorithm>
+
 #include "service/json.hpp"
 
 namespace rsb::service {
 
+SeedRange first_chunk(SeedRange range) {
+  const std::uint64_t to_boundary = kChunkRuns - range.first % kChunkRuns;
+  return SeedRange::of(range.first, std::min(range.count, to_boundary));
+}
+
 std::vector<SeedRange> chunk_plan(SeedRange range) {
   std::vector<SeedRange> out;
-  std::uint64_t at = range.first;
-  const std::uint64_t end = range.first + range.count;
-  while (at < end) {
-    // Next absolute alignment boundary strictly past `at`.
-    const std::uint64_t boundary = (at / kChunkRuns + 1) * kChunkRuns;
-    const std::uint64_t stop = boundary < end ? boundary : end;
-    out.push_back(SeedRange::of(at, stop - at));
-    at = stop;
+  while (range.count > 0) {
+    const SeedRange chunk = first_chunk(range);
+    out.push_back(chunk);
+    range = SeedRange::of(range.first + chunk.count, range.count - chunk.count);
   }
   return out;
+}
+
+std::uint64_t chunk_count(SeedRange range) {
+  if (range.count == 0) return 0;
+  const std::uint64_t last = range.first + (range.count - 1);
+  return last / kChunkRuns - range.first / kChunkRuns + 1;
 }
 
 std::string row_payload(SeedRange chunk, const RunStats& stats) {

@@ -6,7 +6,11 @@
 // the seed numbers, never on where a particular query's range starts — so
 // two overlapping queries of the same spec share their interior chunks
 // byte-for-byte and cache-entry-for-cache-entry; only the (at most two)
-// partial edge chunks of a misaligned range are query-shaped. Each chunk
+// partial edge chunks of a misaligned range are query-shaped. One rule,
+// first_chunk, cuts them: the server cuts each row's chunk off the front of
+// a job's remaining range as it serves it, so it never lists a job's
+// chunks; chunk_plan lists them for the in-process reference, and
+// chunk_count counts them in O(1) for the accepted line. Each chunk
 // is executed as one Engine::run_collect sweep into a RunStats shard (the
 // collector-shard merge the engine already does internally), serialized by
 // row_payload() into a canonical JSON object of integer counters:
@@ -34,10 +38,19 @@ namespace rsb::service {
 /// Runs per chunk; also the alignment of chunk boundaries in seed space.
 inline constexpr std::uint64_t kChunkRuns = 256;
 
-/// Splits [range.first, range.first + range.count) at absolute multiples
-/// of kChunkRuns, in ascending seed order. Every chunk is nonempty;
-/// interior chunks are exactly kChunkRuns long and aligned.
+/// The chunk rule: the first chunk of a nonempty `range` runs from
+/// range.first to the next absolute multiple of kChunkRuns or to the
+/// range's end, whichever comes first. Empty for an empty range.
+SeedRange first_chunk(SeedRange range);
+
+/// Splits [range.first, range.first + range.count) by cutting first_chunk
+/// off its front until nothing is left, in ascending seed order. Every
+/// chunk is nonempty; interior chunks are exactly kChunkRuns long and
+/// aligned.
 std::vector<SeedRange> chunk_plan(SeedRange range);
+
+/// chunk_plan(range).size(), in O(1).
+std::uint64_t chunk_count(SeedRange range);
 
 /// Serializes one executed chunk as the canonical row payload (see file
 /// header). `stats` must be the RunStats of exactly that chunk.

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -11,7 +12,9 @@
 #include <cstring>
 #include <deque>
 #include <exception>
+#include <limits>
 #include <map>
+#include <optional>
 #include <tuple>
 
 #include "engine/grid.hpp"
@@ -43,15 +46,28 @@ bool would_block() {
   return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
 }
 
+/// True when `chunk` is one of chunk_plan(range)'s chunks, in O(1): it
+/// starts inside `range` at one of its cuts, and the chunk rule cuts it
+/// there.
+bool is_chunk_of(SeedRange chunk, SeedRange range) {
+  const std::uint64_t offset = chunk.first - range.first;
+  if (chunk.first < range.first || offset >= range.count) return false;
+  if (offset != 0 && chunk.first % kChunkRuns != 0) return false;
+  return first_chunk(SeedRange::of(chunk.first, range.count - offset)) ==
+         chunk;
+}
+
 }  // namespace
 
 // -------------------------------------------------------------------- job
 
-/// One admitted submit: the expanded points and a flat chunk plan — one
-/// (point index, seed range) entry per row the job will stream, in
-/// point-then-chunk order. Uniform jobs materialize the whole plan at
-/// submit; adaptive jobs start with the pilot entries and the loop appends
-/// allocation rounds as estimates come in (extend_adaptive_plan).
+/// One admitted submit: the expanded points and the installments it has
+/// yet to stream — (point, seed range) pairs in point-then-seed order,
+/// each served as rows by cutting rows.hpp's first_chunk off its front. A
+/// uniform job queues one installment per point at submit; an adaptive job
+/// queues its schedule's pilot, then each next round once the last chunk
+/// of the round before has merged. A job's memory follows its points, not
+/// its chunks.
 struct Server::Job {
   struct Point {
     std::string label;
@@ -62,14 +78,11 @@ struct Server::Job {
     /// otherwise. Hash-inert — points differing only here share `hash`.
     bool orbit = true;
   };
-  struct PlanEntry {
-    std::size_t point = 0;
-    SeedRange chunk;
-  };
 
   std::uint64_t id = 0;
   std::vector<Point> points;
-  std::vector<PlanEntry> plan;
+  std::vector<AdaptiveAssignment> installments;
+  std::optional<AdaptiveSchedule> adaptive;  // `adaptive-budget=` specs
   SeedRange request_seeds;  // shared by every point (seeds is not an axis)
 
   /// Chunks another job's execution already produced (cross-job dedup),
@@ -82,27 +95,14 @@ struct Server::Job {
            ResultCache::Entry>
       fulfilled;
 
-  std::size_t next_entry = 0;
-  std::size_t rows_emitted = 0;
-  std::uint64_t total_chunks = 0;
+  std::uint64_t rows_emitted = 0;
   std::uint64_t runs_total = 0;
   std::uint64_t runs_executed = 0;
   std::uint64_t runs_cached = 0;
   std::uint64_t runs_deduped = 0;  // orbit memo hits inside executed chunks
   RunStats summary;
 
-  // Adaptive sweeps (`adaptive-budget=` on the spec): the shared budget,
-  // pilot, per-point success estimates folded from each chunk's stats,
-  // per-point runs planned so far, and the allocation round counter.
-  bool adaptive = false;
-  std::uint64_t adaptive_budget = 0;
-  std::uint64_t pilot = 0;
-  std::uint64_t runs_planned = 0;
-  int adaptive_round = 0;
-  std::vector<SuccessEstimate> estimates;
-  std::vector<std::uint64_t> point_runs;
-
-  bool finished() const noexcept { return next_entry == plan.size(); }
+  bool finished() const noexcept { return installments.empty(); }
 };
 
 // ---------------------------------------------------------------- session
@@ -257,6 +257,10 @@ void Server::accept_clients() {
       if (errno == EMFILE || errno == ENFILE) accepting_ = false;
       return;
     }
+    // Rows follow a job's first reply in small writes; with Nagle's
+    // algorithm on, each waits for the client's delayed ACK (~40 ms).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     sessions_.push_back(std::make_unique<Session>(fd));
     // Answer what the client already sent before the next chunk runs.
     read_requests(*sessions_.back());
@@ -339,62 +343,20 @@ std::string Server::handle_request(Session& session, const std::string& line) {
   }
 }
 
-void Server::append_point_plan(Job& job, std::size_t point, SeedRange range) {
-  for (const SeedRange& chunk : chunk_plan(range)) {
-    job.plan.push_back(Job::PlanEntry{point, chunk});
-  }
-  job.total_chunks = job.plan.size();
-  job.runs_planned += range.count;
-  if (point < job.point_runs.size()) job.point_runs[point] += range.count;
-}
-
-void Server::extend_adaptive_plan(Job& job) {
-  // Round budgets follow run_grid_adaptive exactly: the remaining budget
-  // split evenly over the remaining rounds, the last round absorbing the
-  // integer remainder. Every range starts at the point's next unexecuted
-  // seed, so extension chunks are the same absolute-aligned shards a
-  // uniform sweep over the point would produce.
-  const AdaptiveConfig defaults{};
-  while (job.next_entry == job.plan.size() &&
-         job.adaptive_round < defaults.rounds &&
-         job.runs_planned < job.adaptive_budget) {
-    const std::uint64_t left = job.adaptive_budget - job.runs_planned;
-    const std::uint64_t round_budget =
-        left / static_cast<std::uint64_t>(defaults.rounds - job.adaptive_round);
-    ++job.adaptive_round;
-    if (round_budget == 0) continue;
-    std::vector<std::uint64_t> capacity(job.points.size());
-    for (std::size_t p = 0; p < job.points.size(); ++p) {
-      capacity[p] = job.request_seeds.count - job.point_runs[p];
-    }
-    const std::vector<std::uint64_t> alloc =
-        allocate_adaptive_runs(job.estimates, capacity, round_budget,
-                               defaults.z, defaults.target_half_width);
-    std::uint64_t allocated = 0;
-    for (std::size_t p = 0; p < job.points.size(); ++p) {
-      if (alloc[p] == 0) continue;
-      append_point_plan(
-          job, p,
-          SeedRange::of(job.request_seeds.first + job.point_runs[p], alloc[p]));
-      allocated += alloc[p];
-    }
-    if (allocated == 0) return;  // every eligible point is capped
-  }
-}
-
 std::string Server::handle_submit(Session& session,
                                   const std::string& spec_text) {
   // Expansion and validation happen before admission: a malformed spec is
   // an error reply, never a queued job.
   Job job;
   std::string hashes;
+  std::uint64_t budget = 0;
+  std::uint64_t pilot = 0;
   for (SpecPoint& point : expand_request(spec_text, config_.max_points)) {
     if (job.points.empty()) {
-      job.adaptive = point.spec.adaptive_budget != 0;
-      job.adaptive_budget = point.spec.adaptive_budget;
-      job.pilot = point.spec.pilot;
-    } else if (point.spec.adaptive_budget != job.adaptive_budget ||
-               point.spec.pilot != job.pilot) {
+      budget = point.spec.adaptive_budget;
+      pilot = point.spec.pilot;
+    } else if (point.spec.adaptive_budget != budget ||
+               point.spec.pilot != pilot) {
       throw InvalidArgument(
           "spec: adaptive-budget/pilot cannot be grid axes — one budget is "
           "shared by every point of the request");
@@ -411,43 +373,32 @@ std::string Server::handle_submit(Session& session,
     hashes += quoted(point.spec.hash_hex());
     job.points.push_back(std::move(expanded));
   }
+  const std::uint64_t n_points = job.points.size();
+  if (job.request_seeds.count >
+      std::numeric_limits<std::uint64_t>::max() / n_points) {
+    throw InvalidArgument("spec: " + std::to_string(n_points) +
+                          " points x seeds=" +
+                          std::to_string(job.request_seeds.count) +
+                          " runs do not fit in 64 bits");
+  }
 
-  if (job.adaptive) {
-    const AdaptiveConfig defaults{};
-    if (job.pilot == 0) job.pilot = defaults.pilot;
-    const std::uint64_t n_points = job.points.size();
-    if (job.pilot > job.request_seeds.count) {
-      throw InvalidArgument("spec: pilot=" + std::to_string(job.pilot) +
-                            " exceeds the per-point seed count " +
-                            std::to_string(job.request_seeds.count));
-    }
-    if (job.adaptive_budget < n_points * job.pilot) {
-      throw InvalidArgument(
-          "spec: adaptive-budget=" + std::to_string(job.adaptive_budget) +
-          " cannot cover the pilot (" + std::to_string(n_points) +
-          " points x pilot=" + std::to_string(job.pilot) + " = " +
-          std::to_string(n_points * job.pilot) + " runs)");
-    }
-    if (job.adaptive_budget > n_points * job.request_seeds.count) {
-      throw InvalidArgument(
-          "spec: adaptive-budget=" + std::to_string(job.adaptive_budget) +
-          " exceeds the request's seed capacity (" + std::to_string(n_points) +
-          " points x seeds=" + std::to_string(job.request_seeds.count) +
-          " = " + std::to_string(n_points * job.request_seeds.count) +
-          " runs)");
-    }
-    job.estimates.resize(job.points.size());
-    job.point_runs.assign(job.points.size(), 0);
-    for (std::size_t p = 0; p < job.points.size(); ++p) {
-      append_point_plan(job, p,
-                        SeedRange::of(job.request_seeds.first, job.pilot));
-    }
-    job.runs_total = job.adaptive_budget;
+  AdaptiveConfig adaptive_config;
+  if (budget != 0) {
+    if (pilot != 0) adaptive_config.pilot = pilot;
+    job.adaptive.emplace(
+        std::vector<SeedRange>(job.points.size(), job.request_seeds), budget,
+        adaptive_config);
+    job.installments = job.adaptive->next_round();
+    job.runs_total = budget;
   } else {
     for (std::size_t p = 0; p < job.points.size(); ++p) {
-      append_point_plan(job, p, job.request_seeds);
+      job.installments.push_back(AdaptiveAssignment{p, job.request_seeds});
     }
-    job.runs_total = job.runs_planned;
+    job.runs_total = n_points * job.request_seeds.count;
+  }
+  std::uint64_t chunks = 0;
+  for (const AdaptiveAssignment& installment : job.installments) {
+    chunks += chunk_count(installment.range);
   }
 
   std::string reject;
@@ -467,15 +418,16 @@ std::string Server::handle_submit(Session& session,
 
   // The reply is queued before any row can be: rows go out only when the
   // loop serves a chunk, after this request is answered. For adaptive
-  // jobs `chunks` counts the pilot plan only (the schedule grows as
+  // jobs `chunks` counts the pilot's chunks only (the schedule grows as
   // estimates come in) while `runs` is the full budget.
   std::string out = "{\"type\":\"accepted\",\"ok\":true";
   out += ",\"job\":" + std::to_string(job.id);
   out += ",\"points\":" + std::to_string(job.points.size());
-  out += ",\"chunks\":" + std::to_string(job.total_chunks);
+  out += ",\"chunks\":" + std::to_string(chunks);
   out += ",\"runs\":" + std::to_string(job.runs_total);
   if (job.adaptive) {
-    out += ",\"adaptive\":true,\"pilot\":" + std::to_string(job.pilot);
+    out += ",\"adaptive\":true,\"pilot\":" +
+           std::to_string(adaptive_config.pilot);
   }
   out += ",\"spec_hashes\":[" + hashes + "]}";
   session.jobs.push_back(std::move(job));
@@ -517,7 +469,8 @@ Server::Pick Server::pick_next() {
     pick.any_pending = true;
     if (visited != 0) session.deficit += config_.quantum_runs;
     const Job& job = session.jobs.front();
-    if (session.deficit >= job.plan[job.next_entry].chunk.count) {
+    if (session.deficit >=
+        first_chunk(job.installments.front().range).count) {
       rr_cursor_ = idx;
       pick.session = &session;
       return pick;
@@ -527,13 +480,17 @@ Server::Pick Server::pick_next() {
 }
 
 void Server::serve_chunk(Session& session) {
-  // An adaptive job whose plan is momentarily exhausted never reaches
-  // here: the merge below extends the plan (or finishes the job) first.
+  // A job with no installment left never reaches here: the merge below
+  // queues an adaptive job's next round (or finishes the job) first.
   Job& job = session.jobs.front();
-  const Job::PlanEntry entry = job.plan[job.next_entry++];
-  const std::size_t row_index = job.rows_emitted++;
-  const SeedRange chunk = entry.chunk;
-  const Job::Point& point = job.points[entry.point];
+  AdaptiveAssignment& front = job.installments.front();
+  const std::size_t point_index = front.point;
+  const SeedRange chunk = first_chunk(front.range);
+  front.range = SeedRange::of(front.range.first + chunk.count,
+                              front.range.count - chunk.count);
+  if (front.range.count == 0) job.installments.erase(job.installments.begin());
+  const std::uint64_t row_index = job.rows_emitted++;
+  const Job::Point& point = job.points[point_index];
   const ResultCache::Key key{point.hash, chunk.first, chunk.count};
   const auto dedup_key = std::make_tuple(point.hash, chunk.first, chunk.count);
 
@@ -564,18 +521,16 @@ void Server::serve_chunk(Session& session) {
     deduped = engine_.orbit_hits() - hits_before;
     cache_.insert(key, ResultCache::Entry{payload, stats});
     // Cross-job dedup, fill side: hand the freshly executed shard to every
-    // other queued job still waiting on the same (spec hash, chunk). Only
-    // unclaimed chunks qualify — a claimed one is already past the consume
-    // check above. Rows are pure functions of (spec, chunk), so the
-    // handover is byte-identical to executing.
+    // other queued job that will still cut the same (spec hash, chunk) off
+    // one of its installments. Only unclaimed chunks qualify — a claimed
+    // one is already cut off. Rows are pure functions of (spec, chunk), so
+    // the handover is byte-identical to executing.
     for (const auto& other_session : sessions_) {
       for (Job& other : other_session->jobs) {
         if (&other == &job) continue;
-        for (std::size_t e = other.next_entry; e < other.plan.size(); ++e) {
-          const Job::PlanEntry& planned = other.plan[e];
-          if (other.points[planned.point].hash == point.hash &&
-              planned.chunk.first == chunk.first &&
-              planned.chunk.count == chunk.count) {
+        for (const AdaptiveAssignment& queued : other.installments) {
+          if (other.points[queued.point].hash == point.hash &&
+              is_chunk_of(chunk, queued.range)) {
             other.fulfilled.emplace(dedup_key,
                                     ResultCache::Entry{payload, stats});
           }
@@ -585,7 +540,7 @@ void Server::serve_chunk(Session& session) {
   }
 
   std::string line = "{\"type\":\"row\",\"job\":" + std::to_string(job.id);
-  line += ",\"point\":" + std::to_string(entry.point);
+  line += ",\"point\":" + std::to_string(point_index);
   line += ",\"label\":" + quoted(point.label);
   line += ",\"chunk\":" + std::to_string(row_index);
   line += ",\"cached\":";
@@ -595,14 +550,8 @@ void Server::serve_chunk(Session& session) {
 
   job.summary.merge(stats);
   if (job.adaptive) {
-    // Fold the chunk into the point's success estimate (successes = task
-    // admissions when a task is checked, bare terminations otherwise — the
-    // same reading SuccessEstimate::observe applies), then grow the plan
-    // once the last planned chunk has merged.
-    job.estimates[entry.point].add(
-        stats.runs,
-        stats.task_checked ? stats.task_successes : stats.terminated);
-    if (job.next_entry == job.plan.size()) extend_adaptive_plan(job);
+    job.adaptive->record(point_index, stats);
+    if (job.installments.empty()) job.installments = job.adaptive->next_round();
   }
   if (cached) {
     job.runs_cached += chunk.count;
@@ -625,7 +574,7 @@ void Server::serve_chunk(Session& session) {
   if (!finished) return;
 
   std::string done = "{\"type\":\"done\",\"job\":" + std::to_string(job.id);
-  done += ",\"chunks\":" + std::to_string(job.total_chunks);
+  done += ",\"chunks\":" + std::to_string(job.rows_emitted);
   done += ",\"runs\":" + std::to_string(job.runs_total);
   done += ",\"runs_executed\":" + std::to_string(job.runs_executed);
   done += ",\"runs_cached\":" + std::to_string(job.runs_cached);

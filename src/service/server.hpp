@@ -3,11 +3,12 @@
 // The daemon listens on a loopback TCP port and speaks newline-delimited
 // JSON (src/service/json.hpp). A client submits an experiment spec in the
 // canonical text form (src/service/canonical.hpp, optionally a grid
-// request with `|` alternatives); the server expands it, splits every
-// point's seed range into absolute-aligned chunks (src/service/rows.hpp),
-// and streams one row back per chunk as it completes, in point-then-chunk
-// (= run-index) order, followed by a `done` summary merged through
-// RunStats::merge. Requests:
+// request with `|` alternatives); the server expands it, keeps one seed
+// range per point, cuts absolute-aligned chunks off the front of each
+// range as it serves them (src/service/rows.hpp), and streams one row back
+// per chunk as it completes, in point-then-chunk (= run-index) order,
+// followed by a `done` summary merged through RunStats::merge. A job's
+// memory follows its points, not its chunks. Requests:
 //
 //   {"op":"submit","spec":"loads=2,3\nprotocol=wait-for-singleton-LE\n..."}
 //   {"op":"ping"}        {"op":"stats"}        {"op":"shutdown"}
@@ -37,20 +38,21 @@
 //    (src/service/cache.hpp) keyed by (spec hash, chunk range); repeated
 //    or overlapping queries stream the covered chunks back without
 //    executing a single run;
-//  * cross-job dedup — when an executed chunk also appears, unclaimed, in
-//    another queued job with the same spec hash, the server hands the
-//    completed shard to that job at completion time, so concurrent
-//    queries over one ensemble execute each chunk once — even when the
-//    LRU cache is too small to retain the bytes until the second job's
-//    turn comes around;
+//  * cross-job dedup — when an executed chunk is one another queued job
+//    with the same spec hash will still cut from its remaining seed
+//    ranges, the server hands the completed shard to that job at
+//    completion time, so concurrent queries over one ensemble execute
+//    each chunk once — even when the LRU cache is too small to retain the
+//    bytes until the second job's turn comes around;
 //  * adaptive sweeps — a spec carrying `adaptive-budget=B` (and optionally
-//    `pilot=P`; both hash-inert, see canonical.hpp) runs every grid point
-//    for P pilot runs, then spends the remaining budget in allocation
-//    rounds proportional to each point's Wilson CI half-width
-//    (engine/grid.hpp allocate_adaptive_runs). Every scheduled range
-//    starts at the point's next unexecuted seed, so the chunks stay
-//    seed-range-aligned and byte-identical to a uniform sweep's prefix —
-//    adaptive and uniform requests over one ensemble share cache entries.
+//    `pilot=P`; both hash-inert, see canonical.hpp) follows the schedule
+//    run_grid_adaptive follows (engine/grid.hpp AdaptiveSchedule): P pilot
+//    runs per point, then allocation rounds proportional to each point's
+//    Wilson CI half-width, each round queued once the last one's chunks
+//    have merged. Every installment starts at the point's next unexecuted
+//    seed, so the chunks stay seed-range-aligned and byte-identical to a
+//    uniform sweep's prefix — adaptive and uniform requests over one
+//    ensemble share cache entries.
 //
 // Threading: one loop thread runs the whole server. Each iteration polls
 // the listener and every session socket, accepts pending clients (reading
@@ -191,15 +193,6 @@ class Server {
   /// Serves the next chunk of `session`'s front job: cache, handover or
   /// engine, then its row, and the done line when the job completes.
   void serve_chunk(Session& session);
-
-  /// Appends `range` for point `point` to the job's plan as cache-aligned
-  /// chunks (rows.hpp chunk_plan) and advances the planning accounting.
-  static void append_point_plan(Job& job, std::size_t point, SeedRange range);
-
-  /// Runs adaptive allocation rounds until the plan grows or the job's
-  /// rounds/budget are exhausted. Called after the last planned chunk's
-  /// stats merged.
-  static void extend_adaptive_plan(Job& job);
 
   ServerConfig config_;
   int listen_fd_ = -1;

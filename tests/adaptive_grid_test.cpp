@@ -1,11 +1,12 @@
 // Tests for adaptive sweep allocation (engine/grid.hpp run_grid_adaptive)
-// and the primitives under it: Engine::run_collect_range resumption, the
-// SuccessEstimate collector's Wilson intervals, and the deterministic
-// largest-remainder allocation rule. The headline law pinned here: the
-// full (point, seed range) schedule — and every merged result — is a pure
-// function of (grid declaration, total budget, config), byte-identical
-// across thread counts and lockstep batch widths, and every adaptive
-// point is prefix-identical to a uniform sweep of the same seed count.
+// and the primitives under it: Engine::run_collect_range resumption,
+// SuccessEstimate's Wilson intervals and the success rule, and the
+// deterministic largest-remainder allocation rule. The headline law pinned
+// here: the full (point, seed range) schedule — and every merged result —
+// is a pure function of (grid declaration, total budget, config),
+// byte-identical across thread counts and lockstep batch widths, and every
+// adaptive point is prefix-identical to a uniform sweep of the same seed
+// count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -118,37 +119,25 @@ TEST(SuccessEstimate, HalfWidthEdgeCases) {
   EXPECT_LT(many.half_width(), few.half_width());
 }
 
-TEST(SuccessEstimate, MergeIsAssociativeAcrossOddShardSplits) {
-  // Direct counter shards: ((a+b)+c) == (a+(b+c)) == one shard.
-  const auto make = [](std::uint64_t n, std::uint64_t wins) {
-    SuccessEstimate e;
-    e.add(n, wins);
-    return e;
-  };
-  SuccessEstimate left = make(7, 3);
-  left.merge(make(1, 1));
-  left.merge(make(11, 2));
-  SuccessEstimate tail = make(1, 1);
-  tail.merge(make(11, 2));
-  SuccessEstimate right = make(7, 3);
-  right.merge(tail);
-  EXPECT_EQ(left, right);
-  EXPECT_EQ(left, make(19, 6));
-
-  // And engine-observed shards over odd splits agree with the full sweep.
-  const Experiment spec = random_wiring_base().with_seeds(1, 17);
+TEST(SuccessEstimate, SuccessRuleReadsTaskAdmissionsOrTerminations) {
+  // With a task, a run succeeds when the task admits it; without one, when
+  // it terminates. One elected leader never satisfies m = 2.
   Engine engine;
-  const auto full =
-      engine.run_collect(spec, CombineCollectors<RunStats, SuccessEstimate>(
-                                   RunStats{}, SuccessEstimate{}));
-  SuccessEstimate merged;
-  for (const SeedRange shard :
-       {SeedRange::of(1, 5), SeedRange::of(6, 1), SeedRange::of(7, 11)}) {
-    merged.merge(
-        engine.run_collect_range(spec, shard, SuccessEstimate{}));
-  }
-  EXPECT_EQ(merged, full.part<1>());
-  EXPECT_EQ(merged.n, 17u);
+  const RunStats judged = engine.run_collect(
+      le_base().with_task("m-leader-election(2)").with_seeds(1, 40),
+      RunStats{});
+  ASSERT_TRUE(judged.task_checked);
+  ASSERT_GT(judged.terminated, 0u);
+  EXPECT_EQ(success_estimate(judged),
+            (SuccessEstimate{judged.runs, judged.task_successes}));
+  EXPECT_EQ(judged.task_successes, 0u);
+
+  Experiment bare = le_base().with_seeds(1, 40);
+  bare.task.reset();
+  const RunStats unjudged = engine.run_collect(bare, RunStats{});
+  ASSERT_FALSE(unjudged.task_checked);
+  EXPECT_EQ(success_estimate(unjudged),
+            (SuccessEstimate{unjudged.runs, unjudged.terminated}));
 }
 
 // ------------------------------------------------ allocate_adaptive_runs
@@ -261,10 +250,8 @@ TEST(RunGridAdaptive, ScheduleAndResultsAreAPureFunctionOfTheDeclaration) {
           << "threads=" << threads << " batch=" << batch;
       ASSERT_EQ(result.points.size(), reference.points.size());
       for (std::size_t p = 0; p < result.points.size(); ++p) {
-        EXPECT_EQ(result.points[p].result, reference.points[p].result)
+        EXPECT_EQ(result.points[p], reference.points[p])
             << "point " << p << " threads=" << threads << " batch=" << batch;
-        EXPECT_EQ(result.points[p].estimate, reference.points[p].estimate);
-        EXPECT_EQ(result.points[p].runs, reference.points[p].runs);
       }
     }
   }
@@ -284,8 +271,7 @@ TEST(RunGridAdaptive, PointsArePrefixIdenticalToUniformSweeps) {
     Experiment prefix = points[p].spec;
     prefix.seeds = SeedRange::of(prefix.seeds.first, adaptive.points[p].runs);
     const RunStats uniform = engine.run_collect(prefix, RunStats{});
-    EXPECT_EQ(adaptive.points[p].result, uniform) << "point " << p;
-    EXPECT_EQ(adaptive.points[p].estimate.n, adaptive.points[p].runs);
+    EXPECT_EQ(adaptive.points[p], uniform) << "point " << p;
   }
 }
 
@@ -331,7 +317,7 @@ TEST(RunGridAdaptive, TargetHalfWidthStopsEarlyAndLeavesBudgetUnspent) {
   EXPECT_EQ(result.rounds_executed, 0);
   for (const auto& point : result.points) {
     EXPECT_EQ(point.runs, 32u);
-    EXPECT_LE(point.estimate.half_width(), 0.2);
+    EXPECT_LE(success_estimate(point).half_width(), 0.2);
   }
 }
 

@@ -233,6 +233,14 @@ TEST(CanonicalSpec, RejectsMalformedInput) {
   EXPECT_THROW(CanonicalSpec::parse("loads=2,3\nrounds=100|300"),
                InvalidArgument);  // alternatives only via expand_request
   EXPECT_THROW(CanonicalSpec::parse("loads=2,3\nseeds=xyz"), InvalidArgument);
+  // A range whose exclusive end first + count passes 2^64 - 1 wraps; the
+  // last seed itself stays legal.
+  const std::string base = "loads=2,3\nprotocol=wait-for-singleton-LE\n";
+  EXPECT_THROW(CanonicalSpec::parse(base + "seeds=18446744073709551615+2"),
+               InvalidArgument);
+  EXPECT_EQ(CanonicalSpec::parse(base + "seeds=18446744073709551614+1")
+                .seeds.first,
+            18446744073709551614u);
 }
 
 TEST(CanonicalSpec, IntegerKeysRejectValuesOutsideTheIntRange) {

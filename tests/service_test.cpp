@@ -27,12 +27,15 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "engine/grid.hpp"
 #include "service/cache.hpp"
 #include "service/canonical.hpp"
 #include "service/client.hpp"
@@ -140,6 +143,31 @@ TEST(Service, RepeatedQueryIsServedEntirelyFromCache) {
   server.stop();
 }
 
+TEST(Service, WarmRepeatsDoNotWaitOnDelayedAcks) {
+  // Regression: accepted sockets left Nagle's algorithm on, so the lines
+  // after a job's first reply waited for the client's delayed ACK — a warm
+  // 600-run job took ~44 ms, nearly all of it idle. Accepted sockets now
+  // set TCP_NODELAY.
+  Server server({.threads = 2});
+  server.start();
+  Client client;
+  client.connect(server.port());
+  run_job(client, kSpec);  // cold: fills the cache
+
+  std::vector<double> job_ms;
+  for (int repeat = 0; repeat < 11; ++repeat) {
+    const auto start = std::chrono::steady_clock::now();
+    const JobResult warm = run_job(client, kSpec);
+    job_ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+    EXPECT_EQ(warm.runs_executed, 0u);
+  }
+  std::nth_element(job_ms.begin(), job_ms.begin() + 5, job_ms.end());
+  EXPECT_LT(job_ms[5], 10.0) << "median warm job, in ms";
+  server.stop();
+}
+
 TEST(Service, OverlappingSweepOnlyRunsUncoveredSeeds) {
   Server server({.threads = 2});
   server.start();
@@ -224,14 +252,24 @@ TEST(Service, CrossJobDedupExecutesSharedChunksOnce) {
 
   const std::string decoy =
       "loads=2,3\nprotocol=wait-for-singleton-LE\nseeds=0+256";
+  // Misaligned ranges of a second spec: D = 100+600 is cut into
+  // [100,256) [256,512) [512,700); E = 256+444 is exactly D's last two
+  // chunks, so all of E is handed over; F = 300+212 is one chunk that is
+  // none of D's, so F executes its own.
+  const std::string misaligned =
+      "loads=1,2\nprotocol=wait-for-singleton-LE\ntask=leader-election\n"
+      "rounds=40\nseeds=";
   client.send_line(submit_request(decoy));
   client.send_line(submit_request(kSpec));  // job A
   client.send_line(submit_request(kSpec));  // job B: same spec, same chunks
+  client.send_line(submit_request(misaligned + "100+600"));  // job D
+  client.send_line(submit_request(misaligned + "256+444"));  // job E
+  client.send_line(submit_request(misaligned + "300+212"));  // job F
 
   std::vector<std::uint64_t> accepted_ids;
   std::map<std::uint64_t, JobResult> jobs;
   std::size_t done_seen = 0;
-  while (done_seen < 3) {
+  while (done_seen < 6) {
     const auto line = client.read_line();
     ASSERT_TRUE(line.has_value());
     const Value msg = Value::parse(*line);
@@ -251,13 +289,26 @@ TEST(Service, CrossJobDedupExecutesSharedChunksOnce) {
     jobs[id].runs_cached = msg.find("runs_cached")->as_uint();
     ++done_seen;
   }
-  ASSERT_EQ(accepted_ids.size(), 3u);
+  ASSERT_EQ(accepted_ids.size(), 6u);
   const JobResult& job_a = jobs[accepted_ids[1]];
   const JobResult& job_b = jobs[accepted_ids[2]];
+  const JobResult& job_d = jobs[accepted_ids[3]];
+  const JobResult& job_e = jobs[accepted_ids[4]];
+  const JobResult& job_f = jobs[accepted_ids[5]];
 
   // The engine's run counter moved once per distinct chunk: the decoy's
-  // 256 runs plus A's 600 — B's 600 never reached the engine.
-  EXPECT_EQ(server.stats().runs_executed, 256u + 600u);
+  // 256 runs plus A's 600, D's 600 and F's 212 — B's and E's runs never
+  // reached the engine.
+  EXPECT_EQ(server.stats().runs_executed, 256u + 600u + 600u + 212u);
+  EXPECT_EQ(job_d.runs_executed, 600u);
+  EXPECT_EQ(job_e.runs_executed, 0u);
+  EXPECT_EQ(job_e.runs_cached, 444u);
+  EXPECT_EQ(job_f.runs_executed, 212u);
+  EXPECT_EQ(job_f.runs_cached, 0u);
+  ASSERT_EQ(job_e.rows.size(), 2u);
+  ASSERT_EQ(job_d.rows.size(), 3u);
+  EXPECT_EQ(job_e.rows[0], job_d.rows[1]);
+  EXPECT_EQ(job_e.rows[1], job_d.rows[2]);
   EXPECT_EQ(job_a.runs_executed, 600u);
   EXPECT_EQ(job_a.runs_cached, 0u);
   EXPECT_EQ(job_b.runs_executed, 0u);
@@ -326,6 +377,13 @@ TEST(Service, MalformedRequestsGetReasonedErrors) {
   const Value bad_name = Value::parse(
       client.request(submit_request("loads=2,3\nprotocol=nope")));
   EXPECT_EQ(bad_name.find("type")->as_string(), "error");
+  // Two points of 2^63 + 1 seeds each: the request's run count would wrap.
+  const Value wide = Value::parse(client.request(
+      submit_request("loads=1,2\nprotocol=wait-for-singleton-LE\n"
+                     "rounds=30|50\nseeds=0+9223372036854775809")));
+  EXPECT_EQ(wide.find("type")->as_string(), "error");
+  EXPECT_NE(wide.find("reason")->as_string().find("do not fit in 64 bits"),
+            std::string::npos);
   // The connection survives all of it.
   const Value pong = Value::parse(client.request("{\"op\":\"ping\"}"));
   EXPECT_EQ(pong.find("type")->as_string(), "pong");
@@ -730,6 +788,60 @@ TEST(Service, OverLargeRunWorkIsANamedRejectNotAWedgedDaemon) {
       << "no pong within 5 s of the submit";
 }
 
+TEST(Service, SeedRangePastTheLastSeedIsANamedRejectNotADeadDaemon) {
+  // Regression: seeds=18446744073709551615+2 parsed, first + count wrapped,
+  // the job's chunk plan came out empty, and the loop read the first entry
+  // of that empty plan: the daemon died on a segfault. Parse now rejects a
+  // range whose exclusive end passes 2^64 - 1, naming seeds.
+  const ForkedDaemon daemon;
+  ASSERT_NE(daemon.port(), 0) << "the daemon did not come up";
+  const std::string reply = reply_within(
+      daemon.port(),
+      submit_request("loads=1,2\nprotocol=wait-for-singleton-LE\n"
+                     "task=leader-election\nseeds=18446744073709551615+2"),
+      std::chrono::milliseconds(5000));
+  EXPECT_NE(reply.find("\"type\":\"error\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find("seeds"), std::string::npos) << reply;
+  EXPECT_TRUE(is_pong(reply_within(daemon.port(), "{\"op\":\"ping\"}",
+                                   std::chrono::milliseconds(5000))))
+      << "no pong within 5 s of the submit";
+}
+
+/// Resident set size of this process, in kB (VmRSS).
+std::int64_t resident_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6));
+  }
+  return 0;
+}
+
+TEST(Service, JobMemoryFollowsItsPointsNotItsChunks) {
+  // Regression: submit listed every 256-run chunk of a job up front, so one
+  // 2^32-run request grew rsbd by ~408 MB and held its loop for over a
+  // second before the accepted line. A job now keeps one seed range per
+  // point and cuts each chunk off the front of it as it serves it.
+  Server server({.threads = 1});
+  server.start();
+  std::int64_t grown_kb = 0;
+  {
+    Client client;
+    client.connect(server.port());
+    const std::int64_t before_kb = resident_kb();
+    const Value accepted = Value::parse(client.request(
+        submit_request("loads=1,2\nprotocol=wait-for-singleton-LE\n"
+                       "task=leader-election\nseeds=0+4294967296")));
+    grown_kb = resident_kb() - before_kb;
+    ASSERT_EQ(accepted.find("type")->as_string(), "accepted")
+        << accepted.serialize();
+    EXPECT_EQ(accepted.find("chunks")->as_uint(), 16777216u);
+    EXPECT_EQ(accepted.find("runs")->as_uint(), 4294967296u);
+  }  // the client hangs up: its job is dropped, not drained by stop()
+  EXPECT_LT(grown_kb, 64 * 1024) << "kB the submit added";
+  server.stop();
+}
+
 TEST(Service, WorkBoundAdmitsExactlyTheBound) {
   // Per-run work is rounds × parties on the blackboard and rounds ×
   // parties × (parties − 1) for message passing; a spec exactly at the
@@ -776,6 +888,37 @@ TEST(Service, WorkBoundAdmitsExactlyTheBound) {
       << grid.serialize();
   EXPECT_EQ(server.stats().jobs_rejected, 0u);  // spec errors != admission
   server.stop();
+}
+
+// ---------------------------------------------------------- chunk rule
+
+TEST(ChunkPlan, CutsRangesAtAbsoluteMultiplesOfTheChunkSize) {
+  constexpr std::uint64_t kLast = std::numeric_limits<std::uint64_t>::max();
+  const std::pair<SeedRange, std::vector<SeedRange>> cases[] = {
+      // Aligned: whole chunks only.
+      {SeedRange::of(256, 512), {{256, 256}, {512, 256}}},
+      // Misaligned edges around whole interior chunks.
+      {SeedRange::of(100, 600), {{100, 156}, {256, 256}, {512, 188}}},
+      {SeedRange::of(0, 600), {{0, 256}, {256, 256}, {512, 88}}},
+      // Inside one chunk, and exactly one chunk's tail.
+      {SeedRange::of(300, 5), {{300, 5}}},
+      {SeedRange::of(300, 212), {{300, 212}}},
+      // Ending at 2^64 - 1 (exclusive): no boundary past it may wrap.
+      {SeedRange::of(kLast - 300, 300),
+       {{kLast - 300, 45}, {kLast - 255, 255}}},
+      {SeedRange::of(kLast - 1, 1), {{kLast - 1, 1}}},
+      {SeedRange::of(5, 0), {}},
+  };
+  for (const auto& [range, chunks] : cases) {
+    EXPECT_EQ(chunk_plan(range), chunks)
+        << "range " << range.first << "+" << range.count;
+    EXPECT_EQ(chunk_count(range), chunks.size())
+        << "range " << range.first << "+" << range.count;
+  }
+  // chunk_count never lists: 2^32 runs from seed 0 are 2^24 chunks.
+  EXPECT_EQ(chunk_count(SeedRange::of(0, std::uint64_t{1} << 32)),
+            std::uint64_t{1} << 24);
+  EXPECT_EQ(chunk_count(SeedRange::of(1, kLast - 1)), (kLast >> 8) + 1);
 }
 
 // -------------------------------------------------------- result cache
@@ -971,6 +1114,68 @@ TEST(Service, AdaptiveSweepSpendsTheBudgetAndStreamsReferenceBytes) {
   EXPECT_EQ(server.stats().runs_executed, executed_after_cold);
   EXPECT_EQ(warm.runs_executed, 0u);
   EXPECT_EQ(warm.runs_cached, 200u);
+  server.stop();
+}
+
+TEST(Service, AdaptiveRowsAreRunGridAdaptivesScheduleCutIntoChunks) {
+  // rsbd and run_grid_adaptive follow one schedule: the (point, seed_first,
+  // seeds) of every row an adaptive job streams are run_grid_adaptive's
+  // installments over the same points, budget and pilot, each cut by
+  // chunk_plan.
+  const std::string requests[] = {
+      "loads=1,2\nprotocol=wait-for-singleton-LE\ntask=leader-election\n"
+      "rounds=30|50\nseeds=0+600\nadaptive-budget=200\npilot=50",
+      "model=message-passing\nloads=2,3\nprotocol=wait-for-singleton-LE\n"
+      "task=leader-election\nrounds=4|8|300\nseeds=100+700\n"
+      "adaptive-budget=900\npilot=40",
+      "loads=1,1,1,1,1\nprotocol=wait-for-singleton-LE\n"
+      "task=t-resilient-leader-election(2)\nfault-crashes=0|1|2\n"
+      "fault-window=6\nrounds=12|300\nseeds=0+600\nadaptive-budget=1500",
+  };
+  Server server({.threads = 2});
+  server.start();
+  Client client;
+  client.connect(server.port());
+  for (const std::string& request : requests) {
+    using Row = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
+    std::vector<Row> served;
+    const Value accepted =
+        Value::parse(client.request(submit_request(request)));
+    ASSERT_EQ(accepted.find("type")->as_string(), "accepted") << request;
+    while (auto line = client.read_line()) {
+      const Value msg = Value::parse(*line);
+      if (msg.find("type")->as_string() != "row") break;
+      served.emplace_back(msg.find("point")->as_uint(),
+                          msg.find("row")->find("seed_first")->as_uint(),
+                          msg.find("row")->find("seeds")->as_uint());
+    }
+
+    // The same points as a Grid with one axis of whole specs.
+    const std::vector<SpecPoint> points = expand_request(request);
+    std::vector<std::string> labels;
+    std::vector<Grid::Apply> apply;
+    for (const SpecPoint& point : points) {
+      labels.push_back(point.label);
+      apply.push_back([spec = point.spec.to_experiment()](Experiment& e) {
+        e = spec;
+      });
+    }
+    Grid grid(points.front().spec.to_experiment());
+    grid.over("point", std::move(labels), std::move(apply));
+    const CanonicalSpec& knobs = points.front().spec;
+    AdaptiveConfig config;
+    if (knobs.pilot != 0) config.pilot = knobs.pilot;
+    Engine engine;
+    const auto adaptive =
+        run_grid_adaptive(engine, grid, knobs.adaptive_budget, config);
+    std::vector<Row> expected;
+    for (const AdaptiveAssignment& slot : adaptive.schedule) {
+      for (const SeedRange& chunk : chunk_plan(slot.range)) {
+        expected.emplace_back(slot.point, chunk.first, chunk.count);
+      }
+    }
+    EXPECT_EQ(served, expected) << request;
+  }
   server.stop();
 }
 
