@@ -373,8 +373,7 @@ inline bool load_baseline(const std::string& path,
 /// *calibration-normalized* throughput (rate divided by the same-process
 /// kernel rate), so a baseline recorded on a fast workstation still gates
 /// a slow CI runner — only genuine code regressions move the ratio.
-/// Baselines without the kernel meta fall back to the absolute-rate
-/// comparison.
+/// A baseline without the kernel meta is a named gate failure.
 inline void check_against_baseline() {
   const std::string& path = baseline_path();
   if (path.empty()) return;
@@ -385,15 +384,14 @@ inline void check_against_baseline() {
     check(false, "baseline file readable: " + path);
     return;
   }
-  const Calibration& here = calibration();
-  const bool normalized = baseline_calibration > 0.0 && here.median > 0.0;
-  if (normalized) {
-    std::printf("  calibration kernel: %.1f passes/sec here (quartiles "
-                "%.1f-%.1f) vs %.1f in baseline (gating normalized ratios)\n",
-                here.median, here.q1, here.q3, baseline_calibration);
-  } else {
-    std::printf("  no calibration meta in baseline; gating absolute rates\n");
+  if (baseline_calibration <= 0.0) {
+    check(false, "baseline carries calibration_kernel_per_sec: " + path);
+    return;
   }
+  const Calibration& here = calibration();
+  std::printf("  calibration kernel: %.1f passes/sec here (quartiles "
+              "%.1f-%.1f) vs %.1f in baseline (gating normalized ratios)\n",
+              here.median, here.q1, here.q3, baseline_calibration);
   const ResultTable& current = throughput_table();
   const auto cell_string = [&current](std::size_t r, const char* column) {
     const ResultTable::Cell& cell = current.at(r, column);
@@ -418,28 +416,18 @@ inline void check_against_baseline() {
       found = true;
       any_gated = true;
       const double rate = cell_number(r, "runs_per_sec");
+      const double measured_ratio = rate / here.median;
+      const double expected_ratio =
+          expected.runs_per_sec / baseline_calibration;
+      const double floor =
+          expected_ratio * (1.0 - kBaselineRegressionTolerance);
       char line[256];
-      if (normalized) {
-        const double measured_ratio = rate / here.median;
-        const double expected_ratio =
-            expected.runs_per_sec / baseline_calibration;
-        const double floor =
-            expected_ratio * (1.0 - kBaselineRegressionTolerance);
-        std::snprintf(line, sizeof(line),
-                      "%s: %.4gx calibration vs baseline %.4gx (floor "
-                      "%.4gx; %.0f runs/sec raw)",
-                      expected.name.c_str(), measured_ratio, expected_ratio,
-                      floor, rate);
-        check(measured_ratio >= floor, line);
-      } else {
-        const double floor =
-            expected.runs_per_sec * (1.0 - kBaselineRegressionTolerance);
-        std::snprintf(line, sizeof(line),
-                      "%s: %.0f runs/sec vs baseline %.0f (floor %.0f)",
-                      expected.name.c_str(), rate, expected.runs_per_sec,
-                      floor);
-        check(rate >= floor, line);
-      }
+      std::snprintf(line, sizeof(line),
+                    "%s: %.4gx calibration vs baseline %.4gx (floor "
+                    "%.4gx; %.0f runs/sec raw)",
+                    expected.name.c_str(), measured_ratio, expected_ratio,
+                    floor, rate);
+      check(measured_ratio >= floor, line);
       break;
     }
     if (!found) {

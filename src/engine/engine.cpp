@@ -233,17 +233,17 @@ Engine& Engine::set_parallel(ParallelConfig config) {
 }
 
 ProtocolOutcome Engine::run(const Experiment& spec, std::uint64_t seed) {
-  spec.validate();
-  PortProvider ports(spec.model, provider_policy(spec), spec.fixed_ports,
-                     spec.config, spec.port_seed);
-  const PortAssignment* assignment = ports.next();
-  if (spec.backend() != Experiment::Backend::kProtocol) {
-    return run_agent_prepared(ctx_, spec, seed, assignment);
-  }
-  const LaneRequest request{seed, assignment};
-  run_prepared_batch(ctx_, spec, std::span<const LaneRequest>(&request, 1));
-  store_high_water_ = std::max(store_high_water_, ctx_.store_high_water);
-  return ctx_.batched.lanes[0].outcome;
+  // A one-seed sweep at stream offset 0: run 0's wiring, at `seed`.
+  Experiment one = spec;
+  one.seeds = SeedRange::single(seed);
+  one.validate();
+  ProtocolOutcome outcome;
+  drive(
+      one, 0, [](int) {},
+      [&outcome](int, const RunView&, const ProtocolOutcome& result) {
+        outcome = result;
+      });
+  return outcome;
 }
 
 ProtocolOutcome Engine::run(const Experiment& spec) {
@@ -273,52 +273,28 @@ void Engine::drive(const Experiment& spec, std::uint64_t stream_offset,
     orbit_store.emplace(spec);
     orbit = &*orbit_store;
   }
-  const auto account_orbit = [&] {
-    if (orbit != nullptr) {
-      orbit_hits_ += orbit->hits();
-      orbit_reps_ += orbit->reps();
-    }
-  };
   int workers = resolve_workers(parallel_, count);
+  // One worker sweeps the whole range as one chunk into one shard.
   std::uint64_t chunk = count;
   std::uint64_t num_chunks = 1;
   if (workers > 1) {
     chunk = resolve_chunk(parallel_, count, workers);
     num_chunks = (count + chunk - 1) / chunk;
     // A coarse chunk can leave fewer chunks than workers; don't spawn
-    // threads that could never receive one (a single chunk falls back to
-    // the serial path below).
+    // threads that could never receive one.
     if (static_cast<std::uint64_t>(workers) > num_chunks) {
       workers = static_cast<int>(num_chunks);
     }
   }
 
-  if (workers <= 1) {
-    // Serial fast path: the engine's own context, one shard.
-    prepare(1);
-    PortProvider ports(spec.model, provider_policy(spec), spec.fixed_ports,
-                       spec.config, spec.port_seed);
-    if (stream_offset != 0) ports.skip_to(stream_offset);
-    execute_range(ctx_, spec, ports, 0, count, parallel_.batch, orbit,
-                  [&](std::uint64_t i, const PortAssignment* assignment,
-                      const ProtocolOutcome& outcome) {
-                    observe(0, RunView{spec.seeds.first + i, i, assignment,
-                                       &spec},
-                            outcome);
-                  });
-    store_high_water_ = std::max(store_high_water_, ctx_.store_high_water);
-    account_orbit();
-    return;
-  }
-
   // Worker contexts persist on the engine so a sweep of many batches
-  // reuses their allocations, mirroring the serial ctx_.
+  // reuses their allocations; worker 0's serves every one-worker sweep.
   if (worker_ctxs_.size() < static_cast<std::size_t>(workers)) {
     worker_ctxs_.resize(static_cast<std::size_t>(workers));
   }
   prepare(static_cast<int>(num_chunks));
   ChunkDeque deque(num_chunks, workers);
-  run_worker_pool(workers, [&](int w) {
+  const auto work = [&](int w) {
     RunContext& ctx = worker_ctxs_[static_cast<std::size_t>(w)];
     PortProvider ports(spec.model, provider_policy(spec), spec.fixed_ports,
                        spec.config, spec.port_seed);
@@ -338,19 +314,20 @@ void Engine::drive(const Experiment& spec, std::uint64_t stream_offset,
                               outcome);
                     });
     }
-  });
+  };
+  // One worker runs on the calling thread; only more spawn a pool.
+  if (workers == 1) {
+    work(0);
+  } else {
+    run_worker_pool(workers, work);
+  }
   for (const RunContext& ctx : worker_ctxs_) {
     store_high_water_ = std::max(store_high_water_, ctx.store_high_water);
   }
-  account_orbit();
-}
-
-std::vector<RunStats> Engine::run_sweep(
-    const std::vector<Experiment>& specs) {
-  std::vector<RunStats> all;
-  all.reserve(specs.size());
-  for (const Experiment& spec : specs) all.push_back(run_batch(spec));
-  return all;
+  if (orbit != nullptr) {
+    orbit_hits_ += orbit->hits();
+    orbit_reps_ += orbit->reps();
+  }
 }
 
 }  // namespace rsb

@@ -2,15 +2,15 @@
 //
 // An Engine drives sweeps of (spec, seed) runs. The mutable scratch state a
 // run needs — the lanes' KnowledgeStore intern tables and coin engines —
-// lives in a RunContext (engine/run_context.hpp); the engine owns one
-// context for serial work and hands every worker of a parallel batch its
-// own, reusing allocations across all runs of a batch either way. Every
-// knowledge-backend run, a single Engine::run included, executes through
-// the lockstep lane kernel. Semantics are those of the one-shot
-// definition: a reset store hands out ids in the same insertion order as
-// a fresh one, so Engine results are bit-identical to a per-run reference
-// with a fresh store and SourceBank for equal (spec, seed) — a guarantee
-// the engine and property tests assert.
+// lives in a RunContext (engine/run_context.hpp); the engine keeps one per
+// worker, reusing allocations across all runs of a batch, and worker 0's
+// serves every one-worker sweep. Every run, a single Engine::run included,
+// goes through the one sweep scheduler (drive), and every knowledge-backend
+// run executes through the lockstep lane kernel. Semantics are those of
+// the one-shot definition: a reset store hands out ids in the same
+// insertion order as a fresh one, so Engine results are bit-identical to
+// a per-run reference with a fresh store and SourceBank for equal
+// (spec, seed) — a guarantee the engine and property tests assert.
 //
 // Parallelism (ParallelConfig) never changes results: every run is a pure
 // function of (spec, seed, ports), per-run port assignments are drawn
@@ -98,8 +98,9 @@ class Engine {
 
   const ParallelConfig& parallel() const noexcept { return parallel_; }
 
-  /// One run of the spec at the given seed. Deterministic: equal
-  /// (spec, seed) produce equal outcomes regardless of the engine's
+  /// One run of the spec at the given seed: a one-seed sweep at port
+  /// stream offset 0, so the run draws run 0's wiring. Deterministic:
+  /// equal (spec, seed) produce equal outcomes regardless of the engine's
   /// history. Always executes on the calling thread.
   ProtocolOutcome run(const Experiment& spec, std::uint64_t seed);
 
@@ -169,14 +170,8 @@ class Engine {
     return run_collect(spec, RunStats{});
   }
 
-  /// Runs several specs back to back (a load-shape or policy sweep),
-  /// reusing this engine's allocations throughout. Each spec's batch runs
-  /// on the configured worker pool.
-  std::vector<RunStats> run_sweep(const std::vector<Experiment>& specs);
-
   /// Peak intern-table size seen so far (diagnostic for allocation reuse),
-  /// aggregated as the max over the serial context and every parallel
-  /// worker context the engine has run.
+  /// aggregated as the max over every worker context the engine has run.
   std::size_t store_high_water() const noexcept { return store_high_water_; }
 
   /// Cumulative orbit-dedup accounting across this engine's sweeps: runs
@@ -190,31 +185,31 @@ class Engine {
 
  private:
   /// Sizes the shard set for the batch (called exactly once, before any
-  /// run executes): one shard per scheduling chunk — serial batches use a
-  /// single shard. Merging the shards in index order reproduces run-index
-  /// order.
+  /// run executes): one shard per scheduling chunk — a one-worker batch is
+  /// one chunk, hence one shard. Merging the shards in index order
+  /// reproduces run-index order.
   using PrepareShards = std::function<void(int shards)>;
-  /// Folds one finished run into shard `shard`. Serial batches use shard
-  /// 0 on the calling thread; parallel workers call it concurrently, each
-  /// holding exactly one chunk (= shard) at a time.
+  /// Folds one finished run into shard `shard`. A one-worker batch uses
+  /// shard 0 on the calling thread; parallel workers call it concurrently,
+  /// each holding exactly one chunk (= shard) at a time.
   using ShardObserver = std::function<void(
       int shard, const RunView& view, const ProtocolOutcome& outcome)>;
 
-  /// The only sweep scheduler, behind every sweep entry point: cuts the sweep
-  /// into chunks of consecutive runs, lets workers claim them through the
-  /// work-stealing deque, repositions each worker's port provider
-  /// draw-for-draw with the serial sweep, executes runs through
-  /// execute_range, and reports each run into its chunk's shard. Does not
-  /// validate the spec. `stream_offset` is the number of port-stream runs
-  /// consumed before this sweep's run 0 — 0 for a full sweep, and the
-  /// resumed range's distance from the declaring spec's first seed for
-  /// run_collect_range, so providers are positioned at
-  /// stream_offset + chunk begin.
+  /// The only sweep scheduler, behind every sweep entry point and
+  /// Engine::run: cuts the sweep into chunks of consecutive runs, lets
+  /// workers claim them through the work-stealing deque (one worker runs
+  /// inline on the calling thread, more run on a thread pool),
+  /// repositions each worker's port provider draw-for-draw with the
+  /// serial sweep, executes runs through execute_range, and reports each
+  /// run into its chunk's shard. Does not validate the spec.
+  /// `stream_offset` is the number of port-stream runs consumed before
+  /// this sweep's run 0 — 0 for a full sweep, and the resumed range's
+  /// distance from the declaring spec's first seed for run_collect_range,
+  /// so providers are positioned at stream_offset + chunk begin.
   void drive(const Experiment& spec, std::uint64_t stream_offset,
              const PrepareShards& prepare, const ShardObserver& observe);
 
-  RunContext ctx_;  // serial-mode (and single-run) context
-  std::vector<RunContext> worker_ctxs_;  // parallel-mode, reused per batch
+  std::vector<RunContext> worker_ctxs_;  // one per worker, reused per batch
   ParallelConfig parallel_;
   std::size_t store_high_water_ = 0;
   std::uint64_t orbit_hits_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "engine/registry.hpp"
 #include "util/error.hpp"
@@ -19,6 +21,29 @@ std::string loads_label(const SourceConfiguration& config) {
   }
   return out + "}";
 }
+
+/// A canned axis over `values`: entry i is labelled label(values[i]) and
+/// realized by set(spec, values[i]) on each point's copy of the base spec.
+template <typename T, typename Label, typename Set>
+Grid& canned_axis(Grid& grid, std::string name, std::vector<T> values,
+                  const Label& label, const Set& set) {
+  std::vector<std::string> labels;
+  std::vector<Grid::Apply> apply;
+  labels.reserve(values.size());
+  apply.reserve(values.size());
+  for (T& value : values) {
+    labels.push_back(label(value));
+    apply.push_back([value = std::move(value), set](Experiment& spec) {
+      set(spec, value);
+    });
+  }
+  return grid.over(std::move(name), std::move(labels), std::move(apply));
+}
+
+/// Labels an integer entry by its decimal spelling.
+constexpr auto decimal = [](auto value) { return std::to_string(value); };
+/// Labels a registry-name entry by the name itself.
+constexpr auto verbatim = [](const std::string& name) { return name; };
 
 }  // namespace
 
@@ -54,17 +79,10 @@ Grid& Grid::over(std::string axis, std::vector<std::string> labels,
 }
 
 Grid& Grid::over_configs(std::vector<SourceConfiguration> configs) {
-  std::vector<std::string> labels;
-  std::vector<Apply> apply;
-  labels.reserve(configs.size());
-  apply.reserve(configs.size());
-  for (SourceConfiguration& config : configs) {
-    labels.push_back(loads_label(config));
-    apply.push_back([config = std::move(config)](Experiment& spec) {
-      spec.config = config;
-    });
-  }
-  return over("loads", std::move(labels), std::move(apply));
+  return canned_axis(*this, "loads", std::move(configs), loads_label,
+                     [](Experiment& spec, const SourceConfiguration& config) {
+                       spec.config = config;
+                     });
 }
 
 Grid& Grid::over_loads(std::vector<std::vector<int>> loads) {
@@ -77,125 +95,81 @@ Grid& Grid::over_loads(std::vector<std::vector<int>> loads) {
 }
 
 Grid& Grid::over_parties(std::vector<int> parties) {
-  std::vector<std::string> labels;
-  std::vector<Apply> apply;
-  labels.reserve(parties.size());
-  apply.reserve(parties.size());
-  for (int n : parties) {
-    labels.push_back(std::to_string(n));
-    apply.push_back([n](Experiment& spec) {
-      spec.config = SourceConfiguration::all_private(n);
-    });
-  }
-  return over("parties", std::move(labels), std::move(apply));
+  return canned_axis(*this, "parties", std::move(parties), decimal,
+                     [](Experiment& spec, int n) {
+                       spec.config = SourceConfiguration::all_private(n);
+                     });
 }
 
 Grid& Grid::over_policies(std::vector<PortPolicy> policies) {
-  std::vector<std::string> labels;
-  std::vector<Apply> apply;
-  labels.reserve(policies.size());
-  apply.reserve(policies.size());
-  for (PortPolicy policy : policies) {
-    labels.push_back(to_string(policy));
-    apply.push_back(
-        [policy](Experiment& spec) { spec.port_policy = policy; });
-  }
-  return over("policy", std::move(labels), std::move(apply));
+  return canned_axis(
+      *this, "policy", std::move(policies),
+      [](PortPolicy policy) { return to_string(policy); },
+      [](Experiment& spec, PortPolicy policy) { spec.port_policy = policy; });
 }
 
 Grid& Grid::over_protocols(std::vector<std::string> names) {
-  std::vector<std::string> labels;
-  std::vector<Apply> apply;
-  labels.reserve(names.size());
-  apply.reserve(names.size());
-  for (const std::string& name : names) {
-    // Resolve at declaration: unknown names fail fast, and every point
-    // of the axis shares one (stateless, const) protocol instance.
+  // Resolve at declaration: unknown names fail fast, and every point of
+  // the axis shares one (stateless, const) protocol instance.
+  using Named =
+      std::pair<std::string, std::shared_ptr<const AnonymousProtocol>>;
+  std::vector<Named> protocols;
+  protocols.reserve(names.size());
+  for (std::string& name : names) {
     auto protocol = make_protocol(name);
-    labels.push_back(name);
-    apply.push_back([protocol = std::move(protocol)](Experiment& spec) {
-      spec.protocol = protocol;
-    });
+    protocols.emplace_back(std::move(name), std::move(protocol));
   }
-  return over("protocol", std::move(labels), std::move(apply));
+  return canned_axis(
+      *this, "protocol", std::move(protocols),
+      [](const Named& named) { return named.first; },
+      [](Experiment& spec, const Named& named) {
+        spec.protocol = named.second;
+      });
 }
 
 Grid& Grid::over_tasks(std::vector<std::string> names) {
-  std::vector<std::string> labels;
-  std::vector<Apply> apply;
-  labels.reserve(names.size());
-  apply.reserve(names.size());
-  for (const std::string& name : names) {
-    labels.push_back(name);
-    // Resolved at expansion so the task binds to the point's (possibly
-    // axis-set) configuration.
-    apply.push_back([name](Experiment& spec) { spec.with_task(name); });
-  }
-  return over("task", std::move(labels), std::move(apply));
+  // Resolved at expansion so the task binds to the point's (possibly
+  // axis-set) configuration.
+  return canned_axis(
+      *this, "task", std::move(names), verbatim,
+      [](Experiment& spec, const std::string& name) { spec.with_task(name); });
 }
 
 Grid& Grid::over_topologies(std::vector<std::string> names) {
-  std::vector<std::string> labels;
-  std::vector<Apply> apply;
-  labels.reserve(names.size());
-  apply.reserve(names.size());
-  for (const std::string& name : names) {
-    labels.push_back(name);
-    // Resolved at expansion so the graph binds to the point's (possibly
-    // axis-set) configuration and topology seed.
-    apply.push_back([name](Experiment& spec) { spec.with_topology(name); });
-  }
-  return over("topology", std::move(labels), std::move(apply));
+  // Resolved at expansion so the graph binds to the point's (possibly
+  // axis-set) configuration and topology seed.
+  return canned_axis(*this, "topology", std::move(names), verbatim,
+                     [](Experiment& spec, const std::string& name) {
+                       spec.with_topology(name);
+                     });
 }
 
 Grid& Grid::over_rounds(std::vector<int> rounds) {
-  std::vector<std::string> labels;
-  std::vector<Apply> apply;
-  labels.reserve(rounds.size());
-  apply.reserve(rounds.size());
-  for (int budget : rounds) {
-    labels.push_back(std::to_string(budget));
-    apply.push_back([budget](Experiment& spec) { spec.max_rounds = budget; });
-  }
-  return over("rounds", std::move(labels), std::move(apply));
+  return canned_axis(
+      *this, "rounds", std::move(rounds), decimal,
+      [](Experiment& spec, int budget) { spec.max_rounds = budget; });
 }
 
 Grid& Grid::over_port_seeds(std::vector<std::uint64_t> seeds) {
-  std::vector<std::string> labels;
-  std::vector<Apply> apply;
-  labels.reserve(seeds.size());
-  apply.reserve(seeds.size());
-  for (std::uint64_t seed : seeds) {
-    labels.push_back(std::to_string(seed));
-    apply.push_back([seed](Experiment& spec) { spec.port_seed = seed; });
-  }
-  return over("port-seed", std::move(labels), std::move(apply));
+  return canned_axis(
+      *this, "port-seed", std::move(seeds), decimal,
+      [](Experiment& spec, std::uint64_t seed) { spec.port_seed = seed; });
 }
 
 Grid& Grid::over_fault_counts(std::vector<int> counts) {
-  std::vector<std::string> labels;
-  std::vector<Apply> apply;
-  labels.reserve(counts.size());
-  apply.reserve(counts.size());
-  for (int t : counts) {
-    labels.push_back("t" + std::to_string(t));
-    apply.push_back([t](Experiment& spec) { spec.faults.crashes = t; });
-  }
-  return over("faults", std::move(labels), std::move(apply));
+  return canned_axis(
+      *this, "faults", std::move(counts),
+      [](int t) { return "t" + std::to_string(t); },
+      [](Experiment& spec, int t) { spec.faults.crashes = t; });
 }
 
 Grid& Grid::over_schedulers(std::vector<sim::SchedulerSpec> schedulers) {
-  std::vector<std::string> labels;
-  std::vector<Apply> apply;
-  labels.reserve(schedulers.size());
-  apply.reserve(schedulers.size());
-  for (sim::SchedulerSpec& scheduler : schedulers) {
-    labels.push_back(scheduler.to_string());
-    apply.push_back([scheduler = std::move(scheduler)](Experiment& spec) {
-      spec.scheduler = scheduler;
-    });
-  }
-  return over("scheduler", std::move(labels), std::move(apply));
+  return canned_axis(
+      *this, "scheduler", std::move(schedulers),
+      [](const sim::SchedulerSpec& scheduler) { return scheduler.to_string(); },
+      [](Experiment& spec, const sim::SchedulerSpec& scheduler) {
+        spec.scheduler = scheduler;
+      });
 }
 
 Grid& Grid::over_seeds(std::uint64_t first, std::uint64_t count) {

@@ -3,9 +3,8 @@
 // A RunContext is everything one worker's runs mutate — the lockstep lane
 // state (per-lane KnowledgeStore intern tables and coin engines), the
 // shared round scratch, and the stores' high-water diagnostic. It is a
-// plain value: the Engine owns one for serial batches, and the parallel
-// scheduler gives every worker its own, so any worker can execute any
-// (spec, seed) pair independently.
+// plain value: the Engine's scheduler gives every worker its own, so any
+// worker can execute any (spec, seed) pair independently.
 //
 // The determinism contract (DESIGN.md, "Concurrency model"): every lane of
 // run_prepared_batch is a pure function of (spec, seed, ports) — the
@@ -123,8 +122,7 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
 /// the primary — the provider form above draws its assignments, parks
 /// kRandomPerRun copies in lane storage, and delegates here. The orbit-
 /// deduped sweep calls this directly with only its lookup misses, so a
-/// batch's survivors still execute shoulder-to-shoulder, and Engine::run
-/// calls it with a single request.
+/// batch's survivors still execute shoulder-to-shoulder.
 void run_prepared_batch(RunContext& ctx, const Experiment& spec,
                         std::span<const LaneRequest> requests);
 

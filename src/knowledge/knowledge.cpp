@@ -6,46 +6,6 @@
 
 namespace rsb {
 
-namespace {
-constexpr std::size_t kInitialSlots = 64;  // power of two
-
-/// Smallest power-of-two table that holds `entries` at load <= 1/2.
-std::size_t table_size_for(std::size_t entries) {
-  std::size_t wanted = kInitialSlots;
-  while (wanted < (entries + 1) * 2) wanted *= 2;
-  return wanted;
-}
-}  // namespace
-
-void throw_store_limit(std::size_t value, const char* what) {
-  throw Error("KnowledgeStore: " + std::string(what) + " " +
-              std::to_string(value) + " exceeds the 32-bit store limit " +
-              std::to_string(kMaxStoreIndex));
-}
-
-void KnowledgeStore::InternIndex::reset(std::size_t peak) {
-  hashes_.clear();
-  hashes_.reserve(peak);
-  const std::size_t wanted = table_size_for(peak);
-  if (slots_.size() < wanted) {
-    slots_.assign(wanted, kEmptySlot);
-  } else {
-    std::fill(slots_.begin(), slots_.end(), kEmptySlot);
-  }
-}
-
-void KnowledgeStore::InternIndex::grow() {
-  std::vector<std::uint32_t> bigger(table_size_for(hashes_.size()),
-                                    kEmptySlot);
-  const std::size_t mask = bigger.size() - 1;
-  for (std::uint32_t id = 0; id < hashes_.size(); ++id) {
-    std::size_t i = static_cast<std::size_t>(hashes_[id]) & mask;
-    while (bigger[i] != kEmptySlot) i = (i + 1) & mask;
-    bigger[i] = id;
-  }
-  slots_ = std::move(bigger);
-}
-
 KnowledgeStore::KnowledgeStore() { reset(); }
 
 void KnowledgeStore::reset() {
@@ -88,16 +48,11 @@ KnowledgeId KnowledgeStore::input(std::int64_t value) {
 
 KnowledgeId KnowledgeStore::blackboard_step(KnowledgeId prev, bool bit,
                                             std::vector<KnowledgeId> others) {
-  std::sort(others.begin(), others.end());  // multiset canonicalization
-  return blackboard_step_sorted(prev, bit, others);
-}
-
-KnowledgeId KnowledgeStore::blackboard_step_sorted(
-    KnowledgeId prev, bool bit, std::span<const KnowledgeId> others_sorted) {
-  // The board is the received multiset plus the party's own value.
-  std::vector<KnowledgeId> board(others_sorted.begin(), others_sorted.end());
-  board.insert(std::upper_bound(board.begin(), board.end(), prev), prev);
-  return blackboard_step_on(prev, bit, intern_board(board));
+  // The board is the received multiset plus the party's own value, sorted
+  // (multiset canonicalization).
+  others.push_back(prev);
+  std::sort(others.begin(), others.end());
+  return blackboard_step_on(prev, bit, intern_board(others));
 }
 
 BoardId KnowledgeStore::intern_board(
@@ -109,7 +64,9 @@ BoardId KnowledgeStore::intern_board(
     return std::equal(values.begin(), values.end(), sorted_board.begin(),
                       sorted_board.end());
   });
-  if (board_index_.at(slot) != kEmptySlot) return board_index_.at(slot);
+  if (board_index_.at(slot) != InternIndex::kEmptySlot) {
+    return board_index_.at(slot);
+  }
   Board board;
   board.offset = narrow_store_index(received_pool_.size(), "pool offset");
   board.size = narrow_store_index(sorted_board.size(), "board size");
@@ -136,16 +93,11 @@ KnowledgeId KnowledgeStore::blackboard_step_on(KnowledgeId prev, bool bit,
 }
 
 KnowledgeId KnowledgeStore::message_step(KnowledgeId prev, bool bit,
-                                         std::vector<KnowledgeId> by_port) {
-  return message_step_view(prev, bit, by_port, {});
-}
-
-KnowledgeId KnowledgeStore::message_step_tagged(KnowledgeId prev, bool bit,
-                                                std::vector<KnowledgeId> by_port,
-                                                std::vector<int> tags) {
-  if (tags.size() != by_port.size()) {
+                                         std::vector<KnowledgeId> by_port,
+                                         std::vector<int> tags) {
+  if (!tags.empty() && tags.size() != by_port.size()) {
     throw InvalidArgument(
-        "KnowledgeStore::message_step_tagged: tags/ports size mismatch");
+        "KnowledgeStore::message_step: tags/ports size mismatch");
   }
   return message_step_view(prev, bit, by_port, tags);
 }
@@ -274,7 +226,9 @@ KnowledgeId KnowledgeStore::intern_shape(const NodeShape& shape) {
   const std::uint64_t h = shape_hash(shape);
   const std::size_t slot = node_index_.find(
       h, [&](std::uint32_t id) { return shape_equal(nodes_[id], shape); });
-  if (node_index_.at(slot) != kEmptySlot) return node_index_.at(slot);
+  if (node_index_.at(slot) != InternIndex::kEmptySlot) {
+    return node_index_.at(slot);
+  }
   // First insertion: materialize the borrowed spans into the flat pools.
   Node node;
   node.kind = shape.kind;

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "util/hash.hpp"
+#include "util/intern_index.hpp"
 
 namespace rsb {
 
@@ -52,21 +53,6 @@ using KnowledgeId = std::uint32_t;
 /// Board ids are their own sequence: they never collide with, or consume,
 /// KnowledgeIds.
 using BoardId = std::uint32_t;
-
-/// The largest id, pool offset or tuple size a KnowledgeStore holds: its
-/// fields are 32 bits wide, and 2^32 − 1 marks a vacant intern slot.
-inline constexpr std::size_t kMaxStoreIndex = 0xFFFFFFFEu;
-
-/// Throws the Error narrow_store_index raises for `value`.
-[[noreturn]] void throw_store_limit(std::size_t value, const char* what);
-
-/// Narrows a KnowledgeStore id, pool offset or size (`what` names which)
-/// to its 32-bit field; past kMaxStoreIndex it throws an Error naming the
-/// field and the limit instead of wrapping.
-inline std::uint32_t narrow_store_index(std::size_t value, const char* what) {
-  if (value > kMaxStoreIndex) throw_store_limit(value, what);
-  return static_cast<std::uint32_t>(value);
-}
 
 enum class KnowledgeKind : std::uint8_t {
   kBottom,          // ⊥: no input, time 0
@@ -116,11 +102,6 @@ class KnowledgeStore {
   KnowledgeId blackboard_step(KnowledgeId prev, bool bit,
                               std::vector<KnowledgeId> others);
 
-  /// blackboard_step for an `others_sorted` already sorted ascending; the
-  /// same id.
-  KnowledgeId blackboard_step_sorted(KnowledgeId prev, bool bit,
-                                     std::span<const KnowledgeId> others_sorted);
-
   /// Interns a round's board: the multiset M of every participant's
   /// previous value, sorted ascending. Probes with the borrowed span and
   /// copies it into the pool only on first insertion.
@@ -129,33 +110,31 @@ class KnowledgeStore {
   /// Eq. (1) on an interned board, for round operators that intern M once
   /// per round: the step of a participant whose previous value is `prev`,
   /// with the same id as blackboard_step(prev, bit, M ∖ {prev}). A probe
-  /// costs O(1) whatever the size of M. `prev` must occur in M — like
-  /// blackboard_step_sorted's order, that is the caller's to keep (it
-  /// holds by construction for a participant of the round); an unknown
-  /// board id throws InvalidArgument.
+  /// costs O(1) whatever the size of M. `prev` must occur in M — that is
+  /// the caller's to keep, unchecked (it holds by construction for a
+  /// participant of the round); an unknown board id throws
+  /// InvalidArgument.
   KnowledgeId blackboard_step_on(KnowledgeId prev, bool bit, BoardId board);
 
-  /// Eq. (2), literal form. `by_port[p]` is the knowledge received on port
-  /// p+1; the tuple order is significant (ports are local names for
-  /// channels).
+  /// Eq. (2). `by_port[p]` is the knowledge received on port p+1; the
+  /// tuple order is significant (ports are local names for channels).
+  /// Non-empty `tags` give the port-tagged form: the message received on
+  /// port p+1 also carries the *sender's* port number for the shared edge
+  /// (`tags[p]`, one per port, else InvalidArgument). A full-information
+  /// sender knows which of its ports it transmits on and includes it; this
+  /// reciprocal tag is what lets a receiver simulate selective-send
+  /// protocols such as CreateMatching (Algorithm 1). See DESIGN.md — with
+  /// the untagged literal reading of Eq. (2), the 'if' direction of
+  /// Theorem 4.2 admits a counterexample wiring. Empty tags are the
+  /// literal form.
   KnowledgeId message_step(KnowledgeId prev, bool bit,
-                           std::vector<KnowledgeId> by_port);
-
-  /// Eq. (2), port-tagged form: the message received on port p+1 also
-  /// carries the *sender's* port number for the shared edge (`tags[p]`).
-  /// A full-information sender knows which of its ports it transmits on and
-  /// includes it; this reciprocal tag is what lets a receiver simulate
-  /// selective-send protocols such as CreateMatching (Algorithm 1). See
-  /// DESIGN.md — with the untagged literal reading of Eq. (2), the 'if'
-  /// direction of Theorem 4.2 admits a counterexample wiring.
-  KnowledgeId message_step_tagged(KnowledgeId prev, bool bit,
-                                  std::vector<KnowledgeId> by_port,
-                                  std::vector<int> tags);
+                           std::vector<KnowledgeId> by_port,
+                           std::vector<int> tags = {});
 
   /// Eq. (2) zero-copy path with borrowed storage: `by_port` is the
   /// port-ordered tuple, `tags` the reciprocal port numbers (pass an empty
   /// span for the untagged literal variant). Copies into the pools only on
-  /// first insertion; ids identical to the vector-taking overloads.
+  /// first insertion; ids identical to message_step.
   KnowledgeId message_step_view(KnowledgeId prev, bool bit,
                                 std::span<const KnowledgeId> by_port,
                                 std::span<const int> tags);
@@ -203,57 +182,6 @@ class KnowledgeStore {
   std::string to_string(KnowledgeId id) const;
 
  private:
-  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
-
-  /// The flat open-addressed index both intern tables use: linear probing
-  /// over a power-of-two slot table at load <= 1/2, kEmptySlot = vacant,
-  /// indexing entries numbered 0, 1, 2, ... in insertion order, whose
-  /// hashes it caches. Unlike a node-based unordered_map of bucket
-  /// vectors, reset() vacates it with one fill — no per-bucket
-  /// deallocation — so a batch driver that resets the store between runs
-  /// stops touching the allocator once the largest run has been seen.
-  class InternIndex {
-   public:
-    /// Forgets every entry, keeping the storage; sized for `peak` entries.
-    void reset(std::size_t peak);
-
-    /// The slot of the entry `equal` accepts among those hashing to `h`,
-    /// or else the vacant slot where such an entry belongs.
-    template <typename Equal>
-    std::size_t find(std::uint64_t h, const Equal& equal) const {
-      const std::size_t mask = slots_.size() - 1;
-      std::size_t i = static_cast<std::size_t>(h) & mask;
-      while (slots_[i] != kEmptySlot &&
-             !(hashes_[slots_[i]] == h && equal(slots_[i]))) {
-        i = (i + 1) & mask;
-      }
-      return i;
-    }
-
-    /// The entry at `slot`; kEmptySlot when vacant.
-    std::uint32_t at(std::size_t slot) const { return slots_[slot]; }
-
-    /// Numbers the next entry, hashing to `h`, into the vacant `slot` that
-    /// find() returned, and returns its number (`what` names the id in the
-    /// error raised past kMaxStoreIndex).
-    std::uint32_t insert(std::size_t slot, std::uint64_t h,
-                         const char* what) {
-      const std::uint32_t id = narrow_store_index(hashes_.size(), what);
-      hashes_.push_back(h);
-      slots_[slot] = id;
-      // Keep the load factor at most 1/2 so probe chains stay short.
-      // slots_.size() is always a power of two >= the initial size, so
-      // this is the sizing rule of reset() without its loop.
-      if ((hashes_.size() + 1) * 2 > slots_.size()) grow();
-      return id;
-    }
-
-   private:
-    void grow();
-    std::vector<std::uint32_t> slots_;
-    std::vector<std::uint64_t> hashes_;  // per entry, index = entry number
-  };
-
   /// A node's identity-defining fields; a message step's received tuple
   /// and tags live in the shared flat pools, referenced by offset, and a
   /// blackboard step names its board — no per-node allocations.

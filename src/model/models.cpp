@@ -45,38 +45,17 @@ std::vector<KnowledgeId> initial_knowledge_with_inputs(
   return out;
 }
 
-std::vector<KnowledgeId> blackboard_round(KnowledgeStore& store,
-                                          const std::vector<KnowledgeId>& prev,
-                                          const std::vector<bool>& bits) {
-  const std::size_t n = prev.size();
-  if (bits.size() != n) {
-    throw InvalidArgument("blackboard_round: bits/knowledge size mismatch");
-  }
-  std::vector<KnowledgeId> next;
-  next.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<KnowledgeId> others;
-    others.reserve(n - 1);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != i) others.push_back(prev[j]);
-    }
-    next.push_back(store.blackboard_step(prev[i], bits[i], std::move(others)));
-  }
-  return next;
-}
-
-std::vector<KnowledgeId> blackboard_round_crash(
+std::vector<KnowledgeId> blackboard_round(
     KnowledgeStore& store, const std::vector<KnowledgeId>& prev,
     const std::vector<bool>& bits, const std::vector<int>& crash_round,
     int round) {
-  if (crash_round.empty()) return blackboard_round(store, prev, bits);
   const std::size_t n = prev.size();
-  if (bits.size() != n || crash_round.size() != n) {
+  if (bits.size() != n || (!crash_round.empty() && crash_round.size() != n)) {
     throw InvalidArgument(
-        "blackboard_round_crash: bits/crash/knowledge size mismatch");
+        "blackboard_round: bits/crash/knowledge size mismatch");
   }
   const auto alive = [&](std::size_t j) {
-    return crash_round[j] < 0 || round < crash_round[j];
+    return crash_round.empty() || crash_round[j] < 0 || round < crash_round[j];
   };
   std::vector<KnowledgeId> next;
   next.reserve(n);
@@ -218,60 +197,20 @@ void message_round_inplace(KnowledgeStore& store,
   knowledge.swap(scratch.next);
 }
 
-std::vector<KnowledgeId> message_round(KnowledgeStore& store,
-                                       const std::vector<KnowledgeId>& prev,
-                                       const std::vector<bool>& bits,
-                                       const PortAssignment& ports,
-                                       MessageVariant variant) {
+std::vector<KnowledgeId> message_round(
+    KnowledgeStore& store, const std::vector<KnowledgeId>& prev,
+    const std::vector<bool>& bits, const PortAssignment& ports,
+    MessageVariant variant, const std::vector<int>& crash_round, int round) {
   const std::size_t n = prev.size();
-  if (bits.size() != n) {
-    throw InvalidArgument("message_round: bits/knowledge size mismatch");
+  if (bits.size() != n || (!crash_round.empty() && crash_round.size() != n)) {
+    throw InvalidArgument("message_round: bits/crash/knowledge size mismatch");
   }
   if (ports.num_parties() != static_cast<int>(n)) {
     throw InvalidArgument("message_round: ports/knowledge size mismatch");
   }
-  std::vector<KnowledgeId> next;
-  next.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<KnowledgeId> by_port;
-    std::vector<int> tags;
-    by_port.reserve(n - 1);
-    tags.reserve(n - 1);
-    for (int p = 1; p <= static_cast<int>(n) - 1; ++p) {
-      const int sender = ports.neighbor(static_cast<int>(i), p);
-      by_port.push_back(prev[static_cast<std::size_t>(sender)]);
-      if (variant == MessageVariant::kPortTagged) {
-        tags.push_back(ports.port_to(sender, static_cast<int>(i)));
-      }
-    }
-    if (variant == MessageVariant::kPortTagged) {
-      next.push_back(store.message_step_tagged(prev[i], bits[i],
-                                               std::move(by_port),
-                                               std::move(tags)));
-    } else {
-      next.push_back(store.message_step(prev[i], bits[i], std::move(by_port)));
-    }
-  }
-  return next;
-}
-
-std::vector<KnowledgeId> message_round_crash(
-    KnowledgeStore& store, const std::vector<KnowledgeId>& prev,
-    const std::vector<bool>& bits, const PortAssignment& ports,
-    MessageVariant variant, const std::vector<int>& crash_round, int round) {
-  if (crash_round.empty()) {
-    return message_round(store, prev, bits, ports, variant);
-  }
-  const std::size_t n = prev.size();
-  if (bits.size() != n || crash_round.size() != n) {
-    throw InvalidArgument(
-        "message_round_crash: bits/crash/knowledge size mismatch");
-  }
-  if (ports.num_parties() != static_cast<int>(n)) {
-    throw InvalidArgument("message_round_crash: ports/knowledge size mismatch");
-  }
+  const bool tagged = variant == MessageVariant::kPortTagged;
   const auto alive = [&](std::size_t j) {
-    return crash_round[j] < 0 || round < crash_round[j];
+    return crash_round.empty() || crash_round[j] < 0 || round < crash_round[j];
   };
   std::vector<KnowledgeId> next;
   next.reserve(n);
@@ -283,26 +222,21 @@ std::vector<KnowledgeId> message_round_crash(
     std::vector<KnowledgeId> by_port;
     std::vector<int> tags;
     by_port.reserve(n - 1);
-    if (variant == MessageVariant::kPortTagged) tags.reserve(n - 1);
+    if (tagged) tags.reserve(n - 1);
     for (int p = 1; p <= static_cast<int>(n) - 1; ++p) {
       const int sender = ports.neighbor(static_cast<int>(i), p);
       const bool sender_alive = alive(static_cast<std::size_t>(sender));
       by_port.push_back(sender_alive ? prev[static_cast<std::size_t>(sender)]
                                      : store.silence());
-      if (variant == MessageVariant::kPortTagged) {
+      if (tagged) {
         // A silent channel transmits nothing, so no reciprocal tag; 0 is
         // outside the valid port range [1, n-1].
         tags.push_back(sender_alive ? ports.port_to(sender, static_cast<int>(i))
                                     : 0);
       }
     }
-    if (variant == MessageVariant::kPortTagged) {
-      next.push_back(store.message_step_tagged(prev[i], bits[i],
-                                               std::move(by_port),
-                                               std::move(tags)));
-    } else {
-      next.push_back(store.message_step(prev[i], bits[i], std::move(by_port)));
-    }
+    next.push_back(store.message_step(prev[i], bits[i], std::move(by_port),
+                                      std::move(tags)));
   }
   return next;
 }

@@ -50,22 +50,18 @@ std::vector<KnowledgeId> initial_knowledge(KnowledgeStore& store,
 std::vector<KnowledgeId> initial_knowledge_with_inputs(
     KnowledgeStore& store, const std::vector<std::int64_t>& inputs);
 
-/// One blackboard round (Eq. 1). bits[i] is X_i(t).
-std::vector<KnowledgeId> blackboard_round(KnowledgeStore& store,
-                                          const std::vector<KnowledgeId>& prev,
-                                          const std::vector<bool>& bits);
-
-/// One blackboard round under crash-stop faults: party j participates in
-/// round `round` iff crash_round[j] < 0 or round < crash_round[j]
-/// (sim/fault.hpp semantics — a party halts at the start of its crash
-/// round). A crashed party posts nothing, so the Eq. (1) multiset seen by
-/// the survivors ranges over the still-participating parties only; the
-/// crashed party's own knowledge is frozen at its last pre-crash value.
-/// With an empty crash schedule this is exactly blackboard_round.
-std::vector<KnowledgeId> blackboard_round_crash(
+/// One blackboard round (Eq. 1), the reference the in-place operator is
+/// checked against. bits[i] is X_i(t). A non-empty `crash_round` applies
+/// crash-stop faults: party j participates in round `round` iff
+/// crash_round[j] < 0 or round < crash_round[j] (sim/fault.hpp semantics —
+/// a party halts at the start of its crash round). A crashed party posts
+/// nothing, so the Eq. (1) multiset seen by the survivors ranges over the
+/// still-participating parties only; the crashed party's own knowledge is
+/// frozen at its last pre-crash value. An empty schedule is fault free.
+std::vector<KnowledgeId> blackboard_round(
     KnowledgeStore& store, const std::vector<KnowledgeId>& prev,
-    const std::vector<bool>& bits, const std::vector<int>& crash_round,
-    int round);
+    const std::vector<bool>& bits, const std::vector<int>& crash_round = {},
+    int round = 0);
 
 /// Reusable scratch buffers for the in-place round operators below. Batch
 /// drivers keep one per worker (RunContext) so steady-state sweeps run the
@@ -82,8 +78,7 @@ struct RoundScratch {
 
 /// One blackboard round in place: knowledge := Eq. (1)(knowledge, bits),
 /// under the crash schedule `crash_round` at round `round` (empty = fault
-/// free). Byte-identical ids and store insertion order to
-/// blackboard_round_crash, hence to blackboard_round when fault free:
+/// free). Byte-identical ids and store insertion order to blackboard_round:
 ///  * every participating party's multiset is one shared sorted multiset
 ///    of the participants' previous values minus one occurrence of its
 ///    own, so that multiset is interned once as the round's board
@@ -108,34 +103,28 @@ void blackboard_round_inplace(KnowledgeStore& store,
                               int round = 0,
                               std::span<const KnowledgeId> sorted_prev = {});
 
-/// One message-passing round (Eq. 2) under the given port assignment.
-std::vector<KnowledgeId> message_round(
-    KnowledgeStore& store, const std::vector<KnowledgeId>& prev,
-    const std::vector<bool>& bits, const PortAssignment& ports,
-    MessageVariant variant = MessageVariant::kPortTagged);
-
-/// One message-passing round under crash-stop faults: party j participates
-/// in round `round` iff crash_round[j] < 0 or round < crash_round[j]
-/// (sim/fault.hpp semantics). A crashed party's knowledge is frozen at its
-/// last pre-crash value; an alive receiver's Eq. (2) tuple entry for a
-/// port whose sender has halted is the distinguished "silence" value
+/// One message-passing round (Eq. 2) under the given port assignment, the
+/// reference the in-place operator is checked against. A non-empty
+/// `crash_round` applies crash-stop faults with blackboard_round's
+/// semantics: a crashed party's knowledge is frozen at its last pre-crash
+/// value, and an alive receiver's Eq. (2) tuple entry for a port whose
+/// sender has halted is the distinguished "silence" value
 /// (KnowledgeStore::silence) — the synchronous-model fact that a dead
 /// channel is detectable — with reciprocal tag 0 in the port-tagged
 /// variant (a silent channel transmits no tag; real ports are >= 1).
-/// With an empty crash schedule this is exactly message_round.
-std::vector<KnowledgeId> message_round_crash(
+std::vector<KnowledgeId> message_round(
     KnowledgeStore& store, const std::vector<KnowledgeId>& prev,
     const std::vector<bool>& bits, const PortAssignment& ports,
-    MessageVariant variant, const std::vector<int>& crash_round, int round);
+    MessageVariant variant = MessageVariant::kPortTagged,
+    const std::vector<int>& crash_round = {}, int round = 0);
 
 /// One message-passing round in place, under the crash schedule
 /// `crash_round` at round `round` (empty = fault free): byte-identical ids
-/// and store insertion order to message_round_crash, hence to
-/// message_round when fault free (silence is interned lazily at the same
-/// first-use point as the allocating version). Each party's tuple and tags
-/// are read off its two wiring rows (PortAssignment::neighbors and
-/// ::reciprocal), O(n) per party where the value-returning operators scan
-/// a row per port (port_to).
+/// and store insertion order to message_round (silence is interned lazily
+/// at the same first-use point as the reference). Each party's tuple and
+/// tags are read off its two wiring rows (PortAssignment::neighbors and
+/// ::reciprocal), O(n) per party where the reference scans a row per port
+/// (port_to).
 void message_round_inplace(KnowledgeStore& store,
                            std::vector<KnowledgeId>& knowledge,
                            const std::vector<bool>& bits,

@@ -49,6 +49,32 @@ std::string trim(std::string_view s) {
   return std::string(s.substr(begin, end - begin));
 }
 
+/// Splits `text` at every character of `separators`, trimming each piece;
+/// empty pieces are kept, so "a,,b" yields three.
+std::vector<std::string> split_trimmed(std::string_view text,
+                                       std::string_view separators) {
+  std::vector<std::string> pieces;
+  std::size_t pos = 0;
+  while (true) {
+    const std::size_t end =
+        std::min(text.find_first_of(separators, pos), text.size());
+    pieces.push_back(trim(text.substr(pos, end - pos)));
+    if (end == text.size()) return pieces;
+    pos = end + 1;
+  }
+}
+
+/// The spec-line scanner: the non-empty lines of a spec text (split at
+/// newlines and semicolons, '#' comments cut, whitespace trimmed).
+std::vector<std::string> spec_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  for (const std::string& piece : split_trimmed(text, "\n;")) {
+    std::string line = trim(std::string_view(piece).substr(0, piece.find('#')));
+    if (!line.empty()) lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
 /// Every int-valued key narrows here, once: a value outside the int range
 /// is a named reject, never a wrap into some other spec (and its hash).
 int parse_int(const std::string& value, const std::string& key) {
@@ -85,14 +111,8 @@ std::uint64_t parse_u64(const std::string& value, const std::string& key) {
 std::vector<int> parse_int_list(const std::string& value,
                                 const std::string& key) {
   std::vector<int> out;
-  std::size_t pos = 0;
-  while (pos <= value.size()) {
-    std::size_t comma = value.find(',', pos);
-    if (comma == std::string::npos) comma = value.size();
-    out.push_back(
-        parse_int(trim(std::string_view(value).substr(pos, comma - pos)), key));
-    pos = comma + 1;
-    if (comma == value.size()) break;
+  for (const std::string& item : split_trimmed(value, ",")) {
+    out.push_back(parse_int(item, key));
   }
   return out;
 }
@@ -171,19 +191,7 @@ std::string default_policy(const std::string& model) {
 CanonicalSpec CanonicalSpec::parse(const std::string& text) {
   CanonicalSpec spec;
   std::map<std::string, std::string> pairs;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t end = text.find_first_of("\n;", pos);
-    if (end == std::string::npos) end = text.size();
-    std::string line = text.substr(pos, end - pos);
-    const std::size_t hash_at = line.find('#');
-    if (hash_at != std::string::npos) line.resize(hash_at);
-    line = trim(line);
-    pos = end + 1;
-    if (line.empty()) {
-      if (end == text.size()) break;
-      continue;
-    }
+  for (const std::string& line : spec_lines(text)) {
     const std::size_t eq = line.find('=');
     if (eq == std::string::npos) {
       throw InvalidArgument("spec: expected key=value, got '" + line + "'");
@@ -204,7 +212,6 @@ CanonicalSpec CanonicalSpec::parse(const std::string& text) {
                             "' carries alternatives ('|'); expand grid "
                             "requests with expand_request");
     }
-    if (end == text.size()) break;
   }
 
   for (const auto& [key, value] : pairs) {
@@ -328,6 +335,7 @@ std::string CanonicalSpec::canonical_text() const {
   // port-policy stays, because it is invalid rather than inert and must
   // hash apart from the spec that to_experiment() accepts.
   const bool topology_live = !topology.empty() && topology != "clique";
+  const CanonicalSpec defaults;
   std::string out;
   const auto emit = [&out](const std::string& key, const std::string& value) {
     out += key;
@@ -336,39 +344,43 @@ std::string CanonicalSpec::canonical_text() const {
     out += '\n';
   };
   if (!agents.empty()) emit("agents", agents);
-  if (fault_crashes != 0) {
+  if (fault_crashes != defaults.fault_crashes) {
     emit("fault-crashes", std::to_string(fault_crashes));
-    if (fault_seed != 0xfa017ULL) emit("fault-seed", std::to_string(fault_seed));
-    if (fault_window != 8) emit("fault-window", std::to_string(fault_window));
+    if (fault_seed != defaults.fault_seed) {
+      emit("fault-seed", std::to_string(fault_seed));
+    }
+    if (fault_window != defaults.fault_window) {
+      emit("fault-window", std::to_string(fault_window));
+    }
   }
   emit("loads", int_list_to_string(loads));
-  if (model != "blackboard") emit("model", model);
+  if (model != defaults.model) emit("model", model);
   if (effective_policy != default_policy(model)) {
     emit("port-policy", effective_policy);
   }
-  if (effective_policy == "random-per-run" && port_seed != 0x9e3779b9 &&
-      !topology_live) {
+  if (effective_policy == "random-per-run" &&
+      port_seed != defaults.port_seed && !topology_live) {
     emit("port-seed", std::to_string(port_seed));
   }
   if (effective_policy == "fixed") emit("ports", int_list_to_string(ports));
   if (!protocol.empty()) emit("protocol", protocol);
-  if (rounds != 300) emit("rounds", std::to_string(rounds));
+  if (rounds != defaults.rounds) emit("rounds", std::to_string(rounds));
   if (sched_canon != "synchronous") {
     emit("sched", sched_canon);
     if (sched_canon.rfind("random-delay", 0) == 0 &&
-        sched_seed != 0x5ced01eULL) {
+        sched_seed != defaults.sched_seed) {
       emit("sched-seed", std::to_string(sched_seed));
     }
   }
   if (!task.empty()) emit("task", task);
   if (topology_live) {
     emit("topology", topology);
-    if (topology_seed != 0x70b01ULL &&
+    if (topology_seed != defaults.topology_seed &&
         graph::is_randomized_topology(topology)) {
       emit("topology-seed", std::to_string(topology_seed));
     }
   }
-  if (variant != "port-tagged") emit("variant", variant);
+  if (variant != defaults.variant) emit("variant", variant);
   return out;
 }
 
@@ -460,31 +472,19 @@ Experiment CanonicalSpec::to_experiment() const {
 
 std::vector<SpecPoint> expand_request(const std::string& text,
                                       std::size_t max_points) {
-  // Find the alternative-carrying keys by re-scanning the raw text: split
-  // into lines, and for every `key=v1|v2` line build an axis. The
-  // expansion substitutes one alternative per axis back into the text and
-  // parses each substitution as a single-point spec — so all value
-  // validation lives in parse(), once.
+  // Find the alternative-carrying keys with parse()'s line scanner: every
+  // `key=v1|v2` line is an axis. The expansion substitutes one
+  // alternative per axis into its line and parses each substitution as a
+  // single-point spec — so all value validation lives in parse(), once.
   struct Axis {
     std::string key;
     std::vector<std::string> values;
+    std::size_t line = 0;  // the request line it substitutes
   };
   std::vector<Axis> axes;
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t end = text.find_first_of("\n;", pos);
-    if (end == std::string::npos) end = text.size();
-    std::string line = text.substr(pos, end - pos);
-    const std::size_t hash_at = line.find('#');
-    if (hash_at != std::string::npos) line.resize(hash_at);
-    line = trim(line);
-    const bool last = end == text.size();
-    pos = end + 1;
-    if (!line.empty()) lines.push_back(line);
-    if (last) break;
-  }
-  for (const std::string& line : lines) {
+  const std::vector<std::string> lines = spec_lines(text);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
     const std::size_t eq = line.find('=');
     if (eq == std::string::npos || line.find('|') == std::string::npos) {
       continue;
@@ -496,16 +496,8 @@ std::vector<SpecPoint> expand_request(const std::string& text,
           "spec: 'seeds' cannot carry alternatives — the seed range is the "
           "query range, not a grid axis");
     }
-    const std::string value = line.substr(eq + 1);
-    std::size_t vpos = 0;
-    while (vpos <= value.size()) {
-      std::size_t bar = value.find('|', vpos);
-      if (bar == std::string::npos) bar = value.size();
-      axis.values.push_back(
-          trim(std::string_view(value).substr(vpos, bar - vpos)));
-      vpos = bar + 1;
-      if (bar == value.size()) break;
-    }
+    axis.values = split_trimmed(std::string_view(line).substr(eq + 1), "|");
+    axis.line = i;
     axes.push_back(std::move(axis));
   }
   // Axes expand in sorted-key order, first sorted axis slowest — the
@@ -530,28 +522,18 @@ std::vector<SpecPoint> expand_request(const std::string& text,
       choice[a] = rest % axes[a].values.size();
       rest /= axes[a].values.size();
     }
-    std::string substituted;
-    for (const std::string& line : lines) {
-      const std::size_t eq = line.find('=');
-      std::string emitted = line;
-      if (eq != std::string::npos && line.find('|') != std::string::npos) {
-        const std::string key = trim(std::string_view(line).substr(0, eq));
-        for (std::size_t a = 0; a < axes.size(); ++a) {
-          if (axes[a].key == key) {
-            emitted = key + "=" + axes[a].values[choice[a]];
-            break;
-          }
-        }
-      }
-      substituted += emitted;
-      substituted += '\n';
-    }
+    std::vector<std::string> point_lines = lines;
     SpecPoint point;
-    point.spec = CanonicalSpec::parse(substituted);
     for (std::size_t a = 0; a < axes.size(); ++a) {
+      const std::string coordinate =
+          axes[a].key + "=" + axes[a].values[choice[a]];
+      point_lines[axes[a].line] = coordinate;
       if (!point.label.empty()) point.label += ' ';
-      point.label += axes[a].key + "=" + axes[a].values[choice[a]];
+      point.label += coordinate;
     }
+    std::string substituted;
+    for (const std::string& line : point_lines) substituted += line + '\n';
+    point.spec = CanonicalSpec::parse(substituted);
     out.push_back(std::move(point));
   }
   return out;

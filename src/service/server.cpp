@@ -156,6 +156,16 @@ Server::Server(ServerConfig config)
 Server::~Server() { stop(); }
 
 void Server::start() {
+  // A zero quantum never lets a deficit cover a chunk, so the loop would
+  // spin on a pending job forever; a port outside 16 bits would wrap into
+  // another port at htons().
+  if (config_.quantum_runs == 0) {
+    throw InvalidArgument("ServerConfig: quantum_runs must be >= 1, got 0");
+  }
+  if (config_.port < 0 || config_.port > 65535) {
+    throw InvalidArgument("ServerConfig: port " + std::to_string(config_.port) +
+                          " is outside [0, 65535]");
+  }
   if (running_.exchange(true)) return;
   engine_.set_parallel({config_.threads, 0, config_.batch, config_.orbit});
 

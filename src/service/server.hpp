@@ -142,8 +142,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds 127.0.0.1:config.port and starts the loop thread. Throws Error
-  /// when the socket cannot be bound.
+  /// Binds 127.0.0.1:config.port and starts the loop thread. Throws
+  /// InvalidArgument, naming the field, for quantum_runs = 0 or a port
+  /// outside [0, 65535], and Error when the socket cannot be bound.
   void start();
 
   /// The bound port (after start(); the ephemeral one when config.port=0).

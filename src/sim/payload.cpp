@@ -9,16 +9,6 @@ namespace rsb::sim {
 
 namespace {
 
-constexpr PayloadId kEmptySlot = static_cast<PayloadId>(-1);
-constexpr std::size_t kInitialSlots = 64;  // power of two
-
-/// Smallest power-of-two table holding `entries` at load <= 1/2.
-std::size_t table_size_for(std::size_t entries) {
-  std::size_t wanted = kInitialSlots;
-  while (wanted < (entries + 1) * 2) wanted *= 2;
-  return wanted;
-}
-
 std::uint64_t payload_hash(std::string_view bytes) noexcept {
   // FNV-1a over the bytes, finalized with mix64 for avalanche; cheap and
   // deterministic across runs (no per-process seed).
@@ -32,20 +22,13 @@ std::uint64_t payload_hash(std::string_view bytes) noexcept {
 
 }  // namespace
 
-PayloadArena::PayloadArena() { slots_.assign(kInitialSlots, kEmptySlot); }
+PayloadArena::PayloadArena() { index_.reset(0); }
 
 void PayloadArena::reset() {
   peak_entries_ = std::max(peak_entries_, entries_.size());
   entries_.clear();
-  hashes_.clear();
   entries_.reserve(peak_entries_);
-  hashes_.reserve(peak_entries_);
-  const std::size_t wanted = table_size_for(peak_entries_);
-  if (slots_.size() < wanted) {
-    slots_.assign(wanted, kEmptySlot);
-  } else {
-    std::fill(slots_.begin(), slots_.end(), kEmptySlot);
-  }
+  index_.reset(peak_entries_);
   for (std::vector<char>& block : blocks_) block.clear();  // keeps capacity
   active_block_ = 0;
   bytes_interned_ = 0;
@@ -71,35 +54,16 @@ const char* PayloadArena::allocate(std::string_view bytes) {
 
 PayloadId PayloadArena::intern(std::string_view bytes) {
   const std::uint64_t h = payload_hash(bytes);
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(h) & mask;
-  while (true) {
-    const PayloadId occupant = slots_[i];
-    if (occupant == kEmptySlot) break;
-    if (hashes_[occupant] == h && view(occupant) == bytes) return occupant;
-    i = (i + 1) & mask;
-  }
+  const std::size_t slot =
+      index_.find(h, [&](PayloadId id) { return view(id) == bytes; });
+  if (index_.at(slot) != InternIndex::kEmptySlot) return index_.at(slot);
   Entry entry;
+  entry.size = narrow_store_index(bytes.size(), "payload size");
   entry.data = allocate(bytes);
-  entry.size = static_cast<std::uint32_t>(bytes.size());
-  const PayloadId id = static_cast<PayloadId>(entries_.size());
+  const PayloadId id = index_.insert(slot, h, "payload id");
   entries_.push_back(entry);
-  hashes_.push_back(h);
-  slots_[i] = id;
   bytes_interned_ += bytes.size();
-  if ((entries_.size() + 1) * 2 > slots_.size()) grow_slots();
   return id;
-}
-
-void PayloadArena::grow_slots() {
-  std::vector<PayloadId> bigger(table_size_for(entries_.size()), kEmptySlot);
-  const std::size_t mask = bigger.size() - 1;
-  for (PayloadId id = 0; id < static_cast<PayloadId>(entries_.size()); ++id) {
-    std::size_t i = static_cast<std::size_t>(hashes_[id]) & mask;
-    while (bigger[i] != kEmptySlot) i = (i + 1) & mask;
-    bigger[i] = id;
-  }
-  slots_ = std::move(bigger);
 }
 
 }  // namespace rsb::sim

@@ -30,6 +30,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/intern_index.hpp"
+
 namespace rsb::sim {
 
 /// Identifier of an interned payload; equality of ids is equality of the
@@ -72,7 +74,6 @@ class PayloadArena {
 
   /// Copies `bytes` into bump storage and returns the stable location.
   const char* allocate(std::string_view bytes);
-  void grow_slots();
 
   static constexpr std::size_t kBlockBytes = 1 << 16;
 
@@ -82,13 +83,10 @@ class PayloadArena {
   std::vector<std::vector<char>> blocks_;
   std::size_t active_block_ = 0;
 
-  // Intern index: flat open-addressed table of ids (linear probing,
-  // power-of-two size) over entries_, hashes cached per entry — the same
-  // shape as the KnowledgeStore index, for the same reason: reset() is one
-  // fill, no per-bucket deallocation.
+  // Interned payloads, numbered by the intern index (the one the
+  // KnowledgeStore's tables use) in insertion order.
   std::vector<Entry> entries_;
-  std::vector<std::uint64_t> hashes_;
-  std::vector<PayloadId> slots_;
+  InternIndex index_;
   std::size_t peak_entries_ = 0;
   std::size_t bytes_interned_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "tasks/tasks.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "util/error.hpp"
@@ -140,20 +141,39 @@ SymmetricTask SymmetricTask::resilient_matching(int num_parties,
       });
 }
 
-bool SymmetricTask::admits_vector(const std::vector<int>& value_per_party) const {
-  if (static_cast<int>(value_per_party.size()) != num_parties_) {
-    throw InvalidArgument("SymmetricTask::admits_vector: size mismatch");
-  }
-  std::vector<int> counts(alphabet_.size(), 0);
-  for (int v : value_per_party) {
+template <typename Value>
+bool SymmetricTask::admits_census(std::span<const Value> values,
+                                  std::span<const int> crash_round) const {
+  // One reusable census per thread: record() runs on every engine worker,
+  // each judging into its own shard but through the shared task object.
+  static thread_local std::vector<int> counts;
+  counts.assign(alphabet_.size(), 0);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (!crash_round.empty() && crash_round[i] >= 0) continue;  // crashed
+    const int v = static_cast<int>(values[i]);  // the historical narrowing
     const auto it = std::lower_bound(alphabet_.begin(), alphabet_.end(), v);
     if (it == alphabet_.end() || *it != v) return false;  // off-alphabet
     ++counts[static_cast<std::size_t>(it - alphabet_.begin())];
   }
   if (!admits_(counts)) return false;
-  return refine_ == nullptr ||
-         refine_(std::span<const int>(value_per_party),
-                 std::span<const int>());
+  if (refine_ == nullptr) return true;
+  if constexpr (std::is_same_v<Value, int>) {
+    return refine_(values, crash_round);
+  } else {
+    static thread_local std::vector<int> narrowed;
+    narrowed.resize(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      narrowed[i] = static_cast<int>(values[i]);
+    }
+    return refine_(std::span<const int>(narrowed), crash_round);
+  }
+}
+
+bool SymmetricTask::admits_vector(const std::vector<int>& value_per_party) const {
+  if (static_cast<int>(value_per_party.size()) != num_parties_) {
+    throw InvalidArgument("SymmetricTask::admits_vector: size mismatch");
+  }
+  return admits_census(std::span<const int>(value_per_party), {});
 }
 
 bool SymmetricTask::admits_surviving(const std::vector<int>& value_per_party,
@@ -162,25 +182,15 @@ bool SymmetricTask::admits_surviving(const std::vector<int>& value_per_party,
       alive.size() != value_per_party.size()) {
     throw InvalidArgument("SymmetricTask::admits_surviving: size mismatch");
   }
-  std::vector<int> counts(alphabet_.size(), 0);
-  for (std::size_t i = 0; i < value_per_party.size(); ++i) {
-    if (!alive[i]) continue;
-    const int v = value_per_party[i];
-    const auto it = std::lower_bound(alphabet_.begin(), alphabet_.end(), v);
-    if (it == alphabet_.end() || *it != v) return false;  // off-alphabet
-    ++counts[static_cast<std::size_t>(it - alphabet_.begin())];
-  }
-  if (!admits_(counts)) return false;
-  if (refine_ == nullptr) return true;
-  // The refinement takes crash state in the outcome's crash_round encoding
+  // The census takes crash state in the outcome's crash_round encoding
   // (entry >= 0 means crashed); alive masks translate to -1 / 0.
-  static thread_local std::vector<int> crash_scratch;
-  crash_scratch.assign(alive.size(), -1);
+  static thread_local std::vector<int> crash_round;
+  crash_round.assign(alive.size(), -1);
   for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (!alive[i]) crash_scratch[i] = 0;
+    if (!alive[i]) crash_round[i] = 0;
   }
-  return refine_(std::span<const int>(value_per_party),
-                 std::span<const int>(crash_scratch));
+  return admits_census(std::span<const int>(value_per_party),
+                       std::span<const int>(crash_round));
 }
 
 bool SymmetricTask::admits_outputs(
@@ -188,25 +198,7 @@ bool SymmetricTask::admits_outputs(
   if (static_cast<int>(outputs.size()) != num_parties_) {
     throw InvalidArgument("SymmetricTask::admits_outputs: size mismatch");
   }
-  // One reusable census per thread: record() runs on every engine worker,
-  // each judging into its own shard but through the shared task object.
-  static thread_local std::vector<int> counts;
-  counts.assign(alphabet_.size(), 0);
-  for (const std::int64_t value : outputs) {
-    const int v = static_cast<int>(value);  // the historical narrowing
-    const auto it = std::lower_bound(alphabet_.begin(), alphabet_.end(), v);
-    if (it == alphabet_.end() || *it != v) return false;  // off-alphabet
-    ++counts[static_cast<std::size_t>(it - alphabet_.begin())];
-  }
-  if (!admits_(counts)) return false;
-  if (refine_ == nullptr) return true;
-  static thread_local std::vector<int> value_scratch;
-  value_scratch.resize(outputs.size());
-  for (std::size_t i = 0; i < outputs.size(); ++i) {
-    value_scratch[i] = static_cast<int>(outputs[i]);
-  }
-  return refine_(std::span<const int>(value_scratch),
-                 std::span<const int>());
+  return admits_census(outputs, {});
 }
 
 bool SymmetricTask::admits_surviving_outputs(
@@ -217,23 +209,7 @@ bool SymmetricTask::admits_surviving_outputs(
     throw InvalidArgument(
         "SymmetricTask::admits_surviving_outputs: size mismatch");
   }
-  static thread_local std::vector<int> counts;
-  counts.assign(alphabet_.size(), 0);
-  for (std::size_t i = 0; i < outputs.size(); ++i) {
-    if (crash_round[i] >= 0) continue;  // crashed: not consulted
-    const int v = static_cast<int>(outputs[i]);
-    const auto it = std::lower_bound(alphabet_.begin(), alphabet_.end(), v);
-    if (it == alphabet_.end() || *it != v) return false;  // off-alphabet
-    ++counts[static_cast<std::size_t>(it - alphabet_.begin())];
-  }
-  if (!admits_(counts)) return false;
-  if (refine_ == nullptr) return true;
-  static thread_local std::vector<int> value_scratch;
-  value_scratch.resize(outputs.size());
-  for (std::size_t i = 0; i < outputs.size(); ++i) {
-    value_scratch[i] = static_cast<int>(outputs[i]);
-  }
-  return refine_(std::span<const int>(value_scratch), crash_round);
+  return admits_census(outputs, crash_round);
 }
 
 bool SymmetricTask::admits_counts(const std::vector<int>& counts) const {

@@ -157,6 +157,15 @@ class SymmetricTask {
                             std::size_t next_class,
                             std::vector<int>& counts) const;
 
+  /// The one census behind every admits_* entry point over a value
+  /// vector: counts the judged parties' values — every party's for an
+  /// empty `crash_round`, else those with crash_round[i] < 0 — each
+  /// narrowed to int; an off-alphabet value rejects, then the predicate
+  /// and any refinement decide.
+  template <typename Value>
+  bool admits_census(std::span<const Value> values,
+                     std::span<const int> crash_round) const;
+
   std::string name_;
   int num_parties_;
   std::vector<int> alphabet_;

@@ -1,0 +1,83 @@
+// The flat open-addressed index behind every intern table: the
+// KnowledgeStore's node and board tables and sim::PayloadArena.
+//
+// An intern table numbers its distinct entries 0, 1, 2, ... in insertion
+// order and finds an entry by hash. The index holds only the numbers (a
+// power-of-two slot table, linear probing at load <= 1/2) and each
+// entry's cached hash; the entries themselves stay in the owner's storage,
+// which the owner's equality predicate reads. Unlike a node-based
+// unordered_map of bucket vectors, reset() vacates it with one fill — no
+// per-bucket deallocation — so an owner that resets between runs stops
+// touching the allocator once its largest run has been seen.
+//
+// Entry numbers, and the owners' pool offsets and sizes, are 32-bit
+// fields; narrow_store_index guards every narrowing into one.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+namespace rsb {
+
+/// The largest entry number, pool offset or size an intern table holds:
+/// its fields are 32 bits wide, and 2^32 − 1 marks a vacant slot.
+inline constexpr std::size_t kMaxStoreIndex = 0xFFFFFFFEu;
+
+/// Throws the Error narrow_store_index raises for `value`.
+[[noreturn]] void throw_store_limit(std::size_t value, const char* what);
+
+/// Narrows an intern table's entry number, pool offset or size (`what`
+/// names which) to its 32-bit field; past kMaxStoreIndex it throws an
+/// Error naming the field and the limit instead of wrapping.
+inline std::uint32_t narrow_store_index(std::size_t value, const char* what) {
+  if (value > kMaxStoreIndex) throw_store_limit(value, what);
+  return static_cast<std::uint32_t>(value);
+}
+
+class InternIndex {
+ public:
+  /// What at() returns for a vacant slot.
+  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
+
+  /// Forgets every entry, keeping the storage; sized for `peak` entries.
+  /// An index must be reset once before its first find().
+  void reset(std::size_t peak);
+
+  /// The slot of the entry `equal` accepts among those hashing to `h`,
+  /// or else the vacant slot where such an entry belongs.
+  template <typename Equal>
+  std::size_t find(std::uint64_t h, const Equal& equal) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(h) & mask;
+    while (slots_[i] != kEmptySlot &&
+           !(hashes_[slots_[i]] == h && equal(slots_[i]))) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  /// The entry at `slot`; kEmptySlot when vacant.
+  std::uint32_t at(std::size_t slot) const { return slots_[slot]; }
+
+  /// Numbers the next entry, hashing to `h`, into the vacant `slot` that
+  /// find() returned, and returns its number (`what` names the number in
+  /// the error raised past kMaxStoreIndex).
+  std::uint32_t insert(std::size_t slot, std::uint64_t h, const char* what) {
+    const std::uint32_t id = narrow_store_index(hashes_.size(), what);
+    hashes_.push_back(h);
+    slots_[slot] = id;
+    // Keep the load factor at most 1/2 so probe chains stay short.
+    // slots_.size() is always a power of two >= the initial size, so
+    // this is the sizing rule of reset() without its loop.
+    if ((hashes_.size() + 1) * 2 > slots_.size()) grow();
+    return id;
+  }
+
+ private:
+  void grow();
+  std::vector<std::uint32_t> slots_;
+  std::vector<std::uint64_t> hashes_;  // per entry, index = entry number
+};
+
+}  // namespace rsb

@@ -63,6 +63,32 @@ TEST(CanonicalSpec, ExplicitDefaultsCanonicalizeAway) {
   EXPECT_EQ(spelled.hash(), bare.hash());
 }
 
+TEST(CanonicalSpec, DefaultsAreTheOnesAnOmittedKeyRunsUnder) {
+  // canonical_text() omits every key whose value equals CanonicalSpec{}'s,
+  // so those defaults must be what to_experiment() builds when the key is
+  // absent: the Experiment, sim::FaultPlan and sim::SchedulerSpec defaults.
+  const CanonicalSpec spec;
+  const Experiment experiment;
+  const sim::FaultPlan faults;
+  const sim::SchedulerSpec scheduler;
+  EXPECT_EQ(spec.model, to_string(experiment.model));
+  EXPECT_EQ(spec.port_seed, experiment.port_seed);
+  EXPECT_EQ(spec.topology_seed, experiment.topology_seed);
+  EXPECT_EQ(spec.variant, to_string(experiment.variant));
+  EXPECT_EQ(spec.rounds, experiment.max_rounds);
+  EXPECT_EQ(spec.fault_crashes, faults.crashes);
+  EXPECT_EQ(spec.fault_window, faults.crash_window);
+  EXPECT_EQ(spec.fault_seed, faults.fault_seed);
+  EXPECT_EQ(spec.sched, scheduler.to_string());
+  EXPECT_EQ(spec.sched_seed, scheduler.sched_seed);
+  // The experiment runs under those same fault plan and scheduler.
+  EXPECT_EQ(experiment.faults.crashes, faults.crashes);
+  EXPECT_EQ(experiment.faults.crash_window, faults.crash_window);
+  EXPECT_EQ(experiment.faults.fault_seed, faults.fault_seed);
+  EXPECT_EQ(experiment.scheduler.to_string(), scheduler.to_string());
+  EXPECT_EQ(experiment.scheduler.sched_seed, scheduler.sched_seed);
+}
+
 TEST(CanonicalSpec, SeedsAreNotPartOfTheIdentity) {
   const CanonicalSpec a = CanonicalSpec::parse(
       "loads=2,3\nprotocol=wait-for-singleton-LE\nseeds=0+100");

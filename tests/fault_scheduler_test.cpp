@@ -490,24 +490,23 @@ TEST(KnowledgeMPFaults, CrashZeroIsByteIdenticalToThePlainPath) {
 }
 
 TEST(KnowledgeMPFaults, SilenceMasksCrashedChannels) {
-  // Direct semantics of message_round_crash: the crashed party's knowledge
-  // freezes, survivors' tuples carry the silence value (tag 0) on the dead
-  // channel, and with an empty schedule the operator is message_round.
+  // Direct semantics of message_round under a crash schedule: the crashed
+  // party's knowledge freezes, survivors' tuples carry the silence value
+  // (tag 0) on the dead channel, and an empty schedule is fault free.
   KnowledgeStore store;
   const PortAssignment ports = PortAssignment::cyclic(3);
   const std::vector<bool> bits = {true, false, true};
   const std::vector<KnowledgeId> prev = initial_knowledge(store, 3);
 
   const auto plain = message_round(store, prev, bits, ports);
-  const auto empty_sched = message_round_crash(store, prev, bits, ports,
-                                               MessageVariant::kPortTagged,
-                                               {}, 1);
+  const auto empty_sched = message_round(store, prev, bits, ports,
+                                         MessageVariant::kPortTagged, {}, 1);
   EXPECT_EQ(plain, empty_sched);
 
   // Party 1 crashes at round 1: it never participates.
   const std::vector<int> crash = {-1, 1, -1};
-  const auto next = message_round_crash(store, prev, bits, ports,
-                                        MessageVariant::kPortTagged, crash, 1);
+  const auto next = message_round(store, prev, bits, ports,
+                                  MessageVariant::kPortTagged, crash, 1);
   EXPECT_EQ(next[1], prev[1]) << "crashed knowledge frozen";
   EXPECT_NE(next[0], plain[0]) << "survivor sees a silent channel";
   const KnowledgeId silence = store.silence();

@@ -70,12 +70,12 @@ TEST(Knowledge, TaggedStepsDistinguishReciprocalPorts) {
   KnowledgeStore store;
   const KnowledgeId bot = store.bottom();
   const KnowledgeId a =
-      store.message_step_tagged(bot, true, {bot, bot}, {1, 2});
+      store.message_step(bot, true, {bot, bot}, {1, 2});
   const KnowledgeId b =
-      store.message_step_tagged(bot, true, {bot, bot}, {2, 1});
+      store.message_step(bot, true, {bot, bot}, {2, 1});
   EXPECT_NE(a, b) << "reciprocal port tags are part of the knowledge";
   const KnowledgeId c =
-      store.message_step_tagged(bot, true, {bot, bot}, {1, 2});
+      store.message_step(bot, true, {bot, bot}, {1, 2});
   EXPECT_EQ(a, c);
   const std::span<const int> tags = store.tags(a);
   EXPECT_EQ(std::vector<int>(tags.begin(), tags.end()),
@@ -86,14 +86,14 @@ TEST(Knowledge, TaggedAndUntaggedStepsDiffer) {
   KnowledgeStore store;
   const KnowledgeId bot = store.bottom();
   const KnowledgeId untagged = store.message_step(bot, true, {bot});
-  const KnowledgeId tagged = store.message_step_tagged(bot, true, {bot}, {1});
+  const KnowledgeId tagged = store.message_step(bot, true, {bot}, {1});
   EXPECT_NE(untagged, tagged);
 }
 
 TEST(Knowledge, TagSizeMismatchRejected) {
   KnowledgeStore store;
   const KnowledgeId bot = store.bottom();
-  EXPECT_THROW(store.message_step_tagged(bot, true, {bot, bot}, {1}),
+  EXPECT_THROW(store.message_step(bot, true, {bot, bot}, {1}),
                InvalidArgument);
 }
 
@@ -170,8 +170,7 @@ TEST(Knowledge, ResetReplaysIdsInInsertionOrder) {
     std::vector<KnowledgeId> ids;
     ids.push_back(s.input(7));
     ids.push_back(s.blackboard_step(s.bottom(), true, {ids[0]}));
-    ids.push_back(s.message_step_tagged(ids[1], false, {ids[0], ids[1]},
-                                        {2, 1}));
+    ids.push_back(s.message_step(ids[1], false, {ids[0], ids[1]}, {2, 1}));
     ids.push_back(s.blackboard_step(ids[1], true, {ids[2], ids[0]}));
     return ids;
   };
@@ -230,24 +229,24 @@ TEST(Knowledge, SilenceIsDistinguishedAndLazilyInterned) {
 }
 
 TEST(Knowledge, BorrowedSpanPathsMatchTheVectorPaths) {
-  // The zero-copy interning paths must be id-for-id interchangeable with
-  // the vector-taking ones — same ids, same insertion order.
+  // The zero-copy interning path must be id-for-id interchangeable with
+  // the vector-taking one — same ids, same insertion order.
   KnowledgeStore a;
   KnowledgeStore b;
   const std::vector<KnowledgeId> others = {a.bottom(), a.bottom()};
-  const KnowledgeId via_vector =
-      a.blackboard_step(a.bottom(), true, others);
-  const KnowledgeId via_span =
-      b.blackboard_step_sorted(b.bottom(), true, others);
-  EXPECT_EQ(via_vector, via_span);
+  const KnowledgeId step_a = a.blackboard_step(a.bottom(), true, others);
+  const KnowledgeId step_b = b.blackboard_step(b.bottom(), true, others);
   const std::vector<int> tags = {2, 1};
-  const KnowledgeId t_vector = a.message_step_tagged(
-      a.bottom(), false, {via_vector, a.bottom()}, tags);
+  const KnowledgeId t_vector =
+      a.message_step(a.bottom(), false, {step_a, a.bottom()}, tags);
   const KnowledgeId t_span = b.message_step_view(
-      b.bottom(), false, std::vector<KnowledgeId>{via_span, b.bottom()}, tags);
+      b.bottom(), false, std::vector<KnowledgeId>{step_b, b.bottom()}, tags);
   EXPECT_EQ(t_vector, t_span);
   // Probing with borrowed storage dedups against pool-stored nodes.
-  EXPECT_EQ(a.blackboard_step_sorted(a.bottom(), true, others), via_vector);
+  EXPECT_EQ(a.message_step_view(
+                a.bottom(), false,
+                std::vector<KnowledgeId>{step_a, a.bottom()}, tags),
+            t_vector);
   EXPECT_EQ(a.size(), b.size());
 }
 
@@ -293,12 +292,11 @@ TEST(Knowledge, BoardIsTheReceivedMultisetWithTheOwnValue) {
 }
 
 TEST(Knowledge, EveryBlackboardPathGivesTheSameIds) {
-  // blackboard_step, blackboard_step_sorted, the board path the in-place
-  // operator takes, and the operator itself intern one value under one id,
-  // in one insertion order, in four stores fed the same rounds.
-  KnowledgeStore by_vector, by_sorted, by_board, by_operator;
+  // blackboard_step, the board path the in-place operator takes, and the
+  // operator itself intern one value under one id, in one insertion
+  // order, in three stores fed the same rounds.
+  KnowledgeStore by_vector, by_board, by_operator;
   std::vector<KnowledgeId> k_vector = initial_knowledge(by_vector, 6);
-  std::vector<KnowledgeId> k_sorted = k_vector;
   std::vector<KnowledgeId> k_board = k_vector;
   std::vector<KnowledgeId> k_operator = k_vector;
   RoundScratch scratch;
@@ -309,23 +307,18 @@ TEST(Knowledge, EveryBlackboardPathGivesTheSameIds) {
     std::vector<KnowledgeId> sorted = k_board;
     std::sort(sorted.begin(), sorted.end());
     const BoardId board = by_board.intern_board(sorted);
-    std::vector<KnowledgeId> n_vector, n_sorted, n_board;
+    std::vector<KnowledgeId> n_vector, n_board;
     for (std::size_t i = 0; i < 6; ++i) {
       std::vector<KnowledgeId> others;
       for (std::size_t j = 0; j < 6; ++j) {
         if (j != i) others.push_back(k_vector[j]);
       }
       n_vector.push_back(by_vector.blackboard_step(k_vector[i], bits[i], others));
-      std::sort(others.begin(), others.end());
-      n_sorted.push_back(
-          by_sorted.blackboard_step_sorted(k_sorted[i], bits[i], others));
       n_board.push_back(by_board.blackboard_step_on(k_board[i], bits[i], board));
     }
     blackboard_round_inplace(by_operator, k_operator, bits, scratch);
     k_vector = n_vector;
-    k_sorted = n_sorted;
     k_board = n_board;
-    EXPECT_EQ(k_sorted, k_vector) << "round " << round;
     EXPECT_EQ(k_board, k_vector) << "round " << round;
     EXPECT_EQ(k_operator, k_vector) << "round " << round;
     for (std::size_t i = 0; i < 6; ++i) {
@@ -333,7 +326,6 @@ TEST(Knowledge, EveryBlackboardPathGivesTheSameIds) {
                 by_vector.to_string(k_vector[i]));
     }
   }
-  EXPECT_EQ(by_sorted.size(), by_vector.size());
   EXPECT_EQ(by_board.size(), by_vector.size());
   EXPECT_EQ(by_operator.size(), by_vector.size());
 }

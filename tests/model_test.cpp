@@ -397,8 +397,7 @@ TEST(Models, InPlaceBlackboardRoundMatchesTheReference) {
                          std::to_string(trial) + " round=" +
                          std::to_string(round));
             const std::vector<bool> bits = random_bits(n, rng);
-            ref = blackboard_round_crash(ref_store, ref, bits, crash_round,
-                                         round);
+            ref = blackboard_round(ref_store, ref, bits, crash_round, round);
             sorted.clear();
             if (caller_sorted) {
               sorted = knowledge;
@@ -435,8 +434,8 @@ TEST(Models, InPlaceMessageRoundMatchesTheReference) {
                          std::to_string(trial) + " round=" +
                          std::to_string(round));
             const std::vector<bool> bits = random_bits(n, rng);
-            ref = message_round_crash(ref_store, ref, bits, ports, variant,
-                                      crash_round, round);
+            ref = message_round(ref_store, ref, bits, ports, variant,
+                                crash_round, round);
             message_round_inplace(store, knowledge, bits, ports, variant,
                                   scratch, crash_round, round);
             expect_same_round(ref_store, ref, store, knowledge);
@@ -486,8 +485,7 @@ TEST(Models, InPlaceBlackboardRoundMatchesTheReferenceAtLargeN) {
                        " caller_sorted=" + std::to_string(caller_sorted) +
                        " round=" + std::to_string(round));
           const std::vector<bool> bits = source_bits(config, rng);
-          ref = blackboard_round_crash(ref_store, ref, bits, crash_round,
-                                       round);
+          ref = blackboard_round(ref_store, ref, bits, crash_round, round);
           sorted.clear();
           if (caller_sorted) {
             sorted = knowledge;
@@ -520,9 +518,8 @@ TEST(Models, InPlaceMessageRoundMatchesTheReferenceOnRandomWiringsWithCrashes) {
       SCOPED_TRACE("trial=" + std::to_string(trial) +
                    " round=" + std::to_string(round));
       const std::vector<bool> bits = random_bits(n, rng);
-      ref = message_round_crash(ref_store, ref, bits, ports,
-                                MessageVariant::kPortTagged, crash_round,
-                                round);
+      ref = message_round(ref_store, ref, bits, ports,
+                          MessageVariant::kPortTagged, crash_round, round);
       message_round_inplace(store, knowledge, bits, ports,
                             MessageVariant::kPortTagged, scratch, crash_round,
                             round);

@@ -2,12 +2,12 @@
 //
 // reference_run re-derives one run from the definitions alone: a fresh
 // KnowledgeStore and SourceBank per call, the value-returning round
-// operators (their _crash variants under a fault plan), and a per-party
-// decide after every executed round. It shares none of the engine's lane
-// kernel — no pre-round decision hook, no raw per-source coin engines, no
-// in-place operators, no reciprocal-port rows — so a law comparing engine
-// sweeps against it pins every batch width and thread count to the
-// paper's definition, not merely to one another.
+// operators (given the run's crash schedule under a fault plan), and a
+// per-party decide after every executed round. It shares none of the
+// engine's lane kernel — no pre-round decision hook, no raw per-source
+// coin engines, no in-place operators, no reciprocal-port rows — so a law
+// comparing engine sweeps against it pins every batch width and thread
+// count to the paper's definition, not merely to one another.
 #pragma once
 
 #include <cstdint>
@@ -60,14 +60,10 @@ inline ProtocolOutcome reference_run(const Experiment& spec,
       bits.push_back(bank.party_bit(party, round));
     }
     if (spec.model == Model::kBlackboard) {
-      knowledge = faulty ? blackboard_round_crash(store, knowledge, bits,
-                                                  crash_round, round)
-                         : blackboard_round(store, knowledge, bits);
+      knowledge = blackboard_round(store, knowledge, bits, crash_round, round);
     } else {
-      knowledge = faulty ? message_round_crash(store, knowledge, bits, *ports,
-                                               spec.variant, crash_round, round)
-                         : message_round(store, knowledge, bits, *ports,
-                                         spec.variant);
+      knowledge = message_round(store, knowledge, bits, *ports, spec.variant,
+                                crash_round, round);
     }
     for (std::size_t p = 0; p < parties; ++p) {
       if (outcome.decision_round[p] >= 0 || crashed_by(p, round)) continue;

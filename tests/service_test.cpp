@@ -807,6 +807,33 @@ TEST(Service, SeedRangePastTheLastSeedIsANamedRejectNotADeadDaemon) {
       << "no pong within 5 s of the submit";
 }
 
+TEST(Service, StartRejectsAZeroQuantumAndAPortOutsideSixteenBits) {
+  // Regression: a zero DRR quantum started and accepted jobs, but no
+  // client's deficit ever covered a chunk, and with a job pending the poll
+  // timeout stayed 0 — the loop spun at full CPU and no row ever came. A
+  // port outside [0, 65535] was cast to 16 bits: 70000 listened on 4464.
+  // start() now rejects both before binding, naming the field.
+  const auto start_error = [](ServerConfig config) -> std::string {
+    Server server(config);
+    try {
+      server.start();
+    } catch (const InvalidArgument& e) {
+      return e.what();
+    }
+    server.stop();
+    return "start() returned";
+  };
+  EXPECT_NE(start_error({.threads = 1, .quantum_runs = 0}).find("quantum_runs"),
+            std::string::npos);
+  EXPECT_NE(start_error({.port = 70000, .threads = 1}).find("port 70000"),
+            std::string::npos);
+  EXPECT_NE(start_error({.port = -1, .threads = 1}).find("port -1"),
+            std::string::npos);
+  // The edges of the fields' ranges still start.
+  EXPECT_EQ(start_error({.port = 0, .threads = 1, .quantum_runs = 1}),
+            "start() returned");
+}
+
 /// Resident set size of this process, in kB (VmRSS).
 std::int64_t resident_kb() {
   std::ifstream status("/proc/self/status");

@@ -3,6 +3,11 @@
 // primitive, and name-independent input-output tasks (Appendix C).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "tasks/name_independent.hpp"
 #include "tasks/tasks.hpp"
 #include "topology/symmetry.hpp"
@@ -37,6 +42,55 @@ TEST(LeaderElection, Figure3Projection) {
   EXPECT_EQ(pi_tau1.facet_count(), 2);
   EXPECT_TRUE(pi_tau1.contains(Simplex<int>({{0, 1}})));
   EXPECT_TRUE(pi_tau1.contains(Simplex<int>({{1, 0}, {2, 0}})));
+}
+
+TEST(SymmetricTask, EveryAdmissionEntryPointJudgesOneCensus) {
+  // 1-resilient leader election over 4 parties, refined to reject a
+  // surviving leader at party 3. Over every value vector in {-1..2}^4
+  // (off-alphabet values included) and every alive mask, the int and the
+  // int64 entry points agree with each other and with the rule spelled
+  // out here: the judged parties are the survivors, a judged value off
+  // the alphabet rejects, at least 3 survive, exactly one leads, and the
+  // refinement sees the crash state either way.
+  const SymmetricTask task =
+      SymmetricTask::resilient_leader_election(4, 1).with_refinement(
+          [](std::span<const int> values, std::span<const int> crash_round) {
+            const bool crashed = !crash_round.empty() && crash_round[3] >= 0;
+            return values[3] != 1 || crashed;
+          });
+  std::vector<int> values(4);
+  std::vector<std::int64_t> outputs(4);
+  for (int code = 0; code < 256; ++code) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      values[i] = ((code >> (2 * i)) & 3) - 1;
+      outputs[i] = values[i];
+    }
+    for (int mask = 0; mask < 16; ++mask) {
+      std::vector<bool> alive(4);
+      std::vector<int> crash_round(4);
+      bool off_alphabet = false;
+      int survivors = 0;
+      int leaders = 0;
+      for (std::size_t i = 0; i < 4; ++i) {
+        alive[i] = ((mask >> i) & 1) != 0;
+        crash_round[i] = alive[i] ? -1 : 2;
+        if (!alive[i]) continue;
+        off_alphabet |= values[i] != 0 && values[i] != 1;
+        ++survivors;
+        leaders += values[i] == 1 ? 1 : 0;
+      }
+      const bool expected = !off_alphabet && survivors >= 3 && leaders == 1 &&
+                            (values[3] != 1 || !alive[3]);
+      SCOPED_TRACE("code=" + std::to_string(code) +
+                   " mask=" + std::to_string(mask));
+      EXPECT_EQ(task.admits_surviving(values, alive), expected);
+      EXPECT_EQ(task.admits_surviving_outputs(outputs, crash_round), expected);
+      if (mask == 15) {
+        EXPECT_EQ(task.admits_vector(values), expected);
+        EXPECT_EQ(task.admits_outputs(outputs), expected);
+      }
+    }
+  }
 }
 
 TEST(LeaderElection, AdmitsExactlyOneLeaderVectors) {

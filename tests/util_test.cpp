@@ -1,13 +1,17 @@
 // Unit and property tests for the util substrate: RNG determinism,
-// bit strings, numeric helpers, and partition enumeration.
+// bit strings, numeric helpers, partition enumeration, and the intern
+// index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/bitstring.hpp"
 #include "util/error.hpp"
+#include "util/intern_index.hpp"
 #include "util/numeric.hpp"
 #include "util/partitions.hpp"
 #include "util/rng.hpp"
@@ -266,6 +270,58 @@ TEST(Partitions, CanonicalBlocksRelabelsByFirstOccurrence) {
   EXPECT_EQ(canonical_blocks({5, 9, 5, 2}), (std::vector<int>{0, 1, 0, 2}));
   EXPECT_EQ(canonical_blocks({7, 7, 7}), (std::vector<int>{0, 0, 0}));
   EXPECT_EQ(canonical_blocks({}), (std::vector<int>{}));
+}
+
+// --------------------------------------------------------- intern index
+
+/// Interns `key`, hashing to `h`, into `keys` through `index`; returns its
+/// entry number.
+std::uint32_t intern(InternIndex& index, std::vector<int>& keys, int key,
+                     std::uint64_t h) {
+  const std::size_t slot =
+      index.find(h, [&](std::uint32_t id) { return keys[id] == key; });
+  if (index.at(slot) != InternIndex::kEmptySlot) return index.at(slot);
+  keys.push_back(key);
+  return index.insert(slot, h, "test id");
+}
+
+TEST(InternIndex, NumbersDistinctEntriesInInsertionOrderAcrossGrowthAndReset) {
+  // A hash with seven values makes long probe chains, and a thousand
+  // entries grow the initial table several times. After reset() the
+  // numbering starts again from 0 on a table sized for the old peak.
+  InternIndex index;
+  index.reset(0);
+  std::vector<int> keys;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int key = 0; key < 1000; ++key) {
+      EXPECT_EQ(intern(index, keys, 3 * key, key % 7),
+                static_cast<std::uint32_t>(key));
+    }
+    for (int key = 999; key >= 0; --key) {
+      EXPECT_EQ(intern(index, keys, 3 * key, key % 7),
+                static_cast<std::uint32_t>(key));
+    }
+    EXPECT_EQ(keys.size(), 1000u);
+    index.reset(keys.size());
+    keys.clear();
+  }
+}
+
+TEST(InternIndex, NarrowingPastThirtyTwoBitsNamesTheFieldOnly) {
+  EXPECT_EQ(narrow_store_index(kMaxStoreIndex, "payload id"),
+            static_cast<std::uint32_t>(kMaxStoreIndex));
+  try {
+    narrow_store_index(kMaxStoreIndex + 1, "payload size");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("payload size 4294967295"), std::string::npos) << what;
+    EXPECT_NE(what.find("32-bit store limit 4294967294"), std::string::npos)
+        << what;
+    // The index serves the payload arena too: no owner is named but the
+    // caller's field.
+    EXPECT_EQ(what.find("KnowledgeStore"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

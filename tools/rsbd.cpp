@@ -10,10 +10,13 @@
 //
 // The announce line ("rsbd: listening on 127.0.0.1:41234") is how scripts
 // discover an ephemeral port: start rsbd, read the first stdout line.
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -34,15 +37,22 @@ void on_signal(int) { g_signalled = 1; }
   std::exit(2);
 }
 
-long long parse_number(const char* argv0, const char* flag, const char* text) {
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || value < 0) {
-    std::fprintf(stderr, "%s: %s wants a non-negative integer, got '%s'\n",
-                 argv0, flag, text);
+/// Reads a flag's value as an integer in [0, max], by default the range
+/// of the ServerConfig field it sets; outside it, exits 2 naming the flag
+/// instead of wrapping into another value. Semantic bounds (a zero
+/// quantum, a port past 65535) are Server::start's to reject.
+template <typename Field>
+Field parse_flag(const char* argv0, const char* flag, const char* text,
+                 std::uint64_t max = std::numeric_limits<Field>::max()) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value > max) {
+    std::fprintf(stderr, "%s: %s wants an integer in [0, %llu], got '%s'\n",
+                 argv0, flag, static_cast<unsigned long long>(max), text);
     std::exit(2);
   }
-  return value;
+  return static_cast<Field>(value);
 }
 
 }  // namespace
@@ -53,20 +63,22 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (arg == "--port" && has_value) {
-      config.port = static_cast<int>(parse_number(argv[0], "--port", argv[++i]));
+      config.port = parse_flag<int>(argv[0], "--port", argv[++i]);
     } else if (arg == "--threads" && has_value) {
-      config.threads =
-          static_cast<int>(parse_number(argv[0], "--threads", argv[++i]));
+      config.threads = parse_flag<int>(argv[0], "--threads", argv[++i]);
     } else if (arg == "--cache-mb" && has_value) {
-      config.cache_bytes = static_cast<std::uint64_t>(parse_number(
-                               argv[0], "--cache-mb", argv[++i]))
-                           << 20;
+      // The byte budget is the megabyte count shifted by 20 bits.
+      config.cache_bytes =
+          parse_flag<std::uint64_t>(argv[0], "--cache-mb", argv[++i],
+                                    std::numeric_limits<std::uint64_t>::max() >>
+                                        20)
+          << 20;
     } else if (arg == "--max-queue" && has_value) {
-      config.max_queue_jobs = static_cast<std::size_t>(
-          parse_number(argv[0], "--max-queue", argv[++i]));
+      config.max_queue_jobs =
+          parse_flag<std::size_t>(argv[0], "--max-queue", argv[++i]);
     } else if (arg == "--quantum" && has_value) {
-      config.quantum_runs = static_cast<std::uint64_t>(
-          parse_number(argv[0], "--quantum", argv[++i]));
+      config.quantum_runs =
+          parse_flag<std::uint64_t>(argv[0], "--quantum", argv[++i]);
     } else if (arg == "--no-orbit") {
       // Default-off orbit dedup; a spec's own `orbit=on` still enables it.
       config.orbit = false;
