@@ -393,6 +393,21 @@ void report_round_operator_throughput() {
           row.name + (row.solvable ? ": every run elects a leader"
                                    : ": no run elects a leader"));
   }
+  // Two leaders through wait-for-class-split-LE's rule, which reads a
+  // table of reachable class sums once per round, before the round.
+  const std::string name = "blackboard-2LE class-split n=6 sweep";
+  const auto two_leaders =
+      Experiment::blackboard(SourceConfiguration::all_private(6))
+          .with_protocol("wait-for-class-split-LE(2)")
+          .with_task("m-leader-election(2)")
+          .with_rounds(300)
+          .with_seeds(1, 262144);
+  Engine engine;
+  RunStats stats;
+  rsb::bench::time_runs(name, two_leaders.seeds.count, 1,
+                        [&] { stats = engine.run_batch(two_leaders); });
+  check(stats.task_successes == stats.runs,
+        name + ": every run elects two leaders");
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
 #include "algo/protocol.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <span>
-#include <map>
 
 #include "engine/engine.hpp"
 #include "util/error.hpp"
@@ -12,43 +10,33 @@ namespace rsb {
 
 namespace {
 
-/// The multiset of every party's knowledge at time t−1, reconstructed from
-/// one party's knowledge at time t, sorted: a blackboard step's board, or
-/// a message step's received values plus the party's own previous value.
-/// Empty when t = 0 (nothing received yet). Silence entries (crash-masked
-/// channels, KnowledgeKind::kSilence) are dropped: a dead channel is not a
-/// party's knowledge, so decision rules range over the still-participating
+/// The multiset of every party's knowledge at time t−1 that one party's
+/// knowledge at time t observed, sorted: a blackboard step's board, read
+/// in place, or a message step's received values plus the party's own
+/// previous value, gathered into `scratch`. Empty when t = 0 (nothing
+/// received yet). Silence entries (crash-masked channels,
+/// KnowledgeKind::kSilence) are dropped: a dead channel is not a party's
+/// knowledge, so decision rules range over the still-participating
 /// parties only — the message-passing counterpart of Eq. (1)'s
 /// survivor-restricted multiset.
-std::vector<KnowledgeId> knowledge_multiset_previous_round(
-    const KnowledgeStore& store, KnowledgeId knowledge) {
+std::span<const KnowledgeId> knowledge_multiset_previous_round(
+    const KnowledgeStore& store, KnowledgeId knowledge,
+    std::vector<KnowledgeId>& scratch) {
   const KnowledgeKind k = store.kind(knowledge);
-  if (k == KnowledgeKind::kBlackboardStep) {
-    const std::span<const KnowledgeId> board = store.board(knowledge);
-    return {board.begin(), board.end()};
-  }
+  if (k == KnowledgeKind::kBlackboardStep) return store.board(knowledge);
   if (k != KnowledgeKind::kMessageStep) return {};
-  std::vector<KnowledgeId> multiset;
-  multiset.reserve(store.received(knowledge).size() + 1);
   for (KnowledgeId id : store.received(knowledge)) {
-    if (store.kind(id) != KnowledgeKind::kSilence) multiset.push_back(id);
+    if (store.kind(id) != KnowledgeKind::kSilence) scratch.push_back(id);
   }
-  multiset.push_back(store.previous(knowledge));
-  std::sort(multiset.begin(), multiset.end());
-  return multiset;
-}
-
-std::map<KnowledgeId, int> count_by_value(
-    const std::vector<KnowledgeId>& multiset) {
-  std::map<KnowledgeId, int> counts;
-  for (KnowledgeId id : multiset) ++counts[id];
-  return counts;
+  scratch.push_back(store.previous(knowledge));
+  std::sort(scratch.begin(), scratch.end());
+  return scratch;
 }
 
 /// Index of the first value at or after `from` that occurs exactly once in
 /// the sorted span, or sorted.size() if there is none.
-std::size_t next_singleton(std::span<const KnowledgeId> sorted,
-                           std::size_t from) {
+template <typename T>
+std::size_t next_singleton(std::span<const T> sorted, std::size_t from) {
   while (from < sorted.size()) {
     std::size_t next = from + 1;
     while (next < sorted.size() && sorted[next] == sorted[from]) ++next;
@@ -58,52 +46,43 @@ std::size_t next_singleton(std::span<const KnowledgeId> sorted,
   return sorted.size();
 }
 
-}  // namespace
-
-AnonymousProtocol::RoundVerdicts AnonymousProtocol::decide_round_from_prev(
-    const KnowledgeStore& /*store*/,
-    std::span<const KnowledgeId> /*knowledge*/,
-    std::span<const KnowledgeId> /*sorted_prev*/,
-    std::vector<std::optional<std::int64_t>>& /*verdicts*/) const {
-  return RoundVerdicts::kUnsupported;
+/// One verdict per position: 1 where the multiset holds `leader`, else 0.
+void crown(std::span<const KnowledgeId> multiset, KnowledgeId leader,
+           std::vector<std::int64_t>& verdicts) {
+  verdicts.resize(multiset.size());
+  for (std::size_t i = 0; i < multiset.size(); ++i) {
+    verdicts[i] = multiset[i] == leader ? 1 : 0;
+  }
 }
 
-std::optional<std::int64_t> BlackboardUniqueStringLE::decide(
+}  // namespace
+
+std::optional<std::int64_t> AnonymousProtocol::decide(
     const KnowledgeStore& store, KnowledgeId knowledge) const {
-  const std::vector<KnowledgeId> multiset =
-      knowledge_multiset_previous_round(store, knowledge);
-  if (multiset.empty()) return std::nullopt;
-  // On the blackboard, knowledge equality is string equality; decide on the
-  // randomness strings embedded in the knowledge values.
-  std::vector<std::vector<bool>> strings;
-  strings.reserve(multiset.size());
-  for (KnowledgeId id : multiset) strings.push_back(store.randomness(id));
-  std::map<std::vector<bool>, int> counts;
-  for (const auto& s : strings) ++counts[s];
-  const std::vector<bool>* leader_string = nullptr;
-  for (const auto& [s, c] : counts) {
-    if (c == 1) {  // std::map iterates in lexicographic order
-      leader_string = &s;
-      break;
-    }
+  std::vector<KnowledgeId> scratch;
+  const std::span<const KnowledgeId> multiset =
+      knowledge_multiset_previous_round(store, knowledge, scratch);
+  std::vector<std::int64_t> verdicts;
+  if (multiset.empty() || !decide_multiset(store, multiset, verdicts)) {
+    return std::nullopt;
   }
-  if (leader_string == nullptr) return std::nullopt;
-  const std::vector<bool> own =
-      store.randomness(store.previous(knowledge));
-  return own == *leader_string ? 1 : 0;
+  const auto own = std::lower_bound(multiset.begin(), multiset.end(),
+                                    store.previous(knowledge));
+  return verdicts[static_cast<std::size_t>(own - multiset.begin())];
 }
 
 namespace {
 
-/// True iff every party of the round behind `sorted_prev` (a complete
-/// fault-free blackboard party vector, sorted) started from ⊥. Any one
-/// party's time-1 ancestor K(1) has the board {K_j(0) : all j}, every
-/// party's time-0 value, so one chain walk checks them all.
-bool rooted_at_bottom(const KnowledgeStore& store,
-                      std::span<const KnowledgeId> sorted_prev) {
+/// True iff every value of `multiset` (one round's values, sorted) is ⊥ or
+/// a blackboard step whose run started from ⊥. Any one value's time-1
+/// ancestor K(1) has the board {K_j(0) : all j}, every participant's
+/// time-0 value, so one chain walk checks them all.
+bool rooted_blackboard(const KnowledgeStore& store,
+                       std::span<const KnowledgeId> multiset) {
   const KnowledgeId bottom = store.bottom();
-  KnowledgeId value = sorted_prev.front();
-  if (store.time(value) == 0) return sorted_prev.back() == bottom;
+  KnowledgeId value = multiset.front();
+  if (store.time(value) == 0) return multiset.back() == bottom;
+  if (store.kind(value) != KnowledgeKind::kBlackboardStep) return false;
   while (store.time(value) > 1) value = store.previous(value);
   return store.board(value).back() == bottom;  // ⊥ is the smallest id
 }
@@ -126,89 +105,50 @@ bool string_less(const KnowledgeStore& store, KnowledgeId a, KnowledgeId b) {
 
 }  // namespace
 
-AnonymousProtocol::RoundVerdicts
-BlackboardUniqueStringLE::decide_round_from_prev(
-    const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
-    std::span<const KnowledgeId> sorted_prev,
-    std::vector<std::optional<std::int64_t>>& verdicts) const {
-  // The round-t rule ranges over the strings x(1..t−1) of the time-(t−1)
-  // multiset, which pre-round is sorted_prev. On a fault-free blackboard
-  // whose parties all start from ⊥, value and string determine each other:
-  // equal strings give equal values by induction on Eq. (1), since the
-  // shared multiset minus one copy of an equal value is the same multiset.
-  // So the unique strings are exactly the singleton values. Message steps
-  // (the wiring can split one string over several values) and input roots
-  // keep the post-round decide.
-  if (sorted_prev.empty()) return RoundVerdicts::kUnsupported;
-  const KnowledgeKind kind = store.kind(sorted_prev.front());
-  if (kind != KnowledgeKind::kBottom &&
-      kind != KnowledgeKind::kBlackboardStep) {
-    return RoundVerdicts::kUnsupported;
+bool BlackboardUniqueStringLE::decide_multiset(
+    const KnowledgeStore& store, std::span<const KnowledgeId> multiset,
+    std::vector<std::int64_t>& verdicts) const {
+  // A value embeds its string, so a unique string sits on a singleton
+  // value: no singleton, no unique string, whatever the grouping.
+  std::size_t i = next_singleton(multiset, 0);
+  if (i == multiset.size()) return false;
+  if (rooted_blackboard(store, multiset)) {
+    // Value and string determine each other here: equal strings give equal
+    // values by induction on Eq. (1), since every participant sees one
+    // board. So the unique strings are exactly the singleton values.
+    KnowledgeId leader = multiset[i];
+    while ((i = next_singleton(multiset, i + 1)) < multiset.size()) {
+      if (string_less(store, multiset[i], leader)) leader = multiset[i];
+    }
+    crown(multiset, leader, verdicts);
+    return true;
   }
-  std::size_t i = next_singleton(sorted_prev, 0);
-  // No singleton means no unique string whatever the roots (a value embeds
-  // its string), so only a verdict needs the rooting check.
-  if (i == sorted_prev.size()) return RoundVerdicts::kNone;
-  if (!rooted_at_bottom(store, sorted_prev)) {
-    return RoundVerdicts::kUnsupported;
+  // Elsewhere one string can span several values: count the strings
+  // themselves, and crown the smallest that occurs once.
+  std::vector<std::vector<bool>> strings;
+  strings.reserve(multiset.size());
+  for (KnowledgeId id : multiset) strings.push_back(store.randomness(id));
+  std::vector<std::vector<bool>> sorted = strings;
+  std::sort(sorted.begin(), sorted.end());
+  const std::size_t unique =
+      next_singleton(std::span<const std::vector<bool>>(sorted), 0);
+  if (unique == sorted.size()) return false;
+  verdicts.resize(multiset.size());
+  for (std::size_t p = 0; p < multiset.size(); ++p) {
+    verdicts[p] = strings[p] == sorted[unique] ? 1 : 0;
   }
-  KnowledgeId leader = sorted_prev[i];
-  while ((i = next_singleton(sorted_prev, i + 1)) < sorted_prev.size()) {
-    if (string_less(store, sorted_prev[i], leader)) leader = sorted_prev[i];
-  }
-  verdicts.resize(knowledge.size());
-  for (std::size_t p = 0; p < knowledge.size(); ++p) {
-    verdicts[p] = knowledge[p] == leader ? 1 : 0;
-  }
-  return RoundVerdicts::kSome;
+  return true;
 }
 
-std::optional<std::int64_t> WaitForSingletonLE::decide(
-    const KnowledgeStore& store, KnowledgeId knowledge) const {
-  // Allocation-free hot path on the blackboard (this decide runs once per
-  // undecided party per round of every replayed sweep). The time-(t−1)
-  // multiset is a blackboard step's board, already sorted, so the smallest
-  // singleton falls out of one run-length scan. The canonical order on
-  // knowledge values is their interned id; ids are deterministic content
-  // handles, so this is a name-independent rule.
-  const KnowledgeKind k = store.kind(knowledge);
-  if (k != KnowledgeKind::kBlackboardStep && k != KnowledgeKind::kMessageStep) {
-    return std::nullopt;
-  }
-  const KnowledgeId prev = store.previous(knowledge);
-  const auto decide_on =
-      [prev](std::span<const KnowledgeId> multiset)
-      -> std::optional<std::int64_t> {
-    const std::size_t first = next_singleton(multiset, 0);
-    if (first == multiset.size()) return std::nullopt;
-    return prev == multiset[first] ? 1 : 0;
-  };
-  if (k == KnowledgeKind::kBlackboardStep) {
-    return decide_on(store.board(knowledge));
-  }
-  // Port tuples are port-ordered, not sorted (and may contain crash-masked
-  // silence entries): they take the general sorted path.
-  return decide_on(knowledge_multiset_previous_round(store, knowledge));
-}
-
-AnonymousProtocol::RoundVerdicts WaitForSingletonLE::decide_round_from_prev(
-    const KnowledgeStore& /*store*/, std::span<const KnowledgeId> knowledge,
-    std::span<const KnowledgeId> sorted_prev,
-    std::vector<std::optional<std::int64_t>>& verdicts) const {
-  // The round-t verdict of the scalar decide ranges over the time-(t−1)
-  // multiset its step value carries (a blackboard step's board, a message
-  // step's tuple plus its previous value), and in a fault-free round that
-  // is exactly {K_j(t−1) : all j} for every party — which is sorted_prev.
-  // No reconstruction from a step value is needed, so this also covers
-  // round 1, where the scalar decide sees the all-⊥ multiset.
-  const std::size_t first = next_singleton(sorted_prev, 0);
-  if (first == sorted_prev.size()) return RoundVerdicts::kNone;
-  const KnowledgeId singleton = sorted_prev[first];
-  verdicts.resize(knowledge.size());
-  for (std::size_t i = 0; i < knowledge.size(); ++i) {
-    verdicts[i] = knowledge[i] == singleton ? 1 : 0;
-  }
-  return RoundVerdicts::kSome;
+bool WaitForSingletonLE::decide_multiset(
+    const KnowledgeStore& /*store*/, std::span<const KnowledgeId> multiset,
+    std::vector<std::int64_t>& verdicts) const {
+  // The canonical order on knowledge values is their interned id; ids are
+  // deterministic content handles, so this is a name-independent rule.
+  const std::size_t first = next_singleton(multiset, 0);
+  if (first == multiset.size()) return false;
+  crown(multiset, multiset[first], verdicts);
+  return true;
 }
 
 WaitForClassSplitMLE::WaitForClassSplitMLE(int num_leaders)
@@ -222,46 +162,42 @@ std::string WaitForClassSplitMLE::name() const {
   return "wait-for-class-split-" + std::to_string(num_leaders_) + "-LE";
 }
 
-namespace {
-
-/// Finds the canonical (first in include-preferring DFS over classes sorted
-/// by id) sub-collection of classes totalling exactly `target`; returns the
-/// chosen class ids, or nullopt.
-std::optional<std::vector<KnowledgeId>> canonical_subset_with_sum(
-    const std::vector<std::pair<KnowledgeId, int>>& classes, int target) {
-  std::vector<KnowledgeId> chosen;
-  std::function<bool(std::size_t, int)> dfs = [&](std::size_t index,
-                                                  int remaining) -> bool {
-    if (remaining == 0) return true;
-    if (index == classes.size()) return false;
-    const auto& [id, count] = classes[index];
-    if (count <= remaining) {
-      chosen.push_back(id);
-      if (dfs(index + 1, remaining - count)) return true;
-      chosen.pop_back();
+bool WaitForClassSplitMLE::decide_multiset(
+    const KnowledgeStore& /*store*/, std::span<const KnowledgeId> multiset,
+    std::vector<std::int64_t>& verdicts) const {
+  const std::size_t m = static_cast<std::size_t>(num_leaders_);
+  if (m > multiset.size()) return false;
+  // The classes are the multiset's runs, in id order. reach[c·(m+1) + s]:
+  // the classes from c on have a sub-collection of total size s.
+  std::vector<std::size_t> starts;
+  for (std::size_t i = 0; i < multiset.size(); ++i) {
+    if (i == 0 || multiset[i] != multiset[i - 1]) starts.push_back(i);
+  }
+  starts.push_back(multiset.size());
+  const std::size_t classes = starts.size() - 1;
+  std::vector<char> reach((classes + 1) * (m + 1), 0);
+  const auto row = [&](std::size_t c) { return reach.begin() + c * (m + 1); };
+  row(classes)[0] = 1;
+  for (std::size_t c = classes; c-- > 0;) {
+    const std::size_t size = starts[c + 1] - starts[c];
+    for (std::size_t s = 0; s <= m; ++s) {
+      row(c)[s] = row(c + 1)[s] || (size <= s && row(c + 1)[s - size]);
     }
-    return dfs(index + 1, remaining);
-  };
-  if (dfs(0, target)) return chosen;
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<std::int64_t> WaitForClassSplitMLE::decide(
-    const KnowledgeStore& store, KnowledgeId knowledge) const {
-  const std::vector<KnowledgeId> multiset =
-      knowledge_multiset_previous_round(store, knowledge);
-  if (multiset.empty()) return std::nullopt;
-  const std::map<KnowledgeId, int> counts = count_by_value(multiset);
-  std::vector<std::pair<KnowledgeId, int>> classes(counts.begin(),
-                                                   counts.end());
-  const auto chosen = canonical_subset_with_sum(classes, num_leaders_);
-  if (!chosen.has_value()) return std::nullopt;
-  const KnowledgeId own = store.previous(knowledge);
-  const bool is_leader =
-      std::find(chosen->begin(), chosen->end(), own) != chosen->end();
-  return is_leader ? 1 : 0;
+  }
+  if (!row(0)[m]) return false;
+  // The depth-first search's first find: take a class whenever the classes
+  // after it can still make up the rest.
+  verdicts.assign(multiset.size(), 0);
+  std::size_t rest = m;
+  for (std::size_t c = 0; c < classes && rest > 0; ++c) {
+    const std::size_t size = starts[c + 1] - starts[c];
+    if (size <= rest && row(c + 1)[rest - size]) {
+      std::fill(verdicts.begin() + starts[c], verdicts.begin() + starts[c + 1],
+                1);
+      rest -= size;
+    }
+  }
+  return true;
 }
 
 ProtocolOutcome run_protocol(Model model, const SourceConfiguration& config,

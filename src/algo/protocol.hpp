@@ -8,7 +8,8 @@
 // because the function never sees the party's name.
 //
 // The runner advances the real knowledge recursion (Eqs. 1/2) with live
-// randomness from a SourceBank and asks each undecided party for a verdict
+// randomness from a SourceBank and applies the protocol's one decision
+// rule, a function of the time-(t−1) knowledge multiset a party observes,
 // each round.
 #pragma once
 
@@ -30,13 +31,28 @@ class AnonymousProtocol {
 
   virtual std::string name() const = 0;
 
-  /// The party's verdict given its knowledge: nullopt = keep running;
-  /// a value = decide it (irrevocably). Must be a pure function of
-  /// (store, knowledge) — the runner may call it in any order.
-  virtual std::optional<std::int64_t> decide(const KnowledgeStore& store,
-                                             KnowledgeId knowledge) const = 0;
+  /// The protocol's one decision rule, applied at round t to the sorted
+  /// multiset of time-(t−1) knowledge a party observes (π̃(ρ) at t−1).
+  /// Returns false when no party observing `multiset` decides. Otherwise
+  /// fills `verdicts` with one output per position of `multiset`: the
+  /// output of a party whose own time-(t−1) value sits at that position
+  /// (equal values get equal outputs). A pure function of (store,
+  /// multiset) that keeps no scratch here: one protocol object serves
+  /// every worker. In a fault-free round every party observes the same
+  /// multiset, the sorted knowledge vector, so the lane kernel calls this
+  /// once per round, before the round runs.
+  virtual bool decide_multiset(const KnowledgeStore& store,
+                               std::span<const KnowledgeId> multiset,
+                               std::vector<std::int64_t>& verdicts) const = 0;
 
-  /// True iff decide() depends on the knowledge value's *content* only —
+  /// One party's verdict after a round, given its knowledge: nullopt =
+  /// keep running; a value = decide it (irrevocably). Rebuilds the
+  /// multiset the step value observed and applies decide_multiset at the
+  /// party's own previous value; nullopt at time 0.
+  std::optional<std::int64_t> decide(const KnowledgeStore& store,
+                                     KnowledgeId knowledge) const;
+
+  /// True iff the rule depends on the knowledge values' *content* only —
   /// the bit strings and multiset structure reachable through the store —
   /// and never on the numeric order of interned ids. Ids are insertion-
   /// order handles (parties intern in index order each round), so an
@@ -51,28 +67,6 @@ class AnonymousProtocol {
   /// conservative default keeps id-order protocols on the literal-match
   /// path, which is always sound.
   virtual bool knowledge_order_invariant() const { return false; }
-
-  /// Result of decide_round_from_prev below.
-  enum class RoundVerdicts {
-    kUnsupported,  // cannot decide from the time-(t−1) multiset alone
-    kNone,         // supported; nobody decides this round, verdicts untouched
-    kSome,         // verdicts filled for every party deciding this round
-  };
-
-  /// Pre-round decision hook for the lockstep batched engine path. Some
-  /// protocols' round-t verdicts are a function of the time-(t−1)
-  /// knowledge alone: `knowledge` is the complete fault-free party vector
-  /// about to be advanced, `sorted_prev` the same values sorted ascending
-  /// (the time-(t−1) multiset in canonical order). Overriding lets the
-  /// engine decide *before* executing the round — and skip a run's final
-  /// round operator entirely, since once every survivor has decided the
-  /// operator's output is unobservable. Overrides must agree verdict-for-
-  /// verdict with decide on the post-round knowledge (pinned by the batch
-  /// property laws' per-party-decide reference). The default opts out.
-  virtual RoundVerdicts decide_round_from_prev(
-      const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
-      std::span<const KnowledgeId> sorted_prev,
-      std::vector<std::optional<std::int64_t>>& verdicts) const;
 };
 
 struct ProtocolOutcome {
@@ -112,24 +106,20 @@ ProtocolOutcome run_protocol(Model model, const SourceConfiguration& config,
 class BlackboardUniqueStringLE final : public AnonymousProtocol {
  public:
   std::string name() const override { return "blackboard-unique-string-LE"; }
-  std::optional<std::int64_t> decide(const KnowledgeStore& store,
-                                     KnowledgeId knowledge) const override;
+  /// Groups the multiset by string. Where value and string determine each
+  /// other — every value a blackboard step rooted at ⊥, or ⊥ itself — the
+  /// unique strings are the singleton values, and the leader is the one
+  /// whose string sorts first, compared by walking two previous chains
+  /// (no allocation). Elsewhere (message steps, where a wiring can split
+  /// one string over several values, and input roots) the strings are
+  /// built and counted.
+  bool decide_multiset(const KnowledgeStore& store,
+                       std::span<const KnowledgeId> multiset,
+                       std::vector<std::int64_t>& verdicts) const override;
   /// The rule ranges over randomness *strings* compared lexicographically —
   /// pure content, no interned-id order — so relabeled runs produce
   /// relabeled outcomes and orbit dedup may quotient by the full group.
   bool knowledge_order_invariant() const override { return true; }
-  /// Pre-round form: on a fault-free blackboard whose parties start from
-  /// ⊥, each time-(t−1) value holds exactly one string and vice versa, so
-  /// the unique strings are the singleton ids of sorted_prev; the leader
-  /// is the singleton whose string sorts first, compared by walking the
-  /// two previous chains (no allocation). Round 1 (every value ⊥) is
-  /// decided on either model: a string is unique only when n = 1. Message
-  /// steps and input roots return kUnsupported and keep the post-round
-  /// decide.
-  RoundVerdicts decide_round_from_prev(
-      const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
-      std::span<const KnowledgeId> sorted_prev,
-      std::vector<std::optional<std::int64_t>>& verdicts) const override;
 };
 
 /// Model-agnostic leader election: a party decides once the knowledge
@@ -150,28 +140,29 @@ class BlackboardUniqueStringLE final : public AnonymousProtocol {
 class WaitForSingletonLE final : public AnonymousProtocol {
  public:
   std::string name() const override { return "wait-for-singleton-LE"; }
-  std::optional<std::int64_t> decide(const KnowledgeStore& store,
-                                     KnowledgeId knowledge) const override;
-  /// Pre-round form: the round-t rule ranges over exactly the time-(t−1)
-  /// multiset, which is sorted_prev itself — one run-length scan decides
-  /// the whole round before it executes (both models; the paper's
+  /// One run-length scan of the multiset (both models; the paper's
   /// isolated-vertex criterion is a property of π̃(ρ) at t−1).
-  RoundVerdicts decide_round_from_prev(
-      const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
-      std::span<const KnowledgeId> sorted_prev,
-      std::vector<std::optional<std::int64_t>>& verdicts) const override;
+  bool decide_multiset(const KnowledgeStore& store,
+                       std::span<const KnowledgeId> multiset,
+                       std::vector<std::int64_t>& verdicts) const override;
 };
 
 /// Generalization to m leaders: decides once the consistency classes at
 /// time t−1 admit a sub-collection of total size exactly m; the m leaders
-/// are chosen canonically (greedy over classes in canonical knowledge
-/// order). Completes exactly when the task's partition criterion is met.
+/// are the members of the canonical one: over the classes in knowledge-id
+/// order, each class is taken whenever the classes after it can still
+/// make up the rest (the first subset an include-first depth-first search
+/// finds). A table of the sums each suffix of classes reaches finds it in
+/// O(classes × m). Completes exactly when the task's partition criterion
+/// is met.
 class WaitForClassSplitMLE final : public AnonymousProtocol {
  public:
   explicit WaitForClassSplitMLE(int num_leaders);
   std::string name() const override;
-  std::optional<std::int64_t> decide(const KnowledgeStore& store,
-                                     KnowledgeId knowledge) const override;
+  bool decide_multiset(const KnowledgeStore& store,
+                       std::span<const KnowledgeId> multiset,
+                       std::vector<std::int64_t>& verdicts) const override;
+  int num_leaders() const noexcept { return num_leaders_; }
 
  private:
   int num_leaders_;

@@ -221,13 +221,17 @@ void execute_range(RunContext& ctx, const Experiment& spec,
 
 }  // namespace
 
-Engine& Engine::set_parallel(ParallelConfig config) {
-  if (config.threads < 0) {
+void ParallelConfig::validate() const {
+  if (threads < 0) {
     throw InvalidArgument("ParallelConfig: threads must be >= 0");
   }
-  if (config.batch < 1) {
+  if (batch < 1) {
     throw InvalidArgument("ParallelConfig: batch must be >= 1");
   }
+}
+
+Engine& Engine::set_parallel(ParallelConfig config) {
+  config.validate();
   parallel_ = config;
   return *this;
 }

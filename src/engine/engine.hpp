@@ -83,6 +83,9 @@ struct ParallelConfig {
   /// the identity path and never pay for a table. Purely an execution-
   /// strategy knob, like batch.
   bool orbit = false;
+
+  /// Throws InvalidArgument on threads < 0 or batch < 1.
+  void validate() const;
 };
 
 class Engine {
@@ -90,7 +93,7 @@ class Engine {
   Engine() = default;
 
   /// Sets the scheduling policy for subsequent batches. Returns *this for
-  /// chaining; throws InvalidArgument on threads < 0 or batch < 1.
+  /// chaining; throws what config.validate() throws.
   Engine& set_parallel(ParallelConfig config);
 
   /// Shorthand for set_parallel({threads, 0}).

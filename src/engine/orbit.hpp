@@ -33,13 +33,14 @@
 // level-r entry can only ever match candidates whose true consumption is
 // r. Every representative executes through the one lane kernel
 // (run_prepared_batch), whose consumption is the same function of the
-// configuration at every batch width — its pre-round hook skips a final
-// round whose bits are unobservable, always — so each orbit is memoized
-// at exactly one level.
+// configuration at every batch width — on a fault-free lane the
+// protocol's rule decides before the round, so a final round whose bits
+// are unobservable is always skipped — so each orbit is memoized at
+// exactly one level.
 //
 // Safe-group detection: the group the table may quotient by depends on
-// the protocol, not just the model. A protocol's decide() is a pure
-// function of (store, knowledge id), and interned ids are insertion-order
+// the protocol, not just the model. A protocol's decision rule is a pure
+// function of (store, knowledge ids), and interned ids are insertion-order
 // handles — parties intern in index order, so an id-ORDER rule (e.g.
 // wait-for-singleton-LE's "smallest unique knowledge value") reads the
 // party labeling through the id numbering and is not equivariant: among

@@ -91,59 +91,52 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
           --live;
           continue;
         }
+      } else {
+        // Every party of a fault-free round observes the same time-(t−1)
+        // multiset, the sorted knowledge vector, so the protocol's rule
+        // decides the whole round before it runs. A verdict ends the lane
+        // without this round's coin draws or round operator: per-lane
+        // coins make the unconsumed draws invisible to every other run.
+        // The sorted vector doubles as the blackboard round operator's
+        // shared multiset.
+        batch.sorted_prev.assign(lane.knowledge.begin(), lane.knowledge.end());
+        std::sort(batch.sorted_prev.begin(), batch.sorted_prev.end());
+        if (protocol.decide_multiset(lane.store, batch.sorted_prev,
+                                     batch.verdicts)) {
+          // One round's values were interned together, so their ids span
+          // a short range: index the verdicts by id to reach each party's
+          // in O(1), where a search per party would cost a sweep of small
+          // runs about a fifth of its time.
+          const KnowledgeId lowest = batch.sorted_prev.front();
+          batch.verdict_of.resize(batch.sorted_prev.back() - lowest + 1);
+          for (std::size_t i = 0; i < batch.sorted_prev.size(); ++i) {
+            batch.verdict_of[batch.sorted_prev[i] - lowest] = batch.verdicts[i];
+          }
+          for (int party = 0; party < n; ++party) {
+            const std::size_t p = static_cast<std::size_t>(party);
+            lane.outcome.outputs[p] =
+                batch.verdict_of[lane.knowledge[p] - lowest];
+            lane.outcome.decision_round[p] = round;
+          }
+          lane.outcome.rounds = round;
+          lane.undecided = 0;
+          lane.done = true;
+          --live;
+          continue;
+        }
       }
       // One draw per source per executed round — exactly the SourceBank's
       // lazy extension — then fan the source bits out over the parties.
-      const auto draw_bits = [&] {
-        ++lane.consumed;
-        for (int source = 0; source < sources; ++source) {
-          batch.source_bits[static_cast<std::size_t>(source)] =
-              lane.coins[static_cast<std::size_t>(source)].next_bit() ? 1 : 0;
-        }
-        for (int party = 0; party < n; ++party) {
-          bits[static_cast<std::size_t>(party)] =
-              batch.source_bits[static_cast<std::size_t>(
-                  source_of[static_cast<std::size_t>(party)])] != 0;
-        }
-      };
-      const auto apply_verdicts = [&] {
-        for (int party = 0; party < n; ++party) {
-          const std::size_t p = static_cast<std::size_t>(party);
-          if (lane.outcome.decision_round[p] >= 0) continue;
-          if (batch.verdicts[p].has_value()) {
-            lane.outcome.outputs[p] = *batch.verdicts[p];
-            lane.outcome.decision_round[p] = round;
-            --lane.undecided;
-            lane.outcome.rounds = round;
-          }
-        }
-      };
-      auto pre = AnonymousProtocol::RoundVerdicts::kUnsupported;
-      if (!lane.faulty) {
-        // The round-t verdicts of some protocols are a function of the
-        // time-(t−1) multiset alone, which pre-round is simply the sorted
-        // knowledge vector (fault-free whole-round contract). Ask first:
-        // when every party decides before the round executes, the round
-        // operator's output — and this round's coin draws — are
-        // unobservable, so the lane finishes without paying for either
-        // (per-lane coins make the unconsumed draws invisible to every
-        // other run). The sorted vector doubles as the blackboard round
-        // operator's shared multiset.
-        batch.sorted_prev.assign(lane.knowledge.begin(), lane.knowledge.end());
-        std::sort(batch.sorted_prev.begin(), batch.sorted_prev.end());
-        pre = protocol.decide_round_from_prev(lane.store, lane.knowledge,
-                                              batch.sorted_prev,
-                                              batch.verdicts);
-        if (pre == AnonymousProtocol::RoundVerdicts::kSome) {
-          apply_verdicts();
-          if (lane.undecided == 0) {
-            lane.done = true;
-            --live;
-            continue;
-          }
-        }
+      ++lane.consumed;
+      for (int source = 0; source < sources; ++source) {
+        batch.source_bits[static_cast<std::size_t>(source)] =
+            lane.coins[static_cast<std::size_t>(source)].next_bit() ? 1 : 0;
       }
-      draw_bits();
+      for (int party = 0; party < n; ++party) {
+        bits[static_cast<std::size_t>(party)] =
+            batch.source_bits[static_cast<std::size_t>(
+                source_of[static_cast<std::size_t>(party)])] != 0;
+      }
       // A fault-free lane's crash schedule is empty, and a faulty lane's
       // survivor multiset is sorted by the operator itself.
       if (spec.model == Model::kBlackboard) {
@@ -156,26 +149,23 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
                               spec.variant, ctx.round_scratch,
                               lane.crash_round, round);
       }
-      if (lane.faulty ||
-          pre == AnonymousProtocol::RoundVerdicts::kUnsupported) {
-        for (int party = 0; party < n; ++party) {
-          const std::size_t p = static_cast<std::size_t>(party);
-          if (lane.outcome.decision_round[p] >= 0 ||
-              (lane.faulty && lane.crash_round[p] >= 0 &&
-               round >= lane.crash_round[p])) {
-            continue;
-          }
-          const auto verdict = protocol.decide(lane.store, lane.knowledge[p]);
-          if (verdict.has_value()) {
-            lane.outcome.outputs[p] = *verdict;
-            lane.outcome.decision_round[p] = round;
-            --lane.undecided;
-            lane.outcome.rounds = round;
-          }
+      if (!lane.faulty) continue;
+      // Under crashes each survivor observes its own multiset: decide
+      // party by party after the round.
+      for (int party = 0; party < n; ++party) {
+        const std::size_t p = static_cast<std::size_t>(party);
+        if (lane.outcome.decision_round[p] >= 0 ||
+            (lane.crash_round[p] >= 0 && round >= lane.crash_round[p])) {
+          continue;
+        }
+        const auto verdict = protocol.decide(lane.store, lane.knowledge[p]);
+        if (verdict.has_value()) {
+          lane.outcome.outputs[p] = *verdict;
+          lane.outcome.decision_round[p] = round;
+          --lane.undecided;
+          lane.outcome.rounds = round;
         }
       }
-      // kNone/kSome on a fault-free lane: the pre-round hook already
-      // produced this round's complete verdict set.
       if (lane.undecided == 0) {
         lane.done = true;
         --live;

@@ -76,12 +76,14 @@ struct BatchedRunContext {
   /// orbit-deduped batch path fills it with only the lookup misses.
   std::vector<LaneRequest> requests;
   std::vector<unsigned char> source_bits;  // per-round per-source scratch
-  /// Output of the pre-round decision hook (decide_round_from_prev).
-  std::vector<std::optional<std::int64_t>> verdicts;
-  // Sorted copy of a lane's pre-round knowledge vector: input to the
-  // protocol's pre-round decision hook (decide_round_from_prev) and, on
-  // the blackboard, the round operator's shared multiset — one sort per
-  // lane-round serves both.
+  /// The protocol rule's verdicts, one per position of sorted_prev, and
+  /// the same verdicts indexed by id − sorted_prev.front().
+  std::vector<std::int64_t> verdicts;
+  std::vector<std::int64_t> verdict_of;
+  // Sorted copy of a fault-free lane's knowledge vector before a round:
+  // the time-(t−1) multiset the protocol's rule (decide_multiset) decides
+  // on and, on the blackboard, the round operator's shared multiset — one
+  // sort per lane-round serves both.
   std::vector<KnowledgeId> sorted_prev;
 };
 

@@ -9,25 +9,16 @@ namespace rsb {
 KnowledgeStore::KnowledgeStore() { reset(); }
 
 void KnowledgeStore::reset() {
-  // clear() keeps the vectors' storage and the slot tables are vacated in
-  // place, so repeated runs through one store stop allocating once the
-  // largest run has been seen; the reserve()s from the high-water mark
-  // additionally spare a store that has only seen small runs the growth
-  // reallocations when a deep recursion arrives. Reserve id 0 for ⊥.
-  peak_nodes_ = std::max(peak_nodes_, nodes_.size());
-  peak_boards_ = std::max(peak_boards_, boards_.size());
-  peak_received_ = std::max(peak_received_, received_pool_.size());
-  peak_tags_ = std::max(peak_tags_, tags_pool_.size());
-  nodes_.clear();
-  boards_.clear();
-  received_pool_.clear();
-  tags_pool_.clear();
-  nodes_.reserve(peak_nodes_);
-  boards_.reserve(peak_boards_);
-  received_pool_.reserve(peak_received_);
-  tags_pool_.reserve(peak_tags_);
-  node_index_.reset(peak_nodes_);
-  board_index_.reset(peak_boards_);
+  // The tables and pools keep the storage the ending run needed, within
+  // kRetainFactor (util/intern_index.hpp), so a sweep's runs reuse it
+  // without allocating and one long run does not weigh on later ones.
+  // Reserve id 0 for ⊥.
+  node_index_.reset();
+  board_index_.reset();
+  reset_pool(nodes_);
+  reset_pool(boards_);
+  reset_pool(received_pool_);
+  reset_pool(tags_pool_);
   NodeShape bottom;
   bottom.kind = KnowledgeKind::kBottom;
   intern_shape(bottom);

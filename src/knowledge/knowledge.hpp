@@ -80,8 +80,10 @@ class KnowledgeStore {
   /// are handed out in the same insertion order — so batch drivers such as
   /// the experiment Engine can reuse one store across runs without
   /// perturbing id-based canonical orders. Node, pool and index storage is
-  /// pre-sized from the high-water mark over all previous resets, so
-  /// steady-state runs of a sweep allocate nothing.
+  /// kept as the ending run left it unless it is more than kRetainFactor
+  /// times that run's need (util/intern_index.hpp), so steady-state runs
+  /// of a sweep allocate nothing and one long run is not paid for by every
+  /// later one.
   void reset();
 
   /// The unique ⊥ value (always id 0).
@@ -177,6 +179,12 @@ class KnowledgeStore {
   /// Number of distinct interned values (diagnostics / benchmarks).
   std::size_t size() const noexcept { return nodes_.size(); }
 
+  /// Slots of the node and board intern tables: what the next reset()
+  /// fills.
+  std::size_t slot_count() const noexcept {
+    return node_index_.slot_count() + board_index_.slot_count();
+  }
+
   /// Structural rendering with ids, e.g. "#5=(prev=#2,bit=1,[#2,#3])".
   /// Shallow: children are shown as ids.
   std::string to_string(KnowledgeId id) const;
@@ -239,10 +247,6 @@ class KnowledgeStore {
   InternIndex board_index_;                 // over boards_
   std::vector<KnowledgeId> received_pool_;  // message tuples and boards
   std::vector<int> tags_pool_;              // message steps' tag lists
-  std::size_t peak_nodes_ = 0;              // high-water across resets
-  std::size_t peak_boards_ = 0;
-  std::size_t peak_received_ = 0;
-  std::size_t peak_tags_ = 0;
 };
 
 }  // namespace rsb

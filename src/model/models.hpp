@@ -92,9 +92,9 @@ struct RoundScratch {
 ///    loop would, and repeats, which would have been no-op probes, reuse
 ///    the id.
 /// A fault-free caller may pass `sorted_prev`, the sorted copy of
-/// `knowledge` (the lane kernel already builds it for the pre-round
-/// decision hook, so the sort is paid once per round); when it is empty
-/// the operator sorts the participants' values itself.
+/// `knowledge` (the lane kernel already builds it for the protocol's
+/// pre-round decision rule, so the sort is paid once per round); when it
+/// is empty the operator sorts the participants' values itself.
 void blackboard_round_inplace(KnowledgeStore& store,
                               std::vector<KnowledgeId>& knowledge,
                               const std::vector<bool>& bits,

@@ -166,8 +166,13 @@ void Server::start() {
     throw InvalidArgument("ServerConfig: port " + std::to_string(config_.port) +
                           " is outside [0, 65535]");
   }
+  // Validated before running_ is set, so a rejected config throws from
+  // every start(), and without touching a live server's engine.
+  const ParallelConfig parallel{config_.threads, 0, config_.batch,
+                                config_.orbit};
+  parallel.validate();
   if (running_.exchange(true)) return;
-  engine_.set_parallel({config_.threads, 0, config_.batch, config_.orbit});
+  engine_.set_parallel(parallel);
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0) {

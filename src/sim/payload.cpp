@@ -22,13 +22,15 @@ std::uint64_t payload_hash(std::string_view bytes) noexcept {
 
 }  // namespace
 
-PayloadArena::PayloadArena() { index_.reset(0); }
+PayloadArena::PayloadArena() { index_.reset(); }
 
 void PayloadArena::reset() {
-  peak_entries_ = std::max(peak_entries_, entries_.size());
-  entries_.clear();
-  entries_.reserve(peak_entries_);
-  index_.reset(peak_entries_);
+  // The intern index's reset rule (util/intern_index.hpp): keep what the
+  // ending run needed, within kRetainFactor, and give back the rest.
+  reset_pool(entries_);
+  index_.reset();
+  const std::size_t filled = active_block_ + 1;
+  if (blocks_.size() > kRetainFactor * filled) blocks_.resize(filled);
   for (std::vector<char>& block : blocks_) block.clear();  // keeps capacity
   active_block_ = 0;
   bytes_interned_ = 0;

@@ -21,9 +21,10 @@
 // Lifetime: an arena is single-threaded per-run state (parallel batch
 // drivers give every worker its own via RunContext). Interned bytes are
 // stable — blocks never move — so a std::string_view from view() stays
-// valid until the next reset(). reset() keeps every block and the intern
-// index allocated, so once a run has paid for its peak message volume,
-// subsequent runs of a sweep allocate nothing.
+// valid until the next reset(). reset() keeps the blocks and the intern
+// index the ending run needed, within the intern index's kRetainFactor, so
+// runs of a sweep allocate nothing once one has paid for its message
+// volume, and one heavy run does not weigh on later ones.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +43,9 @@ class PayloadArena {
  public:
   PayloadArena();
 
-  /// Forgets every interned payload while keeping the block storage and
-  /// the intern index allocated. Views obtained before the reset dangle.
+  /// Forgets every interned payload, keeping the block storage and the
+  /// intern index the ending run needed (within kRetainFactor). Views
+  /// obtained before the reset dangle.
   void reset();
 
   /// Interns `bytes`, returning the id of the (unique) stored copy.
@@ -66,6 +68,9 @@ class PayloadArena {
   /// Total bytes of distinct payload content currently interned.
   std::size_t bytes_interned() const noexcept { return bytes_interned_; }
 
+  /// Slots of the intern index: what the next reset() fills.
+  std::size_t slot_count() const noexcept { return index_.slot_count(); }
+
  private:
   struct Entry {
     const char* data = nullptr;
@@ -87,7 +92,6 @@ class PayloadArena {
   // KnowledgeStore's tables use) in insertion order.
   std::vector<Entry> entries_;
   InternIndex index_;
-  std::size_t peak_entries_ = 0;
   std::size_t bytes_interned_ = 0;
 };
 

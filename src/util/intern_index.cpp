@@ -25,12 +25,11 @@ void throw_store_limit(std::size_t value, const char* what) {
               std::to_string(kMaxStoreIndex));
 }
 
-void InternIndex::reset(std::size_t peak) {
-  hashes_.clear();
-  hashes_.reserve(peak);
-  const std::size_t wanted = table_size_for(peak);
-  if (slots_.size() < wanted) {
-    slots_.assign(wanted, kEmptySlot);
+void InternIndex::reset() {
+  const std::size_t wanted = table_size_for(hashes_.size());
+  reset_pool(hashes_);
+  if (slots_.size() < wanted || slots_.size() > kRetainFactor * wanted) {
+    slots_ = std::vector<std::uint32_t>(wanted, kEmptySlot);
   } else {
     std::fill(slots_.begin(), slots_.end(), kEmptySlot);
   }

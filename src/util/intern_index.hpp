@@ -7,18 +7,44 @@
 // entry's cached hash; the entries themselves stay in the owner's storage,
 // which the owner's equality predicate reads. Unlike a node-based
 // unordered_map of bucket vectors, reset() vacates it with one fill — no
-// per-bucket deallocation — so an owner that resets between runs stops
-// touching the allocator once its largest run has been seen.
+// per-bucket deallocation — so an owner that resets between runs of
+// similar size stops touching the allocator.
+//
+// What a reset keeps follows the run that is ending, never the largest
+// run ever seen: storage within kRetainFactor of what that run needed is
+// reused as it is, and larger storage is reallocated at that run's size.
+// So one long run costs later runs neither its reset work nor its memory.
 //
 // Entry numbers, and the owners' pool offsets and sizes, are 32-bit
 // fields; narrow_store_index guards every narrowing into one.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace rsb {
+
+/// How much larger than the ending run's need a slot table or pool may be
+/// and still be kept by a reset. Run-to-run variation within a sweep stays
+/// well inside it, so steady sweeps never reallocate.
+inline constexpr std::size_t kRetainFactor = 16;
+
+/// Empties `pool` for the next run. Its storage is kept unless it exceeds
+/// kRetainFactor times what the ending run used (its size, counted as at
+/// least 64 elements); then it is reallocated at that size.
+template <typename T>
+void reset_pool(std::vector<T>& pool) {
+  const std::size_t used = pool.size();
+  if (pool.capacity() <= kRetainFactor * std::max<std::size_t>(used, 64)) {
+    pool.clear();
+    return;
+  }
+  std::vector<T> fitted;
+  fitted.reserve(used);
+  pool.swap(fitted);
+}
 
 /// The largest entry number, pool offset or size an intern table holds:
 /// its fields are 32 bits wide, and 2^32 − 1 marks a vacant slot.
@@ -40,9 +66,14 @@ class InternIndex {
   /// What at() returns for a vacant slot.
   static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
 
-  /// Forgets every entry, keeping the storage; sized for `peak` entries.
-  /// An index must be reset once before its first find().
-  void reset(std::size_t peak);
+  /// Forgets every entry. The slot table is sized for the entries of the
+  /// run that is ending: kept if within kRetainFactor of that size, else
+  /// reallocated at it. An index must be reset once before its first
+  /// find().
+  void reset();
+
+  /// The slot table's size: what the next reset fills.
+  std::size_t slot_count() const noexcept { return slots_.size(); }
 
   /// The slot of the entry `equal` accepts among those hashing to `h`,
   /// or else the vacant slot where such an entry belongs.

@@ -11,6 +11,7 @@
 #include "algo/protocol.hpp"
 #include "algo/reduction.hpp"
 #include "core/consistency.hpp"
+#include "reference_decide.hpp"
 #include "util/error.hpp"
 
 namespace rsb {
@@ -69,38 +70,50 @@ TEST(BlackboardLE, AllDecideInTheSameRound) {
 }
 
 using Verdicts = std::vector<std::optional<std::int64_t>>;
-using RoundVerdicts = AnonymousProtocol::RoundVerdicts;
 
-/// Asks the pre-round hook about `knowledge`, a complete party vector of
-/// one round, the way the lane kernel does.
-RoundVerdicts pre_round(const KnowledgeStore& store,
-                        const std::vector<KnowledgeId>& knowledge,
-                        Verdicts& verdicts) {
+/// Asks `protocol`'s rule about `knowledge`, a complete party vector of
+/// one round, the way the lane kernel does before the round: one verdict
+/// per party, every one nullopt when the rule decides nobody.
+Verdicts pre_round(const AnonymousProtocol& protocol,
+                   const KnowledgeStore& store,
+                   const std::vector<KnowledgeId>& knowledge) {
   std::vector<KnowledgeId> sorted_prev = knowledge;
   std::sort(sorted_prev.begin(), sorted_prev.end());
-  verdicts.clear();
-  return BlackboardUniqueStringLE().decide_round_from_prev(
-      store, knowledge, sorted_prev, verdicts);
+  std::vector<std::int64_t> at;
+  Verdicts verdicts(knowledge.size());
+  if (protocol.decide_multiset(store, sorted_prev, at)) {
+    for (std::size_t p = 0; p < knowledge.size(); ++p) {
+      const auto own = std::lower_bound(sorted_prev.begin(), sorted_prev.end(),
+                                        knowledge[p]);
+      verdicts[p] = at[static_cast<std::size_t>(own - sorted_prev.begin())];
+    }
+  }
+  return verdicts;
 }
 
+Verdicts pre_round(const KnowledgeStore& store,
+                   const std::vector<KnowledgeId>& knowledge) {
+  return pre_round(BlackboardUniqueStringLE(), store, knowledge);
+}
+
+/// The reference body's verdict for every party after a round.
 Verdicts decide_each(const KnowledgeStore& store,
                      const std::vector<KnowledgeId>& knowledge) {
   Verdicts verdicts;
   for (KnowledgeId k : knowledge) {
-    verdicts.push_back(BlackboardUniqueStringLE().decide(store, k));
+    verdicts.push_back(testing::unique_string_decide(store, k));
   }
   return verdicts;
 }
 
 struct HookRun {
-  std::vector<RoundVerdicts> pre;  // the hook's answer before each round
-  Verdicts last;                   // decide after the last round
+  std::vector<bool> decided;  // whether the rule decided before each round
+  Verdicts last;              // the reference after the last round
 };
 
 /// Drives a blackboard run from ⊥ through `bits` (one row per round).
-/// Before every round the hook must be supported and agree party for
-/// party with decide on the values the round produces — kNone exactly
-/// when decide leaves everyone undecided.
+/// Before every round the rule must agree party for party with the
+/// reference on the values the round produces.
 HookRun expect_hook_matches_decide(
     const std::vector<std::vector<bool>>& bits) {
   const int n = static_cast<int>(bits.front().size());
@@ -108,15 +121,11 @@ HookRun expect_hook_matches_decide(
   std::vector<KnowledgeId> knowledge = initial_knowledge(store, n);
   HookRun run;
   for (std::size_t r = 0; r < bits.size(); ++r) {
-    Verdicts hook;
-    run.pre.push_back(pre_round(store, knowledge, hook));
+    const Verdicts hook = pre_round(store, knowledge);
+    run.decided.push_back(hook.front().has_value());
     knowledge = blackboard_round(store, knowledge, bits[r]);
     run.last = decide_each(store, knowledge);
-    EXPECT_NE(run.pre.back(), RoundVerdicts::kUnsupported)
-        << "round " << r + 1;
-    EXPECT_EQ(run.pre.back() == RoundVerdicts::kNone ? Verdicts(n) : hook,
-              run.last)
-        << "round " << r + 1;
+    EXPECT_EQ(hook, run.last) << "round " << r + 1;
   }
   return run;
 }
@@ -124,33 +133,33 @@ HookRun expect_hook_matches_decide(
 TEST(BlackboardLE, PreRoundHookMatchesDecideInRoundOne) {
   // Every value is ⊥, so every string is empty: unique only when n = 1.
   const HookRun solo = expect_hook_matches_decide({{true}});
-  EXPECT_EQ(solo.pre, std::vector<RoundVerdicts>{RoundVerdicts::kSome});
+  EXPECT_EQ(solo.decided, std::vector<bool>{true});
   EXPECT_EQ(solo.last, (Verdicts{1}));
   const HookRun trio = expect_hook_matches_decide({{false, true, true}});
-  EXPECT_EQ(trio.pre, std::vector<RoundVerdicts>{RoundVerdicts::kNone});
-  // The hook cannot tell the models apart at ⊥, and need not: a
+  EXPECT_EQ(trio.decided, std::vector<bool>{false});
+  // The rule cannot tell the models apart at ⊥, and need not: a
   // message-passing round 1 gives decide the same all-⊥ multiset.
   for (const int n : {1, 3}) {
     KnowledgeStore store;
     std::vector<KnowledgeId> knowledge = initial_knowledge(store, n);
-    Verdicts hook;
-    const RoundVerdicts pre = pre_round(store, knowledge, hook);
+    const Verdicts hook = pre_round(store, knowledge);
     knowledge = message_round(store, knowledge, std::vector<bool>(n, true),
                               PortAssignment::cyclic(n));
     const Verdicts post = decide_each(store, knowledge);
-    EXPECT_EQ(pre, n == 1 ? RoundVerdicts::kSome : RoundVerdicts::kNone);
-    EXPECT_EQ(n == 1 ? hook : Verdicts(n), post) << "n " << n;
+    EXPECT_EQ(hook, post) << "n " << n;
+    EXPECT_EQ(post, n == 1 ? Verdicts{1} : Verdicts(n)) << "n " << n;
   }
 }
 
 TEST(BlackboardLE, PreRoundHookCrownsTheSmallestUniqueString) {
   // Strings after three rounds, parties 0..7:
   //   110 011 100 000 000 111 010 101
-  // Rounds 1 and 2 leave every string paired (kNone); then six strings are
-  // unique. Ids follow party order, so the smallest singleton id is party
-  // 0's "110", while the smallest string is party 6's "010". Party 1's
-  // "011" against party 0's "110" differs last in the opposite direction
-  // from first, so the chain walk must keep the earliest difference.
+  // Rounds 1 and 2 leave every string paired (no verdict); then six
+  // strings are unique. Ids follow party order, so the smallest singleton
+  // id is party 0's "110", while the smallest string is party 6's "010".
+  // Party 1's "011" against party 0's "110" differs last in the opposite
+  // direction from first, so the chain walk must keep the earliest
+  // difference.
   const std::vector<std::vector<bool>> bits = {
       {1, 0, 1, 0, 0, 1, 0, 1},
       {1, 1, 0, 0, 0, 1, 1, 0},
@@ -158,33 +167,37 @@ TEST(BlackboardLE, PreRoundHookCrownsTheSmallestUniqueString) {
       {0, 0, 0, 0, 0, 0, 0, 0},
   };
   const HookRun run = expect_hook_matches_decide(bits);
-  EXPECT_EQ(run.pre,
-            (std::vector<RoundVerdicts>{
-                RoundVerdicts::kNone, RoundVerdicts::kNone,
-                RoundVerdicts::kNone, RoundVerdicts::kSome}));
+  EXPECT_EQ(run.decided, (std::vector<bool>{false, false, false, true}));
   EXPECT_EQ(run.last, (Verdicts{0, 0, 0, 0, 0, 0, 1, 0}));
 }
 
-TEST(BlackboardLE, PreRoundHookDefersWhereValuesAndStringsDiverge) {
+TEST(BlackboardLE, PreRoundHookGroupsByStringWhereValuesAndStringsDiverge) {
   {
-    // Message steps: the wiring can split one string over several values.
+    // Message steps: the wiring splits one string over several values.
+    // After rounds {1,0,0} and {0,0,0} on the cyclic wiring, parties 1 and
+    // 2 hold distinct values of one string "00", so every value is a
+    // singleton, yet the only unique string is party 0's "10".
     KnowledgeStore store;
     std::vector<KnowledgeId> knowledge = initial_knowledge(store, 3);
-    knowledge = message_round(store, knowledge, {true, false, false},
-                              PortAssignment::cyclic(3));
-    Verdicts hook;
-    EXPECT_EQ(pre_round(store, knowledge, hook), RoundVerdicts::kUnsupported);
+    const PortAssignment cyclic = PortAssignment::cyclic(3);
+    knowledge = message_round(store, knowledge, {true, false, false}, cyclic);
+    knowledge = message_round(store, knowledge, {false, false, false}, cyclic);
+    ASSERT_NE(knowledge[1], knowledge[2]);
+    const Verdicts hook = pre_round(store, knowledge);
+    knowledge = message_round(store, knowledge, {true, true, true}, cyclic);
+    EXPECT_EQ(hook, decide_each(store, knowledge));
+    EXPECT_EQ(hook, (Verdicts{1, 0, 0}));
   }
   {
     // Distinct inputs make two singleton values of one string "0", which
-    // is not unique: decide waits, so the hook must not crown anyone.
+    // is not unique: the reference waits, so the rule must not crown
+    // anyone.
     KnowledgeStore store;
     std::vector<KnowledgeId> knowledge =
         initial_knowledge_with_inputs(store, {5, 7});
-    Verdicts hook;
-    EXPECT_EQ(pre_round(store, knowledge, hook), RoundVerdicts::kUnsupported);
+    EXPECT_EQ(pre_round(store, knowledge), Verdicts(2));
     knowledge = blackboard_round(store, knowledge, {false, false});
-    EXPECT_EQ(pre_round(store, knowledge, hook), RoundVerdicts::kUnsupported);
+    EXPECT_EQ(pre_round(store, knowledge), Verdicts(2));
     knowledge = blackboard_round(store, knowledge, {true, true});
     EXPECT_EQ(decide_each(store, knowledge), Verdicts(2));
   }
@@ -269,6 +282,79 @@ TEST(MLeaderElection, InfeasibleTargetNeverTerminates) {
   const auto outcome = run_protocol(Model::kBlackboard, config, std::nullopt,
                                     protocol, 9, 80);
   EXPECT_FALSE(outcome.terminated);
+}
+
+/// Whether each class of a multiset with class sizes `sizes` (classes in
+/// id order) is crowned by wait-for-class-split-LE(m), through the rule
+/// itself and through the reference's depth-first search; nullopt where
+/// nobody decides.
+struct ClassVerdicts {
+  std::optional<std::vector<std::int64_t>> rule;
+  std::optional<std::vector<std::int64_t>> reference;
+};
+
+ClassVerdicts class_split_verdicts(const std::vector<int>& sizes, int m) {
+  KnowledgeStore store;
+  std::vector<KnowledgeId> values;
+  std::vector<KnowledgeId> multiset;
+  for (std::size_t c = 0; c < sizes.size(); ++c) {
+    values.push_back(store.input(static_cast<std::int64_t>(c)));
+    multiset.insert(multiset.end(), static_cast<std::size_t>(sizes[c]),
+                    values.back());
+  }
+  // One blackboard step per class on the board `multiset`: the knowledge
+  // a member of that class holds after the round.
+  const BoardId board = store.intern_board(multiset);
+  const WaitForClassSplitMLE protocol(m);
+  ClassVerdicts out;
+  std::vector<std::int64_t> rule;
+  std::vector<std::int64_t> reference;
+  for (const KnowledgeId value : values) {
+    const KnowledgeId step = store.blackboard_step_on(value, false, board);
+    const auto mine = protocol.decide(store, step);
+    const auto theirs = testing::class_split_decide(m, store, step);
+    if (mine.has_value()) rule.push_back(*mine);
+    if (theirs.has_value()) reference.push_back(*theirs);
+  }
+  if (!rule.empty()) out.rule = rule;
+  if (!reference.empty()) out.reference = reference;
+  return out;
+}
+
+TEST(MLeaderElection, SubsetTablePicksTheDepthFirstSubset) {
+  // Class lists where several sub-collections reach m: the rule must crown
+  // the one the include-first depth-first search finds first, including
+  // where that search backtracks out of a first pick.
+  using Crowned = std::optional<std::vector<std::int64_t>>;
+  const struct {
+    std::vector<int> sizes;
+    int m;
+    Crowned crowned;
+  } cases[] = {
+      {{1, 2, 3, 1, 2}, 3, std::vector<std::int64_t>{1, 1, 0, 0, 0}},
+      {{2, 1, 1, 2}, 3, std::vector<std::int64_t>{1, 1, 0, 0}},
+      {{2, 3, 1}, 3, std::vector<std::int64_t>{1, 0, 1}},
+      {{2, 2, 3}, 3, std::vector<std::int64_t>{0, 0, 1}},
+      {{4, 2, 3}, 5, std::vector<std::int64_t>{0, 1, 1}},
+      {{3, 1, 2, 1, 1}, 4, std::vector<std::int64_t>{1, 1, 0, 0, 0}},
+      {{1, 2}, 0, std::vector<std::int64_t>{0, 0}},
+      {{2, 2, 2}, 3, std::nullopt},
+      {{1, 1}, 3, std::nullopt},
+  };
+  for (const auto& c : cases) {
+    const ClassVerdicts verdicts = class_split_verdicts(c.sizes, c.m);
+    EXPECT_EQ(verdicts.reference, c.crowned) << "m " << c.m;
+    EXPECT_EQ(verdicts.rule, c.crowned) << "m " << c.m;
+  }
+  // And on random class lists, against the search itself.
+  Xoshiro256StarStar rng(2105);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<int> sizes(1 + rng.below(8));
+    for (int& size : sizes) size = 1 + static_cast<int>(rng.below(4));
+    const int m = static_cast<int>(rng.below(12));
+    const ClassVerdicts verdicts = class_split_verdicts(sizes, m);
+    EXPECT_EQ(verdicts.rule, verdicts.reference) << "trial " << trial;
+  }
 }
 
 // ------------------------------------------------------ refinement agents

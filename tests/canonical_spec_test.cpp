@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <exception>
 #include <map>
 #include <optional>
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "engine/registry.hpp"
 #include "golden_util.hpp"
 #include "graph/agents.hpp"
@@ -330,6 +332,27 @@ TEST(CanonicalSpec, LoadsTotalAboveThePartyBoundIsANamedReject) {
           << e.what();
     }
   }
+}
+
+TEST(CanonicalSpec, AdmittedClassSplitSpecsRunInPolynomialTime) {
+  // Regression: wait-for-class-split-LE(m) looked for classes of total
+  // size m by a depth-first search over subsets of classes, once per party
+  // per round. Twenty classes of size 2 never reach an odd m, so the search
+  // enumerated subsets: this admitted spec (1,600 party-rounds, far under
+  // kMaxRunWork) ran about 8 s, doubling with every added source. The rule
+  // now reads a table of the sums each suffix of classes reaches.
+  std::string loads = "loads=2";
+  for (int source = 1; source < 20; ++source) loads += ",2";
+  const CanonicalSpec spec = CanonicalSpec::parse(
+      loads + "\nprotocol=wait-for-class-split-LE(21)\nrounds=40\nseeds=1+1");
+  spec.check_run_work();
+  Engine engine;
+  const auto start = std::chrono::steady_clock::now();
+  const RunStats stats = engine.run_batch(spec.to_experiment());
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(stats.terminated, 0u);  // every class stays even
+  EXPECT_LT(elapsed.count(), 1.0);
 }
 
 TEST(CanonicalSpec, ToExperimentResolvesAndValidates) {

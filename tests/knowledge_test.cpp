@@ -189,6 +189,36 @@ TEST(Knowledge, ResetReplaysIdsInInsertionOrder) {
   EXPECT_GT(store.size(), big);
 }
 
+TEST(Knowledge, ResetKeepsTablesSizedForTheLastRunNotThePeak) {
+  // Regression: reset() re-reserved the largest run the store had ever
+  // seen and refilled that run's slot tables, so after one long run every
+  // later reset paid for it (a 4096-run sweep went from 5 ms to 0.5 s in
+  // one engine) and the memory never came back. After a large run and a
+  // small one, a reset now keeps what a store that only saw the small run
+  // keeps.
+  const auto small_run = [](KnowledgeStore& store) {
+    KnowledgeId value = store.bottom();
+    for (int i = 0; i < 10; ++i) {
+      value = store.blackboard_step(value, i % 2 == 0, {store.input(i)});
+    }
+  };
+  KnowledgeStore fresh;
+  small_run(fresh);
+  fresh.reset();
+
+  KnowledgeStore store;
+  KnowledgeId deep = store.bottom();
+  for (int i = 0; i < 100000; ++i) {
+    deep = store.message_step(deep, i % 2 == 0, {deep});
+  }
+  const std::size_t large_slots = store.slot_count();
+  store.reset();
+  small_run(store);
+  store.reset();
+  EXPECT_GT(large_slots, 64 * fresh.slot_count());
+  EXPECT_EQ(store.slot_count(), fresh.slot_count());
+}
+
 TEST(Knowledge, ToStringRendersStructure) {
   KnowledgeStore store;
   EXPECT_EQ(store.to_string(store.bottom()), "⊥");

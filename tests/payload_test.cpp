@@ -88,6 +88,24 @@ TEST(PayloadArena, ResetRestartsIdsAndReusesStorage) {
   EXPECT_EQ(arena.view(0), "first-after-reset");
 }
 
+TEST(PayloadArena, ResetKeepsTheIndexSizedForTheLastRunNotThePeak) {
+  // The arena shares the knowledge store's intern index and its reset
+  // rule: after a large run and a small one, a reset keeps what an arena
+  // that only saw the small run keeps.
+  PayloadArena fresh;
+  for (int i = 0; i < 10; ++i) fresh.intern("small-" + std::to_string(i));
+  fresh.reset();
+
+  PayloadArena arena;
+  for (int i = 0; i < 100000; ++i) arena.intern("large-" + std::to_string(i));
+  const std::size_t large_slots = arena.slot_count();
+  arena.reset();
+  for (int i = 0; i < 10; ++i) arena.intern("small-" + std::to_string(i));
+  arena.reset();
+  EXPECT_GT(large_slots, 64 * fresh.slot_count());
+  EXPECT_EQ(arena.slot_count(), fresh.slot_count());
+}
+
 // ------------------------------------------- network intern sharing
 
 /// Broadcasts one fixed payload via send_all every round.

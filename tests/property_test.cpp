@@ -3,6 +3,7 @@
 // library's "laws"; each encodes a fact the paper's proofs rely on.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 
@@ -441,13 +442,16 @@ TEST(SchedulerProperty, OutputIndependentOfThreadCount) {
 // supported batch width and thread count, per-run outcomes and the merged
 // aggregate equal an independent per-run reference (tests/reference_run.hpp:
 // fresh store and SourceBank, value-returning round operators, per-party
-// decide), on both models (fault-free blackboard; message passing under
-// per-run random wirings) and for both pre-round hooks. The unique-string
-// specs are all-private: there several strings can be unique at once, and
-// the smallest string and the smallest singleton id can name different
+// decide through tests/reference_decide.hpp's bodies), on both models
+// (fault-free blackboard; message passing under per-run random wirings)
+// and for every protocol's pre-round rule. The unique-string specs are
+// all-private: there several strings can be unique at once, and the
+// smallest string and the smallest singleton id can name different
 // parties (with loads {2,2,1} only the load-1 party can ever be unique, so
-// a wrong leader rule would pass). 97 seeds is coprime to every width, so
-// each sweep exercises a narrower remainder group too.
+// a wrong leader rule would pass). The class-split(2) specs have classes
+// of sizes 1 and 2 at once, so several sub-collections can reach 2. 97
+// seeds is coprime to every width, so each sweep exercises a narrower
+// remainder group too.
 TEST(BatchProperty, BatchedSweepsMatchTheReferenceRunForRun) {
   const auto blackboard =
       Experiment::blackboard(SourceConfiguration::from_loads({2, 2, 1}))
@@ -475,8 +479,22 @@ TEST(BatchProperty, BatchedSweepsMatchTheReferenceRunForRun) {
           .with_task("leader-election")
           .with_rounds(300)
           .with_seeds(11, 97);
+  const auto split_blackboard =
+      Experiment::blackboard(SourceConfiguration::from_loads({2, 1, 1, 2}))
+          .with_protocol("wait-for-class-split-LE(2)")
+          .with_task("m-leader-election(2)")
+          .with_rounds(300)
+          .with_seeds(1, 97);
+  const auto split_message =
+      Experiment::message_passing(SourceConfiguration::from_loads({2, 1, 2}),
+                                  PortPolicy::kRandomPerRun)
+          .with_protocol("wait-for-class-split-LE(2)")
+          .with_task("m-leader-election(2)")
+          .with_rounds(300)
+          .with_seeds(11, 97);
   for (const Experiment& spec :
-       {blackboard, message, unique_blackboard, unique_message}) {
+       {blackboard, message, unique_blackboard, unique_message,
+        split_blackboard, split_message}) {
     const ReferenceSweep reference = reference_sweep(spec);
     ASSERT_EQ(reference.runs.size(), 97u);
     for (const int batch : {1, 2, 7, 16}) {
@@ -512,7 +530,14 @@ TEST(BatchProperty, BatchedCrashSweepsMatchTheReferenceRunForRun) {
           .with_faults(sim::FaultPlan::crash_stop(1, 11))
           .with_rounds(300)
           .with_seeds(3, 61);
-  for (const Experiment& spec : {blackboard, message}) {
+  const auto split_blackboard =
+      Experiment::blackboard(SourceConfiguration::from_loads({2, 1, 1, 2}))
+          .with_protocol("wait-for-class-split-LE(2)")
+          .with_task("t-resilient-m-leader-election(2,1)")
+          .with_faults(sim::FaultPlan::crash_stop(1, 7))
+          .with_rounds(300)
+          .with_seeds(5, 61);
+  for (const Experiment& spec : {blackboard, message, split_blackboard}) {
     const ReferenceSweep reference = reference_sweep(spec);
     ASSERT_EQ(reference.runs.size(), 61u);
     for (const int batch : {1, 2, 16}) {
@@ -596,6 +621,112 @@ TEST(GraphProperty, TopologyGenerationIsPure) {
             graph::Topology::d_regular(20, 4, 99));
   EXPECT_NE(*graph::make_topology("d-regular(4)", 20, 99),
             graph::Topology::d_regular(20, 4, 100));
+}
+
+/// Sweeps `spec` (rounds = p.size()) and checks that the share of runs
+/// terminated within t rounds is p[t−1], for every t: |z| <= 5 where
+/// 0 < p < 1, and an exact count where p is 0 or 1.
+void expect_rounds_follow_series(Experiment spec,
+                                 const std::vector<Dyadic>& p) {
+  spec.with_rounds(static_cast<int>(p.size()));
+  Engine engine;
+  const RunStats stats = engine.run_batch(spec);
+  const double runs = static_cast<double>(stats.runs);
+  std::uint64_t within = 0;
+  for (std::size_t t = 1; t <= p.size(); ++t) {
+    const auto at = stats.round_histogram.find(static_cast<int>(t));
+    if (at != stats.round_histogram.end()) within += at->second;
+    const double exact = p[t - 1].to_double();
+    if (p[t - 1].is_zero() || p[t - 1].is_one()) {
+      EXPECT_EQ(static_cast<double>(within), exact * runs)
+          << spec.to_string() << " t=" << t;
+      continue;
+    }
+    const double z = (static_cast<double>(within) - runs * exact) /
+                     std::sqrt(runs * exact * (1.0 - exact));
+    EXPECT_LE(std::abs(z), 5.0)
+        << spec.to_string() << " t=" << t << " p=" << exact
+        << " share=" << static_cast<double>(within) / runs;
+  }
+}
+
+/// p(0), ..., p(t_max): at time 0 every party holds ⊥, one class of n;
+/// later terms come from the exact enumeration.
+std::vector<Dyadic> series_from_zero(const SymmetricTask& task,
+                                     std::vector<Dyadic> series) {
+  series.insert(series.begin(),
+                task.partition_solves({task.num_parties()}) ? Dyadic::one()
+                                                            : Dyadic::zero());
+  return series;
+}
+
+// Law 19 — the engine's round distribution is the paper's exact series. On
+// a fault-free run these rules decide at round t exactly when the
+// partition at time t−1 solves the task (a singleton class; for
+// class-split(m), classes of total size m), and solvability only grows as
+// partitions refine, so P(terminated within t rounds) = p(t−1), where p is
+// the exact enumeration of Lemma B.1 (exact_series_blackboard,
+// exact_series_message_passing). That enumeration shares no code with the
+// lane kernel, its coins or its port stream, so this law pins all three to
+// the paper rather than to a second copy of themselves. Unique-string
+// groups by randomness string, which no wiring can split, so on message
+// passing it follows the *blackboard* series: loads {2,3} never terminate
+// there, while wait-for-singleton does on that shape. Horizons keep
+// t·k <= 12 (the message-passing series enumerates 2^{t·k} realizations).
+TEST(ExactSeriesProperty, RoundDistributionMatchesTheExactSeries) {
+  const std::vector<std::vector<int>> blackboard_loads = {
+      {1, 1, 1}, {2, 1, 1}, {3, 1}, {2, 2, 1}, {2, 2}};
+  for (const auto& loads : blackboard_loads) {
+    const auto config = SourceConfiguration::from_loads(loads);
+    const int n = config.num_parties();
+    const int t_max = 12 / config.num_sources();
+    const SymmetricTask le = SymmetricTask::leader_election(n);
+    const SymmetricTask two = SymmetricTask::m_leader_election(n, 2);
+    const auto le_series = series_from_zero(
+        le, exact_series_blackboard(config, le, t_max));
+    const auto two_series = series_from_zero(
+        two, exact_series_blackboard(config, two, t_max));
+    const auto spec = [&](const char* protocol) {
+      return Experiment::blackboard(config).with_protocol(protocol).with_seeds(
+          1, 65536);
+    };
+    expect_rounds_follow_series(spec("wait-for-singleton-LE"), le_series);
+    expect_rounds_follow_series(spec("blackboard-unique-string-LE"),
+                                le_series);
+    expect_rounds_follow_series(spec("wait-for-class-split-LE(1)"),
+                                le_series);
+    expect_rounds_follow_series(spec("wait-for-class-split-LE(2)"),
+                                two_series);
+  }
+  const std::vector<std::vector<int>> message_loads = {
+      {1, 1, 1}, {2, 1}, {2, 3}, {1, 1, 2}};
+  for (const auto& loads : message_loads) {
+    const auto config = SourceConfiguration::from_loads(loads);
+    const int t_max = 12 / config.num_sources();
+    const SymmetricTask le =
+        SymmetricTask::leader_election(config.num_parties());
+    const auto strings = series_from_zero(
+        le, exact_series_blackboard(config, le, t_max));
+    for (const PortPolicy policy :
+         {PortPolicy::kCyclic, PortPolicy::kAdversarial}) {
+      const PortAssignment wiring =
+          policy == PortPolicy::kCyclic
+              ? PortAssignment::cyclic(config.num_parties())
+              : PortAssignment::adversarial_for(config);
+      const auto knowledge = series_from_zero(
+          le, exact_series_message_passing(config, le, t_max, wiring));
+      const auto spec = [&](const char* protocol) {
+        return Experiment::message_passing(config, policy)
+            .with_protocol(protocol)
+            .with_seeds(1, 16384);
+      };
+      expect_rounds_follow_series(spec("wait-for-singleton-LE"), knowledge);
+      expect_rounds_follow_series(spec("wait-for-class-split-LE(1)"),
+                                  knowledge);
+      expect_rounds_follow_series(spec("blackboard-unique-string-LE"),
+                                  strings);
+    }
+  }
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 // reference_run re-derives one run from the definitions alone: a fresh
 // KnowledgeStore and SourceBank per call, the value-returning round
 // operators (given the run's crash schedule under a fault plan), and a
-// per-party decide after every executed round. It shares none of the
-// engine's lane kernel — no pre-round decision hook, no raw per-source
-// coin engines, no in-place operators, no reciprocal-port rows — so a law
-// comparing engine sweeps against it pins every batch width and thread
-// count to the paper's definition, not merely to one another.
+// per-party decide after every executed round, through the reference
+// bodies of tests/reference_decide.hpp. It shares none of the engine's
+// lane kernel — no pre-round rule, no raw per-source coin engines, no
+// in-place operators, no reciprocal-port rows — and none of src/'s
+// decision rules, so a law comparing engine sweeps against it pins every
+// batch width and thread count to the paper's definition, not merely to
+// one another.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "knowledge/knowledge.hpp"
 #include "model/models.hpp"
 #include "randomness/source_bank.hpp"
+#include "reference_decide.hpp"
 #include "run_replay.hpp"
 
 namespace rsb::testing {
@@ -67,7 +70,8 @@ inline ProtocolOutcome reference_run(const Experiment& spec,
     }
     for (std::size_t p = 0; p < parties; ++p) {
       if (outcome.decision_round[p] >= 0 || crashed_by(p, round)) continue;
-      const auto verdict = spec.protocol->decide(store, knowledge[p]);
+      const auto verdict =
+          reference_decide(*spec.protocol, store, knowledge[p]);
       if (verdict.has_value()) {
         outcome.outputs[p] = *verdict;
         outcome.decision_round[p] = round;

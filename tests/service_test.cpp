@@ -834,6 +834,30 @@ TEST(Service, StartRejectsAZeroQuantumAndAPortOutsideSixteenBits) {
             "start() returned");
 }
 
+TEST(Service, AFailedStartThrowsAgainOnTheNextStart) {
+  // Regression: start() marked the server running before the engine
+  // rejected its parallel config, so the first start() threw and a second
+  // one returned silently, with port() == 0 and nothing listening. start()
+  // now validates the whole config first, every time.
+  for (const ServerConfig config :
+       {ServerConfig{.threads = -1}, ServerConfig{.threads = 1, .batch = 0}}) {
+    Server server(config);
+    EXPECT_THROW(server.start(), InvalidArgument);
+    EXPECT_THROW(server.start(), InvalidArgument);
+    EXPECT_EQ(server.port(), 0);
+  }
+  // A second start() on a live server stays a no-op.
+  Server live({.threads = 1});
+  live.start();
+  const int port = live.port();
+  EXPECT_NE(port, 0);
+  live.start();
+  EXPECT_EQ(live.port(), port);
+  EXPECT_TRUE(is_pong(reply_within(port, "{\"op\":\"ping\"}",
+                                   std::chrono::milliseconds(5000))));
+  live.stop();
+}
+
 /// Resident set size of this process, in kB (VmRSS).
 std::int64_t resident_kb() {
   std::ifstream status("/proc/self/status");

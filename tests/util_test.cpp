@@ -288,9 +288,9 @@ std::uint32_t intern(InternIndex& index, std::vector<int>& keys, int key,
 TEST(InternIndex, NumbersDistinctEntriesInInsertionOrderAcrossGrowthAndReset) {
   // A hash with seven values makes long probe chains, and a thousand
   // entries grow the initial table several times. After reset() the
-  // numbering starts again from 0 on a table sized for the old peak.
+  // numbering starts again from 0 on a table sized for the last run.
   InternIndex index;
-  index.reset(0);
+  index.reset();
   std::vector<int> keys;
   for (int pass = 0; pass < 2; ++pass) {
     for (int key = 0; key < 1000; ++key) {
@@ -302,7 +302,7 @@ TEST(InternIndex, NumbersDistinctEntriesInInsertionOrderAcrossGrowthAndReset) {
                 static_cast<std::uint32_t>(key));
     }
     EXPECT_EQ(keys.size(), 1000u);
-    index.reset(keys.size());
+    index.reset();
     keys.clear();
   }
 }
