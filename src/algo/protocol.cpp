@@ -1,6 +1,7 @@
 #include "algo/protocol.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 
 #include "engine/engine.hpp"
@@ -167,31 +168,51 @@ bool WaitForClassSplitMLE::decide_multiset(
     std::vector<std::int64_t>& verdicts) const {
   const std::size_t m = static_cast<std::size_t>(num_leaders_);
   if (m > multiset.size()) return false;
-  // The classes are the multiset's runs, in id order. reach[c·(m+1) + s]:
-  // the classes from c on have a sub-collection of total size s.
+  // The classes are the multiset's runs, in id order. Bit s of row c:
+  // the classes from c on have a sub-collection of total size s. A row is
+  // m + 1 bits in 64-bit words, and row c = row c+1 | row c+1 << size(c).
   std::vector<std::size_t> starts;
   for (std::size_t i = 0; i < multiset.size(); ++i) {
     if (i == 0 || multiset[i] != multiset[i - 1]) starts.push_back(i);
   }
   starts.push_back(multiset.size());
   const std::size_t classes = starts.size() - 1;
-  std::vector<char> reach((classes + 1) * (m + 1), 0);
-  const auto row = [&](std::size_t c) { return reach.begin() + c * (m + 1); };
+  const std::size_t words = m / 64 + 1;
+  std::vector<std::uint64_t> reach((classes + 1) * words, 0);
+  const auto row = [&](std::size_t c) { return reach.data() + c * words; };
+  const auto reaches = [&](std::size_t c, std::size_t s) {
+    return (row(c)[s / 64] >> (s % 64) & 1) != 0;
+  };
   row(classes)[0] = 1;
+  const std::uint64_t last_word_mask =
+      (m + 1) % 64 == 0 ? ~std::uint64_t{0}
+                        : (std::uint64_t{1} << ((m + 1) % 64)) - 1;
   for (std::size_t c = classes; c-- > 0;) {
     const std::size_t size = starts[c + 1] - starts[c];
-    for (std::size_t s = 0; s <= m; ++s) {
-      row(c)[s] = row(c + 1)[s] || (size <= s && row(c + 1)[s - size]);
+    const std::size_t word_shift = size / 64;
+    const unsigned bit_shift = static_cast<unsigned>(size % 64);
+    const std::uint64_t* next = row(c + 1);
+    std::uint64_t* out = row(c);
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t shifted = 0;
+      if (w >= word_shift) {
+        shifted = next[w - word_shift] << bit_shift;
+        if (bit_shift != 0 && w > word_shift) {
+          shifted |= next[w - word_shift - 1] >> (64 - bit_shift);
+        }
+      }
+      out[w] = next[w] | shifted;
     }
+    out[words - 1] &= last_word_mask;
   }
-  if (!row(0)[m]) return false;
+  if (!reaches(0, m)) return false;
   // The depth-first search's first find: take a class whenever the classes
   // after it can still make up the rest.
   verdicts.assign(multiset.size(), 0);
   std::size_t rest = m;
   for (std::size_t c = 0; c < classes && rest > 0; ++c) {
     const std::size_t size = starts[c + 1] - starts[c];
-    if (size <= rest && row(c + 1)[rest - size]) {
+    if (size <= rest && reaches(c + 1, rest - size)) {
       std::fill(verdicts.begin() + starts[c], verdicts.begin() + starts[c + 1],
                 1);
       rest -= size;

@@ -1,12 +1,43 @@
 #include "engine/run_context.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "engine/engine.hpp"
 #include "sim/network.hpp"
 #include "util/error.hpp"
 
 namespace rsb {
+
+namespace {
+
+/// Sorts a fault-free round's knowledge vector into `sorted` by counting.
+/// Every party observed the same time-(t−1) multiset, so the values were
+/// interned together one round earlier and fill one id range of at most
+/// n ids: tallying them over [min, max] and expanding the tallies is an
+/// exact sort in O(n). A longer range breaks that invariant and throws.
+void sort_round_values(std::span<const KnowledgeId> values,
+                       std::vector<std::uint32_t>& counts,
+                       std::vector<KnowledgeId>& sorted) {
+  const auto [min, max] = std::minmax_element(values.begin(), values.end());
+  const std::size_t range = std::size_t{*max} - *min + 1;
+  if (range > values.size()) {
+    throw Error("run_prepared_batch: internal error: a fault-free round's " +
+                std::to_string(values.size()) + " values span " +
+                std::to_string(range) + " ids");
+  }
+  const KnowledgeId lowest = *min;
+  counts.assign(range, 0);
+  for (const KnowledgeId value : values) ++counts[value - lowest];
+  sorted.resize(values.size());
+  KnowledgeId* out = sorted.data();
+  for (std::size_t offset = 0; offset < range; ++offset) {
+    out = std::fill_n(out, counts[offset],
+                      lowest + static_cast<KnowledgeId>(offset));
+  }
+}
+
+}  // namespace
 
 void run_prepared_batch(RunContext& ctx, const Experiment& spec,
                         std::uint64_t first_seed, int lanes,
@@ -72,7 +103,7 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
 
   const AnonymousProtocol& protocol = *spec.protocol;
   const std::vector<int>& source_of = spec.config.source_of_party();
-  std::vector<bool>& bits = ctx.bits;
+  std::vector<std::uint8_t>& bits = ctx.bits;
   bits.resize(static_cast<std::size_t>(n));
   for (int round = 1; round <= spec.max_rounds && live > 0; ++round) {
     for (int l = 0; l < lanes; ++l) {
@@ -99,14 +130,11 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
         // coins make the unconsumed draws invisible to every other run.
         // The sorted vector doubles as the blackboard round operator's
         // shared multiset.
-        batch.sorted_prev.assign(lane.knowledge.begin(), lane.knowledge.end());
-        std::sort(batch.sorted_prev.begin(), batch.sorted_prev.end());
+        sort_round_values(lane.knowledge, batch.counts, batch.sorted_prev);
         if (protocol.decide_multiset(lane.store, batch.sorted_prev,
                                      batch.verdicts)) {
-          // One round's values were interned together, so their ids span
-          // a short range: index the verdicts by id to reach each party's
-          // in O(1), where a search per party would cost a sweep of small
-          // runs about a fifth of its time.
+          // The round's ids span at most n values (sort_round_values):
+          // index the verdicts by id to reach each party's in O(1).
           const KnowledgeId lowest = batch.sorted_prev.front();
           batch.verdict_of.resize(batch.sorted_prev.back() - lowest + 1);
           for (std::size_t i = 0; i < batch.sorted_prev.size(); ++i) {
@@ -135,7 +163,7 @@ void run_prepared_batch(RunContext& ctx, const Experiment& spec,
       for (int party = 0; party < n; ++party) {
         bits[static_cast<std::size_t>(party)] =
             batch.source_bits[static_cast<std::size_t>(
-                source_of[static_cast<std::size_t>(party)])] != 0;
+                source_of[static_cast<std::size_t>(party)])];
       }
       // A fault-free lane's crash schedule is empty, and a faulty lane's
       // survivor multiset is sorted by the operator itself.

@@ -75,7 +75,7 @@ struct BatchedRunContext {
   /// Scratch for the provider-driven wrapper's span of lane inputs; the
   /// orbit-deduped batch path fills it with only the lookup misses.
   std::vector<LaneRequest> requests;
-  std::vector<unsigned char> source_bits;  // per-round per-source scratch
+  std::vector<std::uint8_t> source_bits;  // per-round per-source scratch
   /// The protocol rule's verdicts, one per position of sorted_prev, and
   /// the same verdicts indexed by id − sorted_prev.front().
   std::vector<std::int64_t> verdicts;
@@ -83,15 +83,17 @@ struct BatchedRunContext {
   // Sorted copy of a fault-free lane's knowledge vector before a round:
   // the time-(t−1) multiset the protocol's rule (decide_multiset) decides
   // on and, on the blackboard, the round operator's shared multiset — one
-  // sort per lane-round serves both.
+  // counting pass per lane-round serves both. `counts` is that pass's
+  // per-id tally over the round's id range.
   std::vector<KnowledgeId> sorted_prev;
+  std::vector<std::uint32_t> counts;
 };
 
 /// The per-run scratch state of one worker. Default-constructed contexts
 /// are ready to use; reuse across runs amortizes all allocations.
 struct RunContext {
   std::size_t store_high_water = 0;
-  std::vector<bool> bits;           // per-round randomness scratch
+  std::vector<std::uint8_t> bits;   // per-round coin bits, one per party
   std::vector<int> crash_round;     // agent-backend fault-draw scratch
   RoundScratch round_scratch;       // in-place round-operator buffers
   BatchedRunContext batched;        // lockstep-lane state (run_prepared_batch)

@@ -6,6 +6,31 @@
 
 namespace rsb {
 
+namespace {
+
+// Intern hashes fold one 64-bit word per xor-multiply and finish with one
+// mix64. The tables need only a well-spread hash: equality is checked
+// exactly, and ids follow insertion order, so the hash decides nothing
+// but the probe order.
+constexpr std::uint64_t kFoldMultiplier = 0x9e3779b97f4a7c15ULL;  // odd
+
+constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t word) noexcept {
+  return (h ^ word) * kFoldMultiplier;
+}
+
+/// A sorted board's hash, two ids per word.
+std::uint64_t board_hash(std::span<const KnowledgeId> values) noexcept {
+  std::uint64_t h = fold(0, values.size());
+  std::size_t i = 0;
+  for (; i + 1 < values.size(); i += 2) {
+    h = fold(h, values[i] | std::uint64_t{values[i + 1]} << 32);
+  }
+  if (i < values.size()) h = fold(h, values[i]);
+  return mix64(h);
+}
+
+}  // namespace
+
 KnowledgeStore::KnowledgeStore() { reset(); }
 
 void KnowledgeStore::reset() {
@@ -48,8 +73,7 @@ KnowledgeId KnowledgeStore::blackboard_step(KnowledgeId prev, bool bit,
 
 BoardId KnowledgeStore::intern_board(
     std::span<const KnowledgeId> sorted_board) {
-  const std::uint64_t h = hash_range(sorted_board.begin(), sorted_board.end(),
-                                     mix64(sorted_board.size()));
+  const std::uint64_t h = board_hash(sorted_board);
   const std::size_t slot = board_index_.find(h, [&](std::uint32_t b) {
     const std::span<const KnowledgeId> values = board_values(b);
     return std::equal(values.begin(), values.end(), sorted_board.begin(),
@@ -86,16 +110,16 @@ KnowledgeId KnowledgeStore::blackboard_step_on(KnowledgeId prev, bool bit,
 KnowledgeId KnowledgeStore::message_step(KnowledgeId prev, bool bit,
                                          std::vector<KnowledgeId> by_port,
                                          std::vector<int> tags) {
-  if (!tags.empty() && tags.size() != by_port.size()) {
-    throw InvalidArgument(
-        "KnowledgeStore::message_step: tags/ports size mismatch");
-  }
   return message_step_view(prev, bit, by_port, tags);
 }
 
 KnowledgeId KnowledgeStore::message_step_view(KnowledgeId prev, bool bit,
                                               std::span<const KnowledgeId> by_port,
                                               std::span<const int> tags) {
+  if (!tags.empty() && tags.size() != by_port.size()) {
+    throw InvalidArgument(
+        "KnowledgeStore::message_step: tags/ports size mismatch");
+  }
   NodeShape shape;
   shape.kind = KnowledgeKind::kMessageStep;
   shape.prev = prev;
@@ -242,13 +266,20 @@ KnowledgeId KnowledgeStore::intern_shape(const NodeShape& shape) {
 }
 
 std::uint64_t KnowledgeStore::shape_hash(const NodeShape& n) const {
-  std::uint64_t seed = mix64(static_cast<std::uint64_t>(n.kind));
-  seed = hash_combine(seed, static_cast<std::uint64_t>(n.bit));
-  seed = hash_combine(seed, n.prev);
-  seed = hash_combine(seed, static_cast<std::uint64_t>(n.input));
-  seed = hash_combine(seed, n.board);
-  seed = hash_range(n.received.begin(), n.received.end(), seed);
-  return hash_range(n.tags.begin(), n.tags.end(), seed);
+  std::uint64_t h = fold(0, static_cast<std::uint64_t>(n.kind) |
+                                std::uint64_t{n.bit} << 8 |
+                                std::uint64_t{n.received.size()} << 32);
+  h = fold(h, n.prev | std::uint64_t{n.board} << 32);
+  h = fold(h, static_cast<std::uint64_t>(n.input));
+  // A message step folds each port's (received id, tag) pair as one word;
+  // tags are either absent (the literal variant) or one per port
+  // (message_step_view checks).
+  for (std::size_t p = 0; p < n.received.size(); ++p) {
+    const std::uint64_t tag =
+        n.tags.empty() ? 0 : static_cast<std::uint32_t>(n.tags[p]);
+    h = fold(h, n.received[p] | tag << 32);
+  }
+  return mix64(h);
 }
 
 bool KnowledgeStore::shape_equal(const Node& a, const NodeShape& b) const {

@@ -134,9 +134,10 @@ class KnowledgeStore {
                            std::vector<int> tags = {});
 
   /// Eq. (2) zero-copy path with borrowed storage: `by_port` is the
-  /// port-ordered tuple, `tags` the reciprocal port numbers (pass an empty
-  /// span for the untagged literal variant). Copies into the pools only on
-  /// first insertion; ids identical to message_step.
+  /// port-ordered tuple, `tags` the reciprocal port numbers, one per port
+  /// (else InvalidArgument; pass an empty span for the untagged literal
+  /// variant). Copies into the pools only on first insertion; ids
+  /// identical to message_step.
   KnowledgeId message_step_view(KnowledgeId prev, bool bit,
                                 std::span<const KnowledgeId> by_port,
                                 std::span<const int> tags);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/partitions.hpp"
@@ -82,11 +83,18 @@ bool halted(std::span<const int> crash_round, std::size_t j, int round) {
   return crash_round[j] >= 0 && round >= crash_round[j];
 }
 
+/// `bits` as one byte per party, in scratch.bits.
+std::span<const std::uint8_t> byte_bits(const std::vector<bool>& bits,
+                                        RoundScratch& scratch) {
+  scratch.bits.assign(bits.begin(), bits.end());
+  return scratch.bits;
+}
+
 }  // namespace
 
 void blackboard_round_inplace(KnowledgeStore& store,
                               std::vector<KnowledgeId>& knowledge,
-                              const std::vector<bool>& bits,
+                              std::span<const std::uint8_t> bits,
                               RoundScratch& scratch,
                               std::span<const int> crash_round, int round,
                               std::span<const KnowledgeId> sorted_prev) {
@@ -116,36 +124,64 @@ void blackboard_round_inplace(KnowledgeStore& store,
   // Every participant's Eq. (1) value is (own value, bit, that multiset):
   // intern the multiset as the round's board once.
   const BoardId board = store.intern_board(sorted_prev);
-  // Per-round (prev, bit) memo, indexed by the first position of prev in
-  // the sorted multiset: every participant splices the same board, so its
-  // step value is a function of its own previous value and bit alone. The
-  // first occurrence of a pair makes exactly the insertion the plain loop
+  // Per-round (prev, bit) memo, two slots per id of the multiset's range:
+  // every participant splices the same board, so its step value is a
+  // function of its own previous value and bit alone. The first
+  // occurrence of a pair makes exactly the insertion the plain loop
   // would; repeats would have been no-op probes, so they reuse the id.
-  constexpr KnowledgeId kNotStepped = std::numeric_limits<KnowledgeId>::max();
-  scratch.memo_id.assign(2 * sorted_prev.size(), kNotStepped);
-  scratch.next.clear();
-  scratch.next.reserve(n);
+  // The participants' values were interned together one round earlier,
+  // so the range is about as long as the multiset. Ids in the range that
+  // the multiset lacks keep kAbsent, so every participant's value is
+  // checked to occur in it.
+  constexpr KnowledgeId kAbsent = std::numeric_limits<KnowledgeId>::max();
+  constexpr KnowledgeId kNotStepped = kAbsent - 1;
+  const KnowledgeId lowest = sorted_prev.empty() ? 0 : sorted_prev.front();
+  const std::size_t range =
+      sorted_prev.empty() ? 0 : std::size_t{sorted_prev.back()} - lowest + 1;
+  scratch.memo_id.assign(2 * range, kAbsent);
+  for (const KnowledgeId value : sorted_prev) {
+    const std::size_t slot = 2 * std::size_t{value - lowest};
+    scratch.memo_id[slot] = kNotStepped;
+    scratch.memo_id[slot + 1] = kNotStepped;
+  }
+  scratch.next.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const KnowledgeId own = knowledge[i];
     if (faulty && halted(crash_round, i, round)) {
-      scratch.next.push_back(own);  // frozen at the last pre-crash value
+      scratch.next[i] = own;  // frozen at the last pre-crash value
       continue;
     }
-    const std::size_t first = static_cast<std::size_t>(
-        std::lower_bound(sorted_prev.begin(), sorted_prev.end(), own) -
-        sorted_prev.begin());
-    KnowledgeId& memo = scratch.memo_id[2 * first + (bits[i] ? 1 : 0)];
-    if (memo == kNotStepped) {
-      memo = store.blackboard_step_on(own, bits[i], board);
+    const bool bit = bits[i] != 0;
+    // Unsigned wrap sends an id below the range past its end too.
+    const std::size_t slot = 2 * std::size_t{own - lowest} + (bit ? 1 : 0);
+    if (slot >= scratch.memo_id.size() || scratch.memo_id[slot] == kAbsent) {
+      throw InvalidArgument(
+          "blackboard_round_inplace: party " + std::to_string(i) +
+          "'s value #" + std::to_string(own) +
+          " does not occur in the round's sorted multiset");
     }
-    scratch.next.push_back(memo);
+    KnowledgeId& memo = scratch.memo_id[slot];
+    if (memo == kNotStepped) {
+      memo = store.blackboard_step_on(own, bit, board);
+    }
+    scratch.next[i] = memo;
   }
   knowledge.swap(scratch.next);
 }
 
+void blackboard_round_inplace(KnowledgeStore& store,
+                              std::vector<KnowledgeId>& knowledge,
+                              const std::vector<bool>& bits,
+                              RoundScratch& scratch,
+                              std::span<const int> crash_round, int round,
+                              std::span<const KnowledgeId> sorted_prev) {
+  blackboard_round_inplace(store, knowledge, byte_bits(bits, scratch), scratch,
+                           crash_round, round, sorted_prev);
+}
+
 void message_round_inplace(KnowledgeStore& store,
                            std::vector<KnowledgeId>& knowledge,
-                           const std::vector<bool>& bits,
+                           std::span<const std::uint8_t> bits,
                            const PortAssignment& ports, MessageVariant variant,
                            RoundScratch& scratch,
                            std::span<const int> crash_round, int round) {
@@ -191,10 +227,20 @@ void message_round_inplace(KnowledgeStore& store,
     const std::span<const int> tags =
         !tagged ? std::span<const int>()
                 : faulty ? std::span<const int>(scratch.tags) : reciprocal;
-    scratch.next.push_back(
-        store.message_step_view(knowledge[i], bits[i], scratch.received, tags));
+    scratch.next.push_back(store.message_step_view(knowledge[i], bits[i] != 0,
+                                                   scratch.received, tags));
   }
   knowledge.swap(scratch.next);
+}
+
+void message_round_inplace(KnowledgeStore& store,
+                           std::vector<KnowledgeId>& knowledge,
+                           const std::vector<bool>& bits,
+                           const PortAssignment& ports, MessageVariant variant,
+                           RoundScratch& scratch,
+                           std::span<const int> crash_round, int round) {
+  message_round_inplace(store, knowledge, byte_bits(bits, scratch), ports,
+                        variant, scratch, crash_round, round);
 }
 
 std::vector<KnowledgeId> message_round(

@@ -6,6 +6,7 @@
 // each party contributes its entire knowledge every round.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -72,13 +73,16 @@ struct RoundScratch {
   std::vector<int> tags;
   std::vector<KnowledgeId> next;
   /// The blackboard operator's per-round (prev, bit) → id memo, two slots
-  /// per position of the sorted multiset.
+  /// per id of the sorted multiset's range [front, back].
   std::vector<KnowledgeId> memo_id;
+  /// The byte copy of a std::vector<bool> round's bits.
+  std::vector<std::uint8_t> bits;
 };
 
 /// One blackboard round in place: knowledge := Eq. (1)(knowledge, bits),
 /// under the crash schedule `crash_round` at round `round` (empty = fault
-/// free). Byte-identical ids and store insertion order to blackboard_round:
+/// free). bits[i] is X_i(t), one byte per party (0 or 1). Byte-identical
+/// ids and store insertion order to blackboard_round:
 ///  * every participating party's multiset is one shared sorted multiset
 ///    of the participants' previous values minus one occurrence of its
 ///    own, so that multiset is interned once as the round's board
@@ -86,15 +90,27 @@ struct RoundScratch {
 ///    (prev, bit, board) in O(1) (KnowledgeStore::blackboard_step_on);
 ///  * a per-round (prev, bit) memo: every participant splices the same
 ///    shared multiset, so its step value is a function of its own
-///    previous value and bit alone. The memo is indexed by the first
-///    position of prev in the sorted multiset (one binary search); the
-///    first occurrence of a pair makes exactly the insertion the plain
-///    loop would, and repeats, which would have been no-op probes, reuse
-///    the id.
+///    previous value and bit alone. The memo is indexed by prev's offset
+///    from the multiset's smallest id (the participants' values were
+///    interned together in the previous round, so they span a short id
+///    range); the first occurrence of a pair makes exactly the insertion
+///    the plain loop would, and repeats, which would have been no-op
+///    probes, reuse the id.
 /// A fault-free caller may pass `sorted_prev`, the sorted copy of
 /// `knowledge` (the lane kernel already builds it for the protocol's
-/// pre-round decision rule, so the sort is paid once per round); when it
-/// is empty the operator sorts the participants' values itself.
+/// pre-round decision rule, so it is built once per round); when it is
+/// empty the operator sorts the participants' values itself. A
+/// participant whose value the multiset lacks throws InvalidArgument.
+void blackboard_round_inplace(KnowledgeStore& store,
+                              std::vector<KnowledgeId>& knowledge,
+                              std::span<const std::uint8_t> bits,
+                              RoundScratch& scratch,
+                              std::span<const int> crash_round = {},
+                              int round = 0,
+                              std::span<const KnowledgeId> sorted_prev = {});
+
+/// The same round on bits held as a std::vector<bool>, copied into
+/// scratch.bits first: for callers that draw their bits that way.
 void blackboard_round_inplace(KnowledgeStore& store,
                               std::vector<KnowledgeId>& knowledge,
                               const std::vector<bool>& bits,
@@ -119,12 +135,22 @@ std::vector<KnowledgeId> message_round(
     const std::vector<int>& crash_round = {}, int round = 0);
 
 /// One message-passing round in place, under the crash schedule
-/// `crash_round` at round `round` (empty = fault free): byte-identical ids
-/// and store insertion order to message_round (silence is interned lazily
-/// at the same first-use point as the reference). Each party's tuple and
-/// tags are read off its two wiring rows (PortAssignment::neighbors and
-/// ::reciprocal), O(n) per party where the reference scans a row per port
-/// (port_to).
+/// `crash_round` at round `round` (empty = fault free), with one byte of
+/// bits per party: byte-identical ids and store insertion order to
+/// message_round (silence is interned lazily at the same first-use point
+/// as the reference). Each party's tuple and tags are read off its two
+/// wiring rows (PortAssignment::neighbors and ::reciprocal), O(n) per
+/// party where the reference scans a row per port (port_to).
+void message_round_inplace(KnowledgeStore& store,
+                           std::vector<KnowledgeId>& knowledge,
+                           std::span<const std::uint8_t> bits,
+                           const PortAssignment& ports, MessageVariant variant,
+                           RoundScratch& scratch,
+                           std::span<const int> crash_round = {},
+                           int round = 0);
+
+/// The same round on bits held as a std::vector<bool>, copied into
+/// scratch.bits first.
 void message_round_inplace(KnowledgeStore& store,
                            std::vector<KnowledgeId>& knowledge,
                            const std::vector<bool>& bits,

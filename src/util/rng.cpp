@@ -1,45 +1,6 @@
 #include "util/rng.hpp"
 
-#include "util/hash.hpp"
-
 namespace rsb {
-
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
-Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) noexcept {
-  SplitMix64 sm(seed);
-  for (auto& word : s_) word = sm.next();
-  // All-zero state is a fixed point of xoshiro; SplitMix64 cannot emit four
-  // consecutive zeros from any seed, so the state is always valid.
-}
-
-std::uint64_t Xoshiro256StarStar::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Xoshiro256StarStar::below(std::uint64_t bound) noexcept {
-  // Lemire-style rejection: draw until the draw falls in the largest multiple
-  // of `bound` that fits in 64 bits.
-  const std::uint64_t threshold = (0 - bound) % bound;
-  for (;;) {
-    const std::uint64_t r = next();
-    if (r >= threshold) return r % bound;
-  }
-}
 
 double Xoshiro256StarStar::uniform01() noexcept {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
@@ -62,10 +23,6 @@ void Xoshiro256StarStar::jump() noexcept {
     }
   }
   s_ = {s0, s1, s2, s3};
-}
-
-std::uint64_t derive_seed(std::uint64_t parent, std::uint64_t stream) noexcept {
-  return mix64(hash_combine(mix64(parent), stream + 1));
 }
 
 }  // namespace rsb

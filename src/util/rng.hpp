@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "util/hash.hpp"
+
 namespace rsb {
 
 /// SplitMix64: a 64-bit state PRNG mainly used to expand seeds.
@@ -49,9 +51,29 @@ class Xoshiro256StarStar {
 
   /// Seeds the four state words by expanding `seed` through SplitMix64, as
   /// recommended by the xoshiro authors.
-  explicit Xoshiro256StarStar(std::uint64_t seed = 0xdeadbeefcafef00dULL) noexcept;
+  explicit Xoshiro256StarStar(
+      std::uint64_t seed = 0xdeadbeefcafef00dULL) noexcept {
+    SplitMix64 sm(seed);
+    for (auto& word : s_) word = sm.next();
+    // All-zero state is a fixed point of xoshiro; SplitMix64 cannot emit
+    // four consecutive zeros from any seed, so the state is always valid.
+  }
 
-  std::uint64_t next() noexcept;
+  // The engine, its seeding and bounded draws are defined here, in the
+  // header: a sweep seeds one engine per source per run and draws one
+  // word per source per round, so an out-of-line call would cost as much
+  // as the draw itself.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
   std::uint64_t operator()() noexcept { return next(); }
 
   /// A single uniform bit.
@@ -59,7 +81,15 @@ class Xoshiro256StarStar {
 
   /// Uniform integer in [0, bound). Uses rejection sampling; unbiased.
   /// bound must be positive.
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    // Lemire-style rejection: draw until the draw falls in the largest
+    // multiple of `bound` that fits in 64 bits.
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+      const std::uint64_t r = next();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double uniform01() noexcept;
@@ -74,11 +104,18 @@ class Xoshiro256StarStar {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_;
 };
 
 /// Derives a child seed from a parent seed and a stream index. Used to give
 /// each randomness source / party / trial its own independent stream.
-std::uint64_t derive_seed(std::uint64_t parent, std::uint64_t stream) noexcept;
+inline std::uint64_t derive_seed(std::uint64_t parent,
+                                 std::uint64_t stream) noexcept {
+  return mix64(hash_combine(mix64(parent), stream + 1));
+}
 
 }  // namespace rsb

@@ -330,6 +330,42 @@ TEST(Models, RoundInputValidation) {
                InvalidArgument);
 }
 
+TEST(Models, AValueMissingFromTheCallerSortedMultisetIsANamedReject) {
+  // Regression: the in-place blackboard operator found a participant's
+  // memo slot by a binary search in the caller's sorted multiset, so a
+  // value the multiset lacked took another value's slot, or one past the
+  // memo's end, and was stepped on a board that does not hold it. Each
+  // such participant is now rejected by name.
+  KnowledgeStore store;
+  RoundScratch scratch;
+  std::vector<KnowledgeId> knowledge = initial_knowledge(store, 3);
+  blackboard_round_inplace(store, knowledge,
+                           std::vector<bool>{true, false, true}, scratch);
+  ASSERT_EQ(knowledge, (std::vector<KnowledgeId>{1, 2, 1}));
+  const std::vector<bool> bits = {false, true, false};
+  const auto reject = [&](std::vector<KnowledgeId> sorted) -> std::string {
+    std::vector<KnowledgeId> k = knowledge;
+    try {
+      blackboard_round_inplace(store, k, bits, scratch, {}, 2, sorted);
+    } catch (const InvalidArgument& e) {
+      return e.what();
+    }
+    return "no reject";
+  };
+  // Inside the multiset's id range, but not in it.
+  EXPECT_NE(reject({0, 2, 2}).find("value #1 does not occur"),
+            std::string::npos);
+  // Below the range, and above it.
+  EXPECT_NE(reject({2, 2, 2}).find("party 0's value #1 does not occur"),
+            std::string::npos);
+  EXPECT_NE(reject({1, 1, 1}).find("party 1's value #2 does not occur"),
+            std::string::npos);
+  // The true multiset still steps.
+  std::vector<KnowledgeId> k = knowledge;
+  EXPECT_NO_THROW(blackboard_round_inplace(store, k, bits, scratch, {}, 2,
+                                           std::vector<KnowledgeId>{1, 1, 2}));
+}
+
 // ------------------------------ in-place operators vs the value reference
 
 constexpr int kOperatorRounds = 4;

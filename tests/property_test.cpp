@@ -3,9 +3,11 @@
 // library's "laws"; each encodes a fact the paper's proofs rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "algo/agents.hpp"
 #include "algo/protocol.hpp"
@@ -725,6 +727,67 @@ TEST(ExactSeriesProperty, RoundDistributionMatchesTheExactSeries) {
                                   knowledge);
       expect_rounds_follow_series(spec("blackboard-unique-string-LE"),
                                   strings);
+    }
+  }
+}
+
+// Law 20 — one fault-free round's values fill one id range. Every party
+// observes the same time-(t−1) multiset, so the round's values are
+// interned together: hash-consing gives each consistency class one fresh
+// id, and the round's distinct ids are exactly [min, max]. The lane
+// kernel's counting sort and the blackboard operator's id-indexed memo
+// rely on this. Covers both models, the all-⊥ input of round 1, random
+// configurations up to n = 24, and a fresh random wiring per run.
+TEST(RoundRangeProperty, FaultFreeRoundValuesFillOneIdRange) {
+  const auto expect_one_range = [](std::vector<KnowledgeId> knowledge,
+                                   const std::string& where) {
+    std::sort(knowledge.begin(), knowledge.end());
+    knowledge.erase(std::unique(knowledge.begin(), knowledge.end()),
+                    knowledge.end());
+    EXPECT_EQ(knowledge.back() - knowledge.front() + 1, knowledge.size())
+        << where;
+  };
+  Xoshiro256StarStar rng(0x1d5a9e);
+  KnowledgeStore store;
+  RoundScratch scratch;
+  for (int trial = 0; trial < 48; ++trial) {
+    std::vector<int> loads;
+    if (trial % 4 == 0) {
+      loads.assign(16 + rng.below(9), 1);  // all-private, n in [16, 24]
+    } else {
+      loads.resize(2 + rng.below(6));
+      for (int& load : loads) load = 1 + static_cast<int>(rng.below(4));
+    }
+    const SourceConfiguration config = SourceConfiguration::from_loads(loads);
+    const int n = config.num_parties();
+    for (const Model model : {Model::kBlackboard, Model::kMessagePassing}) {
+      const PortAssignment ports = PortAssignment::random(n, rng);
+      store.reset();
+      std::vector<KnowledgeId> knowledge = initial_knowledge(store, n);
+      for (int round = 1; round <= 12; ++round) {
+        const std::string where = "trial " + std::to_string(trial) + " " +
+                                  to_string(model) + " n=" +
+                                  std::to_string(n) + " before round " +
+                                  std::to_string(round);
+        expect_one_range(knowledge, where);
+        std::vector<bool> source_bits;
+        for (int s = 0; s < config.num_sources(); ++s) {
+          source_bits.push_back(rng.next_bit());
+        }
+        std::vector<bool> bits;
+        for (int party = 0; party < n; ++party) {
+          bits.push_back(source_bits[static_cast<std::size_t>(
+              config.source_of(party))]);
+        }
+        if (model == Model::kBlackboard) {
+          blackboard_round_inplace(store, knowledge, bits, scratch);
+        } else {
+          message_round_inplace(store, knowledge, bits, ports,
+                                MessageVariant::kPortTagged, scratch);
+        }
+      }
+      expect_one_range(knowledge, "trial " + std::to_string(trial) +
+                                      " after the last round");
     }
   }
 }

@@ -75,6 +75,71 @@ TEST(Rng, DerivedSeedsDiffer) {
   EXPECT_NE(derive_seed(1, 0), derive_seed(2, 0));
 }
 
+TEST(Rng, StreamsMatchTheirKnownAnswers) {
+  // Every run's coins, wirings and crash draws come out of these engines,
+  // so their first outputs are pinned: a changed stream would move every
+  // recorded outcome while each determinism law still held.
+  SplitMix64 splitmix(0);
+  EXPECT_EQ(splitmix.next(), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(splitmix.next(), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(splitmix.next(), 0x06c45d188009454fULL);
+  SplitMix64 splitmix42(42);
+  EXPECT_EQ(splitmix42.next(), 0xbdd732262feb6e95ULL);
+  EXPECT_EQ(splitmix42.next(), 0x28efe333b266f103ULL);
+
+  Xoshiro256StarStar zero(0);
+  EXPECT_EQ(zero.next(), 0x99ec5f36cb75f2b4ULL);
+  EXPECT_EQ(zero.next(), 0xbf6e1f784956452aULL);
+  EXPECT_EQ(zero.next(), 0x1a5f849d4933e6e0ULL);
+  EXPECT_EQ(zero.next(), 0x6aa594f1262d2d2cULL);
+  Xoshiro256StarStar seven(7);
+  EXPECT_EQ(seven.next(), 0xb358faf74ef9765aULL);
+  EXPECT_EQ(seven.next(), 0x475c3d964f482cd2ULL);
+  Xoshiro256StarStar unseeded;
+  EXPECT_EQ(unseeded.next(), 0x9e32cfb5bb93eebbULL);
+
+  Xoshiro256StarStar coins(5);
+  std::string bits;
+  for (int i = 0; i < 32; ++i) bits += coins.next_bit() ? '1' : '0';
+  EXPECT_EQ(bits, "01111111001001111101000111001110");
+
+  // below() at bounds 1, 2, 3, 7, 1000 and 2^63 + 1 (whose rejection
+  // threshold turns away about half of all draws).
+  const std::map<std::uint64_t, std::vector<std::uint64_t>> below = {
+      {1, {0, 0, 0, 0, 0, 0}},
+      {2, {1, 0, 1, 0, 0, 0}},
+      {3, {0, 1, 2, 2, 1, 1}},
+      {7, {3, 6, 1, 3, 5, 5}},
+      {1000, {497, 998, 367, 30, 94, 554}},
+      {(1ULL << 63) + 1,
+       {8662079903856676189ULL, 9221661163914864745ULL,
+        2889633482332314196ULL, 4815195379066527699ULL,
+        2807879157991487417ULL, 4899993697631029324ULL}},
+  };
+  for (const auto& [bound, expected] : below) {
+    Xoshiro256StarStar rng(123);
+    std::vector<std::uint64_t> draws;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      draws.push_back(rng.below(bound));
+    }
+    EXPECT_EQ(draws, expected) << "bound " << bound;
+  }
+
+  EXPECT_EQ(derive_seed(0, 0), 0x2069820c2c5aef07ULL);
+  EXPECT_EQ(derive_seed(0, 1), 0x1af6b4b4cf40b74cULL);
+  EXPECT_EQ(derive_seed(0, 5), 0x5f3c99a16b647d12ULL);
+  EXPECT_EQ(derive_seed(1, 0), 0x3666189aac00c568ULL);
+  EXPECT_EQ(derive_seed(1, 1), 0x5067d9e74f48ad7fULL);
+  EXPECT_EQ(derive_seed(99, 5), 0x30a27c2fd1195abdULL);
+
+  Xoshiro256StarStar unit(9);
+  EXPECT_EQ(unit.uniform01(), 0.0025834396857136177);
+  EXPECT_EQ(unit.uniform01(), 0.25148937241585745);
+  Xoshiro256StarStar jumped(3);
+  jumped.jump();
+  EXPECT_EQ(jumped.next(), 0xb085d75f3605a649ULL);
+}
+
 TEST(Rng, JumpChangesStream) {
   Xoshiro256StarStar a(3), b(3);
   b.jump();
