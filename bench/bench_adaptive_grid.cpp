@@ -11,7 +11,7 @@
 //  * shape checks: to bring every point's 95% CI half-width under the
 //    width a uniform sweep achieves, the adaptive schedule spends
 //    measurably fewer runs than the uniform sweep did; the schedule and
-//    results are byte-identical across threads x batch widths.
+//    results are byte-identical across thread counts.
 //  * throughput rows: the adaptive sweep end to end and the equal-width
 //    uniform sweep, recorded to BENCH_adaptive_grid.json for the
 //    --baseline gate.
@@ -116,18 +116,18 @@ void report_adaptive_grid() {
         "budget (" + std::to_string(adaptive.runs_spent) + " / " +
             std::to_string(uniform_total) + ")");
 
-  // --- determinism across threads x batch ------------------------------
+  // --- determinism across threads ------------------------------------
   {
     Engine parallel;
-    parallel.set_parallel({4, 0, 16});
+    parallel.set_parallel({4, 0});
     const auto replay =
         run_grid_adaptive(parallel, adaptive_grid, budget, config);
     check(replay.schedule == adaptive.schedule,
           "the adaptive schedule is a pure function of the declaration "
-          "(threads=4 batch=16 plans the same installments)");
+          "(threads=4 plans the same installments)");
     check(replay.points == adaptive.points,
           "per-point stats and estimates are byte-identical across "
-          "threads x batch");
+          "threads");
   }
 
   // --- throughput rows (single-thread, for the --baseline gate) --------
@@ -182,7 +182,6 @@ BENCHMARK(BM_AllocateAdaptiveRuns)->Arg(16)->Arg(256);
 
 int main(int argc, char** argv) {
   rsb::bench::consume_baseline_flag(&argc, argv);
-  rsb::bench::consume_batch_flag(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   report_adaptive_grid();

@@ -1,8 +1,8 @@
 // E14 — engineering microbenchmarks for the core library: knowledge
 // interning throughput, model round operators, consistency partitions,
 // the exact-probability engine's 2^{kt} scaling, the simplicial-map
-// existence search, the experiment engine's serial, parallel, and
-// lockstep-batched sweep throughput, and round-operator sweeps at large n.
+// existence search, the experiment engine's serial and parallel sweep
+// throughput, and round-operator sweeps at large n.
 // No paper artifact — this is the performance record of the
 // substrate that makes the exhaustive reproductions feasible; the
 // runs/sec section at 1..N threads is dumped to BENCH_core_perf.json so
@@ -222,31 +222,6 @@ BENCHMARK(BM_EngineBatchParallel)
     ->Args({4, 256})
     ->Args({0, 256});  // 0 = hardware concurrency
 
-void BM_EngineBatchLockstep(benchmark::State& state) {
-  // Lockstep SoA execution: B runs advance through one instruction
-  // stream per worker (run_prepared_batch). B=1 is a single lane; the
-  // spread across widths is the win of sharing the stream in isolation.
-  const int batch = static_cast<int>(state.range(0));
-  const std::uint64_t seeds = static_cast<std::uint64_t>(state.range(1));
-  Engine engine;
-  engine.set_parallel({1, 0, batch});
-  const auto spec =
-      Experiment::blackboard(SourceConfiguration::all_private(6))
-          .with_protocol("wait-for-singleton-LE")
-          .with_task("leader-election")
-          .with_rounds(300)
-          .with_seeds(1, seeds);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run_batch(spec));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(seeds));
-}
-BENCHMARK(BM_EngineBatchLockstep)
-    ->Args({1, 256})
-    ->Args({8, 256})
-    ->Args({16, 256})
-    ->Args({32, 256});
-
 void BM_MessageRound(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const PortAssignment pa = PortAssignment::cyclic(n);
@@ -262,11 +237,10 @@ void BM_MessageRound(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageRound)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
-/// End-to-end sweep throughput at 1 and N threads, scalar and lockstep-
-/// batched — the acceptance record for the parallel engine (runs/sec per
-/// row lands in BENCH_core_perf.json; --batch sets the lockstep width).
-/// The determinism checks are the hard guarantee: the parallel and the
-/// batched aggregates must equal the serial one byte for byte.
+/// End-to-end sweep throughput at 1 and N threads — the acceptance record
+/// for the parallel engine (runs/sec per row lands in
+/// BENCH_core_perf.json). The determinism check is the hard guarantee:
+/// the parallel aggregates must equal the serial one byte for byte.
 void report_sweep_throughput() {
   header("Experiment-engine sweep throughput (serial vs worker pool)");
   const auto spec =
@@ -292,19 +266,6 @@ void report_sweep_throughput() {
   }
   std::printf("  hardware threads: %d, parallel speedup: %.2fx\n", hw,
               speedup);
-  // Lockstep batched row — the same sweep with B runs per instruction
-  // stream on one worker, gated by --baseline like the serial row. Both
-  // rows run the one lane kernel (the default engine at one lane), so the
-  // identity check is the guarantee and the rows' ratio is only recorded.
-  const int batch = rsb::bench::batch_width();
-  Engine batched;
-  batched.set_parallel({1, 0, batch});
-  RunStats batched_stats;
-  rsb::bench::time_runs("blackboard-LE n=6 sweep batched", spec.seeds.count,
-                        1, [&] { batched_stats = batched.run_batch(spec); });
-  check(batched_stats == serial_stats,
-        "batched (B=" + std::to_string(batch) +
-            ") RunStats byte-identical to serial");
   bool parallel_matches = true;
   std::vector<int> thread_counts{2, 4, hw};
   std::sort(thread_counts.begin(), thread_counts.end());
@@ -416,10 +377,9 @@ int main(int argc, char** argv) {
   // Parse/validate flags before the multi-second sweep so flag typos fail
   // fast (the throughput/shape section itself always runs — it is the
   // bench's artifact — so utility flags like --benchmark_list_tests still
-  // pay for it). --baseline and --batch (ours) must come off argv before
-  // google-benchmark sees them.
+  // pay for it). --baseline (ours) must come off argv before
+  // google-benchmark sees it.
   rsb::bench::consume_baseline_flag(&argc, argv);
-  rsb::bench::consume_batch_flag(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   report_sweep_throughput();

@@ -178,7 +178,6 @@ BENCHMARK(BM_MISSweep)->Arg(256)->Arg(1024);
 
 int main(int argc, char** argv) {
   rsb::bench::consume_baseline_flag(&argc, argv);
-  rsb::bench::consume_batch_flag(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   report_graph_locality();

@@ -155,7 +155,6 @@ BENCHMARK(BM_GossipSweep)->Arg(32)->Arg(64)->Arg(128);
 
 int main(int argc, char** argv) {
   rsb::bench::consume_baseline_flag(&argc, argv);
-  rsb::bench::consume_batch_flag(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   report_large_n();

@@ -158,7 +158,6 @@ BENCHMARK(BM_BruteForceSweep);
 
 int main(int argc, char** argv) {
   rsb::bench::consume_baseline_flag(&argc, argv);
-  rsb::bench::consume_batch_flag(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   report_orbit_dedup();

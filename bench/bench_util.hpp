@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -161,40 +160,6 @@ inline double engine_throughput(const std::string& name,
                                 const Experiment& spec) {
   return sweep_throughput(name, spec.seeds.count,
                           [&spec](Engine& engine) { engine.run_batch(spec); });
-}
-
-// ---------------------------------------------------- batch width knob
-
-/// Lockstep batch width (ParallelConfig::batch) used by the benches'
-/// batched throughput rows; --batch overrides it. Batched execution is
-/// byte-identical to scalar for every width, so the knob only moves
-/// timings, never row content.
-inline int& batch_width() {
-  static int width = 16;
-  return width;
-}
-
-/// Strips a `--batch <B>` or `--batch=<B>` flag from argv (call BEFORE
-/// benchmark::Initialize, like consume_baseline_flag). Widths below 1
-/// are rejected by Engine::set_parallel, so pass-through is deliberate:
-/// a typo fails fast instead of silently timing the default.
-inline void consume_batch_flag(int* argc, char** argv) {
-  for (int i = 1; i < *argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < *argc) {
-      value = argv[i + 1];
-      consumed = 2;
-    } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      value = argv[i] + 8;
-      consumed = 1;
-    }
-    if (consumed == 0) continue;
-    batch_width() = std::atoi(value.c_str());
-    for (int j = i; j + consumed < *argc; ++j) argv[j] = argv[j + consumed];
-    *argc -= consumed;
-    return;
-  }
 }
 
 // ------------------------------------------- baseline regression gate
@@ -450,7 +415,6 @@ inline void footer(const std::string& name = "") {
     throughput.set_meta("bench", name)
         .set_meta("failures", std::int64_t{failure_count()})
         .set_meta("hardware_threads", std::int64_t{hardware_threads()})
-        .set_meta("batch", std::int64_t{batch_width()})
         .set_meta("calibration_kernel_per_sec", calibration().median)
         .set_meta("calibration_kernel_q1", calibration().q1)
         .set_meta("calibration_kernel_q3", calibration().q3);

@@ -39,7 +39,7 @@ class AnonymousProtocol {
   /// (equal values get equal outputs). A pure function of (store,
   /// multiset) that keeps no scratch here: one protocol object serves
   /// every worker. In a fault-free round every party observes the same
-  /// multiset, the sorted knowledge vector, so the lane kernel calls this
+  /// multiset, the sorted knowledge vector, so run_prepared calls this
   /// once per round, before the round runs.
   virtual bool decide_multiset(const KnowledgeStore& store,
                                std::span<const KnowledgeId> multiset,

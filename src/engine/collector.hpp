@@ -39,8 +39,9 @@ struct Experiment;
 struct RunStats;
 
 /// Per-run context handed to Collector::observe. The pointers are valid
-/// only during that call (`ports` may point into lane storage the next
-/// batch overwrites), so a collector that keeps runs copies what it needs.
+/// only during that call (`ports` may point into the port provider's
+/// latest draw, which the next run redraws), so a collector that keeps
+/// runs copies what it needs.
 /// In an agent batch the run's sim::Network and its agents are destroyed
 /// before observe is called: bank per-run agent diagnostics out of the
 /// agent before teardown, atomically, since agents run concurrently on the

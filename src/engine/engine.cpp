@@ -39,9 +39,9 @@ constexpr std::uint64_t kAutoGranulesPerWorker = 8;
 /// keeps the chunk index safely within int for the shard observer.
 constexpr std::uint64_t kMaxChunksPerBatch = 4096;
 
-/// The effective chunk is rounded up to a whole number of lockstep batches,
-/// so a scheduling chunk claims full batches and only the sweep's final
-/// chunk can run a narrower remainder group.
+/// The effective chunk is rounded up to a whole number of orbit lookup
+/// groups (ParallelConfig::batch), so a scheduling chunk claims full groups
+/// and only the sweep's final chunk can probe a narrower remainder group.
 std::uint64_t resolve_chunk(const ParallelConfig& config, std::uint64_t count,
                             int workers) {
   std::uint64_t chunk = config.chunk;
@@ -151,71 +151,54 @@ PortPolicy provider_policy(const Experiment& spec) {
   return spec.topology != nullptr ? PortPolicy::kNone : spec.port_policy;
 }
 
-/// Executes runs [begin, end) of `spec` through `ctx`, reporting each run
-/// to per_run(run_index, ports, outcome) in run-index order. Knowledge-
-/// backend runs go through the lockstep lane kernel in groups of
-/// min(batch, runs left) lanes — batch = 1 and remainders are simply
-/// narrower groups; agent-backend specs, whose state lives in per-run
-/// sim::Networks, run one at a time. `ports` must be positioned at
-/// `begin`; on return it is positioned at `end`.
+/// Executes runs [begin, end) of `spec` through `ctx`, one run per call of
+/// run_prepared (knowledge backend) or run_agent_prepared, reporting each
+/// run to per_run(run_index, ports, outcome) in run-index order. `ports`
+/// must be positioned at `begin`; on return it is positioned at `end`.
 template <typename PerRun>
 void execute_range(RunContext& ctx, const Experiment& spec,
                    PortProvider& ports, std::uint64_t begin, std::uint64_t end,
                    int batch, OrbitTable* orbit, const PerRun& per_run) {
-  if (spec.backend() != Experiment::Backend::kProtocol) {
+  if (orbit == nullptr) {
+    const bool knowledge = spec.backend() == Experiment::Backend::kProtocol;
     for (std::uint64_t i = begin; i < end; ++i) {
+      const std::uint64_t seed = spec.seeds.first + i;
       const PortAssignment* assignment = ports.next();
-      per_run(i, assignment,
-              run_agent_prepared(ctx, spec, spec.seeds.first + i, assignment));
+      if (knowledge) {
+        per_run(i, assignment, run_prepared(ctx, spec, seed, assignment));
+      } else {
+        per_run(i, assignment,
+                run_agent_prepared(ctx, spec, seed, assignment));
+      }
     }
     return;
   }
-  BatchedRunContext& b = ctx.batched;
+  // Deduped sweep (eligible specs are knowledge-backend by construction):
+  // a lookup group of min(batch, runs left) candidates is prepared and
+  // probed against the orbit memo before any of its misses runs; then
+  // each miss runs and is inserted at its consumed-round level. Reporting
+  // stays in run-index order with the candidate's own wiring and crash
+  // draw, so per_run sees bytes identical to the brute sweep.
   for (std::uint64_t i = begin; i < end;) {
-    const int lanes = static_cast<int>(
+    const std::size_t group = static_cast<std::size_t>(
         std::min(end - i, static_cast<std::uint64_t>(batch)));
-    if (orbit == nullptr) {
-      run_prepared_batch(ctx, spec, spec.seeds.first + i, lanes, ports);
-      for (int l = 0; l < lanes; ++l) {
-        const BatchedRunContext::Lane& lane =
-            b.lanes[static_cast<std::size_t>(l)];
-        per_run(i + static_cast<std::uint64_t>(l), lane.ports, lane.outcome);
-      }
-    } else {
-      // Deduped sweep (eligible specs are knowledge-backend by
-      // construction): every candidate is probed against the orbit memo
-      // first; only the misses execute, shoulder to shoulder, and each
-      // executed representative is inserted at its consumed-round level.
-      // Reporting stays in run-index order with the candidate's own wiring
-      // and crash draw, so per_run sees bytes identical to the brute sweep.
-      if (ctx.orbit_probes.size() < static_cast<std::size_t>(lanes)) {
-        ctx.orbit_probes.resize(static_cast<std::size_t>(lanes));
-      }
-      b.requests.clear();
-      for (int l = 0; l < lanes; ++l) {
-        OrbitProbe& probe = ctx.orbit_probes[static_cast<std::size_t>(l)];
-        const std::uint64_t seed =
-            spec.seeds.first + i + static_cast<std::uint64_t>(l);
-        orbit->prepare(probe, seed, ports.next());
-        if (!orbit->lookup(probe)) b.requests.push_back({seed, probe.ports});
-      }
-      if (!b.requests.empty()) {
-        run_prepared_batch(ctx, spec, std::span<const LaneRequest>(b.requests));
-      }
-      std::size_t miss = 0;
-      for (int l = 0; l < lanes; ++l) {
-        OrbitProbe& probe = ctx.orbit_probes[static_cast<std::size_t>(l)];
-        const std::uint64_t run = i + static_cast<std::uint64_t>(l);
-        if (probe.hit) {
-          per_run(run, probe.ports, probe.outcome);
-        } else {
-          BatchedRunContext::Lane& lane = b.lanes[miss++];
-          orbit->insert(probe, lane.outcome, lane.consumed);
-          per_run(run, probe.ports, lane.outcome);
-        }
-      }
+    if (ctx.orbit_probes.size() < group) ctx.orbit_probes.resize(group);
+    for (std::size_t l = 0; l < group; ++l) {
+      OrbitProbe& probe = ctx.orbit_probes[l];
+      orbit->prepare(probe, spec.seeds.first + i + l, ports.next());
+      orbit->lookup(probe);
     }
-    i += static_cast<std::uint64_t>(lanes);
+    for (std::size_t l = 0; l < group; ++l, ++i) {
+      OrbitProbe& probe = ctx.orbit_probes[l];
+      if (probe.hit) {
+        per_run(i, probe.ports, probe.outcome);
+        continue;
+      }
+      const ProtocolOutcome& outcome =
+          run_prepared(ctx, spec, probe.seed, probe.ports);
+      orbit->insert(probe, outcome, ctx.consumed);
+      per_run(i, probe.ports, outcome);
+    }
   }
 }
 
@@ -307,8 +290,8 @@ void Engine::drive(const Experiment& spec, std::uint64_t stream_offset,
       const std::uint64_t begin = c * chunk;
       const std::uint64_t end = std::min(begin + chunk, count);
       ports.skip_to(stream_offset + begin);
-      // Chunks are batch-aligned (resolve_chunk), so only the sweep's
-      // final chunk can run a narrower remainder group.
+      // Chunks are group-aligned (resolve_chunk), so only the sweep's
+      // final chunk can probe a narrower remainder group.
       execute_range(ctx, spec, ports, begin, end, parallel_.batch, orbit,
                     [&](std::uint64_t i, const PortAssignment* assignment,
                         const ProtocolOutcome& outcome) {

@@ -1,16 +1,16 @@
 // The experiment engine: batched execution of declarative specs.
 //
 // An Engine drives sweeps of (spec, seed) runs. The mutable scratch state a
-// run needs — the lanes' KnowledgeStore intern tables and coin engines —
-// lives in a RunContext (engine/run_context.hpp); the engine keeps one per
-// worker, reusing allocations across all runs of a batch, and worker 0's
-// serves every one-worker sweep. Every run, a single Engine::run included,
-// goes through the one sweep scheduler (drive), and every knowledge-backend
-// run executes through the lockstep lane kernel. Semantics are those of
-// the one-shot definition: a reset store hands out ids in the same
-// insertion order as a fresh one, so Engine results are bit-identical to
-// a per-run reference with a fresh store and SourceBank for equal
-// (spec, seed) — a guarantee the engine and property tests assert.
+// run needs — its KnowledgeStore intern table and coin engines — lives in
+// a RunContext (engine/run_context.hpp); the engine keeps one per worker,
+// reusing allocations across all runs of a batch, and worker 0's serves
+// every one-worker sweep. Every run, a single Engine::run included, goes
+// through the one sweep scheduler (drive), and every knowledge-backend run
+// executes alone through run_prepared. Semantics are those of the one-shot
+// definition: a reset store hands out ids in the same insertion order as a
+// fresh one, so Engine results are bit-identical to a per-run reference
+// with a fresh store and SourceBank for equal (spec, seed) — a guarantee
+// the engine and property tests assert.
 //
 // Parallelism (ParallelConfig) never changes results: every run is a pure
 // function of (spec, seed, ports), per-run port assignments are drawn
@@ -65,14 +65,11 @@ namespace rsb {
 struct ParallelConfig {
   int threads = 1;          // worker count; 1 = serial, 0 = all hardware
   std::uint64_t chunk = 0;  // runs per scheduling chunk; 0 = auto
-  /// Lanes per lockstep batch on the knowledge backend: a sweep executes
-  /// B runs of the spec per instruction stream through the structure-of-
-  /// arrays lane kernel (engine/run_context.hpp, BatchedRunContext) —
-  /// scheduling chunks are rounded up to whole batches, and a remainder
-  /// runs as one narrower group. Agent-backend specs ignore the width.
-  /// Results are byte-identical for every batch size (pinned by the
-  /// property laws); the knob only trades locality for lane-state memory.
-  /// 1 = one lane, the smallest footprint.
+  /// Orbit dedup's lookup group; no other effect; results never depend
+  /// on it; deleted with orbit dedup (ROADMAP.md, item 3). With orbit on,
+  /// a sweep prepares and probes min(batch, runs left) candidates before
+  /// it runs the group's misses; a parallel sweep's scheduling chunks are
+  /// rounded up to whole groups.
   int batch = 1;
   /// Orbit-level run deduplication (engine/orbit.hpp): when true, sweeps
   /// of symmetry-eligible specs execute one run per initial-configuration
@@ -81,7 +78,7 @@ struct ParallelConfig {
   /// every collector (pinned by tests/orbit_test.cpp); ineligible specs —
   /// fixed/cyclic/adversarial wirings, agent backends, topologies — take
   /// the identity path and never pay for a table. Purely an execution-
-  /// strategy knob, like batch.
+  /// strategy knob.
   bool orbit = false;
 
   /// Throws InvalidArgument on threads < 0 or batch < 1.
@@ -137,8 +134,8 @@ class Engine {
   /// The range must start at or after spec.seeds.first; it may extend
   /// past the spec's declared count (the declared range is the default
   /// query, not a hard bound — grid-level callers enforce their own
-  /// caps). All run_collect guarantees (byte-identity across threads ×
-  /// batch widths) carry over unchanged.
+  /// caps). All run_collect guarantees (byte-identity across every
+  /// ParallelConfig) carry over unchanged.
   template <Collector C>
   C run_collect_range(const Experiment& spec, SeedRange range, C collector) {
     if (range.first < spec.seeds.first) {

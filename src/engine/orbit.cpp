@@ -41,7 +41,7 @@ void OrbitTable::prepare(OrbitProbe& probe, std::uint64_t seed,
       spec_->port_policy == PortPolicy::kRandomPerRun) {
     // next() hands back a pointer into the provider's transient storage;
     // the probe owns its candidate's wiring for the whole lookup/execute/
-    // insert window (and lends it to the batched lane on a miss).
+    // insert window (and lends it to run_prepared on a miss).
     probe.ports_copy = *assignment;
     probe.ports = &*probe.ports_copy;
   } else {
@@ -50,7 +50,7 @@ void OrbitTable::prepare(OrbitProbe& probe, std::uint64_t seed,
   spec_->faults.draw(n_, seed, probe.crash);
   probe.faulty = !probe.crash.empty();
   // Replay engines mirror the run paths exactly: both the SourceBank and
-  // the batched lanes derive one bit stream per source from
+  // run_prepared derive one bit stream per source from
   // derive_seed(seed, source) and take the top bit per draw.
   probe.coins.clear();
   for (int source = 0; source < sources_; ++source) {

@@ -22,8 +22,8 @@
 // nonempty levels in ascending r; the first match wins, and the cached
 // outcome is replicated back through the candidate's own ranks — the
 // result is byte-identical to executing the candidate, the load-bearing
-// law pinned by tests/orbit_test.cpp across threads x batch widths on
-// both canonicalizers, crash-fault sweeps included.
+// law pinned by tests/orbit_test.cpp across threads x lookup-group widths
+// on both canonicalizers, crash-fault sweeps included.
 //
 // Why first-match-ascending is sound: a match at level r means the
 // candidate's r-prefix is isomorphic to a prefix that fully determined
@@ -31,12 +31,11 @@
 // halting behavior (the run is an equivariant function of the prefix), so
 // the candidate's own run would consume exactly the same r rounds — a
 // level-r entry can only ever match candidates whose true consumption is
-// r. Every representative executes through the one lane kernel
-// (run_prepared_batch), whose consumption is the same function of the
-// configuration at every batch width — on a fault-free lane the
-// protocol's rule decides before the round, so a final round whose bits
-// are unobservable is always skipped — so each orbit is memoized at
-// exactly one level.
+// r. Every representative executes alone through run_prepared, whose
+// consumption is a function of the configuration alone — on a fault-free
+// run the protocol's rule decides before the round, so a final round
+// whose bits are unobservable is always skipped — so each orbit is
+// memoized at exactly one level.
 //
 // Safe-group detection: the group the table may quotient by depends on
 // the protocol, not just the model. A protocol's decision rule is a pure

@@ -1,6 +1,7 @@
 #include "engine/run_context.hpp"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "engine/engine.hpp"
@@ -22,7 +23,7 @@ void sort_round_values(std::span<const KnowledgeId> values,
   const auto [min, max] = std::minmax_element(values.begin(), values.end());
   const std::size_t range = std::size_t{*max} - *min + 1;
   if (range > values.size()) {
-    throw Error("run_prepared_batch: internal error: a fault-free round's " +
+    throw Error("run_prepared: internal error: a fault-free round's " +
                 std::to_string(values.size()) + " values span " +
                 std::to_string(range) + " ids");
   }
@@ -39,173 +40,117 @@ void sort_round_values(std::span<const KnowledgeId> values,
 
 }  // namespace
 
-void run_prepared_batch(RunContext& ctx, const Experiment& spec,
-                        std::uint64_t first_seed, int lanes,
-                        PortProvider& ports) {
-  BatchedRunContext& batch = ctx.batched;
-  if (batch.lanes.size() < static_cast<std::size_t>(lanes)) {
-    batch.lanes.resize(static_cast<std::size_t>(lanes));
-  }
-  batch.requests.clear();
-  for (int l = 0; l < lanes; ++l) {
-    BatchedRunContext::Lane& lane = batch.lanes[static_cast<std::size_t>(l)];
-    const PortAssignment* assignment = ports.next();
-    if (assignment != nullptr &&
-        spec.port_policy == PortPolicy::kRandomPerRun && l + 1 < lanes) {
-      // next() hands back the provider's storage, which the next lane's
-      // draw redraws in place: every lane but the last keeps a copy (into
-      // storage it reuses from batch to batch).
-      lane.ports_storage = *assignment;
-      assignment = &*lane.ports_storage;
-    }
-    batch.requests.push_back(
-        {first_seed + static_cast<std::uint64_t>(l), assignment});
-  }
-  run_prepared_batch(ctx, spec, batch.requests);
-}
-
-void run_prepared_batch(RunContext& ctx, const Experiment& spec,
-                        std::span<const LaneRequest> requests) {
+const ProtocolOutcome& run_prepared(RunContext& ctx, const Experiment& spec,
+                                    std::uint64_t seed,
+                                    const PortAssignment* ports) {
   const int n = spec.config.num_parties();
   const int sources = spec.config.num_sources();
-  const int lanes = static_cast<int>(requests.size());
-  BatchedRunContext& batch = ctx.batched;
-  if (batch.lanes.size() < static_cast<std::size_t>(lanes)) {
-    batch.lanes.resize(static_cast<std::size_t>(lanes));
+  ctx.store.reset();
+  ctx.knowledge.assign(static_cast<std::size_t>(n), ctx.store.bottom());
+  ctx.coins.clear();
+  for (int source = 0; source < sources; ++source) {
+    ctx.coins.emplace_back(
+        derive_seed(seed, static_cast<std::uint64_t>(source)));
   }
-  batch.source_bits.resize(static_cast<std::size_t>(sources));
-
-  int live = lanes;
-  for (int l = 0; l < lanes; ++l) {
-    BatchedRunContext::Lane& lane = batch.lanes[static_cast<std::size_t>(l)];
-    const std::uint64_t seed = requests[static_cast<std::size_t>(l)].seed;
-    lane.store.reset();
-    lane.knowledge.assign(static_cast<std::size_t>(n), lane.store.bottom());
-    lane.coins.clear();
-    for (int source = 0; source < sources; ++source) {
-      lane.coins.emplace_back(
-          derive_seed(seed, static_cast<std::uint64_t>(source)));
-    }
-    spec.faults.draw(n, seed, lane.crash_round);
-    lane.faulty = !lane.crash_round.empty();
-    // Reset the outcome field by field — a fresh ProtocolOutcome would
-    // deallocate the lane's vectors every batch.
-    lane.outcome.terminated = false;
-    lane.outcome.rounds = 0;
-    lane.outcome.outputs.assign(static_cast<std::size_t>(n), 0);
-    lane.outcome.decision_round.assign(static_cast<std::size_t>(n), -1);
-    lane.outcome.crash_round.clear();
-    lane.undecided = n;
-    lane.consumed = 0;
-    lane.done = false;
-    lane.ports = requests[static_cast<std::size_t>(l)].ports;
-  }
+  spec.faults.draw(n, seed, ctx.crash_round);
+  const bool faulty = !ctx.crash_round.empty();
+  // Reset the outcome field by field — a fresh ProtocolOutcome would
+  // deallocate its vectors every run.
+  ProtocolOutcome& outcome = ctx.outcome;
+  outcome.terminated = false;
+  outcome.rounds = 0;
+  outcome.outputs.assign(static_cast<std::size_t>(n), 0);
+  outcome.decision_round.assign(static_cast<std::size_t>(n), -1);
+  outcome.crash_round.clear();
+  int undecided = n;
+  ctx.consumed = 0;
 
   const AnonymousProtocol& protocol = *spec.protocol;
   const std::vector<int>& source_of = spec.config.source_of_party();
-  std::vector<std::uint8_t>& bits = ctx.bits;
-  bits.resize(static_cast<std::size_t>(n));
-  for (int round = 1; round <= spec.max_rounds && live > 0; ++round) {
-    for (int l = 0; l < lanes; ++l) {
-      BatchedRunContext::Lane& lane = batch.lanes[static_cast<std::size_t>(l)];
-      if (lane.done) continue;
-      if (lane.faulty) {
-        for (int party = 0; party < n; ++party) {
-          if (lane.crash_round[static_cast<std::size_t>(party)] == round &&
-              lane.outcome.decision_round[static_cast<std::size_t>(party)] <
-                  0) {
-            --lane.undecided;
-          }
-        }
-        if (lane.undecided == 0) {
-          lane.done = true;
-          --live;
-          continue;
-        }
-      } else {
-        // Every party of a fault-free round observes the same time-(t−1)
-        // multiset, the sorted knowledge vector, so the protocol's rule
-        // decides the whole round before it runs. A verdict ends the lane
-        // without this round's coin draws or round operator: per-lane
-        // coins make the unconsumed draws invisible to every other run.
-        // The sorted vector doubles as the blackboard round operator's
-        // shared multiset.
-        sort_round_values(lane.knowledge, batch.counts, batch.sorted_prev);
-        if (protocol.decide_multiset(lane.store, batch.sorted_prev,
-                                     batch.verdicts)) {
-          // The round's ids span at most n values (sort_round_values):
-          // index the verdicts by id to reach each party's in O(1).
-          const KnowledgeId lowest = batch.sorted_prev.front();
-          batch.verdict_of.resize(batch.sorted_prev.back() - lowest + 1);
-          for (std::size_t i = 0; i < batch.sorted_prev.size(); ++i) {
-            batch.verdict_of[batch.sorted_prev[i] - lowest] = batch.verdicts[i];
-          }
-          for (int party = 0; party < n; ++party) {
-            const std::size_t p = static_cast<std::size_t>(party);
-            lane.outcome.outputs[p] =
-                batch.verdict_of[lane.knowledge[p] - lowest];
-            lane.outcome.decision_round[p] = round;
-          }
-          lane.outcome.rounds = round;
-          lane.undecided = 0;
-          lane.done = true;
-          --live;
-          continue;
-        }
-      }
-      // One draw per source per executed round — exactly the SourceBank's
-      // lazy extension — then fan the source bits out over the parties.
-      ++lane.consumed;
-      for (int source = 0; source < sources; ++source) {
-        batch.source_bits[static_cast<std::size_t>(source)] =
-            lane.coins[static_cast<std::size_t>(source)].next_bit() ? 1 : 0;
-      }
-      for (int party = 0; party < n; ++party) {
-        bits[static_cast<std::size_t>(party)] =
-            batch.source_bits[static_cast<std::size_t>(
-                source_of[static_cast<std::size_t>(party)])];
-      }
-      // A fault-free lane's crash schedule is empty, and a faulty lane's
-      // survivor multiset is sorted by the operator itself.
-      if (spec.model == Model::kBlackboard) {
-        blackboard_round_inplace(
-            lane.store, lane.knowledge, bits, ctx.round_scratch,
-            lane.crash_round, round,
-            lane.faulty ? std::span<const KnowledgeId>() : batch.sorted_prev);
-      } else {
-        message_round_inplace(lane.store, lane.knowledge, bits, *lane.ports,
-                              spec.variant, ctx.round_scratch,
-                              lane.crash_round, round);
-      }
-      if (!lane.faulty) continue;
-      // Under crashes each survivor observes its own multiset: decide
-      // party by party after the round.
+  ctx.source_bits.resize(static_cast<std::size_t>(sources));
+  ctx.bits.resize(static_cast<std::size_t>(n));
+  for (int round = 1; round <= spec.max_rounds; ++round) {
+    if (faulty) {
       for (int party = 0; party < n; ++party) {
         const std::size_t p = static_cast<std::size_t>(party);
-        if (lane.outcome.decision_round[p] >= 0 ||
-            (lane.crash_round[p] >= 0 && round >= lane.crash_round[p])) {
-          continue;
-        }
-        const auto verdict = protocol.decide(lane.store, lane.knowledge[p]);
-        if (verdict.has_value()) {
-          lane.outcome.outputs[p] = *verdict;
-          lane.outcome.decision_round[p] = round;
-          --lane.undecided;
-          lane.outcome.rounds = round;
+        if (ctx.crash_round[p] == round && outcome.decision_round[p] < 0) {
+          --undecided;
         }
       }
-      if (lane.undecided == 0) {
-        lane.done = true;
-        --live;
+      if (undecided == 0) break;
+    } else {
+      // Every party of a fault-free round observes the same time-(t−1)
+      // multiset, the sorted knowledge vector, so the protocol's rule
+      // decides the whole round before it runs. A verdict ends the run
+      // without this round's coin draws or round operator: per-run coins
+      // make the unconsumed draws invisible to every other run. The sorted
+      // vector doubles as the blackboard round operator's shared multiset.
+      sort_round_values(ctx.knowledge, ctx.counts, ctx.sorted_prev);
+      if (protocol.decide_multiset(ctx.store, ctx.sorted_prev, ctx.verdicts)) {
+        // The round's ids span at most n values (sort_round_values):
+        // index the verdicts by id to reach each party's in O(1).
+        const KnowledgeId lowest = ctx.sorted_prev.front();
+        ctx.verdict_of.resize(ctx.sorted_prev.back() - lowest + 1);
+        for (std::size_t i = 0; i < ctx.sorted_prev.size(); ++i) {
+          ctx.verdict_of[ctx.sorted_prev[i] - lowest] = ctx.verdicts[i];
+        }
+        for (int party = 0; party < n; ++party) {
+          const std::size_t p = static_cast<std::size_t>(party);
+          outcome.outputs[p] = ctx.verdict_of[ctx.knowledge[p] - lowest];
+          outcome.decision_round[p] = round;
+        }
+        outcome.rounds = round;
+        undecided = 0;
+        break;
       }
     }
+    // One draw per source per executed round — exactly the SourceBank's
+    // lazy extension — then fan the source bits out over the parties.
+    ++ctx.consumed;
+    for (int source = 0; source < sources; ++source) {
+      ctx.source_bits[static_cast<std::size_t>(source)] =
+          ctx.coins[static_cast<std::size_t>(source)].next_bit() ? 1 : 0;
+    }
+    for (int party = 0; party < n; ++party) {
+      ctx.bits[static_cast<std::size_t>(party)] =
+          ctx.source_bits[static_cast<std::size_t>(
+              source_of[static_cast<std::size_t>(party)])];
+    }
+    // A fault-free run's crash schedule is empty, and a faulty run's
+    // survivor multiset is sorted by the operator itself.
+    if (spec.model == Model::kBlackboard) {
+      blackboard_round_inplace(
+          ctx.store, ctx.knowledge, ctx.bits, ctx.round_scratch,
+          ctx.crash_round, round,
+          faulty ? std::span<const KnowledgeId>() : ctx.sorted_prev);
+    } else {
+      message_round_inplace(ctx.store, ctx.knowledge, ctx.bits, *ports,
+                            spec.variant, ctx.round_scratch, ctx.crash_round,
+                            round);
+    }
+    if (!faulty) continue;
+    // Under crashes each survivor observes its own multiset: decide party
+    // by party after the round.
+    for (int party = 0; party < n; ++party) {
+      const std::size_t p = static_cast<std::size_t>(party);
+      if (outcome.decision_round[p] >= 0 ||
+          (ctx.crash_round[p] >= 0 && round >= ctx.crash_round[p])) {
+        continue;
+      }
+      const auto verdict = protocol.decide(ctx.store, ctx.knowledge[p]);
+      if (verdict.has_value()) {
+        outcome.outputs[p] = *verdict;
+        outcome.decision_round[p] = round;
+        --undecided;
+        outcome.rounds = round;
+      }
+    }
+    if (undecided == 0) break;
   }
-  for (int l = 0; l < lanes; ++l) {
-    BatchedRunContext::Lane& lane = batch.lanes[static_cast<std::size_t>(l)];
-    lane.outcome.terminated = lane.undecided == 0;
-    if (lane.faulty) lane.outcome.crash_round = lane.crash_round;
-    ctx.store_high_water = std::max(ctx.store_high_water, lane.store.size());
-  }
+  outcome.terminated = undecided == 0;
+  if (faulty) outcome.crash_round = ctx.crash_round;
+  ctx.store_high_water = std::max(ctx.store_high_water, ctx.store.size());
+  return outcome;
 }
 
 ProtocolOutcome run_agent_prepared(RunContext& ctx, const Experiment& spec,

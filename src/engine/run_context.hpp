@@ -1,23 +1,21 @@
 // Per-run mutable state and the free-standing run functions.
 //
-// A RunContext is everything one worker's runs mutate — the lockstep lane
-// state (per-lane KnowledgeStore intern tables and coin engines), the
-// shared round scratch, and the stores' high-water diagnostic. It is a
-// plain value: the Engine's scheduler gives every worker its own, so any
-// worker can execute any (spec, seed) pair independently.
+// A RunContext is everything one worker's runs mutate: one run's
+// KnowledgeStore intern table, knowledge column, coin engines, crash
+// schedule and outcome, the round and decision scratch, and the store's
+// high-water diagnostic. It is a plain value: the Engine's scheduler gives
+// every worker its own, so any worker can execute any (spec, seed) pair
+// independently.
 //
-// The determinism contract (DESIGN.md, "Concurrency model"): every lane of
-// run_prepared_batch is a pure function of (spec, seed, ports) — the
-// context only recycles allocations, never leaks state between runs,
-// because each lane's store and coins are reset to observational freshness
-// at the top of every batch. KnowledgeIds are lane-local: an id produced
-// in one lane's store must never be compared with, or looked up in,
-// another store.
+// The determinism contract (DESIGN.md, "Concurrency model"): run_prepared
+// is a pure function of (spec, seed, ports). The context only recycles
+// allocations and never leaks state between runs, because the store, the
+// coins and the outcome are reset to observational freshness at the top of
+// every run.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "engine/experiment.hpp"
@@ -29,106 +27,59 @@
 
 namespace rsb {
 
-class PortProvider;
+/// The per-run scratch state of one worker. Default-constructed contexts
+/// are ready to use; reuse across runs amortizes all allocations.
+struct RunContext {
+  // --- the current knowledge-backend run (run_prepared) ----------------
+  KnowledgeStore store;
+  std::vector<KnowledgeId> knowledge;
+  /// One raw engine per source, seeded like the SourceBank's: drawing one
+  /// next_bit per source per executed round replays the bank's stream
+  /// draw-for-draw (the bank extends all sources by one bit per round),
+  /// without the bank's emitted-history buffers.
+  std::vector<Xoshiro256StarStar> coins;
+  /// The run's crash schedule (empty when fault-free); the agent backend
+  /// draws its fault schedule here too.
+  std::vector<int> crash_round;
+  ProtocolOutcome outcome;
+  /// Rounds of source bits the run drew — its consumed-prefix length, the
+  /// level an orbit memo entry lives at (engine/orbit.hpp).
+  int consumed = 0;
 
-/// One lane's worth of input to the span form of run_prepared_batch: the
-/// run seed plus its port wiring (null on the blackboard). The pointee
-/// must stay valid for the whole batch — callers point into storage they
-/// own (lane ports_storage, an OrbitProbe's wiring copy, or the provider
-/// whose latest draw is the batch's last lane).
-struct LaneRequest {
-  std::uint64_t seed = 0;
-  const PortAssignment* ports = nullptr;
-};
-
-/// Structure-of-arrays state for lockstep batched execution
-/// (run_prepared_batch): B lanes of one spec advance through a shared
-/// round schedule, each lane owning exactly the per-run state that
-/// determines ids and outcomes — its KnowledgeStore (ids are store-local,
-/// so lanes can never share one), knowledge column, raw coin engines, and
-/// crash schedule. Round scratch and the decision buffers are shared
-/// across lanes: a round operator finishes with one lane before the next
-/// lane starts, and every shared buffer is overwritten at entry, so
-/// nothing leaks between lanes (byte-identity across widths, and to an
-/// independent per-run reference, is pinned by the batch property laws).
-struct BatchedRunContext {
-  struct Lane {
-    KnowledgeStore store;
-    std::vector<KnowledgeId> knowledge;
-    std::vector<int> crash_round;
-    /// One raw engine per source, seeded like the SourceBank's: drawing
-    /// one next_bit per source per executed round replays the bank's
-    /// stream draw-for-draw (the bank extends all sources by one bit per
-    /// round), without the bank's emitted-history buffers.
-    std::vector<Xoshiro256StarStar> coins;
-    std::optional<PortAssignment> ports_storage;  // kRandomPerRun copy
-    const PortAssignment* ports = nullptr;
-    ProtocolOutcome outcome;
-    int undecided = 0;
-    /// Rounds of source bits this lane drew — the run's consumed-prefix
-    /// length, the level an orbit memo entry lives at (engine/orbit.hpp).
-    int consumed = 0;
-    bool faulty = false;
-    bool done = false;
-  };
-  std::vector<Lane> lanes;
-  /// Scratch for the provider-driven wrapper's span of lane inputs; the
-  /// orbit-deduped batch path fills it with only the lookup misses.
-  std::vector<LaneRequest> requests;
-  std::vector<std::uint8_t> source_bits;  // per-round per-source scratch
+  // --- round and decision scratch, overwritten every round -------------
+  std::vector<std::uint8_t> source_bits;  // one coin bit per source
+  std::vector<std::uint8_t> bits;         // the same bits, one per party
   /// The protocol rule's verdicts, one per position of sorted_prev, and
   /// the same verdicts indexed by id − sorted_prev.front().
   std::vector<std::int64_t> verdicts;
   std::vector<std::int64_t> verdict_of;
-  // Sorted copy of a fault-free lane's knowledge vector before a round:
-  // the time-(t−1) multiset the protocol's rule (decide_multiset) decides
-  // on and, on the blackboard, the round operator's shared multiset — one
-  // counting pass per lane-round serves both. `counts` is that pass's
-  // per-id tally over the round's id range.
+  // Sorted copy of a fault-free run's knowledge vector before a round: the
+  // time-(t−1) multiset the protocol's rule (decide_multiset) decides on
+  // and, on the blackboard, the round operator's shared multiset — one
+  // counting pass per round serves both. `counts` is that pass's per-id
+  // tally over the round's id range.
   std::vector<KnowledgeId> sorted_prev;
   std::vector<std::uint32_t> counts;
-};
+  RoundScratch round_scratch;  // in-place round-operator buffers
 
-/// The per-run scratch state of one worker. Default-constructed contexts
-/// are ready to use; reuse across runs amortizes all allocations.
-struct RunContext {
   std::size_t store_high_water = 0;
-  std::vector<std::uint8_t> bits;   // per-round coin bits, one per party
-  std::vector<int> crash_round;     // agent-backend fault-draw scratch
-  RoundScratch round_scratch;       // in-place round-operator buffers
-  BatchedRunContext batched;        // lockstep-lane state (run_prepared_batch)
-  std::vector<OrbitProbe> orbit_probes;  // per-batch-lane dedup scratch
-  sim::PayloadArena arena;          // agent-backend payload pool (lent to
-                                    // each run's sim::Network)
+  std::vector<OrbitProbe> orbit_probes;  // one per orbit lookup group slot
+  sim::PayloadArena arena;  // agent-backend payload pool (lent to each
+                            // run's sim::Network)
 };
 
-/// `lanes` consecutive knowledge-level runs of `spec` (seeds first_seed,
-/// first_seed + 1, ...) executed in lockstep over ctx.batched: one shared
-/// round loop advances every live lane through the same instruction
-/// stream. This is the knowledge backend's only executor — a single run
-/// is a one-lane batch. Each lane's result (ctx.batched.lanes[l].outcome)
-/// is a pure function of (spec, first_seed + l, wiring): per-lane stores
-/// and coin columns make it independent of the batch width and of every
-/// other lane. `ports` must be positioned at the first lane's run index;
-/// each lane's assignment is drawn through next() in order (kRandomPerRun
-/// assignments of every lane but the last are copied into lane storage;
-/// the last lane's is the provider's latest draw, so lane.ports stays
-/// valid until the provider draws again). Under a fault plan each lane's
-/// crash schedule is drawn from the plan's per-run seed stream (a pure
-/// function of (spec, seed) — no skip-ahead needed under parallelism) and
-/// reported back in the outcome's crash_round.
-void run_prepared_batch(RunContext& ctx, const Experiment& spec,
-                        std::uint64_t first_seed, int lanes,
-                        PortProvider& ports);
-
-/// The same lockstep execution over an explicit, possibly non-contiguous
-/// set of lane inputs: requests[l] drives ctx.batched.lanes[l]. This is
-/// the primary — the provider form above draws its assignments, parks
-/// kRandomPerRun copies in lane storage, and delegates here. The orbit-
-/// deduped sweep calls this directly with only its lookup misses, so a
-/// batch's survivors still execute shoulder-to-shoulder.
-void run_prepared_batch(RunContext& ctx, const Experiment& spec,
-                        std::span<const LaneRequest> requests);
+/// One knowledge-level run of `spec` at `seed` over `ports` (null on the
+/// blackboard). This is the knowledge backend's only executor. The result
+/// is ctx.outcome, returned by reference and valid until the next run on
+/// `ctx`; ctx.consumed holds the rounds of coins it drew. `ports` is read
+/// during the call only, so it may point into a PortProvider's latest
+/// draw. Under a fault plan the crash schedule is drawn from the plan's
+/// per-run seed stream (a pure function of (spec, seed), so no skip-ahead
+/// is needed under parallelism) and reported back in the outcome's
+/// crash_round.
+const ProtocolOutcome& run_prepared(RunContext& ctx, const Experiment& spec,
+                                    std::uint64_t seed,
+                                    const PortAssignment* ports);
 
 /// One agent-level run of `spec` at `seed` through a fresh sim::Network,
 /// under the spec's scheduler and fault plan. The network owns its own

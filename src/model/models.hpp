@@ -97,7 +97,7 @@ struct RoundScratch {
 ///    the plain loop would, and repeats, which would have been no-op
 ///    probes, reuse the id.
 /// A fault-free caller may pass `sorted_prev`, the sorted copy of
-/// `knowledge` (the lane kernel already builds it for the protocol's
+/// `knowledge` (run_prepared already builds it for the protocol's
 /// pre-round decision rule, so it is built once per round); when it is
 /// empty the operator sorts the participants' values itself. A
 /// participant whose value the multiset lacks throws InvalidArgument.

@@ -272,6 +272,17 @@ void Server::accept_clients() {
       if (errno == EMFILE || errno == ENFILE) accepting_ = false;
       return;
     }
+    if (sessions_.size() >= kMaxSessions) {
+      // Past the session bound: one reject line into the fresh socket's
+      // empty send buffer (it never blocks), then close.
+      const std::string reject =
+          error_line("session limit " + std::to_string(kMaxSessions) +
+                     " reached; try again later") +
+          '\n';
+      ::send(fd, reject.data(), reject.size(), MSG_NOSIGNAL);
+      ::close(fd);
+      continue;
+    }
     // Rows follow a job's first reply in small writes; with Nagle's
     // algorithm on, each waits for the client's delayed ACK (~40 ms).
     const int one = 1;

@@ -64,8 +64,9 @@
 // waits for the chunk in progress (256 runs: a few ms for the paper's
 // leader-election specs, longer for long-round ones). When accept() runs
 // out of descriptors the loop stops polling the listener until a session
-// ends and frees one. Only stats(), begin_drain() and stop() are called
-// from other threads.
+// ends and frees one; a client past kMaxSessions reads one error line and
+// is closed. Only stats(), begin_drain() and stop() are called from other
+// threads.
 //
 // Determinism: a row's bytes are a pure function of (spec, chunk) — the
 // engine is deterministic for any thread count, cached bytes are the
@@ -81,6 +82,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -93,14 +95,21 @@
 
 namespace rsb::service {
 
+/// The most client sessions rsbd serves at once. A connection past the
+/// bound reads one error line naming it and is closed; the daemon keeps
+/// serving the sessions it holds. 256 sessions hold 256 descriptors, well
+/// under the usual default limit of 1,024 (RLIMIT_NOFILE).
+inline constexpr std::size_t kMaxSessions = 256;
+
 struct ServerConfig {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (see Server::port).
   int port = 0;
   /// Engine worker threads per chunk sweep (ParallelConfig; 0 = hardware).
   int threads = 0;
-  /// Lockstep batch width per chunk sweep (ParallelConfig::batch). Batched
-  /// execution is byte-identical to unbatched, so this is invisible on the
-  /// wire — rows and cache shards do not change with the width.
+  /// Orbit dedup's lookup group (ParallelConfig::batch); no other effect;
+  /// results never depend on it; deleted with orbit dedup (ROADMAP.md,
+  /// item 3). Invisible on the wire: rows and cache shards do not change
+  /// with it.
   int batch = 16;
   /// Default for orbit-level run deduplication (ParallelConfig::orbit).
   /// A spec may override per request with the hash-inert `orbit=on|off`

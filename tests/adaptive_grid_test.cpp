@@ -4,7 +4,7 @@
 // deterministic largest-remainder allocation rule. The headline law pinned
 // here: the full (point, seed range) schedule — and every merged result —
 // is a pure function of (grid declaration, total budget, config),
-// byte-identical across thread counts and lockstep batch widths, and every
+// byte-identical across thread counts and batch widths, and every
 // adaptive point is prefix-identical to a uniform sweep of the same seed
 // count.
 #include <gtest/gtest.h>

@@ -72,7 +72,7 @@ TEST(BlackboardLE, AllDecideInTheSameRound) {
 using Verdicts = std::vector<std::optional<std::int64_t>>;
 
 /// Asks `protocol`'s rule about `knowledge`, a complete party vector of
-/// one round, the way the lane kernel does before the round: one verdict
+/// one round, the way run_prepared does before the round: one verdict
 /// per party, every one nullopt when the rule decides nobody.
 Verdicts pre_round(const AnonymousProtocol& protocol,
                    const KnowledgeStore& store,

@@ -17,6 +17,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -119,10 +120,10 @@ TEST(CanonicalSpec, InertKnobsNormalizeAway) {
 }
 
 TEST(CanonicalSpec, BatchKnobIsHashInert) {
-  // `batch` picks the executor's lockstep width, and batched execution is
-  // byte-identical to unbatched — so two requests differing only in batch
-  // are the same ensemble: same canonical text, same hash, shared cache
-  // shards. The parsed value still reaches the spec for the executor.
+  // `batch` picks the executor's orbit lookup group, and results never
+  // depend on it — so two requests differing only in batch are the same
+  // ensemble: same canonical text, same hash, shared cache shards. The
+  // parsed value still reaches the spec for the executor.
   const CanonicalSpec bare =
       CanonicalSpec::parse("loads=2,3\nprotocol=wait-for-singleton-LE");
   const CanonicalSpec batched = CanonicalSpec::parse(
@@ -328,6 +329,35 @@ TEST(CanonicalSpec, LoadsTotalAboveThePartyBoundIsANamedReject) {
     } catch (const InvalidArgument& e) {
       EXPECT_NE(std::string(e.what()).find(
                     "exceeds the party bound " + std::to_string(kMaxParties)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CanonicalSpec, RunWorkJustOverTwoToTheTwentiethIsANamedReject) {
+  // The per-run work bound is 2^20: at 2^24 one run of loads 2,2,2,2 could
+  // keep half a gigabyte of knowledge store. A spec exactly at 2^20 is
+  // admitted on either model; one round more is a reject naming the bound.
+  const auto check = [](const std::string& text) {
+    CanonicalSpec::parse(text + "\nprotocol=wait-for-singleton-LE")
+        .check_run_work();
+  };
+  const std::string blackboard = "loads=2,2,2,2\nrounds=";
+  const std::string message =
+      "model=message-passing\nloads=1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1\n"
+      "rounds=";
+  EXPECT_NO_THROW(check(blackboard + "131072"));  // 131072 x 8 = 2^20
+  EXPECT_NO_THROW(check(message + "4369"));       // 4369 x 16 x 15
+  for (const auto& [text, work] :
+       {std::pair{blackboard + "131073", "1048584"},
+        std::pair{message + "4370", "1048800"}}) {
+    try {
+      check(text);
+      ADD_FAILURE() << "admitted: " << text;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(" = ") + work +
+                                           " exceeds the work bound 1048576"),
                 std::string::npos)
           << e.what();
     }

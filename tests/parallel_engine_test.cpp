@@ -1,11 +1,14 @@
 // Tests for the parallel experiment engine: byte-identical RunStats across
 // thread counts (the determinism contract of DESIGN.md's "Concurrency
 // model"), run-index order of merged collector shards under threads > 1,
-// RunStats::merge edge cases, the chunk knob, and high-water aggregation
-// across worker contexts.
+// RunStats::merge edge cases, the chunk knob, high-water aggregation
+// across worker contexts, and the one-run context that every run of a
+// worker reuses.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "algo/euclid.hpp"
@@ -307,43 +310,97 @@ TEST(ParallelEngine, ConfigValidation) {
 }
 
 TEST(ParallelEngine, FreeStandingRunPreparedMatchesEngineRun) {
-  // The state layer itself: any context can execute any (spec, seed), one
-  // lane or several, and every lane equals both Engine::run and the
-  // independent per-run reference — on both models.
+  // The state layer itself: any context can execute any (spec, seed),
+  // reading the wiring in place from the provider's latest draw, and every
+  // run equals both Engine::run and the independent per-run reference —
+  // on both models.
   for (const Experiment& spec :
        {blackboard_spec(4, 8), message_passing_spec(8)}) {
-    std::vector<ProtocolOutcome> expected;
-    std::vector<PortAssignment> wiring;
     PortProvider ports(spec.model, spec.port_policy, spec.fixed_ports,
                        spec.config, spec.port_seed);
-    for (std::uint64_t i = 0; i < spec.seeds.count; ++i) {
-      const PortAssignment* assignment = ports.next();
-      if (assignment != nullptr) wiring.push_back(*assignment);
-      expected.push_back(
-          testing::reference_run(spec, spec.seeds.first + i, assignment));
-    }
     Engine engine;
-    RunContext one_lane;
-    RunContext all_lanes;
-    PortProvider lane_ports(spec.model, spec.port_policy, spec.fixed_ports,
-                            spec.config, spec.port_seed);
-    run_prepared_batch(all_lanes, spec, spec.seeds.first,
-                       static_cast<int>(spec.seeds.count), lane_ports);
+    RunContext ctx;
     for (std::uint64_t i = 0; i < spec.seeds.count; ++i) {
       const std::uint64_t seed = spec.seeds.first + i;
-      const LaneRequest request{seed, wiring.empty() ? nullptr : &wiring[i]};
-      run_prepared_batch(one_lane, spec,
-                         std::span<const LaneRequest>(&request, 1));
-      const auto want = testing::snapshot(expected[i]);
-      EXPECT_EQ(testing::snapshot(one_lane.batched.lanes[0].outcome), want)
-          << "seed " << seed;
-      EXPECT_EQ(testing::snapshot(all_lanes.batched.lanes[i].outcome), want)
+      const PortAssignment* assignment = ports.next();
+      const auto want =
+          testing::snapshot(testing::reference_run(spec, seed, assignment));
+      EXPECT_EQ(testing::snapshot(run_prepared(ctx, spec, seed, assignment)),
+                want)
           << "seed " << seed;
       EXPECT_EQ(testing::snapshot(engine.run(spec, seed)), want)
           << "seed " << seed;
     }
-    EXPECT_GT(one_lane.store_high_water, 0u);
+    EXPECT_GT(ctx.store_high_water, 0u);
   }
+}
+
+TEST(ParallelEngine, OneContextRunsMixedSpecsLikeFreshReferenceRuns) {
+  // Every run of a worker reuses one RunContext, so its store, coins,
+  // crash schedule, decision scratch and outcome must carry nothing from
+  // the run before. One context runs a mixed list of specs — large n, a
+  // run to its round cap, crashes, per-run random wirings, the class-split
+  // rule — interleaved run by run, in order and then in reverse, and every
+  // outcome equals the per-run reference for its (spec, seed, wiring).
+  const std::vector<Experiment> specs = {
+      blackboard_spec(64, 3),
+      Experiment::blackboard(SourceConfiguration::from_loads({2, 3}))
+          .with_protocol("wait-for-singleton-LE")
+          .with_task("leader-election")
+          .with_rounds(300)
+          .with_seeds(1, 3),
+      Experiment::blackboard(SourceConfiguration::all_private(6))
+          .with_protocol("wait-for-singleton-LE")
+          .with_task("t-resilient-leader-election(2)")
+          .with_faults(sim::FaultPlan::crash_stop(2, 9))
+          .with_rounds(300)
+          .with_seeds(1, 3),
+      message_passing_spec(3),
+      Experiment::blackboard(SourceConfiguration::from_loads({2, 1, 1, 2}))
+          .with_protocol("wait-for-class-split-LE(2)")
+          .with_task("m-leader-election(2)")
+          .with_rounds(300)
+          .with_seeds(1, 3),
+  };
+  ASSERT_EQ(specs[3].port_policy, PortPolicy::kRandomPerRun);
+  struct Job {
+    const Experiment* spec;
+    std::uint64_t seed;
+    std::optional<PortAssignment> ports;
+    testing::OutcomeSnapshot want;
+  };
+  std::vector<Job> jobs;
+  std::vector<PortProvider> providers;
+  for (const Experiment& spec : specs) {
+    providers.emplace_back(spec.model, spec.port_policy, spec.fixed_ports,
+                           spec.config, spec.port_seed);
+  }
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+      const Experiment& spec = specs[s];
+      const std::uint64_t seed = spec.seeds.first + i;
+      const PortAssignment* assignment = providers[s].next();
+      jobs.push_back(
+          {&spec, seed,
+           assignment == nullptr ? std::nullopt
+                                 : std::optional<PortAssignment>(*assignment),
+           testing::snapshot(testing::reference_run(spec, seed, assignment))});
+    }
+  }
+  RunContext ctx;
+  const auto check = [&ctx](const Job& job, const char* pass) {
+    const PortAssignment* ports = job.ports ? &*job.ports : nullptr;
+    EXPECT_EQ(testing::snapshot(run_prepared(ctx, *job.spec, job.seed, ports)),
+              job.want)
+        << pass << " " << job.spec->protocol->name() << " n="
+        << job.spec->config.num_parties() << " seed " << job.seed;
+  };
+  for (const Job& job : jobs) check(job, "forward");
+  for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) check(*it, "reverse");
+  // The list covers what it claims: the loads {2,3} blackboard never
+  // decides, so it runs to its cap, and the crash spec's runs crash.
+  EXPECT_FALSE(std::get<3>(jobs[1].want));
+  EXPECT_FALSE(std::get<4>(jobs[2].want).empty());
 }
 
 Experiment euclid_spec(std::uint64_t seeds) {

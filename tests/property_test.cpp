@@ -440,8 +440,8 @@ TEST(SchedulerProperty, OutputIndependentOfThreadCount) {
   }
 }
 
-// Law 14 — lockstep batched execution is the paper's execution: for every
-// supported batch width and thread count, per-run outcomes and the merged
+// Law 14 — the engine's execution is the paper's execution: for every
+// thread count and batch width, per-run outcomes and the merged
 // aggregate equal an independent per-run reference (tests/reference_run.hpp:
 // fresh store and SourceBank, value-returning round operators, per-party
 // decide through tests/reference_decide.hpp's bodies), on both models
@@ -451,9 +451,10 @@ TEST(SchedulerProperty, OutputIndependentOfThreadCount) {
 // smallest string and the smallest singleton id can name different
 // parties (with loads {2,2,1} only the load-1 party can ever be unique, so
 // a wrong leader rule would pass). The class-split(2) specs have classes
-// of sizes 1 and 2 at once, so several sub-collections can reach 2. 97
-// seeds is coprime to every width, so each sweep exercises a narrower
-// remainder group too.
+// of sizes 1 and 2 at once, so several sub-collections can reach 2. With
+// orbit dedup off the batch width only rounds the scheduling chunks up to
+// whole groups, so it is swept at four threads alone; 97 seeds is coprime
+// to every width, so each sweep's chunks cut a narrower remainder too.
 TEST(BatchProperty, BatchedSweepsMatchTheReferenceRunForRun) {
   const auto blackboard =
       Experiment::blackboard(SourceConfiguration::from_loads({2, 2, 1}))
@@ -499,23 +500,24 @@ TEST(BatchProperty, BatchedSweepsMatchTheReferenceRunForRun) {
         split_blackboard, split_message}) {
     const ReferenceSweep reference = reference_sweep(spec);
     ASSERT_EQ(reference.runs.size(), 97u);
-    for (const int batch : {1, 2, 7, 16}) {
-      for (const int threads : {1, 4}) {
-        Engine engine;
-        engine.set_parallel({threads, 0, batch});
-        EXPECT_EQ(engine.run_batch(spec), reference.stats)
-            << "batch " << batch << " threads " << threads;
-        EXPECT_EQ(snapshot_sweep(engine, spec), reference.runs)
-            << "batch " << batch << " threads " << threads;
-      }
+    for (const ParallelConfig parallel :
+         {ParallelConfig{1, 0, 1}, ParallelConfig{4, 0, 1},
+          ParallelConfig{4, 0, 2}, ParallelConfig{4, 0, 7},
+          ParallelConfig{4, 0, 16}}) {
+      Engine engine;
+      engine.set_parallel(parallel);
+      EXPECT_EQ(engine.run_batch(spec), reference.stats)
+          << "batch " << parallel.batch << " threads " << parallel.threads;
+      EXPECT_EQ(snapshot_sweep(engine, spec), reference.runs)
+          << "batch " << parallel.batch << " threads " << parallel.threads;
     }
   }
 }
 
-// Law 15 — batched crash sweeps face the reference run for run: a faulty
-// lane executes the same crash bookkeeping, round operators, and
-// per-party decides as the per-run definition, so outcomes — crash
-// schedules included — are byte-identical at every width.
+// Law 15 — crash sweeps face the reference run for run: a faulty run
+// executes the same crash bookkeeping, round operators, and per-party
+// decides as the per-run definition, so outcomes — crash schedules
+// included — are byte-identical.
 TEST(BatchProperty, BatchedCrashSweepsMatchTheReferenceRunForRun) {
   const auto blackboard =
       Experiment::blackboard(SourceConfiguration::all_private(6))
@@ -542,13 +544,9 @@ TEST(BatchProperty, BatchedCrashSweepsMatchTheReferenceRunForRun) {
   for (const Experiment& spec : {blackboard, message, split_blackboard}) {
     const ReferenceSweep reference = reference_sweep(spec);
     ASSERT_EQ(reference.runs.size(), 61u);
-    for (const int batch : {1, 2, 16}) {
-      Engine engine;
-      engine.set_parallel({1, 0, batch});
-      EXPECT_EQ(engine.run_batch(spec), reference.stats) << "batch " << batch;
-      EXPECT_EQ(snapshot_sweep(engine, spec), reference.runs)
-          << "batch " << batch;
-    }
+    Engine engine;
+    EXPECT_EQ(engine.run_batch(spec), reference.stats);
+    EXPECT_EQ(snapshot_sweep(engine, spec), reference.runs);
   }
 }
 
@@ -577,7 +575,9 @@ TEST(GraphProperty, CliqueTopologyIsByteIdenticalToAllToAll) {
 // Law 17 — graph-task sweeps are pure functions of (spec, seed): for each
 // delivery scheduler, every thread count and batch width reproduces the
 // serial aggregate and the per-run outcomes byte for byte on a sparse
-// instance. 33 seeds is coprime to both batch widths.
+// instance. The width only rounds the scheduling chunks of a parallel
+// sweep, so batch 7 runs at two and four threads; 33 seeds is coprime to
+// both widths.
 TEST(GraphProperty, GraphTaskSweepsIndependentOfThreadsBatchAndWorkers) {
   for (const sim::SchedulerSpec& scheduler :
        {sim::SchedulerSpec::synchronous(),
@@ -594,17 +594,18 @@ TEST(GraphProperty, GraphTaskSweepsIndependentOfThreadsBatchAndWorkers) {
     const RunStats reference_stats = serial.run_batch(spec);
     const auto reference_runs = snapshot_sweep(serial, spec);
     ASSERT_EQ(reference_runs.size(), 33u);
-    for (const int threads : {1, 2, 4}) {
-      for (const int batch : {1, 7}) {
-        Engine engine;
-        engine.set_parallel({threads, 0, batch});
-        EXPECT_EQ(engine.run_batch(spec), reference_stats)
-            << scheduler.to_string() << " threads " << threads << " batch "
-            << batch;
-        EXPECT_EQ(snapshot_sweep(engine, spec), reference_runs)
-            << scheduler.to_string() << " threads " << threads << " batch "
-            << batch;
-      }
+    for (const ParallelConfig parallel :
+         {ParallelConfig{1, 0, 1}, ParallelConfig{2, 0, 1},
+          ParallelConfig{2, 0, 7}, ParallelConfig{4, 0, 1},
+          ParallelConfig{4, 0, 7}}) {
+      Engine engine;
+      engine.set_parallel(parallel);
+      EXPECT_EQ(engine.run_batch(spec), reference_stats)
+          << scheduler.to_string() << " threads " << parallel.threads
+          << " batch " << parallel.batch;
+      EXPECT_EQ(snapshot_sweep(engine, spec), reference_runs)
+          << scheduler.to_string() << " threads " << parallel.threads
+          << " batch " << parallel.batch;
     }
   }
 }
@@ -669,11 +670,14 @@ std::vector<Dyadic> series_from_zero(const SymmetricTask& task,
 // partitions refine, so P(terminated within t rounds) = p(t−1), where p is
 // the exact enumeration of Lemma B.1 (exact_series_blackboard,
 // exact_series_message_passing). That enumeration shares no code with the
-// lane kernel, its coins or its port stream, so this law pins all three to
+// run kernel, its coins or its port stream, so this law pins all three to
 // the paper rather than to a second copy of themselves. Unique-string
 // groups by randomness string, which no wiring can split, so on message
 // passing it follows the *blackboard* series: loads {2,3} never terminate
-// there, while wait-for-singleton does on that shape. Horizons keep
+// there, while wait-for-singleton does on that shape. Under a random
+// per-run wiring each party's port permutation is uniform, so the run
+// follows the mean of the fixed-wiring series over all (n−1)!^n wirings:
+// 8 at n = 3, a dyadic weight of 1/8, so the mean is exact. Horizons keep
 // t·k <= 12 (the message-passing series enumerates 2^{t·k} realizations).
 TEST(ExactSeriesProperty, RoundDistributionMatchesTheExactSeries) {
   const std::vector<std::vector<int>> blackboard_loads = {
@@ -729,12 +733,37 @@ TEST(ExactSeriesProperty, RoundDistributionMatchesTheExactSeries) {
                                   strings);
     }
   }
+  for (const auto& loads : std::vector<std::vector<int>>{{1, 1, 1}, {2, 1}}) {
+    const auto config = SourceConfiguration::from_loads(loads);
+    const int t_max = 12 / config.num_sources();
+    const SymmetricTask le = SymmetricTask::leader_election(3);
+    std::vector<Dyadic> mean(static_cast<std::size_t>(t_max), Dyadic::zero());
+    int wirings = 0;
+    PortAssignment::for_each(3, [&](const PortAssignment& wiring) {
+      const auto series =
+          exact_series_message_passing(config, le, t_max, wiring);
+      for (std::size_t t = 0; t < series.size(); ++t) {
+        mean[t] += series[t] * Dyadic::pow2_inverse(3);
+      }
+      ++wirings;
+    });
+    ASSERT_EQ(wirings, 8);
+    const auto knowledge = series_from_zero(le, mean);
+    const auto spec = [&](const char* protocol) {
+      return Experiment::message_passing(config, PortPolicy::kRandomPerRun)
+          .with_protocol(protocol)
+          .with_seeds(1, 16384);
+    };
+    expect_rounds_follow_series(spec("wait-for-singleton-LE"), knowledge);
+    expect_rounds_follow_series(spec("wait-for-class-split-LE(1)"),
+                                knowledge);
+  }
 }
 
 // Law 20 — one fault-free round's values fill one id range. Every party
 // observes the same time-(t−1) multiset, so the round's values are
 // interned together: hash-consing gives each consistency class one fresh
-// id, and the round's distinct ids are exactly [min, max]. The lane
+// id, and the round's distinct ids are exactly [min, max]. The run
 // kernel's counting sort and the blackboard operator's id-indexed memo
 // rely on this. Covers both models, the all-⊥ input of round 1, random
 // configurations up to n = 24, and a fresh random wiring per run.

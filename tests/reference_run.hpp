@@ -5,11 +5,11 @@
 // operators (given the run's crash schedule under a fault plan), and a
 // per-party decide after every executed round, through the reference
 // bodies of tests/reference_decide.hpp. It shares none of the engine's
-// lane kernel — no pre-round rule, no raw per-source coin engines, no
-// in-place operators, no reciprocal-port rows — and none of src/'s
-// decision rules, so a law comparing engine sweeps against it pins every
-// batch width and thread count to the paper's definition, not merely to
-// one another.
+// run kernel (run_prepared) — no pre-round rule, no raw per-source coin
+// engines, no in-place operators, no reciprocal-port rows — and none of
+// src/'s decision rules, so a law comparing engine sweeps against it pins
+// every execution knob and thread count to the paper's definition, not
+// merely to one another.
 #pragma once
 
 #include <cstdint>

@@ -4,13 +4,13 @@
 // chunk observes into its own collector shard, and the shards merge in
 // chunk-index order. replay_runs builds its collector from the public
 // pieces — fold_collector appends a copy of each run a shard sees (its
-// wiring included, since a kRandomPerRun wiring lives in lane storage that
-// the next batch overwrites) and CombineCollectors folds RunStats beside
-// it — so the merged record list is in run-index order under every thread
-// count, batch width and stealing order. It then replays the records to a
-// callback on the calling thread, one run at a time. The records hold
-// outcomes only: in an agent batch the run's network and agents are gone
-// before any collector sees the outcome.
+// wiring included, since a kRandomPerRun wiring lives in the port
+// provider's storage that the next run redraws) and CombineCollectors
+// folds RunStats beside it — so the merged record list is in run-index
+// order under every thread count, batch width and stealing order. It then
+// replays the records to a callback on the calling thread, one run at a
+// time. The records hold outcomes only: in an agent batch the run's
+// network and agents are gone before any collector sees the outcome.
 #pragma once
 
 #include <cstdint>

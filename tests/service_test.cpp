@@ -709,6 +709,63 @@ TEST(Service, AcceptRecoversFromTheFdLimitWithoutSpinning) {
   server.stop();
 }
 
+TEST(Service, AClientPastTheSessionBoundReadsANamedRejectAndIsClosed) {
+  // Regression: rsbd accepted every client, so idle connections could
+  // hold descriptors until accept() failed for everyone. At most
+  // kMaxSessions sessions are served at once: the next client reads one
+  // error line naming the limit and is closed, the held sessions keep
+  // being served, and a session that ends frees its place.
+  Server server({.threads = 1});
+  server.start();
+  const std::string ping = "{\"op\":\"ping\"}";
+  const auto wait = std::chrono::milliseconds(5000);
+  // Sessions are accepted in connection order, so once a client is
+  // answered every earlier one is a session. A ping every 32 clients keeps
+  // the connects within the listen backlog, which drops (and delays by a
+  // 1 s retransmit) a SYN that arrives while it is full.
+  std::vector<int> idle;
+  for (std::size_t i = 0; i < kMaxSessions; ++i) {
+    idle.push_back(open_socket());
+    ASSERT_TRUE(connect_to(idle.back(), server.port())) << "client " << i;
+    if (i % 32 == 31 || i + 1 == kMaxSessions) {
+      ASSERT_TRUE(send_all(idle.back(), ping));
+      ASSERT_TRUE(is_pong(read_reply(idle.back(), wait))) << "client " << i;
+    }
+  }
+
+  const int extra = open_socket();
+  ASSERT_TRUE(connect_to(extra, server.port()));
+  send_all(extra, ping);  // may race the close; the reply is what counts
+  const std::string reject = read_reply(extra, wait);
+  EXPECT_NE(reject.find("\"type\":\"error\""), std::string::npos) << reject;
+  EXPECT_NE(reject.find("session limit " + std::to_string(kMaxSessions)),
+            std::string::npos)
+      << reject;
+  pollfd closed{extra, POLLIN, 0};
+  char byte = 0;
+  EXPECT_TRUE(::poll(&closed, 1, 5000) == 1 && ::recv(extra, &byte, 1, 0) <= 0)
+      << "the rejected client was left open";
+  ::close(extra);
+
+  // A held session is still served; one that leaves frees its place. A
+  // leave is seen when the loop next reads, so the ping on a held session
+  // that follows it orders the two.
+  ASSERT_TRUE(send_all(idle.front(), ping));
+  EXPECT_TRUE(is_pong(read_reply(idle.front(), wait)));
+  ::close(idle.back());
+  idle.pop_back();
+  ASSERT_TRUE(send_all(idle.front(), ping));
+  ASSERT_TRUE(is_pong(read_reply(idle.front(), wait)));
+  const int next = open_socket();
+  ASSERT_TRUE(connect_to(next, server.port()));
+  ASSERT_TRUE(send_all(next, ping));
+  EXPECT_TRUE(is_pong(read_reply(next, wait)))
+      << "a client was turned away after a session ended";
+  ::close(next);
+  for (const int fd : idle) ::close(fd);
+  server.stop();
+}
+
 /// Runs rsbd (an in-process Server with one worker) in a forked child and
 /// kills it on destruction, so a test whose daemon wedges fails on its own
 /// timeouts instead of hanging the suite in Server::stop().
@@ -806,11 +863,11 @@ TEST(Service, OneLongJobLeavesLaterJobsFastAndGivesItsMemoryBack) {
   // Regression: every knowledge store kept the tables of the largest run
   // it had ever held and refilled them at each reset, so after one long
   // job every later job of the daemon paid for that run on every run of
-  // the lane that held it — about 1000× slower at 2^21 rounds — and the
-  // memory stayed until restart. After one long run (one seed, about 1 s
-  // in an optimized build), a cold job must take at most 3× the same job
-  // before it, and the daemon's RSS must come back to within 16 MB plus a
-  // quarter of what the long job added.
+  // the store that held it — about 1000× slower at 2^21 rounds — and the
+  // memory stayed until restart. After one long run at the per-run work
+  // bound (one seed, about 0.15 s in an optimized build), a cold job must
+  // take at most 3× the same job before it, and the daemon's RSS must
+  // come back to within 16 MB plus a quarter of what the long job added.
   const ForkedDaemon daemon;
   ASSERT_NE(daemon.port(), 0) << "the daemon did not come up";
   const auto cold_job_seconds = [&](std::uint64_t first_seed) {
@@ -835,7 +892,7 @@ TEST(Service, OneLongJobLeavesLaterJobsFastAndGivesItsMemoryBack) {
     client.connect(daemon.port());
     const JobResult long_job = run_job(
         client,
-        "loads=2,2,2,2\nprotocol=wait-for-singleton-LE\nrounds=524288\n"
+        "loads=2,2,2,2\nprotocol=wait-for-singleton-LE\nrounds=131072\n"
         "seeds=1+1");
     EXPECT_EQ(long_job.runs_executed, 1u) << long_job.done_line;
   }

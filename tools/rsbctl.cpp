@@ -171,8 +171,8 @@ int list_vocabulary() {
   section("topologies", rsb::graph::TopologyRegistry::global().describe());
   section("execution knobs (hash-inert: results are byte-identical either "
           "way, so they never change the spec hash or cache shard)",
-          {"batch=N           lockstep batch width; rsbd ignores it and "
-           "uses its own",
+          {"batch=N           orbit dedup's lookup group; rsbd ignores it "
+           "and uses its own",
            "orbit=on|off      orbit-level run dedup: execute one run per "
            "initial-configuration orbit, replicate the rest; omit for the "
            "daemon default",
