@@ -44,6 +44,8 @@ void KnowledgeStore::reset() {
   reset_pool(boards_);
   reset_pool(received_pool_);
   reset_pool(tags_pool_);
+  reset_pool(round_memo_);  // closes the open round
+  board_ceiling_ = 0;
   NodeShape bottom;
   bottom.kind = KnowledgeKind::kBottom;
   intern_shape(bottom);
@@ -73,6 +75,7 @@ KnowledgeId KnowledgeStore::blackboard_step(KnowledgeId prev, bool bit,
 
 BoardId KnowledgeStore::intern_board(
     std::span<const KnowledgeId> sorted_board) {
+  index_boards();
   const std::uint64_t h = board_hash(sorted_board);
   const std::size_t slot = board_index_.find(h, [&](std::uint32_t b) {
     const std::span<const KnowledgeId> values = board_values(b);
@@ -82,14 +85,31 @@ BoardId KnowledgeStore::intern_board(
   if (board_index_.at(slot) != InternIndex::kEmptySlot) {
     return board_index_.at(slot);
   }
+  board_index_.insert(slot, h, "board id");
+  return append_board(sorted_board);
+}
+
+BoardId KnowledgeStore::append_board(
+    std::span<const KnowledgeId> sorted_board) {
   Board board;
   board.offset = narrow_store_index(received_pool_.size(), "pool offset");
   board.size = narrow_store_index(sorted_board.size(), "board size");
-  const BoardId id = board_index_.insert(slot, h, "board id");
+  const BoardId id = narrow_store_index(boards_.size(), "board id");
   received_pool_.insert(received_pool_.end(), sorted_board.begin(),
                         sorted_board.end());
   boards_.push_back(board);
+  if (!sorted_board.empty()) {
+    board_ceiling_ =
+        std::max(board_ceiling_, std::size_t{sorted_board.back()} + 1);
+  }
   return id;
+}
+
+void KnowledgeStore::index_boards() {
+  for (std::size_t b = board_index_.size(); b < boards_.size(); ++b) {
+    board_index_.append(board_hash(board_values(static_cast<BoardId>(b))),
+                        "board id");
+  }
 }
 
 KnowledgeId KnowledgeStore::blackboard_step_on(KnowledgeId prev, bool bit,
@@ -98,6 +118,9 @@ KnowledgeId KnowledgeStore::blackboard_step_on(KnowledgeId prev, bool bit,
     throw InvalidArgument("KnowledgeStore::blackboard_step_on: unknown board " +
                           std::to_string(board));
   }
+  // A step this call makes on the open round's board would be probed for
+  // by nothing: round_step probes on that board from now on.
+  if (board == round_board_) round_board_new_ = false;
   NodeShape shape;
   shape.kind = KnowledgeKind::kBlackboardStep;
   shape.prev = prev;
@@ -105,6 +128,30 @@ KnowledgeId KnowledgeStore::blackboard_step_on(KnowledgeId prev, bool bit,
   shape.board = board;
   shape.time = time(prev) + 1;
   return intern_shape(shape);
+}
+
+BoardId KnowledgeStore::open_round(std::span<const KnowledgeId> sorted_board) {
+  // A board holding an id no earlier board holds equals none of them.
+  const std::size_t boards = boards_.size();
+  round_board_ =
+      !sorted_board.empty() && sorted_board.back() >= board_ceiling_
+          ? append_board(sorted_board)
+          : intern_board(sorted_board);
+  round_board_new_ = boards_.size() > boards;
+  // The memo's slots cover the board's id range; ids in it that the board
+  // lacks keep kAbsent.
+  round_lowest_ = sorted_board.empty() ? 0 : sorted_board.front();
+  const std::size_t range =
+      sorted_board.empty()
+          ? 0
+          : std::size_t{sorted_board.back()} - round_lowest_ + 1;
+  round_memo_.assign(2 * range, kAbsent);
+  for (const KnowledgeId value : sorted_board) {
+    const std::size_t slot = 2 * std::size_t{value - round_lowest_};
+    round_memo_[slot] = kNotStepped;
+    round_memo_[slot + 1] = kNotStepped;
+  }
+  return round_board_;
 }
 
 KnowledgeId KnowledgeStore::message_step(KnowledgeId prev, bool bit,
@@ -238,13 +285,19 @@ std::string KnowledgeStore::to_string(KnowledgeId id) const {
 }
 
 KnowledgeId KnowledgeStore::intern_shape(const NodeShape& shape) {
+  index_nodes();
   const std::uint64_t h = shape_hash(shape);
   const std::size_t slot = node_index_.find(
       h, [&](std::uint32_t id) { return shape_equal(nodes_[id], shape); });
   if (node_index_.at(slot) != InternIndex::kEmptySlot) {
     return node_index_.at(slot);
   }
-  // First insertion: materialize the borrowed spans into the flat pools.
+  node_index_.insert(slot, h, "knowledge id");
+  return append_node(shape);
+}
+
+KnowledgeId KnowledgeStore::append_node(const NodeShape& shape) {
+  // Materialize the borrowed spans into the flat pools.
   Node node;
   node.kind = shape.kind;
   node.bit = shape.bit;
@@ -257,12 +310,29 @@ KnowledgeId KnowledgeStore::intern_shape(const NodeShape& shape) {
   node.tags_size = narrow_store_index(shape.tags.size(), "tag count");
   node.time = shape.time;
   node.board = shape.board;
-  const KnowledgeId id = node_index_.insert(slot, h, "knowledge id");
   received_pool_.insert(received_pool_.end(), shape.received.begin(),
                         shape.received.end());
   tags_pool_.insert(tags_pool_.end(), shape.tags.begin(), shape.tags.end());
-  nodes_.push_back(node);
-  return id;
+  return push_node(node);
+}
+
+void KnowledgeStore::index_nodes() {
+  for (std::size_t id = node_index_.size(); id < nodes_.size(); ++id) {
+    node_index_.append(shape_hash(stored_shape(nodes_[id])), "knowledge id");
+  }
+}
+
+KnowledgeStore::NodeShape KnowledgeStore::stored_shape(const Node& n) const {
+  NodeShape shape;
+  shape.kind = n.kind;
+  shape.bit = n.bit;
+  shape.prev = n.prev;
+  shape.input = n.input;
+  shape.received = node_received(n);
+  shape.tags = node_tags(n);
+  shape.board = n.board;
+  shape.time = n.time;
+  return shape;
 }
 
 std::uint64_t KnowledgeStore::shape_hash(const NodeShape& n) const {
@@ -296,11 +366,8 @@ bool KnowledgeStore::shape_equal(const Node& a, const NodeShape& b) const {
   return std::equal(tags.begin(), tags.end(), b.tags.begin());
 }
 
-const KnowledgeStore::Node& KnowledgeStore::node(KnowledgeId id) const {
-  if (id >= nodes_.size()) {
-    throw InvalidArgument("KnowledgeStore: unknown id " + std::to_string(id));
-  }
-  return nodes_[id];
+void KnowledgeStore::throw_unknown_id(KnowledgeId id) {
+  throw InvalidArgument("KnowledgeStore: unknown id " + std::to_string(id));
 }
 
 }  // namespace rsb

@@ -25,6 +25,18 @@
 // insertion, so a steady-state batch sweep runs the whole knowledge
 // recursion without touching the allocator.
 //
+// Each table's intern index covers a prefix of its entries, so the store
+// can append what a round proves new without hashing it. A board that
+// holds an id no earlier board holds — its largest id is at or above the
+// board ceiling, one more than the largest id any board holds — equals
+// no earlier board, and no step can exist yet on a board just created.
+// open_round and round_step append such boards and steps unindexed; every
+// probe first indexes the unindexed tail in insertion order, hashing each
+// entry from its stored fields with the probe's own hash. So every public
+// call finds every value and creates no duplicate, and a fault-free
+// blackboard run, whose every board is new (DESIGN.md §8), hashes nothing
+// but ⊥.
+//
 // Blackboard steps do not store their multiset. Every participant of an
 // Eq. (1) round receives the same board M = {K_j(t−1) : all participants}
 // minus one copy of its own value, and for a fixed prev the map
@@ -36,6 +48,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -118,6 +131,36 @@ class KnowledgeStore {
   /// InvalidArgument.
   KnowledgeId blackboard_step_on(KnowledgeId prev, bool bit, BoardId board);
 
+  /// Opens an Eq. (1) round on `sorted_board`, the sorted multiset of
+  /// every participant's previous value, and returns the id intern_board
+  /// would. A board whose largest id is at or above the board ceiling is
+  /// new and is appended without a probe; an empty board, or one below
+  /// the ceiling, is probed.
+  BoardId open_round(std::span<const KnowledgeId> sorted_board);
+
+  /// Eq. (1) on the open round's board: the id blackboard_step_on(prev,
+  /// bit, board) would return, memoized per (prev, bit) for the round in
+  /// slot 2·(prev − the board's smallest id) + bit. nullopt when `prev`
+  /// does not occur on the board, or no round is open. Defined here, with
+  /// the append it makes, because a round operator calls it once per
+  /// party: an out-of-line call chain cost about as much as the append.
+  std::optional<KnowledgeId> round_step(KnowledgeId prev, bool bit) {
+    // Unsigned wrap sends an id below the board's range past its end too.
+    const std::size_t slot =
+        2 * std::size_t{prev - round_lowest_} + (bit ? 1 : 0);
+    if (slot >= round_memo_.size() || round_memo_[slot] == kAbsent) {
+      return std::nullopt;
+    }
+    KnowledgeId& memo = round_memo_[slot];
+    if (memo == kNotStepped) {
+      // No step names a board the round created, so there the pair's
+      // first step is new.
+      memo = round_board_new_ ? append_board_step(prev, bit)
+                              : blackboard_step_on(prev, bit, round_board_);
+    }
+    return memo;
+  }
+
   /// Eq. (2). `by_port[p]` is the knowledge received on port p+1; the
   /// tuple order is significant (ports are local names for channels).
   /// Non-empty `tags` give the port-tagged form: the message received on
@@ -181,7 +224,8 @@ class KnowledgeStore {
   std::size_t size() const noexcept { return nodes_.size(); }
 
   /// Slots of the node and board intern tables: what the next reset()
-  /// fills.
+  /// fills. The tables are sized for the entries indexed, so values and
+  /// boards a round appended unindexed do not count here (size() does).
   std::size_t slot_count() const noexcept {
     return node_index_.slot_count() + board_index_.slot_count();
   }
@@ -192,8 +236,9 @@ class KnowledgeStore {
 
  private:
   /// A node's identity-defining fields; a message step's received tuple
-  /// and tags live in the shared flat pools, referenced by offset, and a
-  /// blackboard step names its board — no per-node allocations.
+  /// and tags live in the shared flat pools, referenced by offset (read
+  /// only for a non-zero size), and a blackboard step names its board —
+  /// no per-node allocations.
   struct Node {
     KnowledgeKind kind;
     bool bit = false;
@@ -226,12 +271,47 @@ class KnowledgeStore {
     std::uint32_t size = 0;
   };
 
+  /// Round-memo slot values that are not ids: a value the open board
+  /// lacks, and a (prev, bit) not stepped yet this round.
+  static constexpr KnowledgeId kAbsent = 0xFFFFFFFFu;
+  static constexpr KnowledgeId kNotStepped = kAbsent - 1;
+
   /// Probes with the borrowed shape; appends the spans to the pools on
   /// first insertion.
   KnowledgeId intern_shape(const NodeShape& shape);
+  /// Stores `shape` as the next node, materializing its spans into the
+  /// pools, unindexed.
+  KnowledgeId append_node(const NodeShape& shape);
+  /// Stores `node` as the next node, unindexed.
+  KnowledgeId push_node(const Node& node) {
+    const KnowledgeId id = narrow_store_index(nodes_.size(), "knowledge id");
+    nodes_.push_back(node);
+    return id;
+  }
+  /// Stores the step of `prev` on the open round's board, unindexed.
+  KnowledgeId append_board_step(KnowledgeId prev, bool bit) {
+    Node step;
+    step.kind = KnowledgeKind::kBlackboardStep;
+    step.bit = bit;
+    step.prev = prev;
+    step.time = node(prev).time + 1;
+    step.board = round_board_;
+    return push_node(step);
+  }
+  /// Stores `sorted_board` as the next board, unindexed, and raises the
+  /// board ceiling past its largest id.
+  BoardId append_board(std::span<const KnowledgeId> sorted_board);
+  /// Index the unindexed tail of the node and board tables.
+  void index_nodes();
+  void index_boards();
+  NodeShape stored_shape(const Node& n) const;
   std::uint64_t shape_hash(const NodeShape& shape) const;
   bool shape_equal(const Node& a, const NodeShape& b) const;
-  const Node& node(KnowledgeId id) const;
+  const Node& node(KnowledgeId id) const {
+    if (id >= nodes_.size()) throw_unknown_id(id);
+    return nodes_[id];
+  }
+  [[noreturn]] static void throw_unknown_id(KnowledgeId id);
   std::span<const KnowledgeId> node_received(const Node& n) const noexcept {
     return {received_pool_.data() + n.received_offset, n.received_size};
   }
@@ -243,11 +323,20 @@ class KnowledgeStore {
   }
 
   std::vector<Node> nodes_;
-  InternIndex node_index_;                  // over nodes_
+  InternIndex node_index_;                  // over a prefix of nodes_
   std::vector<Board> boards_;
-  InternIndex board_index_;                 // over boards_
+  InternIndex board_index_;                 // over a prefix of boards_
   std::vector<KnowledgeId> received_pool_;  // message tuples and boards
   std::vector<int> tags_pool_;              // message steps' tag lists
+  /// One more than the largest id any board holds; 0 while none does.
+  std::size_t board_ceiling_ = 0;
+
+  // The open round (open_round): its board, whether the round created it,
+  // and the (prev, bit) memo over the board's id range.
+  BoardId round_board_ = 0;
+  bool round_board_new_ = false;
+  KnowledgeId round_lowest_ = 0;
+  std::vector<KnowledgeId> round_memo_;
 };
 
 }  // namespace rsb

@@ -1,7 +1,7 @@
 #include "model/models.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <optional>
 #include <string>
 
 #include "util/error.hpp"
@@ -122,28 +122,9 @@ void blackboard_round_inplace(KnowledgeStore& store,
     sorted_prev = scratch.sorted_prev;
   }
   // Every participant's Eq. (1) value is (own value, bit, that multiset):
-  // intern the multiset as the round's board once.
-  const BoardId board = store.intern_board(sorted_prev);
-  // Per-round (prev, bit) memo, two slots per id of the multiset's range:
-  // every participant splices the same board, so its step value is a
-  // function of its own previous value and bit alone. The first
-  // occurrence of a pair makes exactly the insertion the plain loop
-  // would; repeats would have been no-op probes, so they reuse the id.
-  // The participants' values were interned together one round earlier,
-  // so the range is about as long as the multiset. Ids in the range that
-  // the multiset lacks keep kAbsent, so every participant's value is
-  // checked to occur in it.
-  constexpr KnowledgeId kAbsent = std::numeric_limits<KnowledgeId>::max();
-  constexpr KnowledgeId kNotStepped = kAbsent - 1;
-  const KnowledgeId lowest = sorted_prev.empty() ? 0 : sorted_prev.front();
-  const std::size_t range =
-      sorted_prev.empty() ? 0 : std::size_t{sorted_prev.back()} - lowest + 1;
-  scratch.memo_id.assign(2 * range, kAbsent);
-  for (const KnowledgeId value : sorted_prev) {
-    const std::size_t slot = 2 * std::size_t{value - lowest};
-    scratch.memo_id[slot] = kNotStepped;
-    scratch.memo_id[slot + 1] = kNotStepped;
-  }
+  // open the round on the multiset as its board, once. The store memoizes
+  // each (prev, bit)'s step, so repeats make no second insertion.
+  store.open_round(sorted_prev);
   scratch.next.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const KnowledgeId own = knowledge[i];
@@ -151,20 +132,14 @@ void blackboard_round_inplace(KnowledgeStore& store,
       scratch.next[i] = own;  // frozen at the last pre-crash value
       continue;
     }
-    const bool bit = bits[i] != 0;
-    // Unsigned wrap sends an id below the range past its end too.
-    const std::size_t slot = 2 * std::size_t{own - lowest} + (bit ? 1 : 0);
-    if (slot >= scratch.memo_id.size() || scratch.memo_id[slot] == kAbsent) {
+    const std::optional<KnowledgeId> step = store.round_step(own, bits[i] != 0);
+    if (!step.has_value()) {
       throw InvalidArgument(
           "blackboard_round_inplace: party " + std::to_string(i) +
           "'s value #" + std::to_string(own) +
           " does not occur in the round's sorted multiset");
     }
-    KnowledgeId& memo = scratch.memo_id[slot];
-    if (memo == kNotStepped) {
-      memo = store.blackboard_step_on(own, bit, board);
-    }
-    scratch.next[i] = memo;
+    scratch.next[i] = *step;
   }
   knowledge.swap(scratch.next);
 }

@@ -72,9 +72,6 @@ struct RoundScratch {
   std::vector<KnowledgeId> received;
   std::vector<int> tags;
   std::vector<KnowledgeId> next;
-  /// The blackboard operator's per-round (prev, bit) → id memo, two slots
-  /// per id of the sorted multiset's range [front, back].
-  std::vector<KnowledgeId> memo_id;
   /// The byte copy of a std::vector<bool> round's bits.
   std::vector<std::uint8_t> bits;
 };
@@ -82,20 +79,14 @@ struct RoundScratch {
 /// One blackboard round in place: knowledge := Eq. (1)(knowledge, bits),
 /// under the crash schedule `crash_round` at round `round` (empty = fault
 /// free). bits[i] is X_i(t), one byte per party (0 or 1). Byte-identical
-/// ids and store insertion order to blackboard_round:
-///  * every participating party's multiset is one shared sorted multiset
-///    of the participants' previous values minus one occurrence of its
-///    own, so that multiset is interned once as the round's board
-///    (KnowledgeStore::intern_board) and each step is probed on
-///    (prev, bit, board) in O(1) (KnowledgeStore::blackboard_step_on);
-///  * a per-round (prev, bit) memo: every participant splices the same
-///    shared multiset, so its step value is a function of its own
-///    previous value and bit alone. The memo is indexed by prev's offset
-///    from the multiset's smallest id (the participants' values were
-///    interned together in the previous round, so they span a short id
-///    range); the first occurrence of a pair makes exactly the insertion
-///    the plain loop would, and repeats, which would have been no-op
-///    probes, reuse the id.
+/// ids and store insertion order to blackboard_round: every participating
+/// party's multiset is one shared sorted multiset of the participants'
+/// previous values minus one occurrence of its own, so the round is
+/// opened on that multiset as its board (KnowledgeStore::open_round), and
+/// each participant's step is a function of its own previous value and
+/// bit alone (KnowledgeStore::round_step, memoized per pair). The first
+/// occurrence of a pair makes exactly the insertion the plain loop would;
+/// on a board the round created it is appended without a probe.
 /// A fault-free caller may pass `sorted_prev`, the sorted copy of
 /// `knowledge` (run_prepared already builds it for the protocol's
 /// pre-round decision rule, so it is built once per round); when it is

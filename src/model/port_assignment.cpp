@@ -43,11 +43,33 @@ PortAssignment::PortAssignment(std::vector<std::vector<int>> neighbor_of)
     }
     neighbor_.insert(neighbor_.end(), row.begin(), row.end());
   }
-  std::vector<int> inverse;
-  check_rows_and_link(inverse);
+  std::vector<int> scratch;
+  check_rows(scratch);
+  link(scratch);
 }
 
-void PortAssignment::check_rows_and_link(std::vector<int>& inverse) {
+void PortAssignment::check_rows(std::vector<int>& seen) const {
+  const int n = num_parties_;
+  const std::size_t m = row_size();
+  const int* const rows = neighbor_.data();
+  // seen[t] = i + 1 once row i has a port to t, so a second one is found
+  // without clearing the table between rows.
+  seen.assign(static_cast<std::size_t>(n), 0);
+  int* const marks = seen.data();
+  for (int i = 0; i < n; ++i) {
+    const std::size_t base = static_cast<std::size_t>(i) * m;
+    for (std::size_t p = 0; p < m; ++p) {
+      const int target = rows[base + p];
+      if (target < 0 || target >= n || target == i ||
+          marks[target] == i + 1) {
+        reject_port(i, target, n);
+      }
+      marks[target] = i + 1;
+    }
+  }
+}
+
+void PortAssignment::link(std::vector<int>& inverse) {
   const int n = num_parties_;
   const std::size_t m = row_size();
   // Row i of each table starts at i·m; column(i, t) is t's rank among the
@@ -57,19 +79,14 @@ void PortAssignment::check_rows_and_link(std::vector<int>& inverse) {
     return static_cast<std::size_t>(other - (other > party ? 1 : 0));
   };
   const int* const rows = neighbor_.data();
-  // Pass 1: the row checks, recording each row's inverse:
-  // inverse[i·m + column(i, t)] = the port at which i sees t. A slot
-  // already written means row i has two ports leading to t.
-  inverse.assign(neighbor_.size(), 0);
+  // Pass 1: each row's inverse, inverse[i·m + column(i, t)] = the port at
+  // which i sees t.
+  inverse.resize(neighbor_.size());
   int* const inv = inverse.data();
   for (int i = 0; i < n; ++i) {
     const std::size_t base = static_cast<std::size_t>(i) * m;
     for (std::size_t p = 0; p < m; ++p) {
-      const int target = rows[base + p];
-      if (target < 0 || target >= n || target == i) reject_port(i, target, n);
-      int& slot = inv[base + column(i, target)];
-      if (slot != 0) reject_port(i, target, n);
-      slot = static_cast<int>(p) + 1;
+      inv[base + column(i, rows[base + p])] = static_cast<int>(p) + 1;
     }
   }
   // Pass 2: port p of i leads to t, which sees i at the port t's inverse
@@ -151,7 +168,9 @@ void PortAssignment::redraw_random(int num_parties, Xoshiro256StarStar& rng,
       std::swap(row[a - 1], row[b]);
     }
   }
-  check_rows_and_link(scratch);
+  // A shuffled row is a permutation of [0..n−1] ∖ {i} by construction, so
+  // there is nothing to check.
+  link(scratch);
 }
 
 void PortAssignment::discard_random(int num_parties,

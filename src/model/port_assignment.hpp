@@ -10,8 +10,7 @@
 // consistency class a multiple of g = gcd(n_1,...,n_k).
 //
 // Layout: two flat n·(n−1) arrays, row i at offset i·(n−1) — the neighbor
-// rows and the reciprocal-port rows derived from them when the rows are
-// checked — so a round operator reads both a party's senders and their
+// rows and the reciprocal-port rows derived from them — so a round operator reads both a party's senders and their
 // reciprocal tags in O(n), and a random-per-run wiring is redrawn into the
 // same storage every run.
 #pragma once
@@ -68,10 +67,10 @@ class PortAssignment {
   static PortAssignment random(int num_parties, Xoshiro256StarStar& rng);
 
   /// Redraws this assignment in place as random(num_parties, rng) would —
-  /// the same Fisher–Yates draws, the same row checks — reusing its
-  /// storage and `scratch` (the row checks' inverse table), so a sweep
-  /// that draws one wiring per run allocates nothing once its first wiring
-  /// is drawn.
+  /// the same Fisher–Yates draws — reusing its storage and `scratch` (the
+  /// rows' inverse table), so a sweep that draws one wiring per run
+  /// allocates nothing once its first wiring is drawn. A drawn row is a
+  /// permutation by construction, so the rows are linked unchecked.
   void redraw_random(int num_parties, Xoshiro256StarStar& rng,
                      std::vector<int>& scratch);
 
@@ -123,10 +122,13 @@ class PortAssignment {
     return static_cast<std::size_t>(party) * row_size();
   }
 
-  /// Checks every neighbor row (a permutation of [0..n−1] ∖ {i}; throws
-  /// ValidationError otherwise) and derives the reciprocal rows, with
-  /// `inverse` as the rows' inverse table.
-  void check_rows_and_link(std::vector<int>& inverse);
+  /// Checks every neighbor row: a permutation of [0..n−1] ∖ {i}, else
+  /// ValidationError naming the bad port. `seen` is scratch.
+  void check_rows(std::vector<int>& seen) const;
+
+  /// Derives the reciprocal rows from neighbor rows that are permutations
+  /// (checked, or drawn so), with `inverse` as the rows' inverse table.
+  void link(std::vector<int>& inverse);
 
   int num_parties_ = 0;
   std::vector<int> neighbor_;    // n·(n−1): row i at i·(n−1), port order

@@ -185,9 +185,11 @@ void Server::start() {
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
+  // The backlog holds a full complement of sessions: a connect burst past
+  // it loses SYNs, and each lost SYN costs its client a 1 s retransmit.
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 64) != 0) {
+      ::listen(listen_fd_, static_cast<int>(kMaxSessions)) != 0) {
     const std::string reason = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;

@@ -10,8 +10,13 @@
 // per-bucket deallocation — so an owner that resets between runs of
 // similar size stops touching the allocator.
 //
+// The index covers a prefix of its owner's entries, [0, size()). An owner
+// that knows an entry is new may store it without a probe; before its
+// next find() it numbers that unindexed tail in insertion order
+// (append), hashing each entry from what it stored.
+//
 // What a reset keeps follows the run that is ending, never the largest
-// run ever seen: storage within kRetainFactor of what that run needed is
+// run ever seen: storage within kRetainFactor of what that run indexed is
 // reused as it is, and larger storage is reallocated at that run's size.
 // So one long run costs later runs neither its reset work nor its memory.
 //
@@ -66,14 +71,17 @@ class InternIndex {
   /// What at() returns for a vacant slot.
   static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
 
-  /// Forgets every entry. The slot table is sized for the entries of the
-  /// run that is ending: kept if within kRetainFactor of that size, else
+  /// Forgets every entry. The slot table is sized for the entries the
+  /// ending run indexed: kept if within kRetainFactor of that size, else
   /// reallocated at it. An index must be reset once before its first
   /// find().
   void reset();
 
   /// The slot table's size: what the next reset fills.
   std::size_t slot_count() const noexcept { return slots_.size(); }
+
+  /// Entries numbered so far: the owner's entries [0, size()).
+  std::size_t size() const noexcept { return hashes_.size(); }
 
   /// The slot of the entry `equal` accepts among those hashing to `h`,
   /// or else the vacant slot where such an entry belongs.
@@ -103,6 +111,12 @@ class InternIndex {
     // this is the sizing rule of reset() without its loop.
     if ((hashes_.size() + 1) * 2 > slots_.size()) grow();
     return id;
+  }
+
+  /// Numbers the next entry, hashing to `h`, without comparing it to any
+  /// other: for an entry its owner stored knowing it new.
+  void append(std::uint64_t h, const char* what) {
+    insert(find(h, [](std::uint32_t) { return false; }), h, what);
   }
 
  private:

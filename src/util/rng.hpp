@@ -83,11 +83,12 @@ class Xoshiro256StarStar {
   /// bound must be positive.
   std::uint64_t below(std::uint64_t bound) noexcept {
     // Lemire-style rejection: draw until the draw falls in the largest
-    // multiple of `bound` that fits in 64 bits.
-    const std::uint64_t threshold = (0 - bound) % bound;
+    // multiple of `bound` that fits in 64 bits, i.e. at or above the
+    // threshold 2^64 mod bound. That threshold is below `bound`, so a draw
+    // at or above `bound` is accepted without dividing for it.
     for (;;) {
       const std::uint64_t r = next();
-      if (r >= threshold) return r % bound;
+      if (r >= bound || r >= (0 - bound) % bound) return r % bound;
     }
   }
 

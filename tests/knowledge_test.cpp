@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -385,6 +386,149 @@ TEST(Knowledge, BoardsConsumeNoIdsAndAreNotCounted) {
     rendered += (j == 1 ? "#" : ",#") + std::to_string(values[j]);
   }
   EXPECT_EQ(store.to_string(step), rendered + "})");
+}
+
+// ------------------------------------------------------------ fresh rounds
+
+/// Each party crashes at a round in [1, rounds] with probability 1/2, else
+/// never (-1).
+std::vector<int> random_crashes(int n, int rounds, Xoshiro256StarStar& rng) {
+  std::vector<int> crash_round;
+  for (int party = 0; party < n; ++party) {
+    crash_round.push_back(
+        rng.next_bit() ? 1 + static_cast<int>(rng.below(rounds)) : -1);
+  }
+  return crash_round;
+}
+
+TEST(Knowledge, FreshAndProbedRoundsShareOneStore) {
+  // The in-place operator appends a round's new board and steps without
+  // probing; the reference operator probes for every one. Run both on
+  // one store, on copies of one knowledge vector, in either order each
+  // round: both land on the ids of a store that only probes, and the
+  // second of the two adds nothing.
+  constexpr int kRounds = 6;
+  Xoshiro256StarStar rng(0xf7e5);
+  RoundScratch scratch;
+  for (const int n : {1, 2, 5, 16}) {
+    for (const bool crashes : {false, true}) {
+      for (const bool inplace_first : {true, false}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " crashes=" +
+                     std::to_string(crashes) + " inplace_first=" +
+                     std::to_string(inplace_first));
+        const std::vector<int> crash_round =
+            crashes ? random_crashes(n, kRounds, rng) : std::vector<int>{};
+        KnowledgeStore probing, mixed;
+        std::vector<KnowledgeId> ref = initial_knowledge(probing, n);
+        std::vector<KnowledgeId> knowledge = initial_knowledge(mixed, n);
+        for (int round = 1; round <= kRounds; ++round) {
+          SCOPED_TRACE("round " + std::to_string(round));
+          std::vector<bool> bits;
+          for (int party = 0; party < n; ++party) {
+            bits.push_back(rng.next_bit());
+          }
+          ref = blackboard_round(probing, ref, bits, crash_round, round);
+          std::vector<KnowledgeId> inplace = knowledge;
+          const auto run_inplace = [&] {
+            blackboard_round_inplace(mixed, inplace, bits, scratch,
+                                     crash_round, round);
+          };
+          const auto run_reference = [&] {
+            return blackboard_round(mixed, knowledge, bits, crash_round,
+                                    round);
+          };
+          std::vector<KnowledgeId> probed;
+          if (inplace_first) {
+            run_inplace();
+            const std::size_t size = mixed.size();
+            probed = run_reference();
+            EXPECT_EQ(mixed.size(), size) << "the probes made duplicates";
+          } else {
+            probed = run_reference();
+            const std::size_t size = mixed.size();
+            run_inplace();
+            EXPECT_EQ(mixed.size(), size) << "the round made duplicates";
+          }
+          EXPECT_EQ(inplace, ref);
+          EXPECT_EQ(probed, ref);
+          EXPECT_EQ(mixed.size(), probing.size());
+          for (std::size_t p = 0; p < ref.size(); ++p) {
+            EXPECT_EQ(mixed.to_string(inplace[p]), probing.to_string(ref[p]))
+                << "party " << p;
+          }
+          knowledge = inplace;
+        }
+      }
+    }
+  }
+}
+
+TEST(Knowledge, ABoardBelowTheCeilingIsProbed) {
+  // Round 1 on ⊥ again, in a store whose rounds went past it: the board
+  // [⊥, ⊥, ⊥] exists, and so do its steps. The round finds them all.
+  KnowledgeStore store;
+  RoundScratch scratch;
+  const std::vector<KnowledgeId> start = initial_knowledge(store, 3);
+  const std::vector<bool> bits = {true, false, true};
+  std::vector<KnowledgeId> round1 = start;
+  blackboard_round_inplace(store, round1, bits, scratch);
+  std::vector<KnowledgeId> later = round1;
+  for (int round = 2; round <= 4; ++round) {
+    blackboard_round_inplace(store, later, bits, scratch);
+  }
+  const std::size_t size = store.size();
+  std::vector<KnowledgeId> again = start;
+  blackboard_round_inplace(store, again, bits, scratch);
+  EXPECT_EQ(again, round1);
+  EXPECT_EQ(store.size(), size);
+  const std::vector<KnowledgeId> sorted_start = start;
+  EXPECT_EQ(store.open_round(sorted_start), BoardId{0});
+  // The public probes find what the fresh rounds appended.
+  EXPECT_EQ(store.blackboard_step(start[0], true, {start[1], start[2]}),
+            round1[0]);
+  EXPECT_EQ(store.intern_board(sorted_start), BoardId{0});
+  EXPECT_EQ(store.size(), size);
+}
+
+TEST(Knowledge, FreshRoundsLeaveTheSlotTablesAtTheirInitialSize) {
+  // A fault-free run's boards and steps are all new, so none is indexed:
+  // the slot tables stay as a fresh store has them, through the run and
+  // the reset after it, however many values the run interned.
+  const std::size_t initial = KnowledgeStore().slot_count();
+  KnowledgeStore store;
+  RoundScratch scratch;
+  std::vector<KnowledgeId> knowledge = initial_knowledge(store, 64);
+  Xoshiro256StarStar rng(0x5107);
+  for (int round = 1; round <= 40; ++round) {
+    std::vector<bool> bits;
+    for (int party = 0; party < 64; ++party) bits.push_back(rng.next_bit());
+    blackboard_round_inplace(store, knowledge, bits, scratch);
+  }
+  EXPECT_GT(store.size(), 4 * initial);
+  EXPECT_EQ(store.slot_count(), initial);
+  store.reset();
+  EXPECT_EQ(store.slot_count(), initial);
+}
+
+TEST(Knowledge, RoundStepRejectsAValueOffTheBoard) {
+  KnowledgeStore store;
+  EXPECT_FALSE(store.round_step(store.bottom(), true).has_value())
+      << "no round is open";
+  const std::vector<KnowledgeId> board = {store.bottom(), store.bottom()};
+  store.open_round(board);
+  const std::optional<KnowledgeId> step = store.round_step(store.bottom(), true);
+  ASSERT_TRUE(step.has_value());
+  EXPECT_EQ(store.round_step(store.bottom(), true), step);  // memoized
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_FALSE(store.round_step(*step, false).has_value());
+  // A public call steps on the open board first: the round finds its
+  // step instead of appending a second one.
+  const KnowledgeId probed = store.blackboard_step_on(store.bottom(), false, 0);
+  EXPECT_EQ(store.round_step(store.bottom(), false), probed);
+  EXPECT_EQ(store.size(), 3u);
+  store.reset();
+  EXPECT_FALSE(store.round_step(store.bottom(), true).has_value())
+      << "reset closes the round";
 }
 
 TEST(Knowledge, StoreIndicesPastThirtyTwoBitsAreANamedError) {

@@ -45,7 +45,7 @@ TEST(PortAssignment, ValidatesRows) {
 }
 
 TEST(PortAssignment, RowChecksNameTheBadPort) {
-  // The row checks fill the reciprocal rows as they go; a bad row is still
+  // The row checks run before the rows are linked; a bad row is still
   // reported the way the constructor always reported it.
   const auto message = [](std::vector<std::vector<int>> rows) {
     try {
@@ -88,18 +88,29 @@ void expect_reciprocal_rows(const PortAssignment& pa) {
 }
 
 TEST(PortAssignment, ReciprocalRowsMatchPortTo) {
+  // A drawn wiring's rows are linked without the row checks, so this scan
+  // is their independent check, at sizes around the small and the
+  // power-of-two cases; the checking constructor, fed the drawn rows,
+  // must also accept them and land on the same wiring.
   for (int n = 1; n <= 4; ++n) {
     PortAssignment::for_each(n, expect_reciprocal_rows);
   }
   Xoshiro256StarStar rng(0x7ec1);
-  for (const int n : {5, 16}) {
+  for (const int n : {2, 3, 5, 16, 17, 64}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     expect_reciprocal_rows(PortAssignment::cyclic(n));
     for (int g = 1; g <= n; ++g) {
       if (n % g == 0) expect_reciprocal_rows(PortAssignment::adversarial(n, g));
     }
     for (int trial = 0; trial < 8; ++trial) {
-      expect_reciprocal_rows(PortAssignment::random(n, rng));
+      const PortAssignment drawn = PortAssignment::random(n, rng);
+      expect_reciprocal_rows(drawn);
+      std::vector<std::vector<int>> rows;
+      for (int i = 0; i < n; ++i) {
+        const std::span<const int> row = drawn.neighbors(i);
+        rows.emplace_back(row.begin(), row.end());
+      }
+      EXPECT_EQ(PortAssignment(std::move(rows)), drawn);
     }
   }
 }

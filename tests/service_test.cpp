@@ -720,9 +720,10 @@ TEST(Service, AClientPastTheSessionBoundReadsANamedRejectAndIsClosed) {
   const std::string ping = "{\"op\":\"ping\"}";
   const auto wait = std::chrono::milliseconds(5000);
   // Sessions are accepted in connection order, so once a client is
-  // answered every earlier one is a session. A ping every 32 clients keeps
-  // the connects within the listen backlog, which drops (and delays by a
-  // 1 s retransmit) a SYN that arrives while it is full.
+  // answered every earlier one is a session. The listen backlog holds a
+  // full complement of connects (AFullComplementOfClientsConnects...), so
+  // the ping every 32 clients only checks the sessions as they come; the
+  // last one orders the extra client after all of them.
   std::vector<int> idle;
   for (std::size_t i = 0; i < kMaxSessions; ++i) {
     idle.push_back(open_socket());
@@ -764,6 +765,42 @@ TEST(Service, AClientPastTheSessionBoundReadsANamedRejectAndIsClosed) {
   ::close(next);
   for (const int fd : idle) ::close(fd);
   server.stop();
+}
+
+TEST(Service, AFullComplementOfClientsConnectsWithoutARetransmit) {
+  // Regression: rsbd listened with a backlog of 64 but serves up to
+  // kMaxSessions sessions, so a burst of connects overflowed the accept
+  // queue, and every SYN the kernel dropped cost its client a 1 s
+  // retransmit. The backlog is now kMaxSessions: that many blocking
+  // connects back to back, with nothing between them, each return at
+  // once, and every one of them is then served. One burst overflowed the
+  // old backlog only now and then, so the test runs three, each on a
+  // fresh server: a server sees a client's leave only when it next reads.
+  const std::string ping = "{\"op\":\"ping\"}";
+  const auto wait = std::chrono::milliseconds(5000);
+  for (int burst = 0; burst < 3; ++burst) {
+    Server server({.threads = 1});
+    server.start();
+    std::vector<int> clients;
+    for (std::size_t i = 0; i < kMaxSessions; ++i) {
+      clients.push_back(open_socket());
+      const auto begin = std::chrono::steady_clock::now();
+      ASSERT_TRUE(connect_to(clients.back(), server.port()))
+          << "burst " << burst << " client " << i;
+      EXPECT_LT(std::chrono::steady_clock::now() - begin,
+                std::chrono::milliseconds(500))
+          << "burst " << burst << " client " << i
+          << " waited for a SYN retransmit";
+    }
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      ASSERT_TRUE(send_all(clients[i], ping))
+          << "burst " << burst << " client " << i;
+      EXPECT_TRUE(is_pong(read_reply(clients[i], wait)))
+          << "burst " << burst << " client " << i;
+    }
+    for (const int fd : clients) ::close(fd);
+    server.stop();
+  }
 }
 
 /// Runs rsbd (an in-process Server with one worker) in a forked child and

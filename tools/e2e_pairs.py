@@ -2,17 +2,23 @@
 """Run the end-to-end benchmark in alternating parent/change pairs.
 
     python3 tools/e2e_pairs.py PARENT_DIR CHANGE_DIR --workload sweep-long \\
-        --pairs 10 --seconds 15
+        --pairs 10 --seconds 15 [--first-seed 1]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of this repository. Pair i runs
-`python3 e2ebench/run.py --workload W --seed i --seconds S --trace 0` in the
-parent, then in the change, for i = 1..N. For every end-to-end metric of
-BENCHMARK.json it prints the parent's median and quartiles, the change's
-median and quartiles, the pairs in which the change was better, and the
-change's quartile spread as a share of the parent's median beside the
-metric's bound. It reports and gives no verdict: it exits non-zero only
-when a run fails or reads `correct: false`. It reads BENCHMARK.json from
-the parent checkout and writes nothing.
+`python3 e2ebench/run.py --workload W --seed s --seconds S --trace 0` once
+in each, for i = 1..N and s = FIRST_SEED + i - 1. Odd pairs run the parent
+first and even pairs the change, so a host phase that follows a run's
+position lands on both sides alike. Before pair 1, each side makes one
+warm-up run (seed 0) that is not recorded: the first process of a set has
+read several times faster than the rest, whichever side it was. Every
+line names the pair's order. For
+every end-to-end metric of BENCHMARK.json it prints the parent's median
+and quartiles, the change's median and quartiles, the pairs in which the
+change was better, and the change's quartile spread as a share of the
+parent's median beside the metric's bound. It reports and gives no
+verdict: it exits non-zero only when a run, the warm-ups included, fails
+or reads `correct: false`. It reads BENCHMARK.json from the parent
+checkout and writes nothing.
 """
 
 import argparse
@@ -57,25 +63,36 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args()
 
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
         metrics = json.load(f)["end_to_end"]
 
-    runs = {"parent": [], "change": []}
+    sides = (("parent", args.parent), ("change", args.change))
     failures = []
-    for seed in range(1, args.pairs + 1):
-        for side, checkout in (("parent", args.parent),
-                               ("change", args.change)):
+    for side, checkout in sides:
+        _, error = run_once(checkout, args.workload, 0, args.seconds)
+        if error is not None:
+            failures.append("%s warm-up: %s" % (side, error))
+        print("%s warm-up (not recorded): %s" % (side, error or "ok"),
+              flush=True)
+
+    runs = {"parent": [], "change": []}
+    for pair in range(1, args.pairs + 1):
+        seed = args.first_seed + pair - 1
+        order = sides if pair % 2 == 1 else sides[::-1]
+        first = order[0][0] + " first"
+        for side, checkout in order:
             values, error = run_once(checkout, args.workload, seed,
                                      args.seconds)
             if error is not None:
                 failures.append("%s seed %d: %s" % (side, seed, error))
-                print("%s seed %d: FAILED (%s)" % (side, seed, error),
-                      flush=True)
+                print("%s seed %d (%s): FAILED (%s)"
+                      % (side, seed, first, error), flush=True)
                 continue
             runs[side].append((seed, values))
-            print("%s seed %d: %s" % (side, seed, " ".join(
+            print("%s seed %d (%s): %s" % (side, seed, first, " ".join(
                 "%s=%.4g" % (m["name"], values[m["name"]])
                 for m in metrics if m["name"] in values)), flush=True)
 
