@@ -10,9 +10,9 @@
 // consistency class a multiple of g = gcd(n_1,...,n_k).
 //
 // Layout: two flat n·(n−1) arrays, row i at offset i·(n−1) — the neighbor
-// rows and the reciprocal-port rows derived from them — so a round operator reads both a party's senders and their
-// reciprocal tags in O(n), and a random-per-run wiring is redrawn into the
-// same storage every run.
+// rows and the reciprocal-port rows derived from them — so a round
+// operator reads both a party's senders and their reciprocal tags in O(n),
+// and a random-per-run wiring is redrawn into the same storage every run.
 #pragma once
 
 #include <cstdint>

@@ -9,9 +9,9 @@ PARENT_DIR and CHANGE_DIR are two checkouts of this repository. Pair i runs
 in each, for i = 1..N and s = FIRST_SEED + i - 1. Odd pairs run the parent
 first and even pairs the change, so a host phase that follows a run's
 position lands on both sides alike. Before pair 1, each side makes one
-warm-up run (seed 0) that is not recorded: the first process of a set has
-read several times faster than the rest, whichever side it was. Every
-line names the pair's order. For
+warm-up run (seed 0), printed but not counted: the first process of a set
+has read several times faster than the rest, whichever side it was.
+Every line names the pair's order. For
 every end-to-end metric of BENCHMARK.json it prints the parent's median
 and quartiles, the change's median and quartiles, the pairs in which the
 change was better, and the change's quartile spread as a share of the
@@ -48,6 +48,14 @@ def run_once(checkout, workload, seed, seconds):
     return {name: m["value"] for name, m in result["metrics"].items()}, None
 
 
+def describe(values, error, metrics):
+    """One run's end-to-end metrics, or its failure."""
+    if error is not None:
+        return "FAILED (%s)" % error
+    return " ".join("%s=%.4g" % (m["name"], values[m["name"]])
+                    for m in metrics if m["name"] in values)
+
+
 def quartiles(values):
     """(q1, median, q3) of `values`."""
     if len(values) < 2:
@@ -72,11 +80,11 @@ def main():
     sides = (("parent", args.parent), ("change", args.change))
     failures = []
     for side, checkout in sides:
-        _, error = run_once(checkout, args.workload, 0, args.seconds)
+        values, error = run_once(checkout, args.workload, 0, args.seconds)
         if error is not None:
             failures.append("%s warm-up: %s" % (side, error))
-        print("%s warm-up (not recorded): %s" % (side, error or "ok"),
-              flush=True)
+        print("%s warm-up, seed 0 (not recorded): %s"
+              % (side, describe(values, error, metrics)), flush=True)
 
     runs = {"parent": [], "change": []}
     for pair in range(1, args.pairs + 1):
@@ -88,13 +96,11 @@ def main():
                                      args.seconds)
             if error is not None:
                 failures.append("%s seed %d: %s" % (side, seed, error))
-                print("%s seed %d (%s): FAILED (%s)"
-                      % (side, seed, first, error), flush=True)
-                continue
-            runs[side].append((seed, values))
-            print("%s seed %d (%s): %s" % (side, seed, first, " ".join(
-                "%s=%.4g" % (m["name"], values[m["name"]])
-                for m in metrics if m["name"] in values)), flush=True)
+            else:
+                runs[side].append((seed, values))
+            print("%s seed %d (%s): %s" % (
+                side, seed, first, describe(values, error, metrics)),
+                flush=True)
 
     parent_by_seed = dict(runs["parent"])
     change_by_seed = dict(runs["change"])
