@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -95,39 +96,59 @@ inline void report_table(const ResultTable& table) {
 // ------------------------------------------------- throughput recording
 
 /// One engine-sweep timing per row: `runs` seed-runs completed in
-/// `wall_ns` on `threads` worker threads.
+/// `pass_ns` of `clock` time on `threads` worker threads.
 inline ResultTable& throughput_table() {
   static ResultTable table("throughput");
   return table;
 }
 
+/// CPU time this process has used, in ns. For a serial sweep that is its
+/// wall time less the time it waited for a core, so a busy shared host
+/// stretches the wall clock but not this one.
+inline double process_cpu_ns() {
+  timespec now{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) * 1e9 +
+         static_cast<double>(now.tv_nsec);
+}
+
+inline double wall_clock_ns() {
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Passes a single-thread row keeps the fastest of.
+inline constexpr int kSerialPasses = 8;
+
 /// Times fn() — which must perform exactly `runs` engine runs per call —
-/// and prints + records the resulting runs/sec. Returns the rate. fn is
-/// invoked three times and the fastest pass wins: sweeps complete in
-/// milliseconds, so a single sample is hostage to one scheduler hiccup,
-/// and the --baseline gate needs the machine's repeatable best, not a
-/// draw from the noise floor (the first pass doubles as cache warmup).
+/// and prints + records the resulting runs/sec. Returns the rate. A
+/// single-thread row is timed in process CPU time and keeps the fastest of
+/// kSerialPasses passes: sweeps complete in milliseconds, and the
+/// --baseline gate needs the code's repeatable best, not the host's load
+/// (the first pass doubles as cache warmup). A multi-thread row keeps the
+/// fastest wall-clock time of 3 passes — its CPU time sums the workers'.
 template <typename Fn>
 inline double time_runs(const std::string& name, std::uint64_t runs,
                         int threads, Fn&& fn) {
-  using clock = std::chrono::steady_clock;
-  double wall_ns = 0.0;
-  for (int pass = 0; pass < 3; ++pass) {
-    const auto start = clock::now();
+  const bool serial = threads == 1;
+  const auto now = serial ? process_cpu_ns : wall_clock_ns;
+  double best_ns = 0.0;
+  for (int pass = 0; pass < (serial ? kSerialPasses : 3); ++pass) {
+    const double start = now();
     fn();
-    const double pass_ns =
-        std::chrono::duration<double, std::nano>(clock::now() - start)
-            .count();
-    if (pass == 0 || pass_ns < wall_ns) wall_ns = pass_ns;
+    const double pass_ns = now() - start;
+    if (pass == 0 || pass_ns < best_ns) best_ns = pass_ns;
   }
-  const double rate = wall_ns > 0.0
-                          ? static_cast<double>(runs) / (wall_ns * 1e-9)
+  const double rate = best_ns > 0.0
+                          ? static_cast<double>(runs) / (best_ns * 1e-9)
                           : 0.0;
   throughput_table()
       .add_row()
       .set("name", name)
       .set("runs", runs)
-      .set("wall_ns", wall_ns)
+      .set("pass_ns", best_ns)
+      .set("clock", serial ? "process-cpu" : "wall")
       .set("runs_per_sec", rate)
       .set("threads", threads);
   std::printf("  %-44s threads=%-2d %8llu runs %12.0f runs/sec\n",
@@ -215,12 +236,12 @@ inline std::uint64_t calibration_kernel(std::vector<std::uint64_t>& table,
   return x;
 }
 
-/// The median and quartiles of kPasses timed kernel passes, after one
-/// untimed warmup pass.
+/// The median and quartiles of kPasses kernel passes, after one untimed
+/// warmup pass, timed in process CPU time like the gated single-thread
+/// rows it divides.
 inline const Calibration& calibration() {
   static const Calibration measured = [] {
     constexpr int kPasses = 21;
-    using clock = std::chrono::steady_clock;
     std::vector<std::uint64_t> table;
     // The seed is read through a volatile so the kernel's input is a run-
     // time value; the sink keeps its result live.
@@ -228,12 +249,10 @@ inline const Calibration& calibration() {
     volatile std::uint64_t sink = calibration_kernel(table, seed);
     std::vector<double> rates;
     for (int pass = 0; pass < kPasses; ++pass) {
-      const auto start = clock::now();
+      const double start = process_cpu_ns();
       sink = sink + calibration_kernel(table, seed);
-      const double wall_ns =
-          std::chrono::duration<double, std::nano>(clock::now() - start)
-              .count();
-      rates.push_back(wall_ns > 0.0 ? 1e9 / wall_ns : 0.0);
+      const double pass_ns = process_cpu_ns() - start;
+      rates.push_back(pass_ns > 0.0 ? 1e9 / pass_ns : 0.0);
     }
     std::sort(rates.begin(), rates.end());
     return Calibration{rates[kPasses / 2], rates[kPasses / 4],

@@ -1,6 +1,7 @@
 #include "algo/euclid.hpp"
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -8,17 +9,7 @@ namespace rsb::sim {
 
 namespace {
 
-constexpr char kSig[] = "S|";     // refine exchange payloads
-constexpr char kRank[] = "R|";    // refine rank payloads
 constexpr char kStatus[] = "T|";  // post-matching status payloads
-constexpr char kReq[] = "REQ";
-constexpr char kAck[] = "ACK";
-constexpr char kRetireV1[] = "RET1";
-constexpr char kRetireV2[] = "RET2";
-
-bool has_prefix(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
 
 }  // namespace
 
@@ -28,274 +19,97 @@ void EuclidLeaderElectionAgent::begin(const Init& init) {
         "EuclidLeaderElectionAgent: Theorem 4.2's algorithm runs on the "
         "message-passing model");
   }
-  init_ = init;
+  RefinementAgent::begin(init);
 }
 
 void EuclidLeaderElectionAgent::send_phase(int round,
                                            std::uint64_t random_word,
                                            Outbox& out) {
-  (void)round;
   switch (phase_) {
-    case Phase::kRefineExchange: {
-      const bool bit = (random_word & 1ULL) != 0;
-      pending_signature_ =
-          std::to_string(label_) + "|" + (bit ? "1" : "0");
-      for (int port = 1; port <= init_.num_parties - 1; ++port) {
-        out.send(port, std::string(kSig) + std::to_string(label_) + "|" +
-                           std::to_string(port));
+    case Phase::kRefine:
+      RefinementAgent::send_phase(round, random_word, out);
+      break;
+    case Phase::kMatch:
+      matching_.send(random_word, out);
+      break;
+    case Phase::kStatus: {
+      // The refinement signature and what the matching made of the party:
+      // m1 (V1, all matched), m2 / u2 (V2, matched / not), id (neither).
+      std::string status = kStatus;
+      status += own_signature_text();
+      switch (matching_.role()) {
+        case MatchingRole::kV1:
+          status += "|m1";
+          break;
+        case MatchingRole::kV2:
+          status += matching_.matched() ? "|m2" : "|u2";
+          break;
+        case MatchingRole::kBystander:
+          status += "|id";
+          break;
       }
+      send_ranked(out, status);
       break;
     }
-    case Phase::kRefineRank:
-      out.send_all(kRank + pending_signature_);
-      break;
-    case Phase::kMatchRequest: {
-      if (is_v1_ && !matched_) {
-        std::vector<int> active_v2_ports;
-        for (const auto& [port, label] : label_of_port_) {
-          if (label == v2_label_ && active_of_port_.at(port)) {
-            active_v2_ports.push_back(port);
-          }
-        }
-        if (active_v2_ports.empty()) {
-          throw ValidationError(
-              "EuclidLeaderElectionAgent: V1 active with no active V2 port");
-        }
-        const std::size_t index =
-            static_cast<std::size_t>(random_word % active_v2_ports.size());
-        out.send(active_v2_ports[index], kReq);
-      }
-      break;
-    }
-    case Phase::kMatchAck:
-      if (pending_ack_port_ != 0) {
-        out.send(pending_ack_port_, kAck);
-        out.send_all(kRetireV2);
-        matched_ = true;
-        self_active_ = false;
-        pending_ack_port_ = 0;
-      }
-      break;
-    case Phase::kMatchRetire:
-      if (announce_retire_) {
-        out.send_all(kRetireV1);
-        announce_retire_ = false;
-      }
-      break;
-    case Phase::kStatusExchange: {
-      std::string status = "id";
-      if (is_v1_) status = "m1";
-      if (is_v2_) status = matched_ ? "m2" : "u2";
-      pending_signature_ = own_signature_ + "|" + status;
-      out.send_all(kStatus + pending_signature_);
-      break;
-    }
-    case Phase::kStatusRank:
-      break;  // unused: the status exchange carries full signatures
   }
 }
 
 void EuclidLeaderElectionAgent::receive_phase(int round,
                                               const Delivery& delivery) {
-  (void)round;
   switch (phase_) {
-    case Phase::kRefineExchange: {
-      // Assemble the port-indexed tagged signature.
-      std::string sig = pending_signature_;
-      for (const auto& msg : delivery.by_port) {
-        const std::string_view payload = delivery.text(msg);
-        if (!has_prefix(payload, kSig)) {
-          throw ValidationError("EuclidLeaderElectionAgent: bad payload '" +
-                                std::string(payload) + "'");
-        }
-        sig += "|" + std::to_string(msg.port) + ":";
-        sig += payload.substr(2);
-      }
-      pending_signature_ = std::move(sig);
-      phase_ = Phase::kRefineRank;
+    case Phase::kRefine:
+      // Completing a step calls on_step_complete, which may start a
+      // matching.
+      RefinementAgent::receive_phase(round, delivery);
       break;
-    }
-    case Phase::kRefineRank: {
-      std::vector<std::string> all;
-      for (const auto& msg : delivery.by_port) {
-        const std::string_view payload = delivery.text(msg);
-        if (!has_prefix(payload, kRank)) {
-          throw ValidationError("EuclidLeaderElectionAgent: bad rank '" +
-                                std::string(payload) + "'");
-        }
-        all.emplace_back(payload.substr(2));
-      }
-      all.push_back(pending_signature_);
-      own_signature_ = pending_signature_;
-      ++refine_steps_;
-      complete_labeling(std::move(all));
-      label_of_port_.clear();
-      for (const auto& msg : delivery.by_port) {
-        label_of_port_[msg.port] =
-            rank_of(std::string(delivery.text(msg).substr(2)));
-      }
-      maybe_start_matching();
-      break;
-    }
-    case Phase::kMatchRequest: {
-      if (is_v2_ && self_active_) {
-        int min_port = 0;
-        for (const auto& msg : delivery.by_port) {
-          if (delivery.text(msg) == kReq &&
-              (min_port == 0 || msg.port < min_port)) {
-            min_port = msg.port;
-          }
-        }
-        pending_ack_port_ = min_port;
-      }
-      phase_ = Phase::kMatchAck;
-      break;
-    }
-    case Phase::kMatchAck: {
-      for (const auto& msg : delivery.by_port) {
-        const std::string_view payload = delivery.text(msg);
-        if (payload == kAck && is_v1_ && !matched_) {
-          matched_ = true;
-          self_active_ = false;
-          announce_retire_ = true;
-          self_retirement_pending_ = true;
-        }
-        if (payload == kRetireV2) active_of_port_[msg.port] = false;
-      }
-      phase_ = Phase::kMatchRetire;
-      break;
-    }
-    case Phase::kMatchRetire: {
-      for (const auto& msg : delivery.by_port) {
-        if (delivery.text(msg) == kRetireV1) {
-          active_of_port_[msg.port] = false;
-          --active_v1_;
-        }
-      }
-      if (self_retirement_pending_) {
-        --active_v1_;
-        self_retirement_pending_ = false;
-      }
-      if (active_v1_ == 0) {
+    case Phase::kMatch:
+      if (matching_.receive(delivery)) {
         ++matchings_run_;
-        in_matching_ = false;
-        phase_ = Phase::kStatusExchange;
-      } else {
-        phase_ = Phase::kMatchRequest;
+        phase_ = Phase::kStatus;
       }
       break;
-    }
-    case Phase::kStatusExchange: {
-      std::vector<std::string> all;
-      for (const auto& msg : delivery.by_port) {
-        const std::string_view payload = delivery.text(msg);
-        if (!has_prefix(payload, kStatus)) {
-          throw ValidationError("EuclidLeaderElectionAgent: bad status '" +
-                                std::string(payload) + "'");
-        }
-        all.emplace_back(payload.substr(2));
-      }
-      all.push_back(pending_signature_);
-      own_signature_ = pending_signature_;
-      complete_labeling(std::move(all));
-      // Port labels are stale after a status labeling; clear them so the
-      // controller refines (rebuilding the map) before further matching.
-      label_of_port_.clear();
-      maybe_start_matching();
-      break;
-    }
-    case Phase::kStatusRank:
+    case Phase::kStatus:
+      // Port labels are stale after a status labeling, so the next
+      // matching waits for a refinement step.
+      rank(delivery, kStatus);
+      elect_first_singleton();
+      phase_ = Phase::kRefine;
       break;
   }
 }
 
-void EuclidLeaderElectionAgent::complete_labeling(
-    std::vector<std::string> all_signatures) {
-  std::sort(all_signatures.begin(), all_signatures.end());
-  signatures_ = std::move(all_signatures);
-  std::vector<std::string> distinct;
-  std::vector<int> sizes;
-  for (const auto& sig : signatures_) {
-    if (distinct.empty() || distinct.back() != sig) {
-      distinct.push_back(sig);
-      sizes.push_back(1);
-    } else {
-      ++sizes.back();
-    }
-  }
-  label_ = static_cast<int>(
-      std::lower_bound(distinct.begin(), distinct.end(), own_signature_) -
-      distinct.begin());
-  class_sizes_ = std::move(sizes);
-
-  distinct_signatures_ = std::move(distinct);
-
-  // Leader check: smallest singleton signature wins.
-  if (!decided()) {
-    for (std::size_t c = 0; c < distinct_signatures_.size(); ++c) {
-      if (class_sizes_[c] == 1) {
-        decide(own_signature_ == distinct_signatures_[c] ? 1 : 0);
-        break;
-      }
-    }
-  }
-}
-
-int EuclidLeaderElectionAgent::rank_of(const std::string& signature) const {
-  const auto it = std::lower_bound(distinct_signatures_.begin(),
-                                   distinct_signatures_.end(), signature);
-  if (it == distinct_signatures_.end() || *it != signature) {
-    throw ValidationError(
-        "EuclidLeaderElectionAgent: unknown signature in rank_of");
-  }
-  return static_cast<int>(it - distinct_signatures_.begin());
-}
-
-void EuclidLeaderElectionAgent::maybe_start_matching() {
-  // Matching needs fresh port labels, which only a refine labeling
-  // provides; after a status labeling the map is cleared and we fall
-  // through to refinement.
-  if (decided() || label_of_port_.empty() || class_sizes_.size() < 2) {
-    phase_ = Phase::kRefineExchange;
-    return;
-  }
+void EuclidLeaderElectionAgent::on_step_complete() {
+  elect_first_singleton();
+  if (decided()) return;
   // Pick the smallest and the next class with a strictly larger size; if
   // all classes share one size, subtraction makes no progress — refine
   // instead and let randomness split something first.
-  int v1 = -1;
-  for (std::size_t c = 0; c < class_sizes_.size(); ++c) {
-    if (v1 < 0 || class_sizes_[c] < class_sizes_[static_cast<std::size_t>(v1)]) {
-      v1 = static_cast<int>(c);
+  const std::vector<int>& sizes = class_sizes();
+  std::size_t v1 = 0;
+  for (std::size_t c = 1; c < sizes.size(); ++c) {
+    if (sizes[c] < sizes[v1]) v1 = c;
+  }
+  std::size_t v2 = sizes.size();
+  for (std::size_t c = 0; c < sizes.size(); ++c) {
+    if (sizes[c] > sizes[v1] && (v2 == sizes.size() || sizes[c] < sizes[v2])) {
+      v2 = c;
     }
   }
-  int v2 = -1;
-  for (std::size_t c = 0; c < class_sizes_.size(); ++c) {
-    if (static_cast<int>(c) == v1) continue;
-    if (class_sizes_[c] <= class_sizes_[static_cast<std::size_t>(v1)]) continue;
-    if (v2 < 0 || class_sizes_[c] < class_sizes_[static_cast<std::size_t>(v2)]) {
-      v2 = static_cast<int>(c);
-    }
+  if (v2 == sizes.size()) return;
+  const PayloadId v1_signature = class_signatures()[v1];
+  const PayloadId v2_signature = class_signatures()[v2];
+  std::vector<MatchingRole> port_roles;
+  for (const PayloadId signature : port_signatures()) {
+    port_roles.push_back(signature == v1_signature   ? MatchingRole::kV1
+                         : signature == v2_signature ? MatchingRole::kV2
+                                                     : MatchingRole::kBystander);
   }
-  if (v2 < 0) {
-    phase_ = Phase::kRefineExchange;
-    return;
-  }
-  v1_label_ = v1;
-  v2_label_ = v2;
-  is_v1_ = label_ == v1;
-  is_v2_ = label_ == v2;
-  matched_ = false;
-  self_active_ = is_v1_ || is_v2_;
-  active_v1_ = class_sizes_[static_cast<std::size_t>(v1)];
-  pending_ack_port_ = 0;
-  announce_retire_ = false;
-  self_retirement_pending_ = false;
-  active_of_port_.clear();
-  for (const auto& [port, label] : label_of_port_) {
-    active_of_port_[port] = true;
-  }
-  in_matching_ = true;
-  phase_ = Phase::kMatchRequest;
+  const std::size_t own = static_cast<std::size_t>(label());
+  const MatchingRole role = own == v1   ? MatchingRole::kV1
+                            : own == v2 ? MatchingRole::kV2
+                                        : MatchingRole::kBystander;
+  matching_.start(role, std::move(port_roles), sizes[v1]);
+  phase_ = Phase::kMatch;
 }
 
 }  // namespace rsb::sim

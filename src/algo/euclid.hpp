@@ -2,14 +2,14 @@
 // explicit message-level protocol.
 //
 // Structure (Section 4.2): parties interleave
-//  * refinement phases — two rounds (label exchange with outgoing-port
-//    tags, then rank agreement) that track the consistency classes and
-//    feed fresh randomness into the labels; and
-//  * matching phases — Algorithm 1 (CreateMatching) run between the two
-//    smallest classes V1 and V2: REQ to a random active-V2 port, ACK to
-//    the minimal requesting port, retirement broadcasts. The matched /
-//    unmatched outcome is then folded into the labels (status + rank
-//    rounds), splitting V2 into classes of sizes |V1| and |V2|−|V1| — the
+//  * refinement steps — RefinementAgent's two rounds (label exchange with
+//    outgoing-port tags, then rank agreement) that track the consistency
+//    classes and feed fresh randomness into the labels; and
+//  * matching phases — Algorithm 1 (CreateMatchingRounds) run between the
+//    smallest class V1 and the next strictly larger one V2, each party
+//    reading the roles off its per-port labels. The matched / unmatched
+//    outcome is then folded into the labels by one status ranking round,
+//    splitting V2 into classes of sizes |V1| and |V2|−|V1| — the
 //    subtraction step of Euclid's algorithm on the class sizes.
 //
 // A leader is declared as soon as a singleton class exists (the isolated
@@ -25,15 +25,15 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
+#include "algo/agents.hpp"
 #include "sim/network.hpp"
 
 namespace rsb::sim {
 
-class EuclidLeaderElectionAgent final : public Agent {
+/// class_sizes() (inherited) are the sizes at the last completed labeling,
+/// a refinement step's or a status round's.
+class EuclidLeaderElectionAgent final : public RefinementAgent {
  public:
   void begin(const Init& init) override;
   void send_phase(int round, std::uint64_t random_word, Outbox& out) override;
@@ -42,47 +42,19 @@ class EuclidLeaderElectionAgent final : public Agent {
   /// Number of completed matching phases (diagnostics).
   int matchings_run() const noexcept { return matchings_run_; }
 
-  /// Class sizes at the last completed labeling (diagnostics).
-  const std::vector<int>& class_sizes() const noexcept { return class_sizes_; }
+ protected:
+  void on_step_complete() override;
 
  private:
   enum class Phase {
-    kRefineExchange,  // round A: send label (+ outgoing port), consume bit
-    kRefineRank,      // round B: agree on new labels
-    kMatchRequest,    // V1 actives send REQ on a random active-V2 port
-    kMatchAck,        // V2 with REQs ACK the minimal port, retire
-    kMatchRetire,     // newly matched V1 retire; everyone updates counts
-    kStatusExchange,  // broadcast (signature, matching status)
-    kStatusRank,      // agree on post-matching labels
+    kRefine,  // a refinement step's two rounds
+    kMatch,   // Algorithm 1 between V1 and V2
+    kStatus,  // rank (signature, matching status) into new labels
   };
 
-  void complete_labeling(std::vector<std::string> all_signatures);
-  void maybe_start_matching();
-  int rank_of(const std::string& signature) const;
-
-  Init init_;
-  Phase phase_ = Phase::kRefineExchange;
-  int label_ = 0;
-  std::vector<std::string> signatures_;           // all n, sorted
-  std::vector<std::string> distinct_signatures_;  // sorted, one per class
-  std::string own_signature_;
-  std::string pending_signature_;
-  std::vector<int> class_sizes_;
-  int refine_steps_ = 0;
+  Phase phase_ = Phase::kRefine;
   int matchings_run_ = 0;
-
-  // Matching state.
-  bool in_matching_ = false;
-  int v1_label_ = -1, v2_label_ = -1;
-  bool is_v1_ = false, is_v2_ = false;
-  bool matched_ = false;
-  bool self_active_ = false;
-  std::map<int, int> label_of_port_;    // port → sender's label
-  std::map<int, bool> active_of_port_;  // V2-ports (for V1) / V1 (for all)
-  int active_v1_ = 0;
-  int pending_ack_port_ = 0;
-  bool announce_retire_ = false;
-  bool self_retirement_pending_ = false;
+  CreateMatchingRounds matching_;
 };
 
 }  // namespace rsb::sim

@@ -166,18 +166,36 @@ std::string WaitForClassSplitMLE::name() const {
 bool WaitForClassSplitMLE::decide_multiset(
     const KnowledgeStore& /*store*/, std::span<const KnowledgeId> multiset,
     std::vector<std::int64_t>& verdicts) const {
-  const std::size_t m = static_cast<std::size_t>(num_leaders_);
-  if (m > multiset.size()) return false;
-  // The classes are the multiset's runs, in id order. Bit s of row c:
-  // the classes from c on have a sub-collection of total size s. A row is
-  // m + 1 bits in 64-bit words, and row c = row c+1 | row c+1 << size(c).
-  std::vector<std::size_t> starts;
+  // The classes are the multiset's runs, in id order.
+  std::vector<int> sizes;
   for (std::size_t i = 0; i < multiset.size(); ++i) {
-    if (i == 0 || multiset[i] != multiset[i - 1]) starts.push_back(i);
+    if (i == 0 || multiset[i] != multiset[i - 1]) {
+      sizes.push_back(1);
+    } else {
+      ++sizes.back();
+    }
   }
-  starts.push_back(multiset.size());
-  const std::size_t classes = starts.size() - 1;
-  const std::size_t words = m / 64 + 1;
+  std::vector<bool> chosen;
+  if (!select_class_split(sizes, num_leaders_, chosen)) return false;
+  verdicts.clear();
+  for (std::size_t c = 0; c < sizes.size(); ++c) {
+    verdicts.insert(verdicts.end(), static_cast<std::size_t>(sizes[c]),
+                    chosen[c] ? 1 : 0);
+  }
+  return true;
+}
+
+bool select_class_split(std::span<const int> sizes, int m,
+                        std::vector<bool>& chosen) {
+  std::size_t total = 0;
+  for (const int size : sizes) total += static_cast<std::size_t>(size);
+  if (m < 0 || static_cast<std::size_t>(m) > total) return false;
+  const std::size_t target = static_cast<std::size_t>(m);
+  // Bit s of row c: the classes from c on have a sub-collection of total
+  // size s. A row is m + 1 bits in 64-bit words, and row c = row c+1 |
+  // row c+1 << size(c).
+  const std::size_t classes = sizes.size();
+  const std::size_t words = target / 64 + 1;
   std::vector<std::uint64_t> reach((classes + 1) * words, 0);
   const auto row = [&](std::size_t c) { return reach.data() + c * words; };
   const auto reaches = [&](std::size_t c, std::size_t s) {
@@ -185,10 +203,10 @@ bool WaitForClassSplitMLE::decide_multiset(
   };
   row(classes)[0] = 1;
   const std::uint64_t last_word_mask =
-      (m + 1) % 64 == 0 ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << ((m + 1) % 64)) - 1;
+      (target + 1) % 64 == 0 ? ~std::uint64_t{0}
+                             : (std::uint64_t{1} << ((target + 1) % 64)) - 1;
   for (std::size_t c = classes; c-- > 0;) {
-    const std::size_t size = starts[c + 1] - starts[c];
+    const std::size_t size = static_cast<std::size_t>(sizes[c]);
     const std::size_t word_shift = size / 64;
     const unsigned bit_shift = static_cast<unsigned>(size % 64);
     const std::uint64_t* next = row(c + 1);
@@ -205,16 +223,15 @@ bool WaitForClassSplitMLE::decide_multiset(
     }
     out[words - 1] &= last_word_mask;
   }
-  if (!reaches(0, m)) return false;
+  if (!reaches(0, target)) return false;
   // The depth-first search's first find: take a class whenever the classes
   // after it can still make up the rest.
-  verdicts.assign(multiset.size(), 0);
-  std::size_t rest = m;
+  chosen.assign(classes, false);
+  std::size_t rest = target;
   for (std::size_t c = 0; c < classes && rest > 0; ++c) {
-    const std::size_t size = starts[c + 1] - starts[c];
+    const std::size_t size = static_cast<std::size_t>(sizes[c]);
     if (size <= rest && reaches(c + 1, rest - size)) {
-      std::fill(verdicts.begin() + starts[c], verdicts.begin() + starts[c + 1],
-                1);
+      chosen[c] = true;
       rest -= size;
     }
   }

@@ -147,14 +147,23 @@ class WaitForSingletonLE final : public AnonymousProtocol {
                        std::vector<std::int64_t>& verdicts) const override;
 };
 
+/// The class split both m-leader elections crown: whether classes of the
+/// given sizes, in their canonical order, have a sub-collection of total
+/// size exactly m (m >= 0), and if so the first one an include-first
+/// depth-first search finds — each class is taken whenever the classes
+/// after it can still make up the rest — as one flag per class in
+/// `chosen`. A table of the sums each suffix of classes reaches, rows of
+/// m + 1 bits in 64-bit words, finds it in O(classes × m / 64).
+/// WaitForClassSplitMLE orders the classes by knowledge id, and
+/// sim::RefinementMLeaderElectionAgent by signature bytes.
+bool select_class_split(std::span<const int> sizes, int m,
+                        std::vector<bool>& chosen);
+
 /// Generalization to m leaders: decides once the consistency classes at
 /// time t−1 admit a sub-collection of total size exactly m; the m leaders
-/// are the members of the canonical one: over the classes in knowledge-id
-/// order, each class is taken whenever the classes after it can still
-/// make up the rest (the first subset an include-first depth-first search
-/// finds). A table of the sums each suffix of classes reaches finds it in
-/// O(classes × m). Completes exactly when the task's partition criterion
-/// is met.
+/// are the members of the canonical one, select_class_split over the
+/// classes in knowledge-id order. Completes exactly when the task's
+/// partition criterion is met.
 class WaitForClassSplitMLE final : public AnonymousProtocol {
  public:
   explicit WaitForClassSplitMLE(int num_leaders);

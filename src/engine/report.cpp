@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "util/error.hpp"
+#include "util/json_string.hpp"
 
 namespace rsb {
 
@@ -39,44 +40,17 @@ std::string csv_escape(const std::string& field) {
   return out + "\"";
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string cell_to_json(const ResultTable::Cell& cell) {
   switch (cell.index()) {
     case 1:
       return std::to_string(std::get<std::int64_t>(cell));
     case 2:
       return format_double(std::get<double>(cell));
-    case 3:
-      return "\"" + json_escape(std::get<std::string>(cell)) + "\"";
+    case 3: {
+      std::string out;
+      append_json_string(out, std::get<std::string>(cell));
+      return out;
+    }
     default:
       return "null";
   }
@@ -208,17 +182,18 @@ std::string ResultTable::to_csv() const {
 }
 
 std::string ResultTable::to_json() const {
-  std::string out = "{\n  \"table\": \"" + json_escape(name_) + "\",\n";
-  out += "  \"meta\": {";
+  std::string out = "{\n  \"table\": ";
+  append_json_string(out, name_);
+  out += ",\n  \"meta\": {";
   for (std::size_t m = 0; m < meta_.size(); ++m) {
     if (m != 0) out += ", ";
-    out += "\"" + json_escape(meta_[m].first) +
-           "\": " + cell_to_json(meta_[m].second);
+    append_json_string(out, meta_[m].first);
+    out += ": " + cell_to_json(meta_[m].second);
   }
   out += "},\n  \"columns\": [";
   for (std::size_t c = 0; c < columns_.size(); ++c) {
     if (c != 0) out += ", ";
-    out += "\"" + json_escape(columns_[c]) + "\"";
+    append_json_string(out, columns_[c]);
   }
   out += "],\n  \"rows\": [\n";
   for (std::size_t r = 0; r < rows_.size(); ++r) {

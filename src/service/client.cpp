@@ -8,8 +8,8 @@
 #include <cerrno>
 #include <cstring>
 
-#include "service/json.hpp"
 #include "util/error.hpp"
+#include "util/json_string.hpp"
 
 namespace rsb::service {
 
@@ -97,7 +97,7 @@ void Client::close() {
 
 std::string submit_request(const std::string& spec_text) {
   std::string out = "{\"op\":\"submit\",\"spec\":";
-  json::append_quoted(out, spec_text);
+  append_json_string(out, spec_text);
   out += "}";
   return out;
 }

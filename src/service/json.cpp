@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "util/error.hpp"
+#include "util/json_string.hpp"
 
 namespace rsb::service::json {
 
@@ -126,39 +127,6 @@ Value& Value::set(const std::string& key, Value value) {
   return *this;
 }
 
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void Value::serialize_to(std::string& out) const {
   switch (kind_) {
     case Kind::kNull:
@@ -171,7 +139,7 @@ void Value::serialize_to(std::string& out) const {
       out += scalar_;
       return;
     case Kind::kString:
-      append_quoted(out, scalar_);
+      append_json_string(out, scalar_);
       return;
     case Kind::kArray: {
       out += '[';
@@ -186,7 +154,7 @@ void Value::serialize_to(std::string& out) const {
       out += '{';
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i != 0) out += ',';
-        append_quoted(out, members_[i].first);
+        append_json_string(out, members_[i].first);
         out += ':';
         members_[i].second.serialize_to(out);
       }

@@ -90,7 +90,4 @@ class Value {
   std::vector<std::pair<std::string, Value>> members_;
 };
 
-/// Escapes `s` as a JSON string literal (with quotes) into `out`.
-void append_quoted(std::string& out, const std::string& s);
-
 }  // namespace rsb::service::json

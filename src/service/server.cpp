@@ -22,6 +22,7 @@
 #include "service/json.hpp"
 #include "service/rows.hpp"
 #include "util/error.hpp"
+#include "util/json_string.hpp"
 
 namespace rsb::service {
 
@@ -34,7 +35,7 @@ constexpr int kPollMillis = 200;
 
 std::string quoted(const std::string& s) {
   std::string out;
-  json::append_quoted(out, s);
+  append_json_string(out, s);
   return out;
 }
 

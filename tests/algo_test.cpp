@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 
 #include "algo/agents.hpp"
@@ -457,6 +458,85 @@ TEST(RefinementMLeaderElection, BlackboardTwoLeaders) {
     for (std::int64_t v : outcome.outputs) leaders += v == 1 ? 1 : 0;
     EXPECT_EQ(leaders, 2);
   }
+}
+
+TEST(RefinementMLeaderElection, LeadersAreTheDepthFirstSubset) {
+  // Where a split exists, the agents crown the sub-collection of classes,
+  // in signature order, that the reference's include-first search finds.
+  const struct {
+    Model model;
+    std::vector<int> loads;
+    int m;
+  } shapes[] = {
+      {Model::kBlackboard, {2, 3, 1}, 3},
+      {Model::kBlackboard, {1, 2, 4}, 3},
+      {Model::kBlackboard, {3, 1, 2, 1}, 4},
+      {Model::kMessagePassing, {2, 3}, 2},
+      {Model::kMessagePassing, {1, 2, 4}, 5},
+  };
+  for (const auto& shape : shapes) {
+    const auto config = SourceConfiguration::from_loads(shape.loads);
+    const int n = config.num_parties();
+    std::optional<PortAssignment> ports;
+    if (shape.model == Model::kMessagePassing) {
+      ports = PortAssignment::cyclic(n);
+    }
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const int m = shape.m;
+      sim::Network net(shape.model, config, seed, ports, [m](int) {
+        return std::make_unique<sim::RefinementMLeaderElectionAgent>(m);
+      });
+      // Every party decides in the same step, on the classes it then holds.
+      for (int round = 0; round < 400 && !net.step(); ++round) {
+      }
+      const auto& first =
+          dynamic_cast<const sim::RefinementAgent&>(net.agent(0));
+      ASSERT_TRUE(first.decided()) << "m " << m << " seed " << seed;
+      std::vector<std::pair<KnowledgeId, int>> classes;
+      for (std::size_t c = 0; c < first.class_sizes().size(); ++c) {
+        classes.emplace_back(static_cast<KnowledgeId>(c),
+                             first.class_sizes()[c]);
+      }
+      const auto chosen =
+          testing::reference_detail::canonical_subset_with_sum(classes, m);
+      ASSERT_TRUE(chosen.has_value()) << "m " << m << " seed " << seed;
+      int leaders = 0;
+      for (int party = 0; party < n; ++party) {
+        const auto& agent =
+            dynamic_cast<const sim::RefinementAgent&>(net.agent(party));
+        EXPECT_EQ(agent.class_sizes(), first.class_sizes());
+        const bool crowned =
+            std::find(chosen->begin(), chosen->end(),
+                      static_cast<KnowledgeId>(agent.label())) !=
+            chosen->end();
+        EXPECT_EQ(agent.output(), crowned ? 1 : 0)
+            << "m " << m << " seed " << seed << " party " << party;
+        leaders += agent.output() == 1 ? 1 : 0;
+      }
+      EXPECT_EQ(leaders, m) << "seed " << seed;
+    }
+  }
+}
+
+TEST(RefinementMLeaderElection, UnreachableSplitOverManyClassesStaysFast) {
+  // 24 sources of load 2: every class size is even, so no sub-collection
+  // totals m = 25, while the refinement splits the parties into up to 24
+  // classes. An include-first depth-first search backtracks through every
+  // sub-collection of at most 12 of them, per party and step; the class-
+  // split selection reads its answer off a table of reachable sums.
+  const auto config = SourceConfiguration::from_loads(std::vector<int>(24, 2));
+  const auto start = std::chrono::steady_clock::now();
+  sim::Network net(Model::kBlackboard, config, 1, std::nullopt, [](int) {
+    return std::make_unique<sim::RefinementMLeaderElectionAgent>(25);
+  });
+  const auto outcome = net.run(40);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_FALSE(outcome.all_decided);
+  EXPECT_EQ(dynamic_cast<const sim::RefinementAgent&>(net.agent(0)).steps(),
+            20);
+  EXPECT_LT(seconds, 2.0) << "40 rounds of an unreachable 25-leader split";
 }
 
 // --------------------------------------------------- CreateMatching (E9)

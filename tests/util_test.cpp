@@ -1,6 +1,6 @@
 // Unit and property tests for the util substrate: RNG determinism,
-// bit strings, numeric helpers, partition enumeration, and the intern
-// index.
+// bit strings, numeric helpers, partition enumeration, the intern index
+// and the JSON string escaper.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include "util/bitstring.hpp"
 #include "util/error.hpp"
 #include "util/intern_index.hpp"
+#include "util/json_string.hpp"
 #include "util/numeric.hpp"
 #include "util/partitions.hpp"
 #include "util/rng.hpp"
@@ -387,6 +388,22 @@ TEST(InternIndex, NarrowingPastThirtyTwoBitsNamesTheFieldOnly) {
     // caller's field.
     EXPECT_EQ(what.find("KnowledgeStore"), std::string::npos) << what;
   }
+}
+
+// -------------------------------------------------------- JSON strings
+
+TEST(JsonString, EscapesQuotesBackslashesAndControlBytes) {
+  // Two-character escapes for '"', '\\', '\n', '\r' and '\t', six-character
+  // ones for the other bytes below 0x20 (NUL included), and every other
+  // byte, DEL and UTF-8 included, verbatim.
+  const std::string text("a\"b\\c\nd\re\tf\x01g\x1fh\0i\x7f\xc3\xa9", 20);
+  std::string out = "x";
+  append_json_string(out, text);
+  EXPECT_EQ(out,
+            "x\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh\\u0000i\x7f\xc3\xa9\"");
+  out.clear();
+  append_json_string(out, "");
+  EXPECT_EQ(out, "\"\"");
 }
 
 }  // namespace
