@@ -518,6 +518,19 @@ TEST(RefinementMLeaderElection, LeadersAreTheDepthFirstSubset) {
   }
 }
 
+TEST(RefinementMLeaderElection, RejectsNegativeMByName) {
+  // As wait-for-class-split-LE's constructor does; a negative m used to
+  // build an agent that never decides.
+  try {
+    const sim::RefinementMLeaderElectionAgent agent(-1);
+    ADD_FAILURE() << "m = -1 was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("RefinementMLeaderElectionAgent"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(RefinementMLeaderElection, UnreachableSplitOverManyClassesStaysFast) {
   // 24 sources of load 2: every class size is even, so no sub-collection
   // totals m = 25, while the refinement splits the parties into up to 24
