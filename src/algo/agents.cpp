@@ -30,73 +30,74 @@ void RefinementAgent::begin(const Init& init) {
 void RefinementAgent::send_phase(int round, std::uint64_t random_word,
                                  Outbox& out) {
   (void)round;
-  if (awaiting_rank_) {
+  if (!awaiting_rank_) {
+    // Round A: transmit the previous step's label. The current round's bit
+    // is consumed here but never transmitted — Eqs. (1)/(2): messages carry
+    // time-(s−1) state; a party learns the others' round-s bits only at
+    // step s+1.
+    const bool bit = (random_word & 1ULL) != 0;
+    bits_.push_back(bit);
+    if (init_.model == Model::kBlackboard) {
+      out.post(kSigPrefix + std::to_string(label_));
+    } else {
+      for (int port = 1; port <= init_.num_parties - 1; ++port) {
+        // The outgoing port number rides along — the reciprocal tag of the
+        // port-tagged model.
+        out.send(port, std::string(kSigPrefix) + std::to_string(label_) + "|" +
+                           std::to_string(port));
+      }
+    }
+  } else {
     // Round B: broadcast the completed signature for rank agreement.
     send_ranked(out, kRankPrefix + pending_signature_);
-    return;
-  }
-  // Round A: transmit the previous step's label. The current round's bit
-  // is consumed here but never transmitted — Eqs. (1)/(2): messages carry
-  // time-(s−1) state; a party learns the others' round-s bits only at
-  // step s+1.
-  const bool bit = (random_word & 1ULL) != 0;
-  bits_.push_back(bit);
-  if (init_.model == Model::kBlackboard) {
-    out.post(kSigPrefix + std::to_string(label_));
-  } else {
-    for (int port = 1; port <= init_.num_parties - 1; ++port) {
-      // The outgoing port number rides along — the reciprocal tag of the
-      // port-tagged model.
-      out.send(port, std::string(kSigPrefix) + std::to_string(label_) + "|" +
-                         std::to_string(port));
-    }
   }
 }
 
 void RefinementAgent::receive_phase(int round, const Delivery& delivery) {
   (void)round;
-  if (awaiting_rank_) {
-    // End of round B: rank agreement over all n signatures.
-    awaiting_rank_ = false;
-    rank(delivery, kRankPrefix);
-    ++steps_;
-    on_step_complete();
+  if (!awaiting_rank_) {
+    // End of round A: assemble the signature from own (label, bit) and the
+    // received labels — a multiset on the blackboard (Eq. 1), a
+    // port-indexed tagged tuple in the message-passing model (Eq. 2).
+    std::string sig =
+        std::to_string(label_) + "|" + (bits_.back() ? "1" : "0");
+    if (init_.model == Model::kBlackboard) {
+      std::vector<std::string> received;
+      for (const PayloadId id : delivery.board) {
+        const std::string_view payload = delivery.text(id);
+        if (!has_prefix(payload, kSigPrefix)) {
+          throw ValidationError("RefinementAgent: unexpected board payload '" +
+                                std::string(payload) + "'");
+        }
+        received.emplace_back(payload.substr(2));
+      }
+      std::sort(received.begin(), received.end());
+      sig += "|{";
+      for (std::size_t i = 0; i < received.size(); ++i) {
+        if (i != 0) sig += ",";
+        sig += received[i];
+      }
+      sig += "}";
+    } else {
+      for (const auto& msg : delivery.by_port) {  // sorted by (port, payload)
+        const std::string_view payload = delivery.text(msg);
+        if (!has_prefix(payload, kSigPrefix)) {
+          throw ValidationError("RefinementAgent: unexpected port payload '" +
+                                std::string(payload) + "'");
+        }
+        sig += "|" + std::to_string(msg.port) + ":";
+        sig += payload.substr(2);
+      }
+    }
+    pending_signature_ = std::move(sig);
+    awaiting_rank_ = true;
     return;
   }
-  // End of round A: assemble the signature from own (label, bit) and the
-  // received labels — a multiset on the blackboard (Eq. 1), a port-indexed
-  // tagged tuple in the message-passing model (Eq. 2).
-  std::string sig = std::to_string(label_) + "|" + (bits_.back() ? "1" : "0");
-  if (init_.model == Model::kBlackboard) {
-    std::vector<std::string> received;
-    for (const PayloadId id : delivery.board) {
-      const std::string_view payload = delivery.text(id);
-      if (!has_prefix(payload, kSigPrefix)) {
-        throw ValidationError("RefinementAgent: unexpected board payload '" +
-                              std::string(payload) + "'");
-      }
-      received.emplace_back(payload.substr(2));
-    }
-    std::sort(received.begin(), received.end());
-    sig += "|{";
-    for (std::size_t i = 0; i < received.size(); ++i) {
-      if (i != 0) sig += ",";
-      sig += received[i];
-    }
-    sig += "}";
-  } else {
-    for (const auto& msg : delivery.by_port) {  // sorted by (port, payload)
-      const std::string_view payload = delivery.text(msg);
-      if (!has_prefix(payload, kSigPrefix)) {
-        throw ValidationError("RefinementAgent: unexpected port payload '" +
-                              std::string(payload) + "'");
-      }
-      sig += "|" + std::to_string(msg.port) + ":";
-      sig += payload.substr(2);
-    }
-  }
-  pending_signature_ = std::move(sig);
-  awaiting_rank_ = true;
+  // End of round B: rank agreement over all n signatures.
+  awaiting_rank_ = false;
+  rank(delivery, kRankPrefix);
+  ++steps_;
+  on_step_complete();
 }
 
 std::string_view RefinementAgent::own_signature_text() const {
