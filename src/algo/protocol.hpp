@@ -51,22 +51,6 @@ class AnonymousProtocol {
   /// party's own previous value; nullopt at time 0.
   std::optional<std::int64_t> decide(const KnowledgeStore& store,
                                      KnowledgeId knowledge) const;
-
-  /// True iff the rule depends on the knowledge values' *content* only —
-  /// the bit strings and multiset structure reachable through the store —
-  /// and never on the numeric order of interned ids. Ids are insertion-
-  /// order handles (parties intern in index order each round), so an
-  /// id-order rule like "the smallest unique knowledge value" silently
-  /// reads the party labeling: relabeling the parties of a run permutes
-  /// which value was interned first and can move the verdicts to different
-  /// holders. Content-only rules are equivariant — relabeling a run's
-  /// initial configuration relabels its outcome, nothing more — which is
-  /// what lets the orbit-dedup layer (engine/orbit.hpp) replicate one
-  /// executed run across its whole isomorphism class. Declaring true here
-  /// is a promise pinned by the orbit byte-identity tests; the
-  /// conservative default keeps id-order protocols on the literal-match
-  /// path, which is always sound.
-  virtual bool knowledge_order_invariant() const { return false; }
 };
 
 struct ProtocolOutcome {
@@ -116,10 +100,6 @@ class BlackboardUniqueStringLE final : public AnonymousProtocol {
   bool decide_multiset(const KnowledgeStore& store,
                        std::span<const KnowledgeId> multiset,
                        std::vector<std::int64_t>& verdicts) const override;
-  /// The rule ranges over randomness *strings* compared lexicographically —
-  /// pure content, no interned-id order — so relabeled runs produce
-  /// relabeled outcomes and orbit dedup may quotient by the full group.
-  bool knowledge_order_invariant() const override { return true; }
 };
 
 /// Model-agnostic leader election: a party decides once the knowledge
@@ -134,9 +114,7 @@ class BlackboardUniqueStringLE final : public AnonymousProtocol {
 /// insertion-order handles — among several singleton classes the winner is
 /// the one first attained in party-index order. The rule is name-
 /// independent (every party applies it to the same multiset) but *not*
-/// id-order invariant: relabeling a run can crown a different singleton,
-/// so knowledge_order_invariant() stays false and orbit dedup matches this
-/// protocol's runs literally.
+/// id-order invariant: relabeling a run can crown a different singleton.
 class WaitForSingletonLE final : public AnonymousProtocol {
  public:
   std::string name() const override { return "wait-for-singleton-LE"; }

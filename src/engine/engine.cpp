@@ -39,9 +39,8 @@ constexpr std::uint64_t kAutoGranulesPerWorker = 8;
 /// keeps the chunk index safely within int for the shard observer.
 constexpr std::uint64_t kMaxChunksPerBatch = 4096;
 
-/// The effective chunk is rounded up to a whole number of orbit lookup
-/// groups (ParallelConfig::batch), so a scheduling chunk claims full groups
-/// and only the sweep's final chunk can probe a narrower remainder group.
+/// The effective chunk: the knob, or the auto granule, coarsened so the
+/// batch has at most kMaxChunksPerBatch chunks.
 std::uint64_t resolve_chunk(const ParallelConfig& config, std::uint64_t count,
                             int workers) {
   std::uint64_t chunk = config.chunk;
@@ -50,11 +49,8 @@ std::uint64_t resolve_chunk(const ParallelConfig& config, std::uint64_t count,
         static_cast<std::uint64_t>(workers) * kAutoGranulesPerWorker;
     chunk = std::max<std::uint64_t>(1, (count + granules - 1) / granules);
   }
-  chunk =
-      std::max(chunk, (count + kMaxChunksPerBatch - 1) / kMaxChunksPerBatch);
-  const std::uint64_t batch =
-      static_cast<std::uint64_t>(std::max(config.batch, 1));
-  return (chunk + batch - 1) / batch * batch;
+  return std::max(chunk,
+                  (count + kMaxChunksPerBatch - 1) / kMaxChunksPerBatch);
 }
 
 /// The work-stealing chunk deque. Every worker starts owning a contiguous
@@ -158,46 +154,15 @@ PortPolicy provider_policy(const Experiment& spec) {
 template <typename PerRun>
 void execute_range(RunContext& ctx, const Experiment& spec,
                    PortProvider& ports, std::uint64_t begin, std::uint64_t end,
-                   int batch, OrbitTable* orbit, const PerRun& per_run) {
-  if (orbit == nullptr) {
-    const bool knowledge = spec.backend() == Experiment::Backend::kProtocol;
-    for (std::uint64_t i = begin; i < end; ++i) {
-      const std::uint64_t seed = spec.seeds.first + i;
-      const PortAssignment* assignment = ports.next();
-      if (knowledge) {
-        per_run(i, assignment, run_prepared(ctx, spec, seed, assignment));
-      } else {
-        per_run(i, assignment,
-                run_agent_prepared(ctx, spec, seed, assignment));
-      }
-    }
-    return;
-  }
-  // Deduped sweep (eligible specs are knowledge-backend by construction):
-  // a lookup group of min(batch, runs left) candidates is prepared and
-  // probed against the orbit memo before any of its misses runs; then
-  // each miss runs and is inserted at its consumed-round level. Reporting
-  // stays in run-index order with the candidate's own wiring and crash
-  // draw, so per_run sees bytes identical to the brute sweep.
-  for (std::uint64_t i = begin; i < end;) {
-    const std::size_t group = static_cast<std::size_t>(
-        std::min(end - i, static_cast<std::uint64_t>(batch)));
-    if (ctx.orbit_probes.size() < group) ctx.orbit_probes.resize(group);
-    for (std::size_t l = 0; l < group; ++l) {
-      OrbitProbe& probe = ctx.orbit_probes[l];
-      orbit->prepare(probe, spec.seeds.first + i + l, ports.next());
-      orbit->lookup(probe);
-    }
-    for (std::size_t l = 0; l < group; ++l, ++i) {
-      OrbitProbe& probe = ctx.orbit_probes[l];
-      if (probe.hit) {
-        per_run(i, probe.ports, probe.outcome);
-        continue;
-      }
-      const ProtocolOutcome& outcome =
-          run_prepared(ctx, spec, probe.seed, probe.ports);
-      orbit->insert(probe, outcome, ctx.consumed);
-      per_run(i, probe.ports, outcome);
+                   const PerRun& per_run) {
+  const bool knowledge = spec.backend() == Experiment::Backend::kProtocol;
+  for (std::uint64_t i = begin; i < end; ++i) {
+    const std::uint64_t seed = spec.seeds.first + i;
+    const PortAssignment* assignment = ports.next();
+    if (knowledge) {
+      per_run(i, assignment, run_prepared(ctx, spec, seed, assignment));
+    } else {
+      per_run(i, assignment, run_agent_prepared(ctx, spec, seed, assignment));
     }
   }
 }
@@ -207,9 +172,6 @@ void execute_range(RunContext& ctx, const Experiment& spec,
 void ParallelConfig::validate() const {
   if (threads < 0) {
     throw InvalidArgument("ParallelConfig: threads must be >= 0");
-  }
-  if (batch < 1) {
-    throw InvalidArgument("ParallelConfig: batch must be >= 1");
   }
 }
 
@@ -250,16 +212,6 @@ void Engine::drive(const Experiment& spec, std::uint64_t stream_offset,
                    const PrepareShards& prepare,
                    const ShardObserver& observe) {
   const std::uint64_t count = spec.seeds.count;
-  // One memo table per drive, shared by every worker: per-drive scoping is
-  // what keeps the resumption law trivial (a resumed sub-range dedups only
-  // within itself, so split-and-merge equals the one-shot sweep byte for
-  // byte). Ineligible specs never construct one.
-  std::optional<OrbitTable> orbit_store;
-  OrbitTable* orbit = nullptr;
-  if (parallel_.orbit && OrbitTable::eligible(spec)) {
-    orbit_store.emplace(spec);
-    orbit = &*orbit_store;
-  }
   int workers = resolve_workers(parallel_, count);
   // One worker sweeps the whole range as one chunk into one shard.
   std::uint64_t chunk = count;
@@ -290,9 +242,7 @@ void Engine::drive(const Experiment& spec, std::uint64_t stream_offset,
       const std::uint64_t begin = c * chunk;
       const std::uint64_t end = std::min(begin + chunk, count);
       ports.skip_to(stream_offset + begin);
-      // Chunks are group-aligned (resolve_chunk), so only the sweep's
-      // final chunk can probe a narrower remainder group.
-      execute_range(ctx, spec, ports, begin, end, parallel_.batch, orbit,
+      execute_range(ctx, spec, ports, begin, end,
                     [&](std::uint64_t i, const PortAssignment* assignment,
                         const ProtocolOutcome& outcome) {
                       observe(static_cast<int>(c),
@@ -310,10 +260,6 @@ void Engine::drive(const Experiment& spec, std::uint64_t stream_offset,
   }
   for (const RunContext& ctx : worker_ctxs_) {
     store_high_water_ = std::max(store_high_water_, ctx.store_high_water);
-  }
-  if (orbit != nullptr) {
-    orbit_hits_ += orbit->hits();
-    orbit_reps_ += orbit->reps();
   }
 }
 

@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "engine/collector.hpp"
@@ -65,23 +64,10 @@ namespace rsb {
 struct ParallelConfig {
   int threads = 1;          // worker count; 1 = serial, 0 = all hardware
   std::uint64_t chunk = 0;  // runs per scheduling chunk; 0 = auto
-  /// Orbit dedup's lookup group; no other effect; results never depend
-  /// on it; deleted with orbit dedup (ROADMAP.md, item 3). With orbit on,
-  /// a sweep prepares and probes min(batch, runs left) candidates before
-  /// it runs the group's misses; a parallel sweep's scheduling chunks are
-  /// rounded up to whole groups.
-  int batch = 1;
-  /// Orbit-level run deduplication (engine/orbit.hpp): when true, sweeps
-  /// of symmetry-eligible specs execute one run per initial-configuration
-  /// orbit and replicate the outcome across the orbit with the relabeling
-  /// applied. Results stay byte-identical to the brute-force sweep for
-  /// every collector (pinned by tests/orbit_test.cpp); ineligible specs —
-  /// fixed/cyclic/adversarial wirings, agent backends, topologies — take
-  /// the identity path and never pay for a table. Purely an execution-
-  /// strategy knob.
-  bool orbit = false;
+  int batch = 1;       // ignored; the benchmark PR (ROADMAP item 2) deletes it
+  bool orbit = false;  // ignored; the benchmark PR (ROADMAP item 2) deletes it
 
-  /// Throws InvalidArgument on threads < 0 or batch < 1.
+  /// Throws InvalidArgument on threads < 0.
   void validate() const;
 };
 
@@ -174,14 +160,10 @@ class Engine {
   /// aggregated as the max over every worker context the engine has run.
   std::size_t store_high_water() const noexcept { return store_high_water_; }
 
-  /// Cumulative orbit-dedup accounting across this engine's sweeps: runs
-  /// served by replicating a memoized representative, and representatives
-  /// actually executed. hits + reps equals the total runs swept with the
-  /// orbit pass active (the split between them is timing-dependent under
-  /// threads > 1 — results never are). Both stay 0 while parallel().orbit
-  /// is false or every spec is ineligible.
-  std::uint64_t orbit_hits() const noexcept { return orbit_hits_; }
-  std::uint64_t orbit_reps() const noexcept { return orbit_reps_; }
+  /// Always 0; ignored; the benchmark PR (ROADMAP item 2) deletes it.
+  std::uint64_t orbit_hits() const noexcept { return 0; }
+  /// Always 0; ignored; the benchmark PR (ROADMAP item 2) deletes it.
+  std::uint64_t orbit_reps() const noexcept { return 0; }
 
  private:
   /// Sizes the shard set for the batch (called exactly once, before any
@@ -212,8 +194,6 @@ class Engine {
   std::vector<RunContext> worker_ctxs_;  // one per worker, reused per batch
   ParallelConfig parallel_;
   std::size_t store_high_water_ = 0;
-  std::uint64_t orbit_hits_ = 0;
-  std::uint64_t orbit_reps_ = 0;
 };
 
 }  // namespace rsb

@@ -151,7 +151,7 @@ std::vector<RunStats> run_grid(Engine& engine, const Grid& grid);
 // contiguous seed range through Engine::run_collect_range, which
 // repositions the port stream so resumed ranges are draw-for-draw
 // identical to one long sweep — so per-point results are byte-identical
-// across threads × batch widths AND prefix-identical to the uniform
+// across thread counts AND prefix-identical to the uniform
 // run_grid of the same seed count (both pinned by
 // tests/adaptive_grid_test.cpp).
 

@@ -63,7 +63,6 @@ const ProtocolOutcome& run_prepared(RunContext& ctx, const Experiment& spec,
   outcome.decision_round.assign(static_cast<std::size_t>(n), -1);
   outcome.crash_round.clear();
   int undecided = n;
-  ctx.consumed = 0;
 
   const AnonymousProtocol& protocol = *spec.protocol;
   const std::vector<int>& source_of = spec.config.source_of_party();
@@ -106,7 +105,6 @@ const ProtocolOutcome& run_prepared(RunContext& ctx, const Experiment& spec,
     }
     // One draw per source per executed round — exactly the SourceBank's
     // lazy extension — then fan the source bits out over the parties.
-    ++ctx.consumed;
     for (int source = 0; source < sources; ++source) {
       ctx.source_bits[static_cast<std::size_t>(source)] =
           ctx.coins[static_cast<std::size_t>(source)].next_bit() ? 1 : 0;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "engine/experiment.hpp"
-#include "engine/orbit.hpp"
 #include "knowledge/knowledge.hpp"
 #include "model/models.hpp"
 #include "sim/payload.hpp"
@@ -42,9 +41,6 @@ struct RunContext {
   /// draws its fault schedule here too.
   std::vector<int> crash_round;
   ProtocolOutcome outcome;
-  /// Rounds of source bits the run drew — its consumed-prefix length, the
-  /// level an orbit memo entry lives at (engine/orbit.hpp).
-  int consumed = 0;
 
   // --- round and decision scratch, overwritten every round -------------
   std::vector<std::uint8_t> source_bits;  // one coin bit per source
@@ -63,7 +59,6 @@ struct RunContext {
   RoundScratch round_scratch;  // in-place round-operator buffers
 
   std::size_t store_high_water = 0;
-  std::vector<OrbitProbe> orbit_probes;  // one per orbit lookup group slot
   sim::PayloadArena arena;  // agent-backend payload pool (lent to each
                             // run's sim::Network)
 };
@@ -71,12 +66,11 @@ struct RunContext {
 /// One knowledge-level run of `spec` at `seed` over `ports` (null on the
 /// blackboard). This is the knowledge backend's only executor. The result
 /// is ctx.outcome, returned by reference and valid until the next run on
-/// `ctx`; ctx.consumed holds the rounds of coins it drew. `ports` is read
-/// during the call only, so it may point into a PortProvider's latest
-/// draw. Under a fault plan the crash schedule is drawn from the plan's
-/// per-run seed stream (a pure function of (spec, seed), so no skip-ahead
-/// is needed under parallelism) and reported back in the outcome's
-/// crash_round.
+/// `ctx`. `ports` is read during the call only, so it may point into a
+/// PortProvider's latest draw. Under a fault plan the crash schedule is
+/// drawn from the plan's per-run seed stream (a pure function of (spec,
+/// seed), so no skip-ahead is needed under parallelism) and reported back
+/// in the outcome's crash_round.
 const ProtocolOutcome& run_prepared(RunContext& ctx, const Experiment& spec,
                                     std::uint64_t seed,
                                     const PortAssignment* ports);

@@ -319,13 +319,11 @@ std::string CanonicalSpec::canonical_text() const {
   // Every pair whose value differs from the default, keys sorted (the
   // kKeys order), one per line. Inert knobs — a port seed under a
   // non-random policy, fault fields with zero crashes, a sched seed under
-  // a non-random scheduler, `batch` and `orbit` always (orbit-deduplicated
-  // execution, in lookup groups of any width, is byte-identical to the
-  // plain sweep, so neither knob changes any result), and
-  // `adaptive-budget`/`pilot` always (adaptive sweeps execute a subset of
-  // the same pure (spec, chunk) shards, so the knobs change which chunks
-  // run, never any chunk's bytes) — are normalized away: they cannot
-  // change any run, so they must not change the hash.
+  // a non-random scheduler, `batch` and `orbit` always (they select
+  // nothing), and `adaptive-budget`/`pilot` always (adaptive sweeps
+  // execute a subset of the same pure (spec, chunk) shards, so the knobs
+  // change which chunks run, never any chunk's bytes) — are normalized
+  // away: they cannot change any run, so they must not change the hash.
   const std::string effective_policy =
       port_policy.empty() ? default_policy(model) : port_policy;
   const std::string sched_canon = canonical_sched(sched);

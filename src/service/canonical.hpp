@@ -94,31 +94,22 @@ struct CanonicalSpec {
   int fault_crashes = 0;
   int fault_window = 8;
   std::uint64_t fault_seed = 0xfa017ULL;
-  /// Orbit lookup group the submitter would like the executor to use
-  /// (ParallelConfig::batch); 0 = leave it to the executor. rsbd ignores
-  /// it and sweeps at ServerConfig::batch. Purely an execution-strategy
-  /// knob: results never depend on it, so `batch` is normalized out of
-  /// canonical_text() and the spec hash — two requests differing only in
-  /// batch are the same ensemble and share cache shards.
+  /// The accepted `batch=N` (N >= 0) and `orbit=on|off` keys; 0 and ""
+  /// when absent. Nothing reads them: they select nothing, so they are
+  /// normalized out of canonical_text() and the spec hash, and requests
+  /// differing only in them share cache shards.
   int batch = 0;
-  /// Orbit-level run deduplication preference ("on" | "off"); "" = leave
-  /// it to the daemon's default. Like `batch`, purely an
-  /// execution-strategy knob: the orbit pass replicates canonical-
-  /// representative outcomes so the merged results are byte-identical to
-  /// the brute-force sweep (pinned by tests/orbit_test.cpp), so `orbit`
-  /// is normalized out of canonical_text() and the spec hash — requests
-  /// differing only in orbit share cache shards.
   std::string orbit;
   /// Total adaptive run budget across every point of the request
   /// (engine/grid.hpp, run_grid_adaptive); 0 = uniform sweep (every point
   /// runs its full seed range). When set, the daemon pilots each point
   /// with `pilot` runs and grows the widest-CI points in rounds, capping
-  /// each point at its seeds count. Like `batch`, this is an
-  /// execution-strategy knob normalized out of canonical_text() and the
-  /// hash: adaptive sweeps execute pure (spec, seed-range) shards keyed
-  /// under the same spec hash a uniform sweep uses, so adaptive and
-  /// uniform requests over one ensemble share the cache namespace (and
-  /// whole entries whenever their chunk ranges coincide).
+  /// each point at its seeds count. This is an execution-strategy knob
+  /// normalized out of canonical_text() and the hash: adaptive sweeps
+  /// execute pure (spec, seed-range) shards keyed under the same spec hash
+  /// a uniform sweep uses, so adaptive and uniform requests over one
+  /// ensemble share the cache namespace (and whole entries whenever their
+  /// chunk ranges coincide).
   std::uint64_t adaptive_budget = 0;
   /// Pilot runs per point for adaptive sweeps; 0 = the daemon's default.
   /// Inert (and normalized away) when adaptive_budget is 0.

@@ -74,10 +74,6 @@ struct Server::Job {
     std::string label;
     std::uint64_t hash = 0;
     Experiment spec;
-    /// Orbit dedup for this point's chunks, resolved at submit: the
-    /// spec's `orbit=` override when present, the server default
-    /// otherwise. Hash-inert — points differing only here share `hash`.
-    bool orbit = true;
   };
 
   std::uint64_t id = 0;
@@ -100,7 +96,6 @@ struct Server::Job {
   std::uint64_t runs_total = 0;
   std::uint64_t runs_executed = 0;
   std::uint64_t runs_cached = 0;
-  std::uint64_t runs_deduped = 0;  // orbit memo hits inside executed chunks
   RunStats summary;
 
   bool finished() const noexcept { return installments.empty(); }
@@ -169,8 +164,7 @@ void Server::start() {
   }
   // Validated before running_ is set, so a rejected config throws from
   // every start(), and without touching a live server's engine.
-  const ParallelConfig parallel{config_.threads, 0, config_.batch,
-                                config_.orbit};
+  const ParallelConfig parallel{config_.threads, 0};
   parallel.validate();
   if (running_.exchange(true)) return;
   engine_.set_parallel(parallel);
@@ -340,7 +334,8 @@ std::string Server::handle_request(Session& session, const std::string& line) {
       out += ",\"jobs_completed\":" + std::to_string(s.jobs_completed);
       out += ",\"runs_executed\":" + std::to_string(s.runs_executed);
       out += ",\"runs_cached\":" + std::to_string(s.runs_cached);
-      out += ",\"runs_deduped\":" + std::to_string(s.runs_deduped);
+      // ignored; the benchmark PR (ROADMAP item 2) deletes it
+      out += ",\"runs_deduped\":0";
       out += ",\"draining\":";
       out += s.draining ? "true" : "false";
       out += ",\"cache\":{\"hits\":" + std::to_string(s.cache.hits);
@@ -395,8 +390,6 @@ std::string Server::handle_submit(Session& session,
     expanded.label = std::move(point.label);
     expanded.hash = point.spec.hash();
     expanded.spec = point.spec.to_experiment();
-    expanded.orbit =
-        point.spec.orbit.empty() ? config_.orbit : point.spec.orbit == "on";
     job.request_seeds = point.spec.seeds;
     if (!hashes.empty()) hashes += ',';
     hashes += quoted(point.spec.hash_hex());
@@ -526,7 +519,6 @@ void Server::serve_chunk(Session& session) {
   RunStats stats;
   std::string payload;
   bool cached = true;
-  std::uint64_t deduped = 0;
   if (const auto handed = job.fulfilled.find(dedup_key);
       handed != job.fulfilled.end()) {
     // Cross-job dedup, consume side: another job already executed this
@@ -540,14 +532,7 @@ void Server::serve_chunk(Session& session) {
     stats = std::move(hit->stats);
   } else {
     cached = false;
-    if (engine_.parallel().orbit != point.orbit) {
-      ParallelConfig parallel = engine_.parallel();
-      parallel.orbit = point.orbit;
-      engine_.set_parallel(parallel);
-    }
-    const std::uint64_t hits_before = engine_.orbit_hits();
     payload = run_chunk(engine_, point.spec, chunk, &stats);
-    deduped = engine_.orbit_hits() - hits_before;
     cache_.insert(key, ResultCache::Entry{payload, stats});
     // Cross-job dedup, fill side: hand the freshly executed shard to every
     // other queued job that will still cut the same (spec hash, chunk) off
@@ -586,7 +571,6 @@ void Server::serve_chunk(Session& session) {
     job.runs_cached += chunk.count;
   } else {
     job.runs_executed += chunk.count;
-    job.runs_deduped += deduped;
     session.deficit -= std::min(session.deficit, chunk.count);
   }
   const bool finished = job.finished();
@@ -596,7 +580,6 @@ void Server::serve_chunk(Session& session) {
       stats_.runs_cached += chunk.count;
     } else {
       stats_.runs_executed += chunk.count;
-      stats_.runs_deduped += deduped;
     }
     if (finished) ++stats_.jobs_completed;
   }
@@ -607,7 +590,8 @@ void Server::serve_chunk(Session& session) {
   done += ",\"runs\":" + std::to_string(job.runs_total);
   done += ",\"runs_executed\":" + std::to_string(job.runs_executed);
   done += ",\"runs_cached\":" + std::to_string(job.runs_cached);
-  done += ",\"runs_deduped\":" + std::to_string(job.runs_deduped);
+  // ignored; the benchmark PR (ROADMAP item 2) deletes it
+  done += ",\"runs_deduped\":0";
   // An adaptive summary spans the runs the budget bought, not the full
   // declared range (points stop at different seeds; `seeds` reports the
   // aggregate run count with the shared first seed).

@@ -106,17 +106,8 @@ struct ServerConfig {
   int port = 0;
   /// Engine worker threads per chunk sweep (ParallelConfig; 0 = hardware).
   int threads = 0;
-  /// Orbit dedup's lookup group (ParallelConfig::batch); no other effect;
-  /// results never depend on it; deleted with orbit dedup (ROADMAP.md,
-  /// item 3). Invisible on the wire: rows and cache shards do not change
-  /// with it.
-  int batch = 16;
-  /// Default for orbit-level run deduplication (ParallelConfig::orbit).
-  /// A spec may override per request with the hash-inert `orbit=on|off`
-  /// knob (canonical.hpp). Like batch, invisible on the wire: deduped
-  /// sweeps are byte-identical to brute force, so rows and cache shards
-  /// do not change with the setting — only the counters below move.
-  bool orbit = true;
+  int batch = 16;     // ignored; the benchmark PR (ROADMAP item 2) deletes it
+  bool orbit = true;  // ignored; the benchmark PR (ROADMAP item 2) deletes it
   /// Admission bound: pending (queued + running) jobs across all clients.
   std::size_t max_queue_jobs = 64;
   /// Result-cache byte budget.
@@ -133,12 +124,6 @@ struct ServerStats {
   std::uint64_t jobs_completed = 0;
   std::uint64_t runs_executed = 0;  // runs actually swept by the engine
   std::uint64_t runs_cached = 0;    // runs served from the result cache
-  /// Runs inside executed chunks whose outcome was replicated from the
-  /// orbit memo instead of re-run (counted toward runs_executed too: the
-  /// chunk's run count is what the client asked for; this is how many of
-  /// those the engine never had to execute). Accumulated from engine
-  /// orbit_hits() deltas, so stats() never touches the engine.
-  std::uint64_t runs_deduped = 0;
   bool draining = false;
   ResultCache::Stats cache;
 };

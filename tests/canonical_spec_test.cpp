@@ -120,10 +120,9 @@ TEST(CanonicalSpec, InertKnobsNormalizeAway) {
 }
 
 TEST(CanonicalSpec, BatchKnobIsHashInert) {
-  // `batch` picks the executor's orbit lookup group, and results never
-  // depend on it — so two requests differing only in batch are the same
-  // ensemble: same canonical text, same hash, shared cache shards. The
-  // parsed value still reaches the spec for the executor.
+  // `batch` is accepted, validated and ignored — so two requests
+  // differing only in batch are the same ensemble: same canonical text,
+  // same hash, shared cache shards.
   const CanonicalSpec bare =
       CanonicalSpec::parse("loads=2,3\nprotocol=wait-for-singleton-LE");
   const CanonicalSpec batched = CanonicalSpec::parse(
@@ -137,10 +136,8 @@ TEST(CanonicalSpec, BatchKnobIsHashInert) {
 }
 
 TEST(CanonicalSpec, OrbitKnobIsHashInert) {
-  // `orbit` picks whether the executor deduplicates runs by configuration
-  // orbit, and deduped sweeps are byte-identical to brute force — so, like
-  // batch, the knob never reaches the canonical text or the hash. The
-  // parsed preference still reaches the spec for the executor.
+  // `orbit` is accepted, validated and ignored — so, like batch, the key
+  // never reaches the canonical text or the hash.
   const CanonicalSpec bare =
       CanonicalSpec::parse("loads=2,3\nprotocol=wait-for-singleton-LE");
   const CanonicalSpec on = CanonicalSpec::parse(

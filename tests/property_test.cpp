@@ -451,10 +451,10 @@ TEST(SchedulerProperty, OutputIndependentOfThreadCount) {
 // smallest string and the smallest singleton id can name different
 // parties (with loads {2,2,1} only the load-1 party can ever be unique, so
 // a wrong leader rule would pass). The class-split(2) specs have classes
-// of sizes 1 and 2 at once, so several sub-collections can reach 2. With
-// orbit dedup off the batch width only rounds the scheduling chunks up to
-// whole groups, so it is swept at four threads alone; 97 seeds is coprime
-// to every width, so each sweep's chunks cut a narrower remainder too.
+// of sizes 1 and 2 at once, so several sub-collections can reach 2. The
+// batch width is an ignored field, so the widths at four threads check
+// that it changes nothing; 97 seeds is prime, so the auto chunks cut a
+// narrower remainder.
 TEST(BatchProperty, BatchedSweepsMatchTheReferenceRunForRun) {
   const auto blackboard =
       Experiment::blackboard(SourceConfiguration::from_loads({2, 2, 1}))
@@ -575,9 +575,8 @@ TEST(GraphProperty, CliqueTopologyIsByteIdenticalToAllToAll) {
 // Law 17 — graph-task sweeps are pure functions of (spec, seed): for each
 // delivery scheduler, every thread count and batch width reproduces the
 // serial aggregate and the per-run outcomes byte for byte on a sparse
-// instance. The width only rounds the scheduling chunks of a parallel
-// sweep, so batch 7 runs at two and four threads; 33 seeds is coprime to
-// both widths.
+// instance. The batch width is an ignored field, so batch 7 at two and
+// four threads checks that it changes nothing.
 TEST(GraphProperty, GraphTaskSweepsIndependentOfThreadsBatchAndWorkers) {
   for (const sim::SchedulerSpec& scheduler :
        {sim::SchedulerSpec::synchronous(),

@@ -68,8 +68,7 @@ struct JobResult {
 
 /// Submits `spec` and reads until done. Asserts the accept handshake, that
 /// row chunks arrive in run-index order, and the done line's counter laws:
-/// every run is either executed or cached, and only executed runs can be
-/// orbit-deduped.
+/// every run is either executed or cached, and `runs_deduped` reads 0.
 JobResult run_job(Client& client, const std::string& spec) {
   JobResult result;
   const Value accepted = Value::parse(client.request(submit_request(spec)));
@@ -92,7 +91,7 @@ JobResult run_job(Client& client, const std::string& spec) {
     EXPECT_EQ(result.runs_executed + result.runs_cached,
               msg.find("runs")->as_uint())
         << *line;
-    EXPECT_LE(result.runs_deduped, result.runs_executed) << *line;
+    EXPECT_EQ(result.runs_deduped, 0u) << *line;
     break;
   }
   return result;
@@ -1004,13 +1003,10 @@ TEST(Service, AFailedStartThrowsAgainOnTheNextStart) {
   // rejected its parallel config, so the first start() threw and a second
   // one returned silently, with port() == 0 and nothing listening. start()
   // now validates the whole config first, every time.
-  for (const ServerConfig config :
-       {ServerConfig{.threads = -1}, ServerConfig{.threads = 1, .batch = 0}}) {
-    Server server(config);
-    EXPECT_THROW(server.start(), InvalidArgument);
-    EXPECT_THROW(server.start(), InvalidArgument);
-    EXPECT_EQ(server.port(), 0);
-  }
+  Server server({.threads = -1});
+  EXPECT_THROW(server.start(), InvalidArgument);
+  EXPECT_THROW(server.start(), InvalidArgument);
+  EXPECT_EQ(server.port(), 0);
   // A second start() on a live server stays a no-op.
   Server live({.threads = 1});
   live.start();
@@ -1414,12 +1410,11 @@ TEST(Service, AdaptiveKnobsAreHashInertAndShareTheCacheNamespace) {
   EXPECT_THROW(CanonicalSpec::parse(base + "\npilot=0"), InvalidArgument);
 }
 
-TEST(Service, OrbitDedupServesReferenceBytesAndReportsCounters) {
-  // An orbit-eligible spec (content-equivariant protocol, per-run random
-  // wiring irrelevant on the blackboard) sweeps deduped by default; the
-  // rows must still be the brute-force reference bytes, and the dedup
-  // shows up only in the counters: the done line's and the stats op's
-  // runs_deduped.
+TEST(Service, OrbitKeyIsAcceptedAndChangesNothing) {
+  // `orbit=` is an accepted, hash-inert key that selects nothing: rows are
+  // the reference bytes, `runs_deduped` reads 0 on the done line and on
+  // the stats line, and the `orbit=off` repeat is the same ensemble, so it
+  // is served wholly from the cache.
   const std::string spec =
       "loads=1,1,1,1,1,1\nprotocol=blackboard-unique-string-LE\n"
       "task=leader-election\nseeds=0+600";
@@ -1435,51 +1430,17 @@ TEST(Service, OrbitDedupServesReferenceBytesAndReportsCounters) {
     EXPECT_EQ(job.rows[i], expected[i]) << "chunk " << i;
   }
   EXPECT_EQ(job.runs_executed, 600u);
-  EXPECT_GT(job.runs_deduped, 0u);
+  EXPECT_EQ(job.runs_deduped, 0u);
 
   const Value stats = Value::parse(client.request("{\"op\":\"stats\"}"));
-  EXPECT_EQ(stats.find("runs_deduped")->as_uint(), job.runs_deduped);
+  EXPECT_EQ(stats.find("runs_deduped")->as_uint(), 0u);
 
-  // `orbit=off` is the same ensemble (hash-inert), so the brute request
-  // is served from the shards the deduped sweep cached — zero new runs.
   const JobResult brute = run_job(client, spec + "\norbit=off");
   EXPECT_EQ(brute.runs_cached, 600u);
   EXPECT_EQ(brute.runs_executed, 0u);
   EXPECT_EQ(brute.runs_deduped, 0u);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(brute.rows[i], expected[i]) << "chunk " << i;
-  }
-  server.stop();
-}
-
-TEST(Service, OrbitKnobOverridesTheServerDefaultPerSpec) {
-  // A daemon started with orbit off (rsbd --no-orbit) executes brute
-  // force unless the spec opts in; the opt-in job's bytes still match the
-  // brute job's bytes run for run (disjoint seed ranges so neither is a
-  // cache replay of the other).
-  const std::string base =
-      "loads=1,1,1,1,1,1\nprotocol=blackboard-unique-string-LE\n"
-      "task=leader-election\n";
-  Server server({.threads = 2, .orbit = false});
-  server.start();
-  Client client;
-  client.connect(server.port());
-
-  const JobResult brute = run_job(client, base + "seeds=0+256");
-  EXPECT_EQ(brute.runs_executed, 256u);
-  EXPECT_EQ(brute.runs_deduped, 0u);
-
-  const JobResult deduped = run_job(client, base + "seeds=0+256\norbit=on");
-  EXPECT_EQ(deduped.runs_cached, 256u);  // hash-inert: same shards
-
-  const JobResult cold = run_job(client, base + "seeds=1024+256\norbit=on");
-  EXPECT_EQ(cold.runs_executed, 256u);
-  EXPECT_GT(cold.runs_deduped, 0u);
-  const std::vector<std::string> expected =
-      reference_for(base + "seeds=1024+256");
-  ASSERT_EQ(cold.rows.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(cold.rows[i], expected[i]) << "chunk " << i;
   }
   server.stop();
 }

@@ -14,9 +14,10 @@ has read several times faster than the rest, whichever side it was.
 Every line names the pair's order. For
 every end-to-end metric of BENCHMARK.json it prints the parent's median
 and quartiles, the change's median and quartiles, the pairs in which the
-change was better, and the change's quartile spread as a share of the
-parent's median beside the metric's bound. It reports and gives no
-verdict: it exits non-zero only when a run, the warm-ups included, fails
+change was better, the move of the change's median from the parent's and
+the change's quartile spread, each as a share of the parent's median, and
+the metric's bound. The move is signed so that positive means worse. It
+reports and gives no verdict: it exits non-zero only when a run, the warm-ups included, fails
 or reads `correct: false`. It reads BENCHMARK.json from the parent
 checkout and writes nothing.
 """
@@ -107,9 +108,11 @@ def main():
     paired = sorted(set(parent_by_seed) & set(change_by_seed))
     print()
     print("%s, %d pairs of %g s" % (args.workload, len(paired), args.seconds))
-    print("%-22s %-32s %-32s %-6s %s" % (
+    print("move = (change median - parent median) / parent median, + = worse;"
+          " IQR = (change q3 - change q1) / parent median")
+    print("%-22s %-32s %-32s %-6s %-8s %-7s %s" % (
         "metric", "parent median [q1, q3]", "change median [q1, q3]",
-        "wins", "change IQR / parent median (bound)"))
+        "wins", "move", "IQR", "bound"))
     for metric in metrics:
         name = metric["name"]
         parent = [parent_by_seed[s][name] for s in paired
@@ -123,11 +126,13 @@ def main():
                    if (c > p if higher else c < p))
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
+        worse = (pm - cm) if higher else (cm - pm)
+        move = worse / pm if pm else float("nan")
         spread = (c3 - c1) / pm if pm else float("nan")
-        print("%-22s %-32s %-32s %-6s %.3f (%g)" % (
+        print("%-22s %-32s %-32s %-6s %-+8.3f %-7.3f %g" % (
             name, "%.4g [%.4g, %.4g]" % (pm, p1, p3),
             "%.4g [%.4g, %.4g]" % (cm, c1, c3),
-            "%d/%d" % (wins, len(parent)), spread, metric["bound"]))
+            "%d/%d" % (wins, len(parent)), move, spread, metric["bound"]))
     for failure in failures:
         print("failed: " + failure)
     return 1 if failures else 0

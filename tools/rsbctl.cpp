@@ -171,11 +171,8 @@ int list_vocabulary() {
   section("topologies", rsb::graph::TopologyRegistry::global().describe());
   section("execution knobs (hash-inert: results are byte-identical either "
           "way, so they never change the spec hash or cache shard)",
-          {"batch=N           orbit dedup's lookup group; rsbd ignores it "
-           "and uses its own",
-           "orbit=on|off      orbit-level run dedup: execute one run per "
-           "initial-configuration orbit, replicate the rest; omit for the "
-           "daemon default",
+          {"batch=N           accepted and ignored",
+           "orbit=on|off      accepted and ignored",
            "adaptive-budget=N total adaptive run budget (0 = uniform sweep)",
            "pilot=N           pilot runs per point for adaptive sweeps"});
   return 0;

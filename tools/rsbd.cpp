@@ -6,7 +6,7 @@
 // admitted queue before exiting, so accepted jobs always finish streaming.
 //
 //   rsbd [--port N] [--threads N] [--cache-mb N] [--max-queue N]
-//        [--quantum RUNS] [--no-orbit]
+//        [--quantum RUNS]
 //
 // The announce line ("rsbd: listening on 127.0.0.1:41234") is how scripts
 // discover an ephemeral port: start rsbd, read the first stdout line.
@@ -32,7 +32,7 @@ void on_signal(int) { g_signalled = 1; }
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--threads N] [--cache-mb N]"
-               " [--max-queue N] [--quantum RUNS] [--no-orbit]\n",
+               " [--max-queue N] [--quantum RUNS]\n",
                argv0);
   std::exit(2);
 }
@@ -79,9 +79,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--quantum" && has_value) {
       config.quantum_runs =
           parse_flag<std::uint64_t>(argv[0], "--quantum", argv[++i]);
-    } else if (arg == "--no-orbit") {
-      // Default-off orbit dedup; a spec's own `orbit=on` still enables it.
-      config.orbit = false;
     } else {
       usage(argv[0]);
     }
@@ -109,12 +106,11 @@ int main(int argc, char** argv) {
 
   const rsb::service::ServerStats stats = server.stats();
   std::fprintf(stderr,
-               "rsbd: served %llu jobs (%llu rejected), %llu runs executed"
-               " (%llu orbit-deduped), %llu runs from cache\n",
+               "rsbd: served %llu jobs (%llu rejected), %llu runs executed,"
+               " %llu runs from cache\n",
                static_cast<unsigned long long>(stats.jobs_completed),
                static_cast<unsigned long long>(stats.jobs_rejected),
                static_cast<unsigned long long>(stats.runs_executed),
-               static_cast<unsigned long long>(stats.runs_deduped),
                static_cast<unsigned long long>(stats.runs_cached));
   return 0;
 }
