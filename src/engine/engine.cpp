@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -32,15 +33,12 @@ int resolve_workers(const ParallelConfig& config, std::uint64_t count) {
 /// shard count.
 constexpr std::uint64_t kAutoGranulesPerWorker = 8;
 
-/// Ceiling on the number of chunks (= collector shards) one batch may
-/// materialize: shard memory and the final merge are O(chunks), so the
-/// chunk knob is a granularity *hint* — a sweep large enough to exceed
-/// this many chunks gets a proportionally coarser effective chunk. Also
-/// keeps the chunk index safely within int for the shard observer.
-constexpr std::uint64_t kMaxChunksPerBatch = 4096;
-
 /// The effective chunk: the knob, or the auto granule, coarsened so the
-/// batch has at most kMaxChunksPerBatch chunks.
+/// batch's `count` runs ask for at most kMaxChunksPerBatch chunks (shard
+/// memory and the final merge are O(chunks), so the chunk knob is a
+/// granularity *hint*). Segment edges add at most one ragged chunk per
+/// segment, and the segments are capped at kMaxChunksPerBatch too, so the
+/// chunk index stays safely within int for the shard observer.
 std::uint64_t resolve_chunk(const ParallelConfig& config, std::uint64_t count,
                             int workers) {
   std::uint64_t chunk = config.chunk;
@@ -147,17 +145,19 @@ PortPolicy provider_policy(const Experiment& spec) {
   return spec.topology != nullptr ? PortPolicy::kNone : spec.port_policy;
 }
 
-/// Executes runs [begin, end) of `spec` through `ctx`, one run per call of
-/// run_prepared (knowledge backend) or run_agent_prepared, reporting each
-/// run to per_run(run_index, ports, outcome) in run-index order. `ports`
-/// must be positioned at `begin`; on return it is positioned at `end`.
+/// Executes runs [begin, end) of a sweep of `spec` whose run 0 is seed
+/// `first_seed` through `ctx`, one run per call of run_prepared
+/// (knowledge backend) or run_agent_prepared, reporting each run to
+/// per_run(run_index, ports, outcome) in run-index order. `ports` must be
+/// positioned at `begin`'s wiring; on return it is one past `end`'s.
 template <typename PerRun>
 void execute_range(RunContext& ctx, const Experiment& spec,
-                   PortProvider& ports, std::uint64_t begin, std::uint64_t end,
+                   PortProvider& ports, std::uint64_t first_seed,
+                   std::uint64_t begin, std::uint64_t end,
                    const PerRun& per_run) {
   const bool knowledge = spec.backend() == Experiment::Backend::kProtocol;
   for (std::uint64_t i = begin; i < end; ++i) {
-    const std::uint64_t seed = spec.seeds.first + i;
+    const std::uint64_t seed = first_seed + i;
     const PortAssignment* assignment = ports.next();
     if (knowledge) {
       per_run(i, assignment, run_prepared(ctx, spec, seed, assignment));
@@ -186,9 +186,11 @@ ProtocolOutcome Engine::run(const Experiment& spec, std::uint64_t seed) {
   Experiment one = spec;
   one.seeds = SeedRange::single(seed);
   one.validate();
+  const Segment segment{one.seeds, 0};
+  std::uint64_t chunks = 0;
   ProtocolOutcome outcome;
   drive(
-      one, 0, [](int) {},
+      one, std::span(&segment, 1), std::span(&chunks, 1), [](int) {},
       [&outcome](int, const RunView&, const ProtocolOutcome& result) {
         outcome = result;
       });
@@ -199,31 +201,37 @@ ProtocolOutcome Engine::run(const Experiment& spec) {
   return run(spec, spec.seeds.first);
 }
 
-/// The shared scheduling core. Determinism under work stealing: the sweep
-/// is cut into fixed chunks of consecutive run indices, workers claim
-/// chunks dynamically through the ChunkDeque (timing-dependent), each
-/// worker repositions its port provider to every chunk's start with the
-/// serial sweep's exact rng consumption (PortProvider::skip_to, rewind
-/// included), and each run is reported into its *chunk's* shard — so the
-/// timing-dependent worker→chunk map never reaches the observations, and
-/// merging shards in chunk-index order (run_collect) reproduces the
-/// serial aggregate byte for byte.
-void Engine::drive(const Experiment& spec, std::uint64_t stream_offset,
+/// The shared scheduling core. Determinism under work stealing: each
+/// segment is cut into fixed chunks of consecutive run indices, numbered
+/// segment after segment, workers claim chunks dynamically through the
+/// ChunkDeque (timing-dependent), each worker repositions its port
+/// provider to every chunk's start with the serial sweep's exact rng
+/// consumption (PortProvider::skip_to, rewind included), and each run is
+/// reported into its *chunk's* shard — so the timing-dependent
+/// worker→chunk map never reaches the observations, and merging a
+/// segment's shards in chunk-index order (collect_segments) reproduces
+/// its serial aggregate byte for byte.
+void Engine::drive(const Experiment& spec, std::span<const Segment> segments,
+                   std::span<std::uint64_t> chunk_ends,
                    const PrepareShards& prepare,
                    const ShardObserver& observe) {
-  const std::uint64_t count = spec.seeds.count;
+  std::uint64_t count = 0;
+  for (const Segment& segment : segments) count += segment.seeds.count;
   int workers = resolve_workers(parallel_, count);
-  // One worker sweeps the whole range as one chunk into one shard.
-  std::uint64_t chunk = count;
-  std::uint64_t num_chunks = 1;
-  if (workers > 1) {
-    chunk = resolve_chunk(parallel_, count, workers);
-    num_chunks = (count + chunk - 1) / chunk;
-    // A coarse chunk can leave fewer chunks than workers; don't spawn
-    // threads that could never receive one.
-    if (static_cast<std::uint64_t>(workers) > num_chunks) {
-      workers = static_cast<int>(num_chunks);
-    }
+  // One worker sweeps each segment as one chunk into one shard.
+  const std::uint64_t chunk = workers > 1
+                                  ? resolve_chunk(parallel_, count, workers)
+                                  : std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t num_chunks = 0;
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    const std::uint64_t runs = segments[s].seeds.count;
+    num_chunks += runs / chunk + (runs % chunk != 0 ? 1 : 0);
+    chunk_ends[s] = num_chunks;
+  }
+  // A coarse chunk can leave fewer chunks than workers; don't spawn
+  // threads that could never receive one.
+  if (static_cast<std::uint64_t>(workers) > num_chunks) {
+    workers = static_cast<int>(std::max<std::uint64_t>(num_chunks, 1));
   }
 
   // Worker contexts persist on the engine so a sweep of many batches
@@ -239,14 +247,19 @@ void Engine::drive(const Experiment& spec, std::uint64_t stream_offset,
                        spec.config, spec.port_seed);
     std::uint64_t c = 0;
     while (deque.pop(w, c)) {
-      const std::uint64_t begin = c * chunk;
-      const std::uint64_t end = std::min(begin + chunk, count);
-      ports.skip_to(stream_offset + begin);
-      execute_range(ctx, spec, ports, begin, end,
+      const std::size_t s = static_cast<std::size_t>(
+          std::upper_bound(chunk_ends.begin(), chunk_ends.end(), c) -
+          chunk_ends.begin());
+      const Segment& segment = segments[s];
+      const std::uint64_t begin = (c - (s == 0 ? 0 : chunk_ends[s - 1])) * chunk;
+      const std::uint64_t end =
+          begin + std::min(chunk, segment.seeds.count - begin);
+      ports.skip_to(segment.stream_offset + begin);
+      execute_range(ctx, spec, ports, segment.seeds.first, begin, end,
                     [&](std::uint64_t i, const PortAssignment* assignment,
                         const ProtocolOutcome& outcome) {
                       observe(static_cast<int>(c),
-                              RunView{spec.seeds.first + i, i, assignment,
+                              RunView{segment.seeds.first + i, i, assignment,
                                       &spec},
                               outcome);
                     });

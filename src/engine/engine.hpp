@@ -29,7 +29,9 @@
 //
 // Aggregation is pluggable (engine/collector.hpp): run_collect sweeps a
 // spec into any Collector — each scheduling chunk owns a shard, so nothing
-// is buffered per run; run_batch is the RunStats shorthand. A caller that
+// is buffered per run; run_batch is the RunStats shorthand, and
+// run_collect_ranges sweeps several seed ranges of one spec in one drive,
+// one collector per range. A caller that
 // needs runs one by one collects them (copies, in shard order) and reads
 // them after the sweep — there is no per-run callback. One spec type
 // (Experiment) drives both backends: knowledge-level protocols via
@@ -40,6 +42,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "engine/collector.hpp"
@@ -52,6 +55,13 @@
 #include "util/rng.hpp"
 
 namespace rsb {
+
+/// Ceiling on the scheduling chunks (= collector shards) one sweep's seed
+/// count may ask for; a sweep past it gets a proportionally coarser
+/// chunk. It also caps the ranges of one run_collect_ranges call, so a
+/// sweep holds at most 2 × kMaxChunksPerBatch shards (each range adds at
+/// most one ragged chunk).
+inline constexpr std::uint64_t kMaxChunksPerBatch = 4096;
 
 /// How a batch is spread over threads. The default is serial; threads = 0
 /// means "one worker per hardware thread". The sweep is cut into chunks of
@@ -134,20 +144,49 @@ class Engine {
     Experiment sub = spec;
     sub.seeds = range;
     sub.validate();
-    std::vector<C> shards;
-    drive(
-        sub, range.first - spec.seeds.first,
-        [&](int workers) {
-          // Copy-construct the shards (collectors need not be assignable
-          // — lambda-carrying folds are not).
-          shards.reserve(static_cast<std::size_t>(workers));
-          for (int w = 0; w < workers; ++w) shards.push_back(collector);
-        },
-        [&](int shard, const RunView& view, const ProtocolOutcome& outcome) {
-          shards[static_cast<std::size_t>(shard)].observe(view, outcome);
-        });
-    for (C& shard : shards) collector.merge(std::move(shard));
+    const Segment segment{range, range.first - spec.seeds.first};
+    std::uint64_t chunks = 0;
+    collect_segments(sub, std::span(&segment, 1), std::span(&chunks, 1),
+                     &collector);
     return collector;
+  }
+
+  /// Sweeps several seed ranges of one spec in a single drive, one
+  /// collector per range: result k equals run_collect of the spec
+  /// restricted to ranges[k] (seeds = ranges[k]), byte for byte — each
+  /// range's port stream starts at offset 0 at its first seed, its runs
+  /// are numbered from 0 in RunView::run_index, and no scheduling chunk
+  /// spans two ranges, so each range's shards merge in chunk order into
+  /// its own collector. RunView::experiment points at `spec` itself,
+  /// whose `seeds` member the sweep does not read. What the call saves
+  /// over one run_collect per range is the per-drive cost: one worker
+  /// pool spawn and join for all of them. Ranges may be in any order and
+  /// may overlap. Throws InvalidArgument for an invalid spec, an empty
+  /// range, or more than kMaxChunksPerBatch ranges.
+  template <Collector C>
+  std::vector<C> run_collect_ranges(const Experiment& spec,
+                                    std::span<const SeedRange> ranges,
+                                    const C& collector) {
+    spec.validate();
+    if (ranges.size() > kMaxChunksPerBatch) {
+      throw InvalidArgument("run_collect_ranges: " +
+                            std::to_string(ranges.size()) +
+                            " ranges exceed the ceiling of " +
+                            std::to_string(kMaxChunksPerBatch));
+    }
+    std::vector<Segment> segments;
+    segments.reserve(ranges.size());
+    for (const SeedRange range : ranges) {
+      if (range.count == 0) {
+        throw InvalidArgument("run_collect_ranges: empty seed range");
+      }
+      segments.push_back(Segment{range, 0});
+    }
+    std::vector<std::uint64_t> chunk_ends(ranges.size());
+    std::vector<C> out(ranges.size(), collector);
+    collect_segments(spec, std::span<const Segment>(segments), chunk_ends,
+                     out.data());
+    return out;
   }
 
   /// Sweeps spec.seeds into a RunStats, the default collector: shorthand
@@ -166,10 +205,19 @@ class Engine {
   std::uint64_t orbit_reps() const noexcept { return 0; }
 
  private:
+  /// One contiguous run range of a drive: its run i executes seed
+  /// `seeds.first + i` and draws the port stream's wiring number
+  /// `stream_offset + i`.
+  struct Segment {
+    SeedRange seeds;
+    std::uint64_t stream_offset = 0;
+  };
+
   /// Sizes the shard set for the batch (called exactly once, before any
   /// run executes): one shard per scheduling chunk — a one-worker batch is
-  /// one chunk, hence one shard. Merging the shards in index order
-  /// reproduces run-index order.
+  /// one chunk per segment, hence one shard per segment. Shards are laid
+  /// out segment by segment, so merging each segment's shards in index
+  /// order reproduces its run-index order.
   using PrepareShards = std::function<void(int shards)>;
   /// Folds one finished run into shard `shard`. A one-worker batch uses
   /// shard 0 on the calling thread; parallel workers call it concurrently,
@@ -178,18 +226,50 @@ class Engine {
       int shard, const RunView& view, const ProtocolOutcome& outcome)>;
 
   /// The only sweep scheduler, behind every sweep entry point and
-  /// Engine::run: cuts the sweep into chunks of consecutive runs, lets
-  /// workers claim them through the work-stealing deque (one worker runs
-  /// inline on the calling thread, more run on a thread pool),
-  /// repositions each worker's port provider draw-for-draw with the
-  /// serial sweep, executes runs through execute_range, and reports each
-  /// run into its chunk's shard. Does not validate the spec.
-  /// `stream_offset` is the number of port-stream runs consumed before
-  /// this sweep's run 0 — 0 for a full sweep, and the resumed range's
-  /// distance from the declaring spec's first seed for run_collect_range,
-  /// so providers are positioned at stream_offset + chunk begin.
-  void drive(const Experiment& spec, std::uint64_t stream_offset,
-             const PrepareShards& prepare, const ShardObserver& observe);
+  /// Engine::run: cuts each segment into chunks of consecutive runs (no
+  /// chunk spans two segments), lets workers claim them through the
+  /// work-stealing deque (one worker runs inline on the calling thread,
+  /// more run on a thread pool), repositions each worker's port provider
+  /// draw-for-draw with the serial sweep, executes runs through
+  /// execute_range, and reports each run into its chunk's shard. Does not
+  /// validate the spec, and reads the seeds from the segments, never from
+  /// spec.seeds. A segment's `stream_offset` is the number of port-stream
+  /// runs consumed before its run 0 — 0 for a full sweep, and the resumed
+  /// range's distance from the declaring spec's first seed for
+  /// run_collect_range — so providers are positioned at stream_offset +
+  /// chunk begin. Before calling `prepare`, fills chunk_ends[s] (one per
+  /// segment) with one past the index of segment s's last chunk.
+  void drive(const Experiment& spec, std::span<const Segment> segments,
+             std::span<std::uint64_t> chunk_ends, const PrepareShards& prepare,
+             const ShardObserver& observe);
+
+  /// Drives `segments` and merges segment s's shards, in chunk order,
+  /// into out[s]; out[0] is also the empty prototype every shard copies.
+  /// chunk_ends is drive's scratch (one entry per segment).
+  template <Collector C>
+  void collect_segments(const Experiment& spec,
+                        std::span<const Segment> segments,
+                        std::span<std::uint64_t> chunk_ends, C* out) {
+    std::vector<C> shards;
+    drive(
+        spec, segments, chunk_ends,
+        [&shards, out](int count) {
+          // Copy-construct the shards (collectors need not be assignable
+          // — lambda-carrying folds are not).
+          shards.reserve(static_cast<std::size_t>(count));
+          for (int c = 0; c < count; ++c) shards.push_back(*out);
+        },
+        [&shards](int shard, const RunView& view,
+                  const ProtocolOutcome& outcome) {
+          shards[static_cast<std::size_t>(shard)].observe(view, outcome);
+        });
+    std::size_t shard = 0;
+    for (std::size_t s = 0; s < segments.size(); ++s) {
+      for (; shard < chunk_ends[s]; ++shard) {
+        out[s].merge(std::move(shards[shard]));
+      }
+    }
+  }
 
   std::vector<RunContext> worker_ctxs_;  // one per worker, reused per batch
   ParallelConfig parallel_;

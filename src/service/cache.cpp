@@ -21,6 +21,13 @@ std::optional<ResultCache::Entry> ResultCache::lookup(const Key& key) {
   return it->second->entry;
 }
 
+bool ResultCache::misses(const Key& key) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (index_.contains(key)) return false;
+  ++stats_.misses;
+  return true;
+}
+
 void ResultCache::insert(const Key& key, Entry entry) {
   const std::uint64_t charged = entry.payload.size() + kEntryOverhead;
   std::lock_guard<std::mutex> lock(mutex_);

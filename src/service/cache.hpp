@@ -66,6 +66,11 @@ class ResultCache {
   /// Returns a copy (entries may be evicted by later insertions).
   std::optional<Entry> lookup(const Key& key);
 
+  /// True, counted as a miss exactly as lookup() counts one, when `key`
+  /// is not cached. When it is, returns false and neither counts nor
+  /// touches it, so the lookup() that later serves it counts it once.
+  bool misses(const Key& key);
+
   /// Inserts (or refreshes) `key`; evicts least-recently-used entries
   /// until the budget holds. An entry larger than the whole budget is
   /// simply not retained.

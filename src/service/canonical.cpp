@@ -388,14 +388,18 @@ std::uint64_t CanonicalSpec::hash() const {
                     /*seed=*/0x72736264ULL /* "rsbd" */);
 }
 
-void CanonicalSpec::check_run_work() const {
+std::int64_t CanonicalSpec::run_work() const {
   std::int64_t parties = 0;
   for (const int load : loads) parties += load;
-  const bool messages = model == "message-passing";
   // parse() bounds parties by kMaxParties and rounds by the int range, so
   // the product stays far inside 64 bits.
-  const std::int64_t work =
-      std::int64_t{rounds} * parties * (messages ? parties - 1 : 1);
+  return std::int64_t{rounds} * parties *
+         (model == "message-passing" ? parties - 1 : 1);
+}
+
+void CanonicalSpec::check_run_work() const {
+  const bool messages = model == "message-passing";
+  const std::int64_t work = run_work();
   if (work > kMaxRunWork) {
     throw InvalidArgument(
         std::string("spec: per-run work rounds x parties") +

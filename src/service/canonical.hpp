@@ -144,6 +144,10 @@ struct CanonicalSpec {
   /// invalid specs.
   Experiment to_experiment() const;
 
+  /// The spec's per-run work in kMaxRunWork's unit: rounds × parties,
+  /// times (parties − 1) for message passing.
+  std::int64_t run_work() const;
+
   /// Throws InvalidArgument, naming the work bound, when the spec's
   /// per-run work exceeds kMaxRunWork.
   void check_run_work() const;

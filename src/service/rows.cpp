@@ -60,13 +60,26 @@ std::string row_payload(SeedRange chunk, const RunStats& stats) {
   return out;
 }
 
+std::vector<std::string> run_chunks(Engine& engine, const Experiment& spec,
+                                    std::span<const SeedRange> chunks,
+                                    std::vector<RunStats>* stats_out) {
+  std::vector<RunStats> stats =
+      engine.run_collect_ranges(spec, chunks, RunStats{});
+  std::vector<std::string> payloads;
+  payloads.reserve(chunks.size());
+  for (std::size_t k = 0; k < chunks.size(); ++k) {
+    payloads.push_back(row_payload(chunks[k], stats[k]));
+  }
+  if (stats_out != nullptr) *stats_out = std::move(stats);
+  return payloads;
+}
+
 std::string run_chunk(Engine& engine, const Experiment& spec, SeedRange chunk,
                       RunStats* stats_out) {
-  Experiment sub = spec;
-  sub.seeds = chunk;
-  RunStats stats = engine.run_collect(sub, RunStats{});
-  const std::string payload = row_payload(chunk, stats);
-  if (stats_out != nullptr) *stats_out = std::move(stats);
+  std::vector<RunStats> stats;
+  std::string payload =
+      std::move(run_chunks(engine, spec, std::span(&chunk, 1), &stats)[0]);
+  if (stats_out != nullptr) *stats_out = std::move(stats[0]);
   return payload;
 }
 

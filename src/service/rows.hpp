@@ -11,9 +11,11 @@
 // a job's remaining range as it serves it, so it never lists a job's
 // chunks; chunk_plan lists them for the in-process reference, and
 // chunk_count counts them in O(1) for the accepted line. Each chunk
-// is executed as one Engine::run_collect sweep into a RunStats shard (the
-// collector-shard merge the engine already does internally), serialized by
-// row_payload() into a canonical JSON object of integer counters:
+// is executed as Engine::run_collect would sweep the spec restricted to
+// it (its port stream starts at the chunk's first seed) into a RunStats —
+// run_chunks sweeps several chunks in one drive, one RunStats each — and
+// serialized by row_payload() into a canonical JSON object of integer
+// counters:
 //
 //   {"seed_first":256,"seeds":256,"runs":256,"terminated":256,
 //    "total_rounds":980,"crashed_parties":0,"task_checked":true,
@@ -27,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,8 +59,18 @@ std::uint64_t chunk_count(SeedRange range);
 /// header). `stats` must be the RunStats of exactly that chunk.
 std::string row_payload(SeedRange chunk, const RunStats& stats);
 
-/// Executes one chunk of the spec and returns its payload: run_collect
-/// over a copy of `spec` restricted to `chunk`.
+/// Executes the chunks of the spec in one engine sweep
+/// (Engine::run_collect_ranges) and returns their payloads in the order
+/// given; chunk k's payload is what run_collect over a copy of `spec`
+/// restricted to chunks[k] serializes to. When `stats_out` is set it
+/// receives each chunk's RunStats, in the same order. At most
+/// kMaxChunksPerBatch chunks.
+std::vector<std::string> run_chunks(Engine& engine, const Experiment& spec,
+                                    std::span<const SeedRange> chunks,
+                                    std::vector<RunStats>* stats_out = nullptr);
+
+/// Executes one chunk of the spec and returns its payload: run_chunks of
+/// that one chunk.
 std::string run_chunk(Engine& engine, const Experiment& spec, SeedRange chunk,
                       RunStats* stats_out = nullptr);
 

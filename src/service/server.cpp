@@ -33,6 +33,13 @@ namespace {
 constexpr std::size_t kMaxLineBytes = 1 << 20;
 constexpr int kPollMillis = 200;
 
+/// The most work a sweep of two or more chunks may hold, in runs times
+/// CanonicalSpec::run_work: one chunk at the admission bound. Gathering
+/// chunks into one sweep thus never holds the loop for more estimated
+/// work than the largest single chunk rsbd admits.
+constexpr std::uint64_t kMaxSweepWork =
+    kChunkRuns * static_cast<std::uint64_t>(kMaxRunWork);
+
 std::string quoted(const std::string& s) {
   std::string out;
   append_json_string(out, s);
@@ -73,8 +80,15 @@ struct Server::Job {
   struct Point {
     std::string label;
     std::uint64_t hash = 0;
+    std::uint64_t run_work = 0;  // CanonicalSpec::run_work
     Experiment spec;
   };
+
+  /// The key of one of this job's chunks in `fulfilled`.
+  static std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> dedup_key(
+      const Point& point, SeedRange chunk) {
+    return {point.hash, chunk.first, chunk.count};
+  }
 
   std::uint64_t id = 0;
   std::vector<Point> points;
@@ -218,46 +232,48 @@ void Server::stop() {
 }
 
 void Server::loop() {
-  std::vector<pollfd> polled;
   while (true) {
     const Pick pick = pick_next();
-    if (pick.session != nullptr) serve_chunk(*pick.session);
+    if (pick.session != nullptr) serve_step(*pick.session);
     const bool unsent =
         std::any_of(sessions_.begin(), sessions_.end(), [](const auto& s) {
           return !s->dead && !s->out.empty();
         });
     if (!running_.load() && pending_jobs_ == 0 && !unsent) return;
-
-    // Ask for output readiness only where output is queued, and stop
-    // reading a client that is behind on reading its replies.
-    polled.clear();
-    const bool listening = accepting_;
-    if (listening) polled.push_back({listen_fd_, POLLIN, 0});
-    for (const auto& session : sessions_) {
-      short events = session->backlogged() ? 0 : POLLIN;
-      if (!session->out.empty()) events |= POLLOUT;
-      polled.push_back({session->fd, events, 0});
-    }
-    const int ready = ::poll(polled.data(), polled.size(),
-                             pick.any_pending ? 0 : kPollMillis);
-    if (ready <= 0) {
-      // An idle timeout also retries a paused listener: ENFILE can clear
-      // without any session of ours ending.
-      if (ready == 0 && !pick.any_pending) accepting_ = true;
-      continue;
-    }
-    const std::size_t polled_sessions = sessions_.size();
-    if (listening && polled.front().revents != 0) accept_clients();
-    for (std::size_t i = 0; i < polled_sessions; ++i) {
-      Session& session = *sessions_[i];
-      const short revents = polled[(listening ? 1 : 0) + i].revents;
-      if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
-          !session.backlogged()) {
-        read_requests(session);
-      }
-      if ((revents & (POLLOUT | POLLHUP | POLLERR)) != 0) session.flush();
+    // An idle timeout also retries a paused listener: ENFILE can clear
+    // without any session of ours ending.
+    if (poll_sockets(pick.any_pending ? 0 : kPollMillis) == 0 &&
+        !pick.any_pending) {
+      accepting_ = true;
     }
   }
+}
+
+int Server::poll_sockets(int timeout_ms) {
+  // Ask for output readiness only where output is queued, and stop
+  // reading a client that is behind on reading its replies.
+  polled_.clear();
+  const bool listening = accepting_;
+  if (listening) polled_.push_back({listen_fd_, POLLIN, 0});
+  for (const auto& session : sessions_) {
+    short events = session->backlogged() ? 0 : POLLIN;
+    if (!session->out.empty()) events |= POLLOUT;
+    polled_.push_back({session->fd, events, 0});
+  }
+  const int ready = ::poll(polled_.data(), polled_.size(), timeout_ms);
+  if (ready <= 0) return ready;
+  const std::size_t polled_sessions = sessions_.size();
+  if (listening && polled_.front().revents != 0) accept_clients();
+  for (std::size_t i = 0; i < polled_sessions; ++i) {
+    Session& session = *sessions_[i];
+    const short revents = polled_[(listening ? 1 : 0) + i].revents;
+    if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
+        !session.backlogged()) {
+      read_requests(session);
+    }
+    if ((revents & (POLLOUT | POLLHUP | POLLERR)) != 0) session.flush();
+  }
+  return ready;
 }
 
 void Server::accept_clients() {
@@ -336,6 +352,7 @@ std::string Server::handle_request(Session& session, const std::string& line) {
       out += ",\"runs_cached\":" + std::to_string(s.runs_cached);
       // ignored; the benchmark PR (ROADMAP item 2) deletes it
       out += ",\"runs_deduped\":0";
+      out += ",\"engine_sweeps\":" + std::to_string(s.engine_sweeps);
       out += ",\"draining\":";
       out += s.draining ? "true" : "false";
       out += ",\"cache\":{\"hits\":" + std::to_string(s.cache.hits);
@@ -389,6 +406,7 @@ std::string Server::handle_submit(Session& session,
     Job::Point expanded;
     expanded.label = std::move(point.label);
     expanded.hash = point.spec.hash();
+    expanded.run_work = static_cast<std::uint64_t>(point.spec.run_work());
     expanded.spec = point.spec.to_experiment();
     job.request_seeds = point.spec.seeds;
     if (!hashes.empty()) hashes += ',';
@@ -501,39 +519,79 @@ Server::Pick Server::pick_next() {
   return pick;
 }
 
-void Server::serve_chunk(Session& session) {
-  // A job with no installment left never reaches here: the merge below
-  // queues an adaptive job's next round (or finishes the job) first.
+void Server::serve_step(Session& session) {
+  // A job with no installment left never reaches here: emit_chunk queues
+  // an adaptive job's next round (or finishes the job) first.
+  Job& job = session.jobs.front();
+  const AdaptiveAssignment& front = job.installments.front();
+  const Job::Point& point = job.points[front.point];
+  const SeedRange chunk = first_chunk(front.range);
+  if (const auto handed = job.fulfilled.find(Job::dedup_key(point, chunk));
+      handed != job.fulfilled.end()) {
+    // Cross-job dedup, consume side: another job already executed this
+    // exact shard and handed it over — serve it without touching the
+    // engine or the cache (the bytes may have been evicted since).
+    ResultCache::Entry entry = std::move(handed->second);
+    job.fulfilled.erase(handed);
+    emit_chunk(session, chunk, std::move(entry), true);
+    return;
+  }
+  if (auto hit = cache_.lookup({point.hash, chunk.first, chunk.count})) {
+    emit_chunk(session, chunk, std::move(*hit), true);
+    return;
+  }
+  // The front chunk misses. Gather the installment's next chunks while
+  // each misses too, the session's credit covers the sweep's runs, and
+  // the sweep stays within the engine's shard ceiling and kMaxSweepWork —
+  // the chunks the per-chunk loop would execute next, one pick each.
+  std::vector<SeedRange> chunks = {chunk};
+  std::uint64_t runs = chunk.count;
+  const std::uint64_t max_runs =
+      kMaxSweepWork / std::max<std::uint64_t>(point.run_work, 1);
+  SeedRange rest = SeedRange::of(front.range.first + chunk.count,
+                                 front.range.count - chunk.count);
+  while (rest.count > 0 && chunks.size() < kMaxChunksPerBatch) {
+    const SeedRange next = first_chunk(rest);
+    if (runs + next.count > std::min(session.deficit, max_runs) ||
+        job.fulfilled.contains(Job::dedup_key(point, next)) ||
+        !cache_.misses({point.hash, next.first, next.count})) {
+      break;
+    }
+    chunks.push_back(next);
+    runs += next.count;
+    rest = SeedRange::of(rest.first + next.count, rest.count - next.count);
+  }
+  std::vector<RunStats> chunk_stats;
+  std::vector<std::string> payloads =
+      run_chunks(engine_, point.spec, chunks, &chunk_stats);
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.engine_sweeps;
+  }
+  // Answer what arrived while the sweep ran before its rows go out, so a
+  // request waits for at most one sweep and a submit meets the queue as
+  // it stood when the sweep began.
+  poll_sockets(0);
+  for (std::size_t k = 0; k < chunks.size(); ++k) {
+    emit_chunk(session, chunks[k],
+               ResultCache::Entry{std::move(payloads[k]),
+                                  std::move(chunk_stats[k])},
+               false);
+  }
+}
+
+void Server::emit_chunk(Session& session, SeedRange chunk,
+                        ResultCache::Entry entry, bool cached) {
   Job& job = session.jobs.front();
   AdaptiveAssignment& front = job.installments.front();
   const std::size_t point_index = front.point;
-  const SeedRange chunk = first_chunk(front.range);
   front.range = SeedRange::of(front.range.first + chunk.count,
                               front.range.count - chunk.count);
   if (front.range.count == 0) job.installments.erase(job.installments.begin());
   const std::uint64_t row_index = job.rows_emitted++;
   const Job::Point& point = job.points[point_index];
-  const ResultCache::Key key{point.hash, chunk.first, chunk.count};
-  const auto dedup_key = std::make_tuple(point.hash, chunk.first, chunk.count);
-
-  RunStats stats;
-  std::string payload;
-  bool cached = true;
-  if (const auto handed = job.fulfilled.find(dedup_key);
-      handed != job.fulfilled.end()) {
-    // Cross-job dedup, consume side: another job already executed this
-    // exact shard and handed it over — serve it without touching the
-    // engine or the cache (the bytes may have been evicted since).
-    payload = std::move(handed->second.payload);
-    stats = std::move(handed->second.stats);
-    job.fulfilled.erase(handed);
-  } else if (auto hit = cache_.lookup(key)) {
-    payload = std::move(hit->payload);
-    stats = std::move(hit->stats);
-  } else {
-    cached = false;
-    payload = run_chunk(engine_, point.spec, chunk, &stats);
-    cache_.insert(key, ResultCache::Entry{payload, stats});
+  if (!cached) {
+    cache_.insert({point.hash, chunk.first, chunk.count}, entry);
     // Cross-job dedup, fill side: hand the freshly executed shard to every
     // other queued job that will still cut the same (spec hash, chunk) off
     // one of its installments. Only unclaimed chunks qualify — a claimed
@@ -545,8 +603,7 @@ void Server::serve_chunk(Session& session) {
         for (const AdaptiveAssignment& queued : other.installments) {
           if (other.points[queued.point].hash == point.hash &&
               is_chunk_of(chunk, queued.range)) {
-            other.fulfilled.emplace(dedup_key,
-                                    ResultCache::Entry{payload, stats});
+            other.fulfilled.emplace(Job::dedup_key(point, chunk), entry);
           }
         }
       }
@@ -559,12 +616,12 @@ void Server::serve_chunk(Session& session) {
   line += ",\"chunk\":" + std::to_string(row_index);
   line += ",\"cached\":";
   line += cached ? "true" : "false";
-  line += ",\"row\":" + payload + "}";
+  line += ",\"row\":" + entry.payload + "}";
   session.send_line(line);
 
-  job.summary.merge(stats);
+  job.summary.merge(entry.stats);
   if (job.adaptive) {
-    job.adaptive->record(point_index, stats);
+    job.adaptive->record(point_index, entry.stats);
     if (job.installments.empty()) job.installments = job.adaptive->next_round();
   }
   if (cached) {

@@ -33,7 +33,8 @@
 //    each visit grants a client `quantum_runs` of credit, a chunk costs
 //    its run count, cache hits cost nothing — so a client streaming a huge
 //    sweep cannot starve a client running a small one, and cached replays
-//    are never queued behind cold work;
+//    are never queued behind cold work. The uncached chunks a client's
+//    credit covers run as one engine sweep (see Threading);
 //  * result cache — every executed chunk lands in an LRU ResultCache
 //    (src/service/cache.hpp) keyed by (spec hash, chunk range); repeated
 //    or overlapping queries stream the covered chunks back without
@@ -57,16 +58,29 @@
 // Threading: one loop thread runs the whole server. Each iteration polls
 // the listener and every session socket, accepts pending clients (reading
 // whatever they already sent), answers every complete request line,
-// flushes outboxes the sockets can take, and serves one chunk. Sockets are
-// non-blocking and every reply and row goes through the session's outbox,
-// so no client can block the loop; a session whose outbox holds more than
-// 1 MiB is neither served nor read until its client reads. A request
-// waits for the chunk in progress (256 runs: a few ms for the paper's
-// leader-election specs, longer for long-round ones). When accept() runs
-// out of descriptors the loop stops polling the listener until a session
-// ends and frees one; a client past kMaxSessions reads one error line and
-// is closed. Only stats(), begin_drain() and stop() are called from other
-// threads.
+// flushes outboxes the sockets can take, and takes one serving step for
+// the session DRR picks. A step serves the front chunk of that session's
+// front job from a handover or the cache; when it misses, the step also
+// gathers the chunks that follow it in the same (point, seed range)
+// installment while each misses too and the session's credit covers
+// them, runs them all in one engine sweep (rows.hpp run_chunks: one
+// worker-pool spawn instead of one per chunk), answers the requests that
+// arrived meanwhile, and then emits the chunks' rows, cache inserts,
+// handovers and credit charges in chunk order, exactly as one step per
+// chunk would. A sweep of two or more chunks holds at most
+// kMaxChunksPerBatch chunks and at most one admission-bound chunk's
+// estimated work (kChunkRuns × kMaxRunWork, runs × rounds × parties,
+// times parties − 1 for message passing). Sockets are non-blocking and
+// every reply and row goes through the session's outbox, so no client can
+// block the loop; a session whose outbox holds more than 1 MiB is neither
+// served nor read until its client reads (a step's rows may take it past
+// the bound by one sweep's rows). A request waits for the sweep in
+// progress: at the default quantum, 16 chunks of 256 runs — a few ms for
+// the paper's leader-election specs, longer for long-round ones. When
+// accept() runs out of descriptors the loop stops polling the listener
+// until a session ends and frees one; a client past kMaxSessions reads
+// one error line and is closed. Only stats(), begin_drain() and stop()
+// are called from other threads.
 //
 // Determinism: a row's bytes are a pure function of (spec, chunk) — the
 // engine is deterministic for any thread count, cached bytes are the
@@ -80,6 +94,8 @@
 // (rsbd calls it on SIGTERM; the `shutdown` op sets shutdown_requested()
 // for rsbd's main loop to observe).
 #pragma once
+
+#include <poll.h>
 
 #include <atomic>
 #include <cstddef>
@@ -104,7 +120,8 @@ inline constexpr std::size_t kMaxSessions = 256;
 struct ServerConfig {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (see Server::port).
   int port = 0;
-  /// Engine worker threads per chunk sweep (ParallelConfig; 0 = hardware).
+  /// Engine worker threads per sweep of a step's gathered chunks
+  /// (ParallelConfig; 0 = hardware).
   int threads = 0;
   int batch = 16;     // ignored; the benchmark PR (ROADMAP item 2) deletes it
   bool orbit = true;  // ignored; the benchmark PR (ROADMAP item 2) deletes it
@@ -124,6 +141,10 @@ struct ServerStats {
   std::uint64_t jobs_completed = 0;
   std::uint64_t runs_executed = 0;  // runs actually swept by the engine
   std::uint64_t runs_cached = 0;    // runs served from the result cache
+  /// Engine sweeps the loop ran: one per serving step that executed, each
+  /// covering one or more uncached chunks (not Job installments, which are
+  /// a job's queued (point, seed range) pairs).
+  std::uint64_t engine_sweeps = 0;
   bool draining = false;
   ResultCache::Stats cache;
 };
@@ -166,6 +187,11 @@ class Server {
 
   void loop();
 
+  /// Polls the listener and every session socket for up to `timeout_ms`,
+  /// accepts pending clients, answers every complete request line, and
+  /// flushes what the sockets take. Returns poll()'s result.
+  int poll_sockets(int timeout_ms);
+
   /// Accepts every pending client and reads what each already sent.
   void accept_clients();
 
@@ -178,16 +204,26 @@ class Server {
   std::string handle_submit(Session& session, const std::string& spec_text);
 
   /// Erases dead sessions (dropping their jobs, closing their fds), then
-  /// picks the session whose next chunk DRR serves; null when none is due.
+  /// picks the session whose next step DRR serves; null when none is due.
   struct Pick {
     Session* session = nullptr;
     bool any_pending = false;  // some live session has a servable chunk
   };
   Pick pick_next();
 
-  /// Serves the next chunk of `session`'s front job: cache, handover or
-  /// engine, then its row, and the done line when the job completes.
-  void serve_chunk(Session& session);
+  /// One serving step for `session`'s front job: its front chunk from a
+  /// handover or the cache, or — on a miss — that chunk and the following
+  /// misses of the same installment its credit covers, in one engine
+  /// sweep (see the file header). Emits each chunk through emit_chunk.
+  void serve_step(Session& session);
+
+  /// Emits `chunk`, the front chunk of `session`'s front job, served
+  /// with `entry`: cuts it off the installment, caches and hands over an
+  /// executed (`cached` false) chunk, sends the row, merges the summary,
+  /// charges the credit, counts the stats, and sends the done line when
+  /// the job completes.
+  void emit_chunk(Session& session, SeedRange chunk, ResultCache::Entry entry,
+                  bool cached);
 
   ServerConfig config_;
   int listen_fd_ = -1;
@@ -201,6 +237,7 @@ class Server {
 
   // Loop-thread state.
   std::vector<std::unique_ptr<Session>> sessions_;
+  std::vector<pollfd> polled_;  // poll_sockets' scratch
   std::size_t rr_cursor_ = 0;  // DRR rotation over sessions_
   std::size_t pending_jobs_ = 0;
   std::uint64_t next_job_id_ = 1;

@@ -1,6 +1,7 @@
 // Tests for the parallel experiment engine: byte-identical RunStats across
 // thread counts (the determinism contract of DESIGN.md's "Concurrency
 // model"), run-index order of merged collector shards under threads > 1,
+// multi-range sweeps equal to one sweep per range,
 // RunStats::merge edge cases, the chunk knob, high-water aggregation
 // across worker contexts, and the one-run context that every run of a
 // worker reuses.
@@ -183,6 +184,97 @@ TEST(ParallelEngine, CollectedOutcomesMatchSerialRunForRun) {
   const std::vector<int> reference = collect(1);
   EXPECT_EQ(collect(2), reference);
   EXPECT_EQ(collect(8), reference);
+}
+
+// ------------------------------------------------------ multi-range law
+
+/// Each run a shard sees, as run_collect_ranges' law compares them.
+struct RunRecord {
+  std::uint64_t seed = 0;
+  std::uint64_t run_index = 0;
+  std::optional<PortAssignment> ports;
+  testing::OutcomeSnapshot outcome;
+
+  friend bool operator==(const RunRecord&, const RunRecord&) = default;
+};
+
+auto recording_collector() {
+  return CombineCollectors(
+      RunStats{},
+      fold_collector(
+          std::vector<RunRecord>{},
+          [](std::vector<RunRecord>& shard, const RunView& view,
+             const ProtocolOutcome& outcome) {
+            shard.push_back({view.seed, view.run_index,
+                             view.ports != nullptr
+                                 ? std::optional<PortAssignment>(*view.ports)
+                                 : std::nullopt,
+                             testing::snapshot(outcome)});
+          },
+          [](std::vector<RunRecord>& merged, std::vector<RunRecord> shard) {
+            merged.insert(merged.end(), shard.begin(), shard.end());
+          }));
+}
+
+TEST(ParallelEngine, MultiRangeSweepEqualsOneRunCollectPerRange) {
+  // run_collect_ranges sweeps each range as run_collect sweeps the spec
+  // restricted to it: each range's port stream starts at its first seed,
+  // and its runs are numbered from 0. The ranges come out of order, two
+  // overlap, and three are shorter than every chunk hint but 1, so chunk
+  // edges and range edges fall everywhere.
+  const std::vector<SeedRange> ranges = {
+      SeedRange::of(40, 13), SeedRange::of(3, 1), SeedRange::of(100, 29),
+      SeedRange::of(7, 2), SeedRange::of(41, 5)};
+  const std::vector<Experiment> specs = {
+      blackboard_spec(4, 1), message_passing_spec(1),
+      Experiment::message_passing(SourceConfiguration::from_loads({2, 3}))
+          .with_ports(PortAssignment::cyclic(5))
+          .with_protocol("wait-for-singleton-LE")
+          .with_task("leader-election")
+          .with_rounds(300)
+          .with_seeds(1, 1)};
+  ASSERT_EQ(specs[1].port_policy, PortPolicy::kRandomPerRun);
+  ASSERT_EQ(specs[2].port_policy, PortPolicy::kFixed);
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    std::vector<decltype(recording_collector())> expected;
+    Engine reference;
+    for (const SeedRange range : ranges) {
+      Experiment sub = specs[s];
+      sub.seeds = range;
+      expected.push_back(reference.run_collect(sub, recording_collector()));
+    }
+    for (int threads : {1, 2, 4}) {
+      for (std::uint64_t chunk : {0u, 1u, 7u, 1000u}) {
+        Engine engine;
+        engine.set_parallel({threads, chunk});
+        const auto got =
+            engine.run_collect_ranges(specs[s], ranges, recording_collector());
+        ASSERT_EQ(got.size(), ranges.size());
+        for (std::size_t k = 0; k < ranges.size(); ++k) {
+          EXPECT_EQ(got[k].part<0>(), expected[k].part<0>())
+              << "spec " << s << " threads " << threads << " chunk " << chunk
+              << " range " << k;
+          EXPECT_EQ(got[k].part<1>().state(), expected[k].part<1>().state())
+              << "spec " << s << " threads " << threads << " chunk " << chunk
+              << " range " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelEngine, MultiRangeSweepRejectsEmptyAndTooManyRanges) {
+  const auto spec = blackboard_spec(3, 1);
+  Engine engine;
+  const std::vector<SeedRange> with_empty = {SeedRange::of(1, 4),
+                                             SeedRange::of(9, 0)};
+  EXPECT_THROW(engine.run_collect_ranges(spec, with_empty, RunStats{}),
+               InvalidArgument);
+  const std::vector<SeedRange> too_many(kMaxChunksPerBatch + 1,
+                                        SeedRange::of(1, 1));
+  EXPECT_THROW(engine.run_collect_ranges(spec, too_many, RunStats{}),
+               InvalidArgument);
+  EXPECT_TRUE(engine.run_collect_ranges(spec, {}, RunStats{}).empty());
 }
 
 // ------------------------------------------------------- RunStats::merge

@@ -1102,6 +1102,148 @@ TEST(Service, WorkBoundAdmitsExactlyTheBound) {
   server.stop();
 }
 
+// ------------------------------------------------- gathered chunk sweeps
+
+/// The stats op's reply, parsed.
+Value stats_reply(Client& client) {
+  const Value stats = Value::parse(client.request("{\"op\":\"stats\"}"));
+  EXPECT_EQ(stats.find("type")->as_string(), "stats");
+  return stats;
+}
+
+TEST(Service, RandomWiringRowsMatchTheReferenceAtEveryChunk) {
+  // Message passing under the default random-per-run wiring: each row's
+  // port stream starts at its chunk's first seed, as run_chunk's does.
+  // These loads split by wiring, so five of the six rows change when a
+  // chunk's stream starts elsewhere (loads=2,3's rows do not). The range
+  // starts off the chunk grid and spans six chunks, which one step sweeps
+  // together.
+  const std::string spec =
+      "model=message-passing\nloads=2,2\nprotocol=wait-for-singleton-LE\n"
+      "task=leader-election\nseeds=100+1300";
+  const std::vector<std::string> expected = reference_for(spec);
+  ASSERT_EQ(expected.size(), 6u);
+  for (const ServerConfig& config :
+       {ServerConfig{.threads = 2}, ServerConfig{}}) {
+    Server server(config);
+    server.start();
+    Client client;
+    client.connect(server.port());
+    const JobResult job = run_job(client, spec);
+    EXPECT_EQ(job.runs_executed, 1300u);
+    ASSERT_EQ(job.rows.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(job.rows[i], expected[i])
+          << "threads " << config.threads << " chunk " << i;
+    }
+    server.stop();
+  }
+}
+
+TEST(Service, TheJobCycleKeepsEveryRunAndCacheCounter) {
+  // service-mix's job cycle on one client: a cold 16,384-run all-private
+  // n=6 job, its warm repeat, and the range shifted by 8,192 + 77 seeds
+  // (a 179-run edge, 31 cached chunks, 32 cold ones and a 77-run edge).
+  // The stats op's counters equal what serving one chunk per step gave,
+  // with the default cache and with one of about 40 entries, where LRU
+  // order decides what the warm repeat finds; a step that looked a chunk
+  // up twice, or skipped a lookup, would move them.
+  const std::string spec =
+      "loads=1,1,1,1,1,1\nprotocol=wait-for-singleton-LE\n"
+      "task=leader-election\nrounds=300\nseeds=";
+  struct Counters {
+    std::uint64_t runs_executed, runs_cached, hits, misses, insertions,
+        evictions;
+  };
+  const std::pair<std::uint64_t, Counters> cases[] = {
+      {64ull << 20, {24832, 24320, 95, 98, 98, 0}},
+      {16ull << 10, {41216, 7936, 31, 162, 162, 127}},
+  };
+  for (const auto& [cache_bytes, want] : cases) {
+    Server server({.cache_bytes = cache_bytes});
+    server.start();
+    Client client;
+    client.connect(server.port());
+    run_job(client, spec + "0+16384");
+    run_job(client, spec + "0+16384");
+    run_job(client, spec + std::to_string(8192 + 77) + "+16384");
+    const Value stats = stats_reply(client);
+    const Value& cache = *stats.find("cache");
+    EXPECT_EQ(stats.find("runs_executed")->as_uint(), want.runs_executed);
+    EXPECT_EQ(stats.find("runs_cached")->as_uint(), want.runs_cached);
+    EXPECT_EQ(cache.find("hits")->as_uint(), want.hits);
+    EXPECT_EQ(cache.find("misses")->as_uint(), want.misses);
+    EXPECT_EQ(cache.find("insertions")->as_uint(), want.insertions);
+    EXPECT_EQ(cache.find("evictions")->as_uint(), want.evictions);
+    server.stop();
+  }
+}
+
+TEST(Service, ALoneColdJobRunsOneSweepPerQuantum) {
+  // At the default 4,096-run quantum a lone client's credit covers 16
+  // chunks, so a cold 16,384-run job (64 chunks) runs in 4 engine sweeps
+  // and its warm repeat in none. A sweep never crosses an installment:
+  // each point of a two-point grid request is swept on its own.
+  Server server(ServerConfig{});
+  server.start();
+  Client client;
+  client.connect(server.port());
+  const std::string spec =
+      "loads=1,1,1,1,1,1\nprotocol=wait-for-singleton-LE\n"
+      "task=leader-election\nseeds=0+16384";
+  EXPECT_EQ(run_job(client, spec).runs_executed, 16384u);
+  EXPECT_EQ(stats_reply(client).find("engine_sweeps")->as_uint(), 4u);
+  EXPECT_EQ(run_job(client, spec).runs_executed, 0u);
+  EXPECT_EQ(stats_reply(client).find("engine_sweeps")->as_uint(), 4u);
+  const std::string grid =
+      "loads=1,2\nprotocol=wait-for-singleton-LE\nrounds=30|50\nseeds=0+300";
+  const JobResult points = run_job(client, grid);
+  EXPECT_EQ(points.runs_executed, 600u);
+  EXPECT_EQ(points.rows.size(), 4u);
+  EXPECT_EQ(server.stats().engine_sweeps, 6u);
+  server.stop();
+}
+
+TEST(Service, AHugeQuantumStillCapsASweepAtTheShardCeiling) {
+  // A 2^21-run quantum covers every chunk of this job, and one-round runs
+  // of three parties are cheap enough for the work bound to admit far
+  // more than 4,096 chunks; the sweep still stops at the engine's shard
+  // ceiling, so 4,097 chunks take two sweeps.
+  Server server({.threads = 2, .quantum_runs = 1ull << 21});
+  server.start();
+  Client client;
+  client.connect(server.port());
+  const std::string spec =
+      "loads=1,2\nprotocol=wait-for-singleton-LE\nrounds=1\nseeds=0+" +
+      std::to_string(kMaxChunksPerBatch * kChunkRuns + 1);
+  const JobResult job = run_job(client, spec);
+  EXPECT_EQ(job.rows.size(), kMaxChunksPerBatch + 1);
+  EXPECT_EQ(server.stats().engine_sweeps, 2u);
+  server.stop();
+}
+
+TEST(Service, ASweepHoldsAtMostOneAdmissionBoundChunkOfWork) {
+  // Per-run work 2^18 rounds × 2 parties is half the admission bound, so a
+  // sweep of two or more chunks may hold 2^28 / 2^19 = 512 runs: the four
+  // chunks take two sweeps though the credit covers sixteen. The rows are
+  // still the reference bytes.
+  Server server({.threads = 2});
+  server.start();
+  Client client;
+  client.connect(server.port());
+  const std::string spec =
+      "loads=1,1\nprotocol=wait-for-singleton-LE\nrounds=" +
+      std::to_string(kMaxRunWork / 4) + "\nseeds=0+1024";
+  const JobResult job = run_job(client, spec);
+  EXPECT_EQ(server.stats().engine_sweeps, 2u);
+  const std::vector<std::string> expected = reference_for(spec);
+  ASSERT_EQ(job.rows.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(job.rows[i], expected[i]) << "chunk " << i;
+  }
+  server.stop();
+}
+
 // ---------------------------------------------------------- chunk rule
 
 TEST(ChunkPlan, CutsRangesAtAbsoluteMultiplesOfTheChunkSize) {
