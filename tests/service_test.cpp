@@ -1143,11 +1143,11 @@ TEST(Service, RandomWiringRowsMatchTheReferenceAtEveryChunk) {
 TEST(Service, TheJobCycleKeepsEveryRunAndCacheCounter) {
   // service-mix's job cycle on one client: a cold 16,384-run all-private
   // n=6 job, its warm repeat, and the range shifted by 8,192 + 77 seeds
-  // (a 179-run edge, 31 cached chunks, 32 cold ones and a 77-run edge).
+  // (a 179-run edge, 31 warm chunks, 32 cold ones and a 77-run edge).
   // The stats op's counters equal what serving one chunk per step gave,
-  // with the default cache and with one of about 40 entries, where LRU
-  // order decides what the warm repeat finds; a step that looked a chunk
-  // up twice, or skipped a lookup, would move them.
+  // with the default cache and with one of about 35 entries, where LRU
+  // order decides what each job finds; a step that looked a chunk up
+  // twice, or skipped a lookup, would move them.
   const std::string spec =
       "loads=1,1,1,1,1,1\nprotocol=wait-for-singleton-LE\n"
       "task=leader-election\nrounds=300\nseeds=";
@@ -1188,13 +1188,19 @@ TEST(Service, ALoneColdJobRunsOneSweepPerQuantum) {
   server.start();
   Client client;
   client.connect(server.port());
+  const auto sweeps = [&client] {
+    const Value stats = stats_reply(client);
+    const Value* member = stats.find("engine_sweeps");
+    EXPECT_NE(member, nullptr) << stats.serialize();
+    return member != nullptr ? member->as_uint() : 0;
+  };
   const std::string spec =
       "loads=1,1,1,1,1,1\nprotocol=wait-for-singleton-LE\n"
       "task=leader-election\nseeds=0+16384";
   EXPECT_EQ(run_job(client, spec).runs_executed, 16384u);
-  EXPECT_EQ(stats_reply(client).find("engine_sweeps")->as_uint(), 4u);
+  EXPECT_EQ(sweeps(), 4u);
   EXPECT_EQ(run_job(client, spec).runs_executed, 0u);
-  EXPECT_EQ(stats_reply(client).find("engine_sweeps")->as_uint(), 4u);
+  EXPECT_EQ(sweeps(), 4u);
   const std::string grid =
       "loads=1,2\nprotocol=wait-for-singleton-LE\nrounds=30|50\nseeds=0+300";
   const JobResult points = run_job(client, grid);
